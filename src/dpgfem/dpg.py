@@ -1,4 +1,4 @@
-"""Per-element DPG kernels.
+"""DPG element kernels, built per group of elements.
 
 The broken test space splits into a scalar broken-H1 component and a
 vector L2 component. The L2 Riesz map is the identity, so its optimal
@@ -26,9 +26,15 @@ then p trace dofs per incident active facet in local edge order
 (left, right, bottom, top). Trace columns already include the facet sign
 (+1 when the facet's global normal is outward for the element).
 
-All kernels are pure functions of immutable inputs; congruent elements
-with identical data yield bit-identical matrices because every template
-is tabulated once per geometry and reused.
+Groups. Elements of a uniform mesh are congruent, so the condensed
+element system depends only on which local edges carry traces (and
+with which sign), which carry boundary data (and of which kind), and on
+the coefficient values. An ElementGroup collects the elements that agree
+on the first two; the kernels build, condense and evaluate one group at
+a time, with the Gram, A_fosls and (outside Robin groups) B shared by
+all its elements and the coefficients sampled over the group's batched
+quadrature points. The interior, the four sides and the four corners
+give 9 groups on meshes of at least 3 x 3 elements.
 """
 
 from __future__ import annotations
@@ -40,12 +46,14 @@ import numpy as np
 import scipy.linalg
 
 from dpgfem.fespace import (
+    ElementGroup,
     SpaceLayout,
     tabulate_facet_basis,
     tabulate_h1_basis,
     tabulate_l2_basis,
 )
 from dpgfem.mesh import FacetTag, Mesh
+from dpgfem.problems import ProblemValidationError, sample
 from dpgfem.quadrature import gauss_1d, tensor_quad
 
 # local edge order: left, right, bottom, top
@@ -59,14 +67,25 @@ _EDGE_REF = (
 
 @dataclass
 class LocalSystem:
-    """Element matrices of the condensed DPG scheme.
+    """Element matrices of the condensed DPG scheme for one ElementGroup.
+
+    The n elements of a group share every matrix except where the
+    coefficients enter: loads always, and B in groups with Robin edges,
+    where beta varies from element to element.
 
     gram: enriched Gram of the problem's test norm (n_enr x n_enr), SPD.
-    coupling: B (n_enr x n_trial), trial-to-enriched-test.
-    load: l (n_enr,).
+    coupling: B, trial-to-enriched-test, (n_enr x n_trial) when shared by
+        the group, else stacked per element (n x n_enr x n_trial).
+    load: l per element (n x n_enr).
     lsq_matrix: A_fosls (n_trial x n_trial), PSD, zero on trace dofs.
-    lsq_load: f_fosls (n_trial,).
-    lsq_const: the u-independent part of the first-order residual square.
+    lsq_load: f_fosls per element (n x n_trial).
+    res_x, res_y, res_weights: pointwise first-order residual per field and
+        flux column (nq x n_field+flux) and its quadrature weights; the
+        indicator squares the residual at quadrature points instead of
+        expanding the quadratic form, which would cancel catastrophically
+        near exact solutions.
+    res_shift: u-independent residual kappa^-1 S per element (n x nq x 2),
+        None when the source vanishes.
     """
 
     gram: np.ndarray
@@ -74,30 +93,16 @@ class LocalSystem:
     load: np.ndarray
     lsq_matrix: np.ndarray
     lsq_load: np.ndarray
-    lsq_const: float = 0.0
-    gram_factor: tuple | None = None
-    # pointwise first-order residual data; lets the indicator square the
-    # residual at quadrature points instead of expanding the quadratic
-    # form, which would cancel catastrophically near exact solutions
-    res_x: np.ndarray | None = None
-    res_y: np.ndarray | None = None
+    res_x: np.ndarray
+    res_y: np.ndarray
+    res_weights: np.ndarray
     res_shift: np.ndarray | None = None
-    res_weights: np.ndarray | None = None
+    gram_factor: tuple | None = None
 
     def factor(self):
         if self.gram_factor is None:
             self.gram_factor = scipy.linalg.cho_factor(self.gram, lower=True)
         return self.gram_factor
-
-
-@dataclass(frozen=True)
-class IndicatorResult:
-    eta_sq_riesz: float
-    eta_sq_fosls: float
-
-    @property
-    def total_sq(self) -> float:
-        return self.eta_sq_riesz + self.eta_sq_fosls
 
 
 class GeometryKernels:
@@ -165,22 +170,21 @@ class GeometryKernels:
                 + eps * self.enr_stiff_y)
 
     def vol_points(self, origin) -> np.ndarray:
-        x0, y0 = origin
-        pts = np.empty_like(self.vol_ref)
-        pts[:, 0] = x0 + 0.5 * (self.vol_ref[:, 0] + 1.0) * self.dx
-        pts[:, 1] = y0 + 0.5 * (self.vol_ref[:, 1] + 1.0) * self.dy
-        return pts
+        """Volume quadrature points of the elements with lower-left corners
+        origin = (x0, y0): (nq, 2) for scalars, (n, nq, 2) for arrays."""
+        x0, y0 = (np.asarray(c, dtype=float)[..., None] for c in origin)
+        return np.stack([x0 + 0.5 * (self.vol_ref[:, 0] + 1.0) * self.dx,
+                         y0 + 0.5 * (self.vol_ref[:, 1] + 1.0) * self.dy], axis=-1)
 
     def edge_points(self, k: int, origin) -> np.ndarray:
-        x0, y0 = origin
+        """Quadrature points on local edge k, shaped as in vol_points."""
+        x0, y0 = (np.asarray(c, dtype=float)[..., None] for c in origin)
         t = self.edge_t01
-        if k == 0:
-            return np.column_stack([np.full_like(t, x0), y0 + t * self.dy])
-        if k == 1:
-            return np.column_stack([np.full_like(t, x0 + self.dx), y0 + t * self.dy])
-        if k == 2:
-            return np.column_stack([x0 + t * self.dx, np.full_like(t, y0)])
-        return np.column_stack([x0 + t * self.dx, np.full_like(t, y0 + self.dy)])
+        if k < 2:
+            x, y = x0 + k * self.dx, y0 + t * self.dy
+        else:
+            x, y = x0 + t * self.dx, y0 + (k - 2) * self.dy
+        return np.stack(np.broadcast_arrays(x, y), axis=-1)
 
 
 class ProblemKernels:
@@ -236,79 +240,61 @@ class ProblemKernels:
             flux_scale * (geom.enr_gy * w).T @ geom.flux_val
         self.coupling_tmpl = bvol
 
-    def _boundary_edges(self, mesh: Mesh, e: int):
-        out = []
-        for k in range(4):
-            f = int(mesh.elem_facets[e, k])
-            if mesh.facet_elems[f, 1] < 0:
-                out.append((k, f, FacetTag(mesh.facet_tags[f])))
-        return out
-
-    def local_system(self, mesh: Mesh, e: int, active_edges) -> LocalSystem:
-        """Build B, l, A_fosls, f_fosls for element e.
-
-        active_edges: list of (local edge, facet id, sign) carrying trace dofs.
-        """
+    def local_system(self, mesh: Mesh, group: ElementGroup) -> LocalSystem:
+        """Build B, l, A_fosls, f_fosls for the elements of one group."""
         geom = self.geom
         layout = geom.layout
         p = layout.p
-        n_trial = self.n_ff + p * len(active_edges)
+        n = group.elems.shape[0]
+        n_trial = self.n_ff + p * len(group.edges)
         B = np.zeros((layout.n_enriched, n_trial))
         B[:, :self.n_ff] = self.coupling_tmpl
-        col = self.n_ff
-        for k, _f, sign in active_edges:
+        for i, (k, sign) in enumerate(group.edges):
+            col = self.n_ff + i * p
             B[:, col:col + p] = (self.trace_factor * sign) * geom.trace_tmpl[k]
-            col += p
 
         A = np.zeros((n_trial, n_trial))
         A[:self.n_ff, :self.n_ff] = self.lsq_tmpl
-        f = np.zeros(n_trial)
-        c0 = 0.0
-        load = np.zeros(layout.n_enriched)
+        f = np.zeros((n, n_trial))
+        load = np.zeros((n, layout.n_enriched))
 
-        origin = mesh.element_origin(e)
+        origin = mesh.element_origin(group.elems)
+        pts = geom.vol_points(origin)
         prob = self.problem
         shift = None
         if prob.kind == "concentration":
-            pts = geom.vol_points(origin)
-            cp = np.array([prob.c_prev(x, y) for x, y in pts])
-            load += (geom.enr_val * (geom.wvol * cp)[:, None]).sum(axis=0)
-            for k, fct, _tag in self._boundary_edges(mesh, e):
-                epts = geom.edge_points(k, origin)
-                nrm = mesh.facet_normals[fct]
-                jv = np.array([prob.J(x, y, nrm[0], nrm[1]) for x, y in epts])
-                load -= prob.dt * (geom.enr_edge[k]
-                                   * (geom.edge_w[k] * jv)[:, None]).sum(axis=0)
+            load += (geom.wvol * sample(prob.c_prev, pts, "c_prev")) @ geom.enr_val
         else:
-            pts = geom.vol_points(origin)
-            sx = np.array([prob.S[0](x, y) for x, y in pts])
-            sy = np.array([prob.S[1](x, y) for x, y in pts])
+            sx = sample(prob.S[0], pts, "Sx")
+            sy = sample(prob.S[1], pts, "Sy")
             if np.any(sx) or np.any(sy):
-                ainv = self.coef_inv
                 rw = self.res_weights
-                f[:self.n_ff] = -ainv * ((self.res_x * (rw * sx)[:, None]).sum(axis=0)
-                                         + (self.res_y * (rw * sy)[:, None]).sum(axis=0))
-                c0 = ainv * ainv * float(np.dot(rw, sx * sx + sy * sy))
-                shift = np.column_stack([ainv * sx, ainv * sy])
-            for k, fct, tag in self._boundary_edges(mesh, e):
-                epts = geom.edge_points(k, origin)
-                nrm = mesh.facet_normals[fct]
-                if tag == FacetTag.ROBIN:
-                    bv = np.array([prob.beta(x, y) for x, y in epts])
-                    B[:, :self.n_field] += (geom.enr_edge[k]
-                                            * (geom.edge_w[k] * bv)[:, None]).T \
-                        @ geom.field_edge[k]
-                    rv = np.array([prob.R(x, y, nrm[0], nrm[1]) for x, y in epts])
-                    load -= (geom.enr_edge[k]
-                             * (geom.edge_w[k] * rv)[:, None]).sum(axis=0)
-                elif tag == FacetTag.NEUMANN:
-                    iv = np.array([prob.I(x, y, nrm[0], nrm[1]) for x, y in epts])
-                    load -= (geom.enr_edge[k]
-                             * (geom.edge_w[k] * iv)[:, None]).sum(axis=0)
+                f[:, :self.n_ff] = -self.coef_inv * ((rw * sx) @ self.res_x
+                                                     + (rw * sy) @ self.res_y)
+                shift = self.coef_inv * np.stack([sx, sy], axis=-1)
+        for k, tag in group.boundary:
+            epts = geom.edge_points(k, origin)
+            nrm = mesh.facet_normals[mesh.elem_facets[group.elems, k]]
+            w = geom.edge_w[k]
+            if prob.kind == "concentration":
+                load -= prob.dt * ((w * sample(prob.J, epts, "J", nrm))
+                                   @ geom.enr_edge[k])
+            elif tag == FacetTag.ROBIN:
+                beta = sample(prob.beta, epts, "beta")
+                if not np.all(beta > 0):
+                    raise ProblemValidationError([
+                        "beta not positive on Gamma_R at the assembly's "
+                        f"quadrature points (min sampled value {beta.min():g})"])
+                if B.ndim == 2:
+                    B = np.repeat(B[None], n, axis=0)
+                B[:, :, :self.n_field] += (geom.enr_edge[k].T * (w * beta)[:, None, :]) \
+                    @ geom.field_edge[k]
+                load -= (w * sample(prob.R, epts, "R", nrm)) @ geom.enr_edge[k]
+            elif tag == FacetTag.NEUMANN:
+                load -= (w * sample(prob.I, epts, "I", nrm)) @ geom.enr_edge[k]
 
-        return LocalSystem(self.gram, B, load, A, f, c0, self.gram_factor,
-                           res_x=self.res_x, res_y=self.res_y,
-                           res_shift=shift, res_weights=self.res_weights)
+        return LocalSystem(self.gram, B, load, A, f, self.res_x, self.res_y,
+                           self.res_weights, shift, self.gram_factor)
 
 
 @lru_cache(maxsize=32)
@@ -317,79 +303,42 @@ def geometry_kernels(layout: SpaceLayout, dx: float, dy: float,
     return GeometryKernels(layout, dx, dy, n_quad)
 
 
-def _active_edges_of(mesh: Mesh, e: int, active_facets) -> list:
-    active = set(int(f) for f in np.atleast_1d(active_facets))
-    out = []
-    for k in range(4):
-        f = int(mesh.elem_facets[e, k])
-        if f in active:
-            out.append((k, f, float(mesh.elem_facet_signs[e, k])))
-    return out
-
-
-def local_gram(mesh: Mesh, e: int, layout: SpaceLayout,
-               n_quad: int | None = None) -> np.ndarray:
-    """Unweighted enriched H1 Gram int_K (r_a r_b + grad r_a . grad r_b).
-
-    This is the geometric Gram of trial-side measures; a problem's test
-    norm is ProblemKernels(...).gram, which weights the seminorm by eps.
-    """
-    del e  # congruent elements share one Gram
-    return geometry_kernels(layout, mesh.dx, mesh.dy, n_quad).gram
-
-
-def local_trial_test(mesh: Mesh, e: int, problem, layout: SpaceLayout,
-                     active_facets, n_quad: int | None = None):
-    """Coupling matrix B and enriched load l of element e."""
-    geom = geometry_kernels(layout, mesh.dx, mesh.dy, n_quad)
-    ls = ProblemKernels(geom, problem).local_system(
-        mesh, e, _active_edges_of(mesh, e, active_facets))
-    return ls.coupling, ls.load
-
-
-def local_fosls(mesh: Mesh, e: int, problem, layout: SpaceLayout,
-                n_quad: int | None = None):
-    """Least-squares block of the first-order equation: (A_fosls, f_fosls, c0)."""
-    geom = geometry_kernels(layout, mesh.dx, mesh.dy, n_quad)
-    ls = ProblemKernels(geom, problem).local_system(mesh, e, [])
-    return ls.lsq_matrix, ls.lsq_load, ls.lsq_const
-
-
-def build_local_system(mesh: Mesh, e: int, problem, layout: SpaceLayout,
-                       active_facets, n_quad: int | None = None) -> LocalSystem:
-    geom = geometry_kernels(layout, mesh.dx, mesh.dy, n_quad)
-    return ProblemKernels(geom, problem).local_system(
-        mesh, e, _active_edges_of(mesh, e, active_facets))
+def _gram_solve(factor, a: np.ndarray, axis: int) -> np.ndarray:
+    """G^-1 applied to every vector of `a` along the enriched axis."""
+    a = np.moveaxis(a, axis, 0)
+    x = scipy.linalg.cho_solve(factor, a.reshape(a.shape[0], -1))
+    return np.moveaxis(x.reshape(a.shape), 0, axis)
 
 
 def condense_local(ls: LocalSystem):
-    """Element stiffness S_K = A + B^T G^-1 B and load rhs_K = f + B^T G^-1 l."""
+    """Stiffness S_K = A + B^T G^-1 B and load rhs_K = f + B^T G^-1 l of
+    every element of a group.
+
+    S is (n_trial x n_trial) when the group shares B, else (n x n_trial x
+    n_trial); rhs is (n x n_trial).
+    """
     try:
         factor = ls.factor()
     except scipy.linalg.LinAlgError as exc:
         raise ValueError(f"enriched Gram is not SPD: {exc}") from None
-    X = scipy.linalg.cho_solve(factor, ls.coupling)
-    y = scipy.linalg.cho_solve(factor, ls.load)
-    S = ls.lsq_matrix + ls.coupling.T @ X
-    S = 0.5 * (S + S.T)
-    rhs = ls.lsq_load + ls.coupling.T @ y
+    B = ls.coupling
+    S = ls.lsq_matrix + np.swapaxes(B, -1, -2) @ _gram_solve(factor, B, -2)
+    S = 0.5 * (S + np.swapaxes(S, -1, -2))
+    y = _gram_solve(factor, ls.load, -1)
+    rhs = ls.lsq_load + (y[:, None, :] @ B)[:, 0]
     return S, rhs
 
 
-def error_indicator(ls: LocalSystem, u_local: np.ndarray) -> IndicatorResult:
-    """Squared residual parts of one element at the given trial coefficients."""
-    r = ls.load - ls.coupling @ u_local
-    y = scipy.linalg.cho_solve(ls.factor(), r)
-    eta_riesz = float(r @ y)
-    if ls.res_x is not None:
-        uf = u_local[:ls.res_x.shape[1]]
-        rx = ls.res_x @ uf
-        ry = ls.res_y @ uf
-        if ls.res_shift is not None:
-            rx = rx + ls.res_shift[:, 0]
-            ry = ry + ls.res_shift[:, 1]
-        eta_fosls = float(np.dot(ls.res_weights, rx * rx + ry * ry))
-    else:
-        eta_fosls = float(u_local @ (ls.lsq_matrix @ u_local)
-                          - 2.0 * (ls.lsq_load @ u_local) + ls.lsq_const)
-    return IndicatorResult(max(eta_riesz, 0.0), max(eta_fosls, 0.0))
+def error_indicator(ls: LocalSystem, u: np.ndarray) -> np.ndarray:
+    """Squared residual parts (eta_sq_riesz, eta_sq_fosls) of every element
+    of a group at trial coefficients u (n x n_trial); returns (n x 2)."""
+    r = ls.load - (ls.coupling @ u[:, :, None])[:, :, 0]
+    eta_riesz = np.sum(r * _gram_solve(ls.factor(), r, -1), axis=1)
+    uf = u[:, :ls.res_x.shape[1]]
+    rx = uf @ ls.res_x.T
+    ry = uf @ ls.res_y.T
+    if ls.res_shift is not None:
+        rx += ls.res_shift[:, :, 0]
+        ry += ls.res_shift[:, :, 1]
+    eta_fosls = (rx * rx + ry * ry) @ ls.res_weights
+    return np.maximum(np.column_stack([eta_riesz, eta_fosls]), 0.0)

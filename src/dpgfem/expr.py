@@ -246,7 +246,10 @@ def evaluate(node: Node, x: float, y: float) -> float:
     if node.func == "cos":
         return math.cos(a)
     if node.func == "exp":
-        return math.exp(a)
+        try:
+            return math.exp(a)
+        except OverflowError:
+            raise ExprDomainError("exp overflows", node.pos) from None
     if node.func == "ln":
         if a <= 0.0:
             raise ExprDomainError("ln of a non-positive value", node.pos)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dpgfem.mesh import FacetTag
+
 MAX_DEGREE = 10
 
 
@@ -159,6 +161,26 @@ class SpaceLayout:
         return self.p + self.delta_p + 1
 
 
+@dataclass(frozen=True, eq=False)
+class ElementGroup:
+    """Elements that share the sign of each trace-carrying local edge and
+    the tag of each boundary edge.
+
+    On a uniform mesh all elements are congruent, so the element matrices
+    of a group differ only through the coefficient values sampled on it.
+
+    elems: ascending element ids, shape (n,).
+    edges: (local edge, sign) of each trace-carrying edge, in local edge order.
+    boundary: (local edge, FacetTag) of each boundary edge.
+    dofs: (n, n_trial) global dofs, each row in element_dofs order.
+    """
+
+    elems: np.ndarray
+    edges: tuple
+    boundary: tuple
+    dofs: np.ndarray
+
+
 class DofMap:
     """Global numbering: field block, then flux block, then trace block.
 
@@ -223,6 +245,28 @@ class DofMap:
         for _, f, _ in self.element_active_edges(e):
             parts.append(self.facet_trace_dofs(f))
         return np.concatenate(parts)
+
+    def element_groups(self) -> list:
+        """Partition of the elements into ElementGroups, ordered by key."""
+        mesh, p = self.mesh, self.layout.p
+        slots = self.facet_slot[mesh.elem_facets]
+        signs = np.where(slots >= 0, mesh.elem_facet_signs, 0.0)
+        keys = np.column_stack([signs, mesh.facet_tags[mesh.elem_facets]])
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        n_flux = self.layout.n_flux_local
+        groups = []
+        for g, key in enumerate(uniq):
+            elems = np.flatnonzero(inverse.ravel() == g)
+            edges = tuple((k, float(key[k])) for k in range(4) if key[k] != 0)
+            boundary = tuple((k, FacetTag(int(key[4 + k]))) for k in range(4)
+                             if key[4 + k] != FacetTag.INTERIOR)
+            parts = [self.elem_field[elems],
+                     self.flux_offset + elems[:, None] * n_flux + np.arange(n_flux)]
+            for k, _sign in edges:
+                parts.append(self.trace_offset + slots[elems, k][:, None] * p
+                             + np.arange(p))
+            groups.append(ElementGroup(elems, edges, boundary, np.hstack(parts)))
+        return groups
 
 
 def build_dofmap(mesh, layout: SpaceLayout, active_facets: np.ndarray) -> DofMap:

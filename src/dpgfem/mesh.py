@@ -30,9 +30,6 @@ _TAG_FROM_NAME = {
     "robin": FacetTag.ROBIN,
 }
 
-# local facet order used everywhere: left, right, bottom, top
-LOCAL_EDGES = (0, 1, 2, 3)
-
 
 class InvalidPartitionError(ValueError):
     pass
@@ -157,7 +154,9 @@ class Mesh:
     def element_area(self) -> float:
         return self.dx * self.dy
 
-    def element_origin(self, e: int) -> tuple[float, float]:
+    def element_origin(self, e):
+        """Lower-left corner (x0, y0) of element e, or arrays of them for
+        an array of element ids."""
         i, j = e % self.nx, e // self.nx
         return (self.domain.x0 + i * self.dx, self.domain.y0 + j * self.dy)
 

@@ -188,6 +188,26 @@ def reaction_species_flux(I_BV: float, F: float, t_plus: float, medium: str) -> 
     raise ValueError(f"unknown medium {medium!r}")
 
 
+def sample(fn, points: np.ndarray, name: str, normals=None) -> np.ndarray:
+    """Values of the coefficient `name` at points (..., 2), one call per point.
+
+    Boundary data also receive the unit normal: `normals` holds one per
+    row of points, shape points.shape[:-2] + (2,). Vector-valued functions
+    add a trailing axis. A non-finite value raises ProblemValidationError.
+    """
+    args = [points[..., 0], points[..., 1]]
+    if normals is not None:
+        nrm = np.broadcast_to(np.asarray(normals)[..., None, :], points.shape)
+        args += [nrm[..., 0], nrm[..., 1]]
+    out = np.array([fn(*a) for a in zip(*(c.ravel().tolist() for c in args))],
+                   dtype=float)
+    bad = ~np.isfinite(out.reshape(out.shape[0], -1)).all(axis=1)
+    if bad.any():
+        x, y = points.reshape(-1, 2)[np.argmax(bad)]
+        raise ProblemValidationError([f"{name} is not finite at ({x:g}, {y:g})"])
+    return out.reshape(points.shape[:-1] + out.shape[1:])
+
+
 def validate_problem(spec, mesh: Mesh, n_quad: int = 4):
     """Check every model assumption; raises listing all violations at once.
 

@@ -1,9 +1,10 @@
 """Global assembly, essential boundary conditions, SPD solve, extraction.
 
-Assembly walks elements in ascending index order and scatter-adds the
-condensed element matrices; repeated runs produce bit-identical systems.
-Dirichlet field dofs (potential problem) are eliminated symmetrically:
-rows and columns zeroed, unit diagonal, zero right-hand side.
+Assembly walks the element groups of the dof map in order and
+scatter-adds the condensed element matrices of each group; repeated runs
+produce bit-identical systems. Dirichlet field dofs (potential problem)
+are eliminated symmetrically: rows and columns zeroed, unit diagonal,
+zero right-hand side.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ def active_facets(mesh: Mesh, problem) -> np.ndarray:
     return np.sort(np.concatenate([interior, dirichlet]))
 
 
-_EDGE_FIELD_LOCAL = None
-
-
 def _edge_field_dofs(p: int, edge: int) -> np.ndarray:
     n1 = p + 1
     if edge == 0:
@@ -92,6 +90,18 @@ def dirichlet_field_dofs(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     return np.unique(np.concatenate(out))
 
 
+def eliminate_dofs(matrix: sp.spmatrix, rhs: np.ndarray,
+                   constrained: np.ndarray) -> sp.csr_matrix:
+    """Symmetric elimination of the constrained dofs (homogeneous data):
+    their rows and columns are zeroed, the diagonal set to one and the
+    right-hand side entries (changed in place) to zero."""
+    keep = np.ones(matrix.shape[0])
+    keep[constrained] = 0.0
+    P = sp.diags(keep)
+    rhs[constrained] = 0.0
+    return (P @ matrix @ P + sp.diags(1.0 - keep)).tocsr()
+
+
 def assemble(mesh: Mesh, dofmap: DofMap, problem, n_quad: int | None = None,
              constrain: bool = True) -> GlobalSystem:
     layout = dofmap.layout
@@ -100,14 +110,13 @@ def assemble(mesh: Mesh, dofmap: DofMap, problem, n_quad: int | None = None,
     n = dofmap.n_total
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
-    for e in range(mesh.n_elems):
-        ls = kernels.local_system(mesh, e, dofmap.element_active_edges(e))
-        S, r = condense_local(ls)
-        dofs = dofmap.element_dofs(e).astype(np.int32)
-        m = dofs.shape[0]
-        rows.append(np.repeat(dofs, m))
-        cols.append(np.tile(dofs, m))
-        vals.append(S.ravel())
+    for group in dofmap.element_groups():
+        S, r = condense_local(kernels.local_system(mesh, group))
+        dofs = group.dofs.astype(np.int32)
+        n_g, m = dofs.shape
+        rows.append(np.repeat(dofs, m, axis=1).ravel())
+        cols.append(np.tile(dofs, m).ravel())
+        vals.append(np.broadcast_to(S, (n_g, m, m)).ravel())
         np.add.at(rhs, dofs, r)
     matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -117,11 +126,7 @@ def assemble(mesh: Mesh, dofmap: DofMap, problem, n_quad: int | None = None,
     if problem.kind == "potential":
         constrained = dirichlet_field_dofs(mesh, dofmap)
     if constrain and constrained.size:
-        keep = np.ones(n)
-        keep[constrained] = 0.0
-        P = sp.diags(keep)
-        matrix = (P @ matrix @ P + sp.diags(1.0 - keep)).tocsr()
-        rhs[constrained] = 0.0
+        matrix = eliminate_dofs(matrix, rhs, constrained)
     matrix.sort_indices()
     return GlobalSystem(matrix, rhs, dofmap, constrained, problem.kind)
 
@@ -184,10 +189,9 @@ def compute_indicators(mesh: Mesh, dofmap: DofMap, problem, coeffs: np.ndarray,
     geom = geometry_kernels(dofmap.layout, mesh.dx, mesh.dy, n_quad)
     kernels = ProblemKernels(geom, problem)
     out = np.empty((mesh.n_elems, 2))
-    for e in range(mesh.n_elems):
-        ls = kernels.local_system(mesh, e, dofmap.element_active_edges(e))
-        res = error_indicator(ls, coeffs[dofmap.element_dofs(e)])
-        out[e] = (res.eta_sq_riesz, res.eta_sq_fosls)
+    for group in dofmap.element_groups():
+        out[group.elems] = error_indicator(kernels.local_system(mesh, group),
+                                           coeffs[group.dofs])
     return out
 
 

@@ -14,12 +14,14 @@ from dpgfem.dpg import geometry_kernels
 from dpgfem.fespace import SpaceLayout, build_dofmap, tabulate_facet_basis
 from dpgfem.manufactured import ManufacturedCase, manufactured_case
 from dpgfem.mesh import FacetTag, Mesh, build_rect_mesh, classify_boundary
+from dpgfem.problems import sample
 from dpgfem.quadrature import gauss_1d
 from dpgfem.solver import (
     GlobalSystem,
     active_facets,
     assemble,
     dirichlet_field_dofs,
+    eliminate_dofs,
     solve_dpg,
     solve_spd,
 )
@@ -31,16 +33,18 @@ def _error_quad(layout: SpaceLayout, n_quad: int | None) -> int:
     return n_quad if n_quad else layout.default_quad_points + 1
 
 
+def _field_values(geom, dofmap, coeffs: np.ndarray) -> np.ndarray:
+    """Field values at the volume quadrature points, (n_elems, nq)."""
+    return coeffs[dofmap.elem_field] @ geom.field_val.T
+
+
 def field_l2(mesh: Mesh, dofmap, coeffs: np.ndarray,
              n_quad: int | None = None) -> float:
     """L2 norm of a field-space function given by its coefficients."""
     geom = geometry_kernels(dofmap.layout, mesh.dx, mesh.dy,
                             _error_quad(dofmap.layout, n_quad))
-    total = 0.0
-    for e in range(mesh.n_elems):
-        vals = geom.field_val @ coeffs[dofmap.elem_field[e]]
-        total += float(np.dot(geom.wvol, vals * vals))
-    return float(np.sqrt(total))
+    vals = _field_values(geom, dofmap, coeffs)
+    return float(np.sqrt(np.sum((vals * vals) @ geom.wvol)))
 
 
 def field_boundary_l2(mesh: Mesh, dofmap, coeffs: np.ndarray, tag: FacetTag,
@@ -49,11 +53,10 @@ def field_boundary_l2(mesh: Mesh, dofmap, coeffs: np.ndarray, tag: FacetTag,
     geom = geometry_kernels(dofmap.layout, mesh.dx, mesh.dy,
                             _error_quad(dofmap.layout, n_quad))
     total = 0.0
-    for f in mesh.facets_with_tag(tag):
-        e = int(mesh.facet_elems[f, 0])
-        k = int(np.flatnonzero(mesh.elem_facets[e] == f)[0])
-        vals = geom.field_edge[k] @ coeffs[dofmap.elem_field[e]]
-        total += float(np.dot(geom.edge_w[k], vals * vals))
+    for k in range(4):
+        on_tag = mesh.facet_tags[mesh.elem_facets[:, k]] == int(tag)
+        vals = coeffs[dofmap.elem_field[on_tag]] @ geom.field_edge[k].T
+        total += float(np.sum((vals * vals) @ geom.edge_w[k]))
     return float(np.sqrt(total))
 
 
@@ -62,14 +65,11 @@ def field_l2_error(mesh: Mesh, dofmap, coeffs: np.ndarray, exact,
     """(L2 error, L2 norm of exact) for the scalar field."""
     geom = geometry_kernels(dofmap.layout, mesh.dx, mesh.dy,
                             _error_quad(dofmap.layout, n_quad))
-    err = norm = 0.0
-    for e in range(mesh.n_elems):
-        pts = geom.vol_points(mesh.element_origin(e))
-        ex = np.array([exact(x, y) for x, y in pts])
-        vals = geom.field_val @ coeffs[dofmap.elem_field[e]]
-        err += float(np.dot(geom.wvol, (vals - ex) ** 2))
-        norm += float(np.dot(geom.wvol, ex * ex))
-    return float(np.sqrt(err)), float(np.sqrt(norm))
+    pts = geom.vol_points(mesh.element_origin(np.arange(mesh.n_elems)))
+    ex = sample(exact, pts, "exact field")
+    diff = _field_values(geom, dofmap, coeffs) - ex
+    return (float(np.sqrt(np.sum((diff * diff) @ geom.wvol))),
+            float(np.sqrt(np.sum((ex * ex) @ geom.wvol))))
 
 
 def flux_l2_error(mesh: Mesh, dofmap, flux_coeffs: np.ndarray, exact_flux,
@@ -77,17 +77,13 @@ def flux_l2_error(mesh: Mesh, dofmap, flux_coeffs: np.ndarray, exact_flux,
     """(L2 error, L2 norm of exact) for the vector flux."""
     layout = dofmap.layout
     geom = geometry_kernels(layout, mesh.dx, mesh.dy, _error_quad(layout, n_quad))
-    ns = layout.n_flux_scalar
-    err = norm = 0.0
-    for e in range(mesh.n_elems):
-        pts = geom.vol_points(mesh.element_origin(e))
-        ex = np.array([exact_flux(x, y) for x, y in pts])
-        base = e * layout.n_flux_local
-        vx = geom.flux_val @ flux_coeffs[base:base + ns]
-        vy = geom.flux_val @ flux_coeffs[base + ns:base + 2 * ns]
-        err += float(np.dot(geom.wvol, (vx - ex[:, 0]) ** 2 + (vy - ex[:, 1]) ** 2))
-        norm += float(np.dot(geom.wvol, ex[:, 0] ** 2 + ex[:, 1] ** 2))
-    return float(np.sqrt(err)), float(np.sqrt(norm))
+    pts = geom.vol_points(mesh.element_origin(np.arange(mesh.n_elems)))
+    ex = sample(exact_flux, pts, "exact flux")
+    modes = flux_coeffs.reshape(mesh.n_elems, 2, layout.n_flux_scalar)
+    diff = np.stack([modes[:, 0] @ geom.flux_val.T,
+                     modes[:, 1] @ geom.flux_val.T], axis=-1) - ex
+    return (float(np.sqrt(np.sum(np.sum(diff * diff, axis=-1) @ geom.wvol))),
+            float(np.sqrt(np.sum(np.sum(ex * ex, axis=-1) @ geom.wvol))))
 
 
 def project_trace(mesh: Mesh, layout: SpaceLayout, active: np.ndarray,
@@ -97,23 +93,19 @@ def project_trace(mesh: Mesh, layout: SpaceLayout, active: np.ndarray,
     normal_flux is evaluated against each facet's global unit normal, so the
     result is single-valued like the trace unknowns.
     """
-    p = layout.p
-    nq = _error_quad(layout, n_quad)
-    line = gauss_1d(nq)
-    basis = tabulate_facet_basis(p - 1, line.points)
-    out = np.empty(len(active) * p)
-    for slot, f in enumerate(np.sort(np.asarray(active))):
-        ends = mesh.facet_endpoints(f)
-        L = mesh.facet_length(f)
-        w = 0.5 * L * line.weights
-        t01 = 0.5 * (line.points + 1.0)
-        pts = ends[0][None, :] + t01[:, None] * (ends[1] - ends[0])[None, :]
-        nx, ny = mesh.facet_normals[f]
-        vals = np.array([normal_flux(x, y, nx, ny) for x, y in pts])
-        M = (basis * w[:, None]).T @ basis
-        rhs = basis.T @ (w * vals)
-        out[slot * p:(slot + 1) * p] = scipy.linalg.solve(M, rhs, assume_a="pos")
-    return out
+    line = gauss_1d(_error_quad(layout, n_quad))
+    basis = tabulate_facet_basis(layout.p - 1, line.points)
+    active = np.sort(np.asarray(active, dtype=np.int64))
+    ends = mesh.vertices[mesh.facet_verts[active]]
+    t01 = 0.5 * (line.points + 1.0)
+    pts = ends[:, :1] + t01[None, :, None] * (ends[:, 1:] - ends[:, :1])
+    vals = sample(normal_flux, pts, "exact normal flux",
+                  mesh.facet_normals[active])
+    # the facet length scales the mass matrix and the load alike
+    mass = (basis * line.weights[:, None]).T @ basis
+    out = scipy.linalg.solve(mass, ((vals * line.weights) @ basis).T,
+                             assume_a="pos")
+    return out.T.ravel()
 
 
 def skeleton_dual_norm(mesh: Mesh, layout: SpaceLayout, active: np.ndarray,
@@ -128,23 +120,16 @@ def skeleton_dual_norm(mesh: Mesh, layout: SpaceLayout, active: np.ndarray,
     does not depend on the problem data.
     """
     geom = geometry_kernels(layout, mesh.dx, mesh.dy, n_quad)
-    p = layout.p
-    active = np.sort(np.asarray(active, dtype=np.int64))
-    slot = {int(f): s for s, f in enumerate(active)}
-    total = 0.0
-    for e in range(mesh.n_elems):
-        b = None
-        for k in range(4):
-            f = int(mesh.elem_facets[e, k])
-            s = slot.get(f)
-            if s is None:
-                continue
-            sign = float(mesh.elem_facet_signs[e, k])
-            contrib = sign * (geom.trace_tmpl[k] @ trace_coeffs[s * p:(s + 1) * p])
-            b = contrib if b is None else b + contrib
-        if b is not None:
-            y = scipy.linalg.cho_solve(geom.gram_factor, b)
-            total += float(b @ y)
+    slot = np.full(mesh.n_facets, -1)
+    slot[np.sort(np.asarray(active, dtype=np.int64))] = np.arange(len(active))
+    modes = trace_coeffs.reshape(-1, layout.p)
+    b = np.zeros((mesh.n_elems, layout.n_enriched))
+    for k in range(4):
+        s = slot[mesh.elem_facets[:, k]]
+        on = s >= 0
+        b[on] += (mesh.elem_facet_signs[on, k, None] * modes[s[on]]) \
+            @ geom.trace_tmpl[k].T
+    total = float(np.sum(b * scipy.linalg.cho_solve(geom.gram_factor, b.T).T))
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -200,47 +185,41 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
     mass = (geom.field_val * w).T @ geom.field_val
     stiff = ((geom.field_gx * w).T @ geom.field_gx
              + (geom.field_gy * w).T @ geom.field_gy)
+    if problem.kind == "concentration":
+        S_shared = mass + problem.dt * problem.D * stiff
+    else:
+        S_shared = problem.kappa * stiff
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
-    for e in range(mesh.n_elems):
-        origin = mesh.element_origin(e)
+    for group in dofmap.element_groups():
+        origin = mesh.element_origin(group.elems)
         pts = geom.vol_points(origin)
+        S_e = S_shared
         if problem.kind == "concentration":
-            S_e = mass + problem.dt * problem.D * stiff
-            cp = np.array([problem.c_prev(x, y) for x, y in pts])
-            load = geom.field_val.T @ (geom.wvol * cp)
+            load = (geom.wvol * sample(problem.c_prev, pts, "c_prev")) @ geom.field_val
         else:
-            S_e = problem.kappa * stiff.copy()
-            sx = np.array([problem.S[0](x, y) for x, y in pts])
-            sy = np.array([problem.S[1](x, y) for x, y in pts])
-            load = -(geom.field_gx.T @ (geom.wvol * sx)
-                     + geom.field_gy.T @ (geom.wvol * sy))
-        for k in range(4):
-            f = int(mesh.elem_facets[e, k])
-            if mesh.facet_elems[f, 1] >= 0:
-                continue
-            tag = FacetTag(mesh.facet_tags[f])
+            load = -((geom.wvol * sample(problem.S[0], pts, "Sx")) @ geom.field_gx
+                     + (geom.wvol * sample(problem.S[1], pts, "Sy")) @ geom.field_gy)
+        for k, tag in group.boundary:
             epts = geom.edge_points(k, origin)
+            nrm = mesh.facet_normals[mesh.elem_facets[group.elems, k]]
             ew = geom.edge_w[k]
-            nx, ny = mesh.facet_normals[f]
             if problem.kind == "concentration":
-                jv = np.array([problem.J(x, y, nx, ny) for x, y in epts])
-                load -= problem.dt * geom.field_edge[k].T @ (ew * jv)
+                load -= problem.dt * ((ew * sample(problem.J, epts, "J", nrm))
+                                      @ geom.field_edge[k])
             elif tag == FacetTag.ROBIN:
-                bv = np.array([problem.beta(x, y) for x, y in epts])
-                S_e = S_e + (geom.field_edge[k] * (ew * bv)[:, None]).T \
+                bv = sample(problem.beta, epts, "beta")
+                S_e = S_e + (geom.field_edge[k].T * (ew * bv)[:, None, :]) \
                     @ geom.field_edge[k]
-                rv = np.array([problem.R(x, y, nx, ny) for x, y in epts])
-                load -= geom.field_edge[k].T @ (ew * rv)
+                load -= (ew * sample(problem.R, epts, "R", nrm)) @ geom.field_edge[k]
             elif tag == FacetTag.NEUMANN:
-                iv = np.array([problem.I(x, y, nx, ny) for x, y in epts])
-                load -= geom.field_edge[k].T @ (ew * iv)
-        dofs = dofmap.elem_field[e]
-        m = dofs.shape[0]
-        rows.append(np.repeat(dofs, m))
-        cols.append(np.tile(dofs, m))
-        vals.append(S_e.ravel())
+                load -= (ew * sample(problem.I, epts, "I", nrm)) @ geom.field_edge[k]
+        dofs = dofmap.elem_field[group.elems]
+        n_g, m = dofs.shape
+        rows.append(np.repeat(dofs, m, axis=1).ravel())
+        cols.append(np.tile(dofs, m).ravel())
+        vals.append(np.broadcast_to(S_e, (n_g, m, m)).ravel())
         np.add.at(rhs, dofs, load)
 
     matrix = sp.coo_matrix(
@@ -250,11 +229,7 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
     if problem.kind == "potential":
         constrained = dirichlet_field_dofs(mesh, dofmap)
         if constrained.size:
-            keep = np.ones(n)
-            keep[constrained] = 0.0
-            P = sp.diags(keep)
-            matrix = (P @ matrix @ P + sp.diags(1.0 - keep)).tocsr()
-            rhs[constrained] = 0.0
+            matrix = eliminate_dofs(matrix, rhs, constrained)
     system = GlobalSystem(matrix, rhs, dofmap, constrained, problem.kind)
     coeffs, _info = solve_spd(system, tol)
     return coeffs
@@ -402,21 +377,17 @@ def trial_gram_dense(mesh: Mesh, dofmap, n_quad: int | None = None) -> np.ndarra
                   + (geom.field_gx * w).T @ geom.field_gx
                   + (geom.field_gy * w).T @ geom.field_gy)
     flux_gram = (geom.flux_val * w).T @ geom.flux_val
-    p = layout.p
-    ns = layout.n_flux_scalar
-    for e in range(mesh.n_elems):
-        fd = dofmap.elem_field[e]
-        M[np.ix_(fd, fd)] += field_gram
-        xd = dofmap.elem_flux_dofs(e)
-        M[np.ix_(xd[:ns], xd[:ns])] += flux_gram
-        M[np.ix_(xd[ns:], xd[ns:])] += flux_gram
-        edges = dofmap.element_active_edges(e)
-        if edges:
-            C = np.column_stack([sign * geom.trace_tmpl[k]
-                                 for k, _f, sign in edges])
-            Y = scipy.linalg.cho_solve(geom.gram_factor, C)
-            td = np.concatenate([dofmap.facet_trace_dofs(f) for _k, f, _s in edges])
-            M[np.ix_(td, td)] += C.T @ Y
+    nf, ns = layout.n_field_local, layout.n_flux_scalar
+    for group in dofmap.element_groups():
+        blocks = [(group.dofs[:, :nf], field_gram),
+                  (group.dofs[:, nf:nf + ns], flux_gram),
+                  (group.dofs[:, nf + ns:nf + 2 * ns], flux_gram)]
+        if group.edges:
+            C = np.hstack([sign * geom.trace_tmpl[k] for k, sign in group.edges])
+            blocks.append((group.dofs[:, -C.shape[1]:],
+                           C.T @ scipy.linalg.cho_solve(geom.gram_factor, C)))
+        for dofs, block in blocks:
+            np.add.at(M, (dofs[:, :, None], dofs[:, None, :]), block)
     return M
 
 

@@ -270,6 +270,40 @@ class TestErrorHandling:
         assert err["code"] == "config"
         assert "position" in err["message"]
 
+    @pytest.mark.parametrize("problem, coefficients, code, text", [
+        ("concentration", {"c_prev": "exp(1000*x)"}, "config", "position"),
+        ("concentration", {"c_prev": "1e308*10"}, "validation", "c_prev"),
+        ("potential", {"beta": float("nan")}, "validation", "beta"),
+    ])
+    def test_non_finite_coefficient_data(self, tmp_path, capsys, problem,
+                                         coefficients, code, text):
+        cfg = write_config(tmp_path, {
+            "problem": problem,
+            "mesh": {"nx": 2, "ny": 2},
+            "coefficients": coefficients,
+        })
+        code_, out = run_cli(capsys, ["solve", "--config", cfg,
+                                      "--outdir", str(tmp_path / "out")])
+        assert code_ == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == code
+        assert text in err["message"]
+
+    def test_beta_checked_where_assembly_samples_it(self, tmp_path, capsys):
+        # positive at the 4 Gauss points per facet of validate_problem,
+        # -0.01 at the facet midpoint, a point of the p = 1 assembly rule
+        cfg = write_config(tmp_path, {
+            "problem": "potential",
+            "mesh": {"nx": 1, "ny": 1},
+            "coefficients": {"beta": "1000*(x-0.5)^2 - 0.01"},
+        })
+        code, out = run_cli(capsys, ["solve", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "validation"
+        assert "beta not positive" in err["message"]
+
     def test_unknown_manufactured_case(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"manufactured": "conc-cubic"})
         code, out = run_cli(capsys, ["solve", "--config", cfg,

@@ -1,18 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from dpgfem.dpg import (
     LocalSystem,
-    build_local_system,
+    ProblemKernels,
     condense_local,
     error_indicator,
     geometry_kernels,
-    local_fosls,
-    local_gram,
-    local_trial_test,
 )
-from dpgfem.fespace import SpaceLayout
+from dpgfem.fespace import SpaceLayout, build_dofmap
 from dpgfem.mesh import (
     BoundaryPartition,
     Rectangle,
@@ -35,10 +34,40 @@ def _pot_problem(**overrides):
     return PotentialProblem(**base)
 
 
+def element_system(mesh, e, problem, layout, active_facets=()):
+    """LocalSystem of element e alone: its group cut down to one element."""
+    dofmap = build_dofmap(mesh, layout, np.asarray(active_facets, dtype=np.int64))
+    group = next(g for g in dofmap.element_groups() if e in g.elems)
+    i = int(np.flatnonzero(group.elems == e)[0])
+    one = dataclasses.replace(group, elems=group.elems[i:i + 1],
+                              dofs=group.dofs[i:i + 1])
+    geom = geometry_kernels(layout, mesh.dx, mesh.dy)
+    return ProblemKernels(geom, problem).local_system(mesh, one)
+
+
+def local_trial_test(mesh, e, problem, layout, active_facets):
+    """Coupling matrix B and enriched load l of element e."""
+    ls = element_system(mesh, e, problem, layout, active_facets)
+    B = ls.coupling if ls.coupling.ndim == 2 else ls.coupling[0]
+    return B, ls.load[0]
+
+
+def local_fosls(mesh, e, problem, layout):
+    """Least-squares block (A_fosls, f_fosls) and the system of element e
+    without trace unknowns."""
+    ls = element_system(mesh, e, problem, layout)
+    return ls.lsq_matrix, ls.lsq_load[0], ls
+
+
+def fosls_indicator(ls, u):
+    """eta_sq_fosls of the one element of ls at trial coefficients u."""
+    return error_indicator(ls, u[None, :])[0, 1]
+
+
 class TestLocalGram:
     def test_unit_element_p1_is_9x9_spd(self):
         mesh = build_rect_mesh(UNIT, 1, 1)
-        G = local_gram(mesh, 0, SpaceLayout(p=1, delta_p=1))
+        G = geometry_kernels(SpaceLayout(p=1, delta_p=1), mesh.dx, mesh.dy).gram
         assert G.shape == (9, 9)
         assert np.allclose(G, G.T, atol=1e-14)
         assert scipy.linalg.eigvalsh(G)[0] > 0.0
@@ -46,17 +75,20 @@ class TestLocalGram:
     def test_constant_has_h1_norm_equal_to_element_area(self):
         mesh = build_rect_mesh(Rectangle(0.0, 2.0, 0.0, 1.0), 4, 2)
         for p in (1, 2):
-            G = local_gram(mesh, 0, SpaceLayout(p=p))
+            G = geometry_kernels(SpaceLayout(p=p), mesh.dx, mesh.dy).gram
             ones = np.ones(G.shape[0])
             # constants have zero gradient, so 1' G 1 = |K|
             assert ones @ G @ ones == pytest.approx(mesh.element_area,
                                                     rel=1e-13)
 
     def test_shared_across_congruent_elements(self):
+        # element 0 (a corner) and 4 (interior) lie in different groups
         mesh = build_rect_mesh(UNIT, 3, 3)
         layout = SpaceLayout(p=2)
-        G0 = local_gram(mesh, 0, layout)
-        G4 = local_gram(mesh, 4, layout)
+        problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
+        active = mesh.interior_facets()
+        G0 = element_system(mesh, 0, problem, layout, active).gram
+        G4 = element_system(mesh, 4, problem, layout, active).gram
         assert np.array_equal(G0, G4)
 
     def test_geometry_kernels_cached(self):
@@ -118,38 +150,44 @@ class TestFosls:
         # residual vanishes, so the least-squares form is zero at this pair
         mesh = build_rect_mesh(UNIT, 1, 1)
         problem = ConcentrationProblem(D=1.0, dt=1.0, c_prev=0.0, J=0.0)
-        A, f, c0 = local_fosls(mesh, 0, problem, SpaceLayout(p=1))
+        A, f, ls = local_fosls(mesh, 0, problem, SpaceLayout(p=1))
         u = np.array([0.0, 1.0, 0.0, 1.0, -1.0, 0.0])  # field lattice, flux
-        assert u @ A @ u - 2.0 * f @ u + c0 == pytest.approx(0.0, abs=1e-14)
-        assert np.all(f == 0.0) and c0 == 0.0
+        assert u @ A @ u - 2.0 * f @ u == pytest.approx(0.0, abs=1e-14)
+        assert fosls_indicator(ls, u) == pytest.approx(0.0, abs=1e-14)
+        assert np.all(f == 0.0) and ls.res_shift is None
 
     def test_mismatched_pair_gives_positive_value(self):
         mesh = build_rect_mesh(UNIT, 1, 1)
         problem = ConcentrationProblem(D=1.0, dt=1.0, c_prev=0.0, J=0.0)
-        A, f, c0 = local_fosls(mesh, 0, problem, SpaceLayout(p=1))
+        A, f, ls = local_fosls(mesh, 0, problem, SpaceLayout(p=1))
         u = np.array([0.0, 1.0, 0.0, 1.0, +1.0, 0.0])  # flux with wrong sign
-        assert u @ A @ u - 2.0 * f @ u + c0 > 0.1
+        assert ls.res_shift is None
+        assert u @ A @ u - 2.0 * f @ u > 0.1
+        assert fosls_indicator(ls, u) > 0.1
 
     def test_zero_source_means_zero_least_squares_load(self):
         mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2),
                                  POT_PARTITION, "potential")
-        A, f, c0 = local_fosls(mesh, 0, _pot_problem(), SpaceLayout(p=2))
+        A, f, ls = local_fosls(mesh, 0, _pot_problem(), SpaceLayout(p=2))
         assert np.all(f == 0.0)
-        assert c0 == 0.0
+        assert ls.res_shift is None
+        assert fosls_indicator(ls, np.zeros(A.shape[0])) == 0.0
 
     def test_source_shifts_least_squares_load(self):
         mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2),
                                  POT_PARTITION, "potential")
         problem = _pot_problem(S=(1.0, 0.0))
-        A, f, c0 = local_fosls(mesh, 0, problem, SpaceLayout(p=1))
+        A, f, ls = local_fosls(mesh, 0, problem, SpaceLayout(p=1))
         assert np.any(f != 0.0)
-        assert c0 > 0.0
+        assert np.any(ls.res_shift != 0.0)
+        # the u-independent part of the first-order residual square
+        assert fosls_indicator(ls, np.zeros(A.shape[0])) > 0.0
 
     def test_trace_rows_are_zero(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
-        ls = build_local_system(mesh, 0, problem, SpaceLayout(p=1),
-                                mesh.interior_facets())
+        ls = element_system(mesh, 0, problem, SpaceLayout(p=1),
+                            mesh.interior_facets())
         n_ff = 4 + 2  # field + flux
         assert np.all(ls.lsq_matrix[n_ff:, :] == 0.0)
         assert np.all(ls.lsq_matrix[:, n_ff:] == 0.0)
@@ -160,8 +198,9 @@ class TestCondense:
         gram = np.eye(3)
         lsq = np.diag([1.0, 2.0, 3.0])
         ls = LocalSystem(gram=gram, coupling=np.zeros((3, 3)),
-                         load=np.zeros(3), lsq_matrix=lsq,
-                         lsq_load=np.zeros(3))
+                         load=np.zeros((1, 3)), lsq_matrix=lsq,
+                         lsq_load=np.zeros((1, 3)), res_x=np.zeros((1, 3)),
+                         res_y=np.zeros((1, 3)), res_weights=np.ones(1))
         S, rhs = condense_local(ls)
         assert np.allclose(S, lsq)
         assert np.all(rhs == 0.0)
@@ -169,16 +208,17 @@ class TestCondense:
     def test_zero_loads_give_zero_rhs(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
-        ls = build_local_system(mesh, 0, problem, SpaceLayout(p=1),
-                                mesh.interior_facets())
+        ls = element_system(mesh, 0, problem, SpaceLayout(p=1),
+                            mesh.interior_facets())
         S, rhs = condense_local(ls)
+        assert rhs.shape == (1, ls.coupling.shape[1])
         assert np.all(rhs == 0.0)
 
     def test_condensed_matrix_symmetric_positive_semidefinite(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="x*y", J=0.0)
-        ls = build_local_system(mesh, 0, problem, SpaceLayout(p=2),
-                                mesh.interior_facets())
+        ls = element_system(mesh, 0, problem, SpaceLayout(p=2),
+                            mesh.interior_facets())
         S, _ = condense_local(ls)
         assert np.allclose(S, S.T, atol=1e-12)
         assert scipy.linalg.eigvalsh(S)[0] > -1e-12
@@ -186,61 +226,61 @@ class TestCondense:
     def test_matches_explicit_schur_complement(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="x+y", J=1.0)
-        ls = build_local_system(mesh, 0, problem, SpaceLayout(p=1),
-                                mesh.interior_facets())
+        ls = element_system(mesh, 0, problem, SpaceLayout(p=1),
+                            mesh.interior_facets())
         S, rhs = condense_local(ls)
         Ginv = np.linalg.inv(ls.gram)
         S_ref = ls.lsq_matrix + ls.coupling.T @ Ginv @ ls.coupling
-        rhs_ref = ls.lsq_load + ls.coupling.T @ Ginv @ ls.load
+        rhs_ref = ls.lsq_load[0] + ls.coupling.T @ Ginv @ ls.load[0]
         assert np.allclose(S, S_ref, atol=1e-11)
-        assert np.allclose(rhs, rhs_ref, atol=1e-11)
+        assert np.allclose(rhs[0], rhs_ref, atol=1e-11)
 
 
 class TestErrorIndicator:
     def test_zero_coefficients_leave_pure_riesz_residual(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=1.0, J=0.0)
-        ls = build_local_system(mesh, 0, problem, SpaceLayout(p=1),
-                                mesh.interior_facets())
+        ls = element_system(mesh, 0, problem, SpaceLayout(p=1),
+                            mesh.interior_facets())
         n_trial = ls.coupling.shape[1]
-        res = error_indicator(ls, np.zeros(n_trial))
-        want = ls.load @ np.linalg.solve(ls.gram, ls.load)
-        assert res.eta_sq_riesz == pytest.approx(want, rel=1e-12)
-        assert res.eta_sq_fosls == 0.0
-        assert res.total_sq == pytest.approx(want, rel=1e-12)
+        eta_riesz, eta_fosls = error_indicator(ls, np.zeros((1, n_trial)))[0]
+        want = ls.load[0] @ np.linalg.solve(ls.gram, ls.load[0])
+        assert eta_riesz == pytest.approx(want, rel=1e-12)
+        assert eta_fosls == 0.0
+        assert eta_riesz + eta_fosls == pytest.approx(want, rel=1e-12)
 
     def test_source_shift_enters_first_order_residual(self):
         mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2),
                                  POT_PARTITION, "potential")
         problem = _pot_problem(S=(1.0, 0.0))
-        ls = build_local_system(mesh, 0, problem, SpaceLayout(p=1),
-                                mesh.interior_facets())
-        n_trial = ls.coupling.shape[1]
-        res = error_indicator(ls, np.zeros(n_trial))
+        ls = element_system(mesh, 0, problem, SpaceLayout(p=1),
+                            mesh.interior_facets())
+        n_trial = ls.coupling.shape[-1]
+        eta_fosls = fosls_indicator(ls, np.zeros(n_trial))
         # residual of the constitutive equation is kappa^-1 * S, squared
         # over the element: |K| * 1
-        assert res.eta_sq_fosls == pytest.approx(mesh.element_area, rel=1e-12)
+        assert eta_fosls == pytest.approx(mesh.element_area, rel=1e-12)
 
     def test_pointwise_and_quadratic_form_agree_away_from_cancellation(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="x*y", J=0.0)
-        ls = build_local_system(mesh, 0, problem, SpaceLayout(p=2),
-                                mesh.interior_facets())
+        ls = element_system(mesh, 0, problem, SpaceLayout(p=2),
+                            mesh.interior_facets())
         rng = np.random.default_rng(7)
         u = rng.normal(size=ls.coupling.shape[1])
-        res = error_indicator(ls, u)
-        quad_form = float(u @ ls.lsq_matrix @ u - 2.0 * ls.lsq_load @ u
-                          + ls.lsq_const)
-        assert res.eta_sq_fosls == pytest.approx(quad_form, rel=1e-9)
+        # without a source the first-order residual has no u-independent part
+        assert ls.res_shift is None
+        quad_form = float(u @ ls.lsq_matrix @ u - 2.0 * ls.lsq_load[0] @ u)
+        assert fosls_indicator(ls, u) == pytest.approx(quad_form, rel=1e-9)
 
     def test_nonnegative(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="x*y", J="x")
-        ls = build_local_system(mesh, 3, problem, SpaceLayout(p=1),
-                                mesh.interior_facets())
+        ls = element_system(mesh, 3, problem, SpaceLayout(p=1),
+                            mesh.interior_facets())
         rng = np.random.default_rng(11)
         for _ in range(10):
-            u = rng.normal(size=ls.coupling.shape[1])
-            res = error_indicator(ls, u)
-            assert res.eta_sq_riesz >= 0.0
-            assert res.eta_sq_fosls >= 0.0
+            u = rng.normal(size=(1, ls.coupling.shape[1]))
+            eta_riesz, eta_fosls = error_indicator(ls, u)[0]
+            assert eta_riesz >= 0.0
+            assert eta_fosls >= 0.0

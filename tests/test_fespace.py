@@ -11,7 +11,13 @@ from dpgfem.fespace import (
     tabulate_h1_basis,
     tabulate_l2_basis,
 )
-from dpgfem.mesh import Rectangle, build_rect_mesh
+from dpgfem.mesh import (
+    BoundaryPartition,
+    FacetTag,
+    Rectangle,
+    build_rect_mesh,
+    classify_boundary,
+)
 from dpgfem.quadrature import gauss_1d, tensor_quad
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
@@ -221,3 +227,31 @@ class TestDofMap:
         assert np.array_equal(dofs[:9], dofmap.elem_field[0])
         assert np.array_equal(dofs[9:17], dofmap.elem_flux_dofs(0))
         assert np.all(dofs[17:] >= dofmap.trace_offset)
+
+
+class TestElementGroups:
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_partition_and_dof_rows(self, p):
+        # Dirichlet left, Neumann right, Robin bottom/top; traces on
+        # interior and Dirichlet facets as for the potential problem
+        partition = BoundaryPartition(FacetTag.DIRICHLET, FacetTag.NEUMANN,
+                                      FacetTag.ROBIN, FacetTag.ROBIN)
+        mesh = classify_boundary(build_rect_mesh(UNIT, 4, 3), partition,
+                                 "potential")
+        active = np.concatenate([mesh.interior_facets(),
+                                 mesh.facets_with_tag(FacetTag.DIRICHLET)])
+        dofmap = build_dofmap(mesh, SpaceLayout(p=p), active)
+        groups = dofmap.element_groups()
+        assert len(groups) == 9
+        elems = np.concatenate([g.elems for g in groups])
+        assert np.array_equal(np.sort(elems), np.arange(mesh.n_elems))
+        for g in groups:
+            assert np.all(np.diff(g.elems) > 0)
+            for row, e in zip(g.dofs, g.elems):
+                assert np.array_equal(row, dofmap.element_dofs(e))
+                edges = dofmap.element_active_edges(e)
+                assert g.edges == tuple((k, sign) for k, _f, sign in edges)
+                tags = {k: FacetTag(mesh.facet_tags[mesh.elem_facets[e, k]])
+                        for k in range(4)}
+                assert g.boundary == tuple(
+                    (k, t) for k, t in tags.items() if t != FacetTag.INTERIOR)

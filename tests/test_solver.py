@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import dpgfem.solver as solver_mod
-from dpgfem.fespace import SpaceLayout, build_dofmap
+from dpgfem.fespace import DofMap, SpaceLayout, build_dofmap
 from dpgfem.manufactured import manufactured_case
 from dpgfem.mesh import (
     BoundaryPartition,
@@ -46,6 +48,29 @@ def _hand_system(matrix, rhs):
     return GlobalSystem(sp.csr_matrix(np.asarray(matrix, dtype=float)),
                         np.asarray(rhs, dtype=float),
                         None, np.empty(0, dtype=np.int64), "test")
+
+
+class TestGroupedAssembly:
+    @pytest.mark.parametrize("name, p", [("pot-trig", 2), ("conc-trig", 1)])
+    def test_matches_one_element_groups(self, monkeypatch, name, p):
+        case = manufactured_case(name)
+        mesh = case_mesh(case, 4)
+        dofmap = build_dofmap(mesh, SpaceLayout(p=p),
+                              active_facets(mesh, case.problem))
+        grouped = assemble(mesh, dofmap, case.problem)
+        groups = dofmap.element_groups()
+        assert len(groups) == 9
+        single_groups = [
+            dataclasses.replace(g, elems=g.elems[i:i + 1], dofs=g.dofs[i:i + 1])
+            for g in groups for i in range(len(g.elems))]
+        monkeypatch.setattr(DofMap, "element_groups", lambda self: single_groups)
+        single = assemble(mesh, dofmap, case.problem)
+        assert len(dofmap.element_groups()) == mesh.n_elems
+        diff = sp.linalg.norm(grouped.matrix - single.matrix)
+        assert diff <= 1e-13 * sp.linalg.norm(single.matrix)
+        assert (np.linalg.norm(grouped.rhs - single.rhs)
+                <= 1e-13 * np.linalg.norm(single.rhs))
+        assert np.array_equal(grouped.constrained, single.constrained)
 
 
 class TestActiveFacets:
