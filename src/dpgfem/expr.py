@@ -241,10 +241,10 @@ def evaluate(node: Node, x: float, y: float) -> float:
         except (ValueError, OverflowError) as exc:
             raise ExprDomainError(f"invalid power: {exc}", node.pos) from None
     a = evaluate(node.arg, x, y)
-    if node.func == "sin":
-        return math.sin(a)
-    if node.func == "cos":
-        return math.cos(a)
+    if node.func in ("sin", "cos"):
+        if not math.isfinite(a):
+            raise ExprDomainError(f"{node.func} of a non-finite value", node.pos)
+        return math.sin(a) if node.func == "sin" else math.cos(a)
     if node.func == "exp":
         try:
             return math.exp(a)

@@ -206,13 +206,12 @@ class DofMap:
         self.facet_slot = np.full(mesh.n_facets, -1, dtype=np.int64)
         self.facet_slot[self.active_facets] = np.arange(self.active_facets.shape[0])
 
-        n1 = p + 1
-        self.elem_field = np.empty((mesh.n_elems, n1 * n1), dtype=np.int64)
-        for e in range(mesh.n_elems):
-            i, j = e % mesh.nx, e // mesh.nx
-            for iy in range(n1):
-                row = (j * p + iy) * nxp + i * p
-                self.elem_field[e, iy * n1:(iy + 1) * n1] = row + np.arange(n1)
+        # element (i, j) owns the lattice block of rows j*p.. and columns
+        # i*p..; local dof iy*(p+1) + ix sits at row j*p + iy, column i*p + ix
+        e = np.arange(mesh.n_elems)
+        corner = (e // mesh.nx) * p * nxp + (e % mesh.nx) * p
+        block = np.arange(p + 1)[:, None] * nxp + np.arange(p + 1)
+        self.elem_field = corner[:, None] + block.ravel()
         self._nxp = nxp
         self._nyp = nyp
 

@@ -210,100 +210,52 @@ def build_rect_mesh(domain: Rectangle, nx: int, ny: int) -> Mesh:
     X, Y = np.meshgrid(xs, ys)                 # row-major, vertex v = j*(nx+1)+i
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
+    # element e = j*nx + i; its lower-left vertex and its left facet have id v0
+    e = np.arange(nx * ny)
+    i, j = e % nx, e // nx
+    v0 = j * (nx + 1) + i
+    elem_verts = v0[:, None] + np.array([0, 1, nx + 2, nx + 1])
 
-    elem_verts = np.empty((nx * ny, 4), dtype=np.int64)
-    for j in range(ny):
-        for i in range(nx):
-            e = j * nx + i
-            elem_verts[e] = (vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1))
-
-    # vertical facets first (constant x), then horizontal (constant y)
+    # vertical facets first (constant x, id = vertex id of the lower end),
+    # then horizontal (constant y, id = n_vert + j*nx + i)
     n_vert = (nx + 1) * ny
     n_horz = nx * (ny + 1)
     n_facets = n_vert + n_horz
-    facet_verts = np.empty((n_facets, 2), dtype=np.int64)
+    jv, iv = np.divmod(np.arange(n_vert), nx + 1)
+    jh, ih = np.divmod(np.arange(n_horz), nx)
+    facet_verts = np.concatenate([np.arange(n_vert)[:, None] + np.array([0, nx + 1]),
+                                  (jh * (nx + 1) + ih)[:, None] + np.array([0, 1])])
+    # lower element index first; the second is -1 on the domain boundary,
+    # whose normals point out of the domain
+    lower = np.concatenate([jv * nx + np.maximum(iv - 1, 0),
+                            np.maximum(jh - 1, 0) * nx + ih])
+    upper = np.concatenate([np.where((iv > 0) & (iv < nx), jv * nx + iv, -1),
+                            np.where((jh > 0) & (jh < ny), jh * nx + ih, -1)])
+    facet_elems = np.column_stack([lower, upper])
     facet_normals = np.zeros((n_facets, 2))
-    facet_elems = np.full((n_facets, 2), -1, dtype=np.int64)
-    facet_tags = np.full(n_facets, int(FacetTag.INTERIOR), dtype=np.int64)
+    facet_normals[:n_vert, 0] = np.where(iv == 0, -1.0, 1.0)
+    facet_normals[n_vert:, 1] = np.where(jh == 0, -1.0, 1.0)
+    facet_tags = np.where(upper < 0, int(FacetTag.NEUMANN), int(FacetTag.INTERIOR))
 
-    def vfid(i, j):
-        return j * (nx + 1) + i
-
-    def hfid(i, j):
-        return n_vert + j * nx + i
-
-    for j in range(ny):
-        for i in range(nx + 1):
-            f = vfid(i, j)
-            facet_verts[f] = (vid(i, j), vid(i, j + 1))
-            left = j * nx + (i - 1) if i > 0 else -1
-            right = j * nx + i if i < nx else -1
-            if left >= 0 and right >= 0:
-                facet_elems[f] = (left, right)   # lower element index first
-                facet_normals[f] = (1.0, 0.0)
-            elif right >= 0:                     # domain boundary x = x0
-                facet_elems[f] = (right, -1)
-                facet_normals[f] = (-1.0, 0.0)
-                facet_tags[f] = int(FacetTag.NEUMANN)
-            else:                                # domain boundary x = x1
-                facet_elems[f] = (left, -1)
-                facet_normals[f] = (1.0, 0.0)
-                facet_tags[f] = int(FacetTag.NEUMANN)
-
-    for j in range(ny + 1):
-        for i in range(nx):
-            f = hfid(i, j)
-            facet_verts[f] = (vid(i, j), vid(i + 1, j))
-            below = (j - 1) * nx + i if j > 0 else -1
-            above = j * nx + i if j < ny else -1
-            if below >= 0 and above >= 0:
-                facet_elems[f] = (below, above)
-                facet_normals[f] = (0.0, 1.0)
-            elif above >= 0:                     # y = y0
-                facet_elems[f] = (above, -1)
-                facet_normals[f] = (0.0, -1.0)
-                facet_tags[f] = int(FacetTag.NEUMANN)
-            else:                                # y = y1
-                facet_elems[f] = (below, -1)
-                facet_normals[f] = (0.0, 1.0)
-                facet_tags[f] = int(FacetTag.NEUMANN)
-
-    elem_facets = np.empty((nx * ny, 4), dtype=np.int64)
-    elem_facet_signs = np.empty((nx * ny, 4))
+    elem_facets = np.column_stack([v0, v0 + 1, n_vert + e, n_vert + e + nx])
     outward = np.array([(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)])
-    for j in range(ny):
-        for i in range(nx):
-            e = j * nx + i
-            elem_facets[e] = (vfid(i, j), vfid(i + 1, j), hfid(i, j), hfid(i, j + 1))
-            for k in range(4):
-                n = facet_normals[elem_facets[e, k]]
-                elem_facet_signs[e, k] = 1.0 if np.dot(n, outward[k]) > 0 else -1.0
+    elem_facet_signs = np.where((facet_normals[elem_facets] * outward).sum(axis=2) > 0,
+                                1.0, -1.0)
 
     return Mesh(domain, nx, ny, vertices, elem_verts, facet_verts, facet_normals,
                 facet_elems, facet_tags, elem_facets, elem_facet_signs)
-
-
-def _side_of_boundary_facet(mesh: Mesh, f: int) -> str:
-    n = mesh.facet_normals[f]
-    if n[0] < -0.5:
-        return "left"
-    if n[0] > 0.5:
-        return "right"
-    if n[1] < -0.5:
-        return "bottom"
-    return "top"
 
 
 def classify_boundary(mesh: Mesh, partition: BoundaryPartition,
                       problem_kind: str) -> Mesh:
     """New mesh with boundary facets tagged per side, validated for the problem."""
     partition.validate_for(problem_kind)
-    side_tags = partition.side_tags()
     tags = mesh.facet_tags.copy()
-    for f in mesh.boundary_facets():
-        tags[f] = int(side_tags[_side_of_boundary_facet(mesh, f)])
+    bnd = mesh.boundary_facets()
+    n = mesh.facet_normals[bnd]
+    tags[bnd] = np.select([n[:, 0] < -0.5, n[:, 0] > 0.5, n[:, 1] < -0.5],
+                          [partition.left, partition.right, partition.bottom],
+                          partition.top)
     return Mesh(mesh.domain, mesh.nx, mesh.ny, mesh.vertices, mesh.elem_verts,
                 mesh.facet_verts, mesh.facet_normals, mesh.facet_elems, tags,
                 mesh.elem_facets, mesh.elem_facet_signs, partition, problem_kind)

@@ -29,30 +29,19 @@ def vertex_field_values(mesh: Mesh, dofmap, field: np.ndarray) -> np.ndarray:
     gather from the coefficient vector.
     """
     p = dofmap.layout.p
-    row = p * (mesh.nx * p + 1)
-    out = np.empty((mesh.ny + 1) * (mesh.nx + 1))
-    for j in range(mesh.ny + 1):
-        for i in range(mesh.nx + 1):
-            out[j * (mesh.nx + 1) + i] = field[j * row + i * p]
-    return out
+    return field.reshape(-1, mesh.nx * p + 1)[::p, ::p].ravel()
 
 
 def vertex_flux_values(mesh: Mesh, dofmap, flux: np.ndarray) -> np.ndarray:
     """Element fluxes evaluated at corners and averaged over incident
     elements; (n_vertices, 2), x-fastest ordering."""
     layout = dofmap.layout
-    ns = layout.n_flux_scalar
     basis = tabulate_l2_basis(layout.p - 1, _CORNERS)
+    # (n_elems, ns, 2) coefficients -> (n_elems, 4 corners, 2) values
+    corner_vals = basis @ flux.reshape(mesh.n_elems, 2, -1).transpose(0, 2, 1)
     acc = np.zeros((mesh.vertices.shape[0], 2))
-    count = np.zeros(mesh.vertices.shape[0])
-    for e in range(mesh.n_elems):
-        base = e * layout.n_flux_local
-        vx = basis @ flux[base:base + ns]
-        vy = basis @ flux[base + ns:base + 2 * ns]
-        verts = mesh.elem_verts[e]
-        acc[verts, 0] += vx
-        acc[verts, 1] += vy
-        count[verts] += 1.0
+    np.add.at(acc, mesh.elem_verts, corner_vals)
+    count = np.bincount(mesh.elem_verts.ravel(), minlength=acc.shape[0])
     return acc / count[:, None]
 
 
@@ -68,10 +57,7 @@ def write_vtk(path, mesh: Mesh, dofmap, solution, kind: str) -> None:
              "DATASET STRUCTURED_GRID",
              f"DIMENSIONS {mesh.nx + 1} {mesh.ny + 1} 1",
              f"POINTS {npts} double"]
-    for j in range(mesh.ny + 1):
-        for i in range(mesh.nx + 1):
-            x, y = mesh.vertices[j * (mesh.nx + 1) + i]
-            lines.append(f"{_fmt(x)} {_fmt(y)} 0.0")
+    lines.extend(f"{_fmt(x)} {_fmt(y)} 0.0" for x, y in mesh.vertices)
     lines.append(f"POINT_DATA {npts}")
     lines.append(f"SCALARS {scalar_name} double")
     lines.append("LOOKUP_TABLE default")

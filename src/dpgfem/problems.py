@@ -28,7 +28,7 @@ import numpy as np
 
 from dpgfem import expr as expr_mod
 from dpgfem.mesh import BoundaryPartition, FacetTag, Mesh
-from dpgfem.quadrature import facet_quad
+from dpgfem.quadrature import gauss_1d
 
 
 class ProblemValidationError(ValueError):
@@ -209,7 +209,8 @@ def sample(fn, points: np.ndarray, name: str, normals=None) -> np.ndarray:
 
 
 def validate_problem(spec, mesh: Mesh, n_quad: int = 4):
-    """Check every model assumption; raises listing all violations at once.
+    """Check every model assumption; raises listing all violations at once
+    (a non-finite beta sampled on Gamma_R raises on its own, from `sample`).
 
     Smallness of D and dt is advisory only and reported as a warning.
     """
@@ -234,14 +235,15 @@ def validate_problem(spec, mesh: Mesh, n_quad: int = 4):
         if robin.size == 0 or neumann.size == 0:
             violations.append("invalid partition: potential problem requires "
                               "non-empty Neumann and Robin boundary parts")
-        beta_min = math.inf
-        for f in robin:
-            rule = facet_quad(n_quad, mesh.facet_endpoints(f))
-            for x, y in rule.points:
-                beta_min = min(beta_min, spec.beta(x, y))
-        if robin.size and not beta_min > 0:
-            violations.append("beta not positive on Gamma_R "
-                              f"(min sampled value {beta_min:g})")
+        if robin.size:
+            # n_quad Gauss points on each Robin facet, (n_robin, n_quad, 2)
+            ends = mesh.vertices[mesh.facet_verts[robin]]
+            t = 0.5 * (gauss_1d(n_quad).points + 1.0)
+            pts = ends[:, :1] + t[:, None] * (ends[:, 1:] - ends[:, :1])
+            beta_min = sample(spec.beta, pts, "beta").min()
+            if not beta_min > 0:
+                violations.append("beta not positive on Gamma_R "
+                                  f"(min sampled value {beta_min:g})")
     else:
         violations.append(f"unknown problem kind {spec.kind!r}")
     if violations:

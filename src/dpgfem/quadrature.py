@@ -1,4 +1,4 @@
-"""Gauss-Legendre rules on [-1,1], its tensor square, and physical facets."""
+"""Gauss-Legendre rules on [-1,1] and its tensor square."""
 
 from __future__ import annotations
 
@@ -32,16 +32,3 @@ def tensor_quad(n: int) -> QuadRule:
     pts = np.column_stack([X.ravel(), Y.ravel()])
     w = np.outer(line.weights, line.weights).ravel()
     return QuadRule(pts, w)
-
-
-def facet_quad(n: int, endpoints: np.ndarray) -> QuadRule:
-    """Rule on the segment between two physical points; weights sum to its length."""
-    p0 = np.asarray(endpoints[0], dtype=float)
-    p1 = np.asarray(endpoints[1], dtype=float)
-    length = float(np.linalg.norm(p1 - p0))
-    if length == 0.0:
-        raise ValueError("facet_quad: degenerate facet with coincident endpoints")
-    line = gauss_1d(n)
-    t = 0.5 * (line.points + 1.0)
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    return QuadRule(pts, 0.5 * length * line.weights)

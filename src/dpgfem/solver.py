@@ -66,28 +66,15 @@ def active_facets(mesh: Mesh, problem) -> np.ndarray:
     return np.sort(np.concatenate([interior, dirichlet]))
 
 
-def _edge_field_dofs(p: int, edge: int) -> np.ndarray:
-    n1 = p + 1
-    if edge == 0:
-        return np.arange(n1) * n1
-    if edge == 1:
-        return np.arange(n1) * n1 + p
-    if edge == 2:
-        return np.arange(n1)
-    return p * n1 + np.arange(n1)
-
-
 def dirichlet_field_dofs(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     """Global field dofs on Dirichlet boundary facets."""
     p = dofmap.layout.p
-    out = []
-    for f in mesh.facets_with_tag(FacetTag.DIRICHLET):
-        e = int(mesh.facet_elems[f, 0])
-        k = int(np.flatnonzero(mesh.elem_facets[e] == f)[0])
-        out.append(dofmap.elem_field[e, _edge_field_dofs(p, k)])
-    if not out:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(out))
+    lattice = np.arange((p + 1) ** 2).reshape(p + 1, p + 1)     # [iy, ix]
+    edge_dofs = np.stack([lattice[:, 0], lattice[:, p], lattice[0], lattice[p]])
+    facets = mesh.facets_with_tag(FacetTag.DIRICHLET)
+    elems = mesh.facet_elems[facets, 0]
+    edges = np.argmax(mesh.elem_facets[elems] == facets[:, None], axis=1)
+    return np.unique(dofmap.elem_field[elems[:, None], edge_dofs[edges]])
 
 
 def eliminate_dofs(matrix: sp.spmatrix, rhs: np.ndarray,
@@ -102,8 +89,8 @@ def eliminate_dofs(matrix: sp.spmatrix, rhs: np.ndarray,
     return (P @ matrix @ P + sp.diags(1.0 - keep)).tocsr()
 
 
-def assemble(mesh: Mesh, dofmap: DofMap, problem, n_quad: int | None = None,
-             constrain: bool = True) -> GlobalSystem:
+def assemble(mesh: Mesh, dofmap: DofMap, problem,
+             n_quad: int | None = None) -> GlobalSystem:
     layout = dofmap.layout
     geom = geometry_kernels(layout, mesh.dx, mesh.dy, n_quad)
     kernels = ProblemKernels(geom, problem)
@@ -125,7 +112,7 @@ def assemble(mesh: Mesh, dofmap: DofMap, problem, n_quad: int | None = None,
     constrained = np.empty(0, dtype=np.int64)
     if problem.kind == "potential":
         constrained = dirichlet_field_dofs(mesh, dofmap)
-    if constrain and constrained.size:
+    if constrained.size:
         matrix = eliminate_dofs(matrix, rhs, constrained)
     matrix.sort_indices()
     return GlobalSystem(matrix, rhs, dofmap, constrained, problem.kind)
@@ -134,11 +121,17 @@ def assemble(mesh: Mesh, dofmap: DofMap, problem, n_quad: int | None = None,
 def solve_spd(system: GlobalSystem, tol: float = 1e-10):
     """Solve the SPD system; dense Cholesky for small n, else diagonal-PCG.
 
-    Returns (coefficients, SolveInfo). Jacobi equilibration is applied on
-    the dense path as well, so heavily weighted Robin terms do not degrade
-    the factorization.
+    Returns (coefficients, SolveInfo). A system with inf or NaN entries
+    raises SolverError before either path. Jacobi equilibration is applied
+    on the dense path as well, so heavily weighted Robin terms do not
+    degrade the factorization.
     """
     A, b = system.matrix, system.rhs
+    bad_a = int(np.count_nonzero(~np.isfinite(A.data)))
+    bad_b = int(np.count_nonzero(~np.isfinite(b)))
+    if bad_a or bad_b:
+        raise SolverError(f"non-finite system: {bad_a} matrix and {bad_b} "
+                          "right-hand-side entries are inf or NaN")
     n = A.shape[0]
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:

@@ -399,15 +399,11 @@ def infsup_constant(mesh: Mesh, problem, layout: SpaceLayout,
     if dofmap.n_total > INFSUP_DOF_CAP:
         raise ValueError(f"size cap exceeded: {dofmap.n_total} trial dofs "
                          f"(limit {INFSUP_DOF_CAP}) for the dense eigensolve")
-    system = assemble(mesh, dofmap, problem, n_quad, constrain=False)
-    A = system.matrix.toarray()
+    system = assemble(mesh, dofmap, problem, n_quad)
+    # restricted to the free dofs, the eliminated matrix is the unconstrained one
+    free = np.setdiff1d(np.arange(dofmap.n_total), system.constrained)
+    A = system.matrix.toarray()[np.ix_(free, free)]
     A = 0.5 * (A + A.T)
-    M = trial_gram_dense(mesh, dofmap, n_quad)
-    if problem.kind == "potential":
-        fixed = dirichlet_field_dofs(mesh, dofmap)
-        if fixed.size:
-            free = np.setdiff1d(np.arange(dofmap.n_total), fixed)
-            A = A[np.ix_(free, free)]
-            M = M[np.ix_(free, free)]
+    M = trial_gram_dense(mesh, dofmap, n_quad)[np.ix_(free, free)]
     vals = scipy.linalg.eigh(A, M, eigvals_only=True)
     return float(np.sqrt(max(vals[0], 0.0)))

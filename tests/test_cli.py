@@ -274,6 +274,11 @@ class TestErrorHandling:
         ("concentration", {"c_prev": "exp(1000*x)"}, "config", "position"),
         ("concentration", {"c_prev": "1e308*10"}, "validation", "c_prev"),
         ("potential", {"beta": float("nan")}, "validation", "beta"),
+        ("concentration", {"c_prev": "1 + sin(1e308*10)"}, "config",
+         "sin of a non-finite value (position 4)"),
+        # positive, so accepted by validation, but 1/kappa and 1/(dt*D) overflow
+        ("potential", {"kappa": 1e-320, "I": 1.0}, "solver", "non-finite"),
+        ("concentration", {"D": 1e-320, "c_prev": 1.0}, "solver", "non-finite"),
     ])
     def test_non_finite_coefficient_data(self, tmp_path, capsys, problem,
                                          coefficients, code, text):

@@ -71,7 +71,8 @@ class TestErrors:
         with pytest.raises(ExprDomainError):
             ev("1/ (x-1)", 1.0, 0.0)
 
-    @pytest.mark.parametrize("text", ["ln(0-1)", "sqrt(0-4)", "ln(0)", "exp(1000)"])
+    @pytest.mark.parametrize("text", ["ln(0-1)", "sqrt(0-4)", "ln(0)", "exp(1000)",
+                                      "sin(1e308*10)", "cos(-1e308*10)"])
     def test_function_domain_errors(self, text):
         with pytest.raises(ExprDomainError) as err:
             ev(text)

@@ -15,6 +15,13 @@ from dpgfem.mesh import (
 )
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
+# (domain, nx, ny) of the meshes the per-element and per-facet checks run over
+SHAPES = [(UNIT, 1, 1), (UNIT, 1, 4), (UNIT, 4, 1), (UNIT, 2, 2),
+          (Rectangle(0.0, 1.0, 0.0, 2.0), 3, 5)]
+
+
+def meshes():
+    return [build_rect_mesh(*shape) for shape in SHAPES]
 
 
 class TestRectangle:
@@ -65,38 +72,40 @@ class TestBuildRectMesh:
         assert mesh.n_facets == (nx + 1) * ny + (ny + 1) * nx
 
     def test_element_vertices_counterclockwise(self):
-        mesh = build_rect_mesh(UNIT, 2, 2)
-        for e in range(mesh.n_elems):
-            quad = mesh.vertices[mesh.elem_verts[e]]
-            # shoelace area of a CCW quad is positive
-            x, y = quad[:, 0], quad[:, 1]
-            area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-            assert area == pytest.approx(mesh.element_area)
+        for mesh in meshes():
+            for e in range(mesh.n_elems):
+                quad = mesh.vertices[mesh.elem_verts[e]]
+                # shoelace area of a CCW quad is positive
+                x, y = quad[:, 0], quad[:, 1]
+                area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+                assert area == pytest.approx(mesh.element_area)
+                # starting from the lower-left corner
+                assert np.allclose(quad[0], mesh.element_origin(e))
 
 
 class TestFacetGeometry:
     def test_boundary_facet_single_incident_outward(self):
-        mesh = build_rect_mesh(UNIT, 2, 2)
-        for f in mesh.boundary_facets():
-            length, normal, elems, signs = facet_geometry(mesh, f)
-            assert len(elems) == 1
-            assert signs == (1.0,)
-            ox, oy = mesh.element_origin(elems[0])
-            center = np.array([ox + mesh.dx / 2, oy + mesh.dy / 2])
-            mid = mesh.facet_endpoints(f).mean(axis=0)
-            # global normal points away from the incident element
-            assert np.dot(normal, mid - center) > 0
+        for mesh in meshes():
+            for f in mesh.boundary_facets():
+                length, normal, elems, signs = facet_geometry(mesh, f)
+                assert len(elems) == 1
+                assert signs == (1.0,)
+                ox, oy = mesh.element_origin(elems[0])
+                center = np.array([ox + mesh.dx / 2, oy + mesh.dy / 2])
+                mid = mesh.facet_endpoints(f).mean(axis=0)
+                # global normal points away from the incident element
+                assert np.dot(normal, mid - center) > 0
 
     def test_interior_facet_signs_opposite(self):
-        mesh = build_rect_mesh(UNIT, 2, 2)
-        for f in mesh.interior_facets():
-            length, normal, elems, signs = facet_geometry(mesh, f)
-            assert len(elems) == 2
-            assert signs == (1.0, -1.0)
-            # global normal points from the first element into the second
-            c0 = np.array(mesh.element_origin(elems[0]))
-            c1 = np.array(mesh.element_origin(elems[1]))
-            assert np.dot(normal, c1 - c0) > 0
+        for mesh in meshes():
+            for f in mesh.interior_facets():
+                length, normal, elems, signs = facet_geometry(mesh, f)
+                assert len(elems) == 2
+                assert signs == (1.0, -1.0)
+                # global normal points from the first element into the second
+                c0 = np.array(mesh.element_origin(elems[0]))
+                c1 = np.array(mesh.element_origin(elems[1]))
+                assert np.dot(normal, c1 - c0) > 0
 
     def test_vertical_facet_of_2x2_unit_mesh(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
@@ -109,13 +118,14 @@ class TestFacetGeometry:
             assert np.allclose(mesh.facet_normals[f], [1.0, 0.0])
 
     def test_facet_geometry_consistent_with_endpoints(self):
-        mesh = build_rect_mesh(Rectangle(0.0, 2.0, 0.0, 1.0), 2, 2)
-        for f in range(mesh.n_facets):
-            length, normal, elems, signs = facet_geometry(mesh, f)
-            ends = mesh.facet_endpoints(f)
-            assert length == pytest.approx(np.linalg.norm(ends[1] - ends[0]))
-            tangent = (ends[1] - ends[0]) / length
-            assert abs(float(np.dot(tangent, normal))) < 1e-14
+        for mesh in meshes() + [build_rect_mesh(Rectangle(0.0, 2.0, 0.0, 1.0), 2, 2)]:
+            for f in range(mesh.n_facets):
+                length, normal, elems, signs = facet_geometry(mesh, f)
+                ends = mesh.facet_endpoints(f)
+                assert length == pytest.approx(np.linalg.norm(ends[1] - ends[0]))
+                assert length == pytest.approx(mesh.dx if normal[1] else mesh.dy)
+                tangent = (ends[1] - ends[0]) / length
+                assert abs(float(np.dot(tangent, normal))) < 1e-14
 
 
 class TestRefineUniform:
@@ -182,21 +192,23 @@ class TestBoundaryPartition:
 
 class TestClassifyBoundary:
     def test_tags_by_side(self):
-        mesh = build_rect_mesh(UNIT, 2, 2)
         part = BoundaryPartition.from_names(
             {"left": "dirichlet", "right": "neumann",
              "bottom": "robin", "top": "robin"})
-        tagged = classify_boundary(mesh, part, "potential")
-        for f in tagged.boundary_facets():
-            mid = tagged.facet_endpoints(f).mean(axis=0)
-            if mid[0] == pytest.approx(0.0):
-                assert tagged.facet_tags[f] == FacetTag.DIRICHLET
-            elif mid[0] == pytest.approx(1.0):
-                assert tagged.facet_tags[f] == FacetTag.NEUMANN
-            else:
-                assert tagged.facet_tags[f] == FacetTag.ROBIN
-        for f in tagged.interior_facets():
-            assert tagged.facet_tags[f] == FacetTag.INTERIOR
+        for mesh in meshes():
+            tagged = classify_boundary(mesh, part, "potential")
+            for f in tagged.boundary_facets():
+                mid = tagged.facet_endpoints(f).mean(axis=0)
+                if mid[0] == pytest.approx(0.0):
+                    assert tagged.facet_tags[f] == FacetTag.DIRICHLET
+                elif mid[0] == pytest.approx(1.0):
+                    assert tagged.facet_tags[f] == FacetTag.NEUMANN
+                else:
+                    assert tagged.facet_tags[f] == FacetTag.ROBIN
+            for f in tagged.interior_facets():
+                assert tagged.facet_tags[f] == FacetTag.INTERIOR
+            assert tagged.facets_with_tag(FacetTag.DIRICHLET).size == mesh.ny
+            assert tagged.facets_with_tag(FacetTag.ROBIN).size == 2 * mesh.nx
 
     def test_facets_with_tag_counts(self):
         mesh = build_rect_mesh(UNIT, 2, 2)

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpgfem.mesh import BoundaryPartition, Rectangle, build_rect_mesh
+from dpgfem.mesh import (
+    BoundaryPartition,
+    FacetTag,
+    Rectangle,
+    build_rect_mesh,
+    classify_boundary,
+)
 from dpgfem.problems import (
     ButlerVolmerParams,
     ConcentrationProblem,
@@ -17,6 +23,7 @@ from dpgfem.problems import (
     state_of_charge,
     validate_problem,
 )
+from dpgfem.quadrature import gauss_1d
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 
@@ -153,8 +160,6 @@ class TestValidateProblem:
             validate_problem(problem, mesh)
 
     def test_non_positive_robin_coefficient_rejected(self):
-        from dpgfem.mesh import classify_boundary
-
         mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2),
                                  POT_PARTITION, "potential")
         problem = PotentialProblem(kappa=1.0, beta="x-10", S=(0.0, 0.0),
@@ -162,6 +167,37 @@ class TestValidateProblem:
         with pytest.raises(ProblemValidationError,
                            match="beta not positive on Gamma_R"):
             validate_problem(problem, mesh)
+
+    def test_potential_on_unclassified_mesh_lists_every_violation(self):
+        mesh = build_rect_mesh(UNIT, 2, 2)      # every side Neumann, no Robin
+        problem = PotentialProblem(kappa=-1.0, beta="x-10", S=(0.0, 0.0),
+                                   I=0.0, R=0.0, partition=POT_PARTITION)
+        with pytest.raises(ProblemValidationError) as err:
+            validate_problem(problem, mesh)
+        assert err.value.violations == [
+            "kappa must be positive",
+            "invalid partition: potential problem requires non-empty Neumann "
+            "and Robin boundary parts"]
+
+    def test_beta_sampled_at_gauss_points_of_each_robin_facet(self):
+        mesh = classify_boundary(build_rect_mesh(Rectangle(0.0, 1.0, 0.0, 2.0), 3, 2),
+                                 POT_PARTITION, "potential")
+        seen = []
+
+        def beta(x, y):
+            seen.append((x, y))
+            return 1.0
+
+        problem = PotentialProblem(kappa=1.0, beta=beta, S=(0.0, 0.0),
+                                   I=0.0, R=0.0, partition=POT_PARTITION)
+        validate_problem(problem, mesh, n_quad=3)
+        t = 0.5 * (gauss_1d(3).points + 1.0)
+        expected = [a + s * (b - a)
+                    for a, b in map(mesh.facet_endpoints,
+                                    mesh.facets_with_tag(FacetTag.ROBIN))
+                    for s in t]
+        assert len(seen) == 2 * 3 * 3
+        assert np.allclose(seen, expected, rtol=0.0, atol=1e-15)
 
     def test_reference_cases_pass(self):
         from dpgfem.manufactured import CASE_NAMES, manufactured_case

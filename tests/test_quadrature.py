@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpgfem.quadrature import facet_quad, gauss_1d, tensor_quad
+from dpgfem.quadrature import gauss_1d, tensor_quad
 
 
 def _monomial_integral(k: int) -> float:
@@ -78,29 +78,3 @@ class TestTensorQuad:
     def test_weights_sum_to_reference_area(self):
         for n in range(1, 8):
             assert tensor_quad(n).weights.sum() == pytest.approx(4.0, abs=1e-12)
-
-
-class TestFacetQuad:
-    def test_unit_facet_single_point(self):
-        ends = np.array([[0.0, 0.0], [1.0, 0.0]])
-        rule = facet_quad(1, ends)
-        assert np.allclose(rule.points, [[0.5, 0.0]])
-        assert rule.weights == pytest.approx([1.0])
-
-    def test_weights_sum_to_facet_length(self):
-        ends = np.array([[0.25, 0.5], [0.25, 2.0]])
-        rule = facet_quad(4, ends)
-        assert rule.weights.sum() == pytest.approx(1.5, abs=1e-14)
-
-    def test_integrates_linear_function_along_segment(self):
-        ends = np.array([[0.0, 1.0], [2.0, 1.0]])
-        rule = facet_quad(3, ends)
-        # integral of x over the segment y=1, x in [0,2] is 2
-        val = float(np.dot(rule.weights, rule.points[:, 0]))
-        assert val == pytest.approx(2.0, abs=1e-13)
-
-    def test_points_lie_on_segment(self):
-        ends = np.array([[0.5, 0.0], [0.5, 1.0]])
-        rule = facet_quad(5, ends)
-        assert np.allclose(rule.points[:, 0], 0.5)
-        assert np.all((rule.points[:, 1] > 0.0) & (rule.points[:, 1] < 1.0))

@@ -104,6 +104,18 @@ class TestDirichletFieldDofs:
             assert dofs.size == nxp  # full x=0 lattice column
             assert np.array_equal(dofs, np.arange(nxp) * nxp)
 
+    def test_right_and_top_sides(self):
+        part = BoundaryPartition.from_names(
+            {"left": "robin", "right": "dirichlet",
+             "bottom": "neumann", "top": "dirichlet"})
+        mesh = classify_boundary(build_rect_mesh(UNIT, 3, 2), part, "potential")
+        for p in (1, 2, 3):
+            dofmap = build_dofmap(mesh, SpaceLayout(p=p),
+                                  active_facets(mesh, _pot_problem(part)))
+            lattice = np.arange(dofmap.n_field).reshape(2 * p + 1, 3 * p + 1)
+            assert np.array_equal(dirichlet_field_dofs(mesh, dofmap),
+                                  np.union1d(lattice[:, -1], lattice[-1]))
+
     def test_empty_without_dirichlet_facets(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
@@ -136,6 +148,16 @@ class TestSolveSpd:
     def test_nonpositive_diagonal_raises(self):
         with pytest.raises(SolverError, match="not SPD / no convergence"):
             solve_spd(_hand_system([[-1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]))
+
+    @pytest.mark.parametrize("dense_limit", [solver_mod.DENSE_LIMIT, 1])
+    def test_non_finite_system_raises_on_every_path(self, monkeypatch,
+                                                    dense_limit):
+        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", dense_limit)
+        for matrix, rhs in [([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+                            ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 1.0]),
+                            ([[np.nan, 0.0], [0.0, 1.0]], [0.0, 0.0])]:
+            with pytest.raises(SolverError, match="non-finite"):
+                solve_spd(_hand_system(matrix, rhs))
 
     def test_pcg_path_matches_dense(self, monkeypatch):
         mesh = build_rect_mesh(UNIT, 2, 2)
@@ -178,19 +200,6 @@ class TestAssemble:
             row[dof] -= 1.0
             assert np.all(row == 0.0)
             assert system.rhs[dof] == 0.0
-
-    def test_unconstrained_assembly_keeps_couplings(self):
-        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2),
-                                 POT_PARTITION, "potential")
-        problem = _pot_problem(S=("x", "0"))
-        dofmap = build_dofmap(mesh, SpaceLayout(p=1),
-                              active_facets(mesh, problem))
-        system = assemble(mesh, dofmap, problem, constrain=False)
-        A = system.matrix.toarray()
-        dof = system.constrained[0]
-        off_diag = np.abs(np.delete(A[dof], dof)).max()
-        assert off_diag > 0.0
-
 
 class TestSolveDpg:
     def test_zero_loads_give_zero_solution(self):
