@@ -99,22 +99,16 @@ def _positive_int(block: dict, key: str, default: int) -> int:
 
 def layout_from_config(cfg: dict) -> SpaceLayout:
     disc = _block(cfg, "discretization")
+    unknown = sorted(set(disc) - {"p", "delta_p"})
+    if unknown:
+        raise CliError("config", "unknown 'discretization' key(s): "
+                       + ", ".join(map(repr, unknown)))
     p = _positive_int(disc, "p", 1)
     delta_p = _positive_int(disc, "delta_p", 1)
     try:
         return SpaceLayout(p, delta_p)
     except ValueError as exc:
         raise CliError("config", str(exc)) from None
-
-
-def quad_from_config(cfg: dict) -> int | None:
-    disc = _block(cfg, "discretization")
-    q = disc.get("quad_order")
-    if q is None:
-        return None
-    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-        raise CliError("config", "'quad_order' must be a positive integer")
-    return q
 
 
 def tol_from_config(cfg: dict) -> float:
@@ -187,8 +181,7 @@ def cmd_solve(cfg: dict, outdir: Path) -> dict:
     mesh = classify_boundary(build_rect_mesh(domain, nx, ny), partition,
                              problem.kind)
     solution, info, system = solve_dpg(mesh, problem, layout,
-                                       tol=tol_from_config(cfg),
-                                       n_quad=quad_from_config(cfg))
+                                       tol=tol_from_config(cfg))
     dofmap = system.dofmap
     report = {
         "command": "solve",
@@ -227,7 +220,6 @@ def cmd_convergence(cfg: dict, outdir: Path) -> dict:
     base_n = _positive_int(cfg, "base_n", 8)
     report = eoc_study(case, layout.p, levels, delta_p=layout.delta_p,
                        base_n=base_n, tol=tol_from_config(cfg),
-                       n_quad=quad_from_config(cfg),
                        with_oracle=bool(cfg.get("with_oracle", False)))
     out = report.to_json_dict()
     out["command"] = "convergence"
@@ -243,14 +235,13 @@ def cmd_infsup(cfg: dict, outdir: Path) -> dict:
     layout = layout_from_config(cfg)
     levels = _positive_int(cfg, "levels", 3)
     base_n = _positive_int(cfg, "base_n", 1)
-    n_quad = quad_from_config(cfg)
     rows = []
     for lvl in range(levels):
         n = base_n * 2 ** lvl
         mesh = classify_boundary(build_rect_mesh(domain, n, n), partition,
                                  problem.kind)
         dofmap = build_dofmap(mesh, layout, active_facets(mesh, problem))
-        alpha = infsup_constant(mesh, problem, layout, n_quad)
+        alpha = infsup_constant(mesh, problem, layout)
         rows.append((lvl, n, dofmap.n_total, alpha))
     report = {
         "command": "infsup",

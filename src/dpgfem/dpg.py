@@ -110,15 +110,16 @@ class GeometryKernels:
 
     gram/gram_factor hold the unweighted enriched H1 Gram
     int_K (r_a r_b + grad r_a . grad r_b), used for trial-side measures;
-    the problem's test norm is built by test_gram(eps).
+    the problem's test norm is built by test_gram(eps). n_quad Gauss points
+    per direction: by default p + delta_p + 1, exact for the enriched Gram;
+    the verify error measures ask for p + delta_p + 2.
     """
 
     def __init__(self, layout: SpaceLayout, dx: float, dy: float,
                  n_quad: int | None = None):
         self.layout = layout
         self.dx, self.dy = float(dx), float(dy)
-        self.n_quad = int(n_quad) if n_quad else layout.default_quad_points
-        n = self.n_quad
+        n = n_quad or layout.default_quad_points
 
         vol = tensor_quad(n)
         self.jac = 0.25 * self.dx * self.dy

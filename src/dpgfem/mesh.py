@@ -9,7 +9,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -175,17 +175,6 @@ class Mesh:
 
     def facet_endpoints(self, f: int) -> np.ndarray:
         return self.vertices[self.facet_verts[f]]
-
-    def summary(self) -> dict:
-        tags = {t.name.lower(): int(np.sum(self.facet_tags == int(t))) for t in FacetTag}
-        return {
-            "nx": self.nx,
-            "ny": self.ny,
-            "n_elements": self.n_elems,
-            "n_facets": self.n_facets,
-            "facet_counts": tags,
-            "h_max": self.h_max,
-        }
 
 
 def facet_geometry(mesh: Mesh, f: int):

@@ -208,7 +208,7 @@ def sample(fn, points: np.ndarray, name: str, normals=None) -> np.ndarray:
     return out.reshape(points.shape[:-1] + out.shape[1:])
 
 
-def validate_problem(spec, mesh: Mesh, n_quad: int = 4):
+def validate_problem(spec, mesh: Mesh):
     """Check every model assumption; raises listing all violations at once
     (a non-finite beta sampled on Gamma_R raises on its own, from `sample`).
 
@@ -236,9 +236,9 @@ def validate_problem(spec, mesh: Mesh, n_quad: int = 4):
             violations.append("invalid partition: potential problem requires "
                               "non-empty Neumann and Robin boundary parts")
         if robin.size:
-            # n_quad Gauss points on each Robin facet, (n_robin, n_quad, 2)
+            # 4 Gauss points on each Robin facet, (n_robin, 4, 2)
             ends = mesh.vertices[mesh.facet_verts[robin]]
-            t = 0.5 * (gauss_1d(n_quad).points + 1.0)
+            t = 0.5 * (gauss_1d(4).points + 1.0)
             pts = ends[:, :1] + t[:, None] * (ends[:, 1:] - ends[:, :1])
             beta_min = sample(spec.beta, pts, "beta").min()
             if not beta_min > 0:

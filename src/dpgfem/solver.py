@@ -33,7 +33,6 @@ class GlobalSystem:
     rhs: np.ndarray
     dofmap: DofMap
     constrained: np.ndarray
-    kind: str
 
 
 @dataclass
@@ -89,10 +88,9 @@ def eliminate_dofs(matrix: sp.spmatrix, rhs: np.ndarray,
     return (P @ matrix @ P + sp.diags(1.0 - keep)).tocsr()
 
 
-def assemble(mesh: Mesh, dofmap: DofMap, problem,
-             n_quad: int | None = None) -> GlobalSystem:
+def assemble(mesh: Mesh, dofmap: DofMap, problem) -> GlobalSystem:
     layout = dofmap.layout
-    geom = geometry_kernels(layout, mesh.dx, mesh.dy, n_quad)
+    geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     kernels = ProblemKernels(geom, problem)
     n = dofmap.n_total
     rows, cols, vals = [], [], []
@@ -115,7 +113,7 @@ def assemble(mesh: Mesh, dofmap: DofMap, problem,
     if constrained.size:
         matrix = eliminate_dofs(matrix, rhs, constrained)
     matrix.sort_indices()
-    return GlobalSystem(matrix, rhs, dofmap, constrained, problem.kind)
+    return GlobalSystem(matrix, rhs, dofmap, constrained)
 
 
 def solve_spd(system: GlobalSystem, tol: float = 1e-10):
@@ -177,9 +175,9 @@ def solve_spd(system: GlobalSystem, tol: float = 1e-10):
     raise SolverError(f"not SPD / no convergence: {max_iter} iterations exceeded")
 
 
-def compute_indicators(mesh: Mesh, dofmap: DofMap, problem, coeffs: np.ndarray,
-                       n_quad: int | None = None) -> np.ndarray:
-    geom = geometry_kernels(dofmap.layout, mesh.dx, mesh.dy, n_quad)
+def compute_indicators(mesh: Mesh, dofmap: DofMap, problem,
+                       coeffs: np.ndarray) -> np.ndarray:
+    geom = geometry_kernels(dofmap.layout, mesh.dx, mesh.dy)
     kernels = ProblemKernels(geom, problem)
     out = np.empty((mesh.n_elems, 2))
     for group in dofmap.element_groups():
@@ -206,15 +204,14 @@ def extract_solution(coeffs: np.ndarray, dofmap: DofMap,
     )
 
 
-def solve_dpg(mesh: Mesh, problem, layout: SpaceLayout, tol: float = 1e-10,
-              n_quad: int | None = None):
+def solve_dpg(mesh: Mesh, problem, layout: SpaceLayout, tol: float = 1e-10):
     """Assemble, solve, and post-process one DPG run.
 
     Returns (Solution, SolveInfo, GlobalSystem).
     """
     validate_problem(problem, mesh)
     dofmap = build_dofmap(mesh, layout, active_facets(mesh, problem))
-    system = assemble(mesh, dofmap, problem, n_quad)
+    system = assemble(mesh, dofmap, problem)
     coeffs, info = solve_spd(system, tol)
-    indicators = compute_indicators(mesh, dofmap, problem, coeffs, n_quad)
+    indicators = compute_indicators(mesh, dofmap, problem, coeffs)
     return extract_solution(coeffs, dofmap, indicators), info, system

@@ -1,9 +1,9 @@
 """Verification tools: error norms, trace dual norms, a classical Galerkin
-oracle, convergence studies, and discrete inf-sup constants."""
+oracle, convergence studies, and discrete inf-sup constants. The error
+measures use p + delta_p + 2 Gauss points, one more than the DPG kernels."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +29,10 @@ from dpgfem.solver import (
 INFSUP_DOF_CAP = 600
 
 
-def _error_quad(layout: SpaceLayout, n_quad: int | None) -> int:
-    return n_quad if n_quad else layout.default_quad_points + 1
+def _error_kernels(mesh: Mesh, layout: SpaceLayout):
+    """Tabulations for the error measures, with p + delta_p + 2 points."""
+    return geometry_kernels(layout, mesh.dx, mesh.dy,
+                            layout.default_quad_points + 1)
 
 
 def _field_values(geom, dofmap, coeffs: np.ndarray) -> np.ndarray:
@@ -38,20 +40,16 @@ def _field_values(geom, dofmap, coeffs: np.ndarray) -> np.ndarray:
     return coeffs[dofmap.elem_field] @ geom.field_val.T
 
 
-def field_l2(mesh: Mesh, dofmap, coeffs: np.ndarray,
-             n_quad: int | None = None) -> float:
+def field_l2(mesh: Mesh, dofmap, coeffs: np.ndarray) -> float:
     """L2 norm of a field-space function given by its coefficients."""
-    geom = geometry_kernels(dofmap.layout, mesh.dx, mesh.dy,
-                            _error_quad(dofmap.layout, n_quad))
+    geom = _error_kernels(mesh, dofmap.layout)
     vals = _field_values(geom, dofmap, coeffs)
     return float(np.sqrt(np.sum((vals * vals) @ geom.wvol)))
 
 
-def field_boundary_l2(mesh: Mesh, dofmap, coeffs: np.ndarray, tag: FacetTag,
-                      n_quad: int | None = None) -> float:
+def field_boundary_l2(mesh: Mesh, dofmap, coeffs: np.ndarray, tag: FacetTag) -> float:
     """L2 norm of the field's trace over all boundary facets with a tag."""
-    geom = geometry_kernels(dofmap.layout, mesh.dx, mesh.dy,
-                            _error_quad(dofmap.layout, n_quad))
+    geom = _error_kernels(mesh, dofmap.layout)
     total = 0.0
     for k in range(4):
         on_tag = mesh.facet_tags[mesh.elem_facets[:, k]] == int(tag)
@@ -60,11 +58,10 @@ def field_boundary_l2(mesh: Mesh, dofmap, coeffs: np.ndarray, tag: FacetTag,
     return float(np.sqrt(total))
 
 
-def field_l2_error(mesh: Mesh, dofmap, coeffs: np.ndarray, exact,
-                   n_quad: int | None = None) -> tuple[float, float]:
+def field_l2_error(mesh: Mesh, dofmap, coeffs: np.ndarray,
+                   exact) -> tuple[float, float]:
     """(L2 error, L2 norm of exact) for the scalar field."""
-    geom = geometry_kernels(dofmap.layout, mesh.dx, mesh.dy,
-                            _error_quad(dofmap.layout, n_quad))
+    geom = _error_kernels(mesh, dofmap.layout)
     pts = geom.vol_points(mesh.element_origin(np.arange(mesh.n_elems)))
     ex = sample(exact, pts, "exact field")
     diff = _field_values(geom, dofmap, coeffs) - ex
@@ -72,11 +69,11 @@ def field_l2_error(mesh: Mesh, dofmap, coeffs: np.ndarray, exact,
             float(np.sqrt(np.sum((ex * ex) @ geom.wvol))))
 
 
-def flux_l2_error(mesh: Mesh, dofmap, flux_coeffs: np.ndarray, exact_flux,
-                  n_quad: int | None = None) -> tuple[float, float]:
+def flux_l2_error(mesh: Mesh, dofmap, flux_coeffs: np.ndarray,
+                  exact_flux) -> tuple[float, float]:
     """(L2 error, L2 norm of exact) for the vector flux."""
     layout = dofmap.layout
-    geom = geometry_kernels(layout, mesh.dx, mesh.dy, _error_quad(layout, n_quad))
+    geom = _error_kernels(mesh, layout)
     pts = geom.vol_points(mesh.element_origin(np.arange(mesh.n_elems)))
     ex = sample(exact_flux, pts, "exact flux")
     modes = flux_coeffs.reshape(mesh.n_elems, 2, layout.n_flux_scalar)
@@ -87,13 +84,13 @@ def flux_l2_error(mesh: Mesh, dofmap, flux_coeffs: np.ndarray, exact_flux,
 
 
 def project_trace(mesh: Mesh, layout: SpaceLayout, active: np.ndarray,
-                  normal_flux, n_quad: int | None = None) -> np.ndarray:
+                  normal_flux) -> np.ndarray:
     """Facetwise L2 projection of a normal-flux function onto the trace space.
 
     normal_flux is evaluated against each facet's global unit normal, so the
     result is single-valued like the trace unknowns.
     """
-    line = gauss_1d(_error_quad(layout, n_quad))
+    line = gauss_1d(layout.default_quad_points + 1)
     basis = tabulate_facet_basis(layout.p - 1, line.points)
     active = np.sort(np.asarray(active, dtype=np.int64))
     ends = mesh.vertices[mesh.facet_verts[active]]
@@ -109,8 +106,7 @@ def project_trace(mesh: Mesh, layout: SpaceLayout, active: np.ndarray,
 
 
 def skeleton_dual_norm(mesh: Mesh, layout: SpaceLayout, active: np.ndarray,
-                       trace_coeffs: np.ndarray,
-                       n_quad: int | None = None) -> float:
+                       trace_coeffs: np.ndarray) -> float:
     """Discrete dual norm of a trace function over the active skeleton.
 
     The supremum of <sigma, u> / ||u||_H1 over the broken enriched test
@@ -119,7 +115,7 @@ def skeleton_dual_norm(mesh: Mesh, layout: SpaceLayout, active: np.ndarray,
     of the geometry, not a problem's weighted test norm, so the measure
     does not depend on the problem data.
     """
-    geom = geometry_kernels(layout, mesh.dx, mesh.dy, n_quad)
+    geom = _error_kernels(mesh, layout)
     slot = np.full(mesh.n_facets, -1)
     slot[np.sort(np.asarray(active, dtype=np.int64))] = np.arange(len(active))
     modes = trace_coeffs.reshape(-1, layout.p)
@@ -147,30 +143,26 @@ class ErrorNorms:
         return float(np.hypot(self.e_field, self.e_flux))
 
 
-def error_norms(mesh: Mesh, dofmap, solution, case: ManufacturedCase,
-                n_quad: int | None = None) -> ErrorNorms:
+def error_norms(mesh: Mesh, dofmap, solution, case: ManufacturedCase) -> ErrorNorms:
     """Field/flux L2 errors and the trace error in the skeleton dual norm.
 
     The trace is compared against the facetwise L2 projection of the exact
     normal flux on active facets.
     """
     e_field, n_field = field_l2_error(mesh, dofmap, solution.field,
-                                      case.exact_field, n_quad)
+                                      case.exact_field)
     e_flux, n_flux = flux_l2_error(mesh, dofmap, solution.flux,
-                                   case.exact_flux, n_quad)
+                                   case.exact_flux)
     active = dofmap.active_facets
-    proj = project_trace(mesh, dofmap.layout, active, case.exact_normal_flux,
-                         n_quad)
-    nq = _error_quad(dofmap.layout, n_quad)
+    proj = project_trace(mesh, dofmap.layout, active, case.exact_normal_flux)
     e_trace = skeleton_dual_norm(mesh, dofmap.layout, active,
-                                 solution.trace - proj, nq)
-    n_trace = skeleton_dual_norm(mesh, dofmap.layout, active, proj, nq)
+                                 solution.trace - proj)
+    n_trace = skeleton_dual_norm(mesh, dofmap.layout, active, proj)
     return ErrorNorms(e_field, e_flux, e_trace, n_field, n_flux, n_trace)
 
 
 def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
-                             tol: float = 1e-10,
-                             n_quad: int | None = None) -> np.ndarray:
+                             tol: float = 1e-10) -> np.ndarray:
     """Continuous Galerkin solve of the same BVP on the field space alone.
 
     Concentration: (c, r) + dt (D grad c, grad r) = (c_prev, r) - dt <J, r>.
@@ -178,7 +170,7 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
     -(S, grad zeta) - <I, zeta>_N - <R, zeta>_R with phi = 0 on the
     Dirichlet part. Independent discretization used as an oracle.
     """
-    geom = geometry_kernels(layout, mesh.dx, mesh.dy, n_quad)
+    geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     dofmap = build_dofmap(mesh, layout, np.empty(0, dtype=np.int64))
     n = dofmap.n_field
     w = geom.wvol[:, None]
@@ -230,7 +222,7 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
         constrained = dirichlet_field_dofs(mesh, dofmap)
         if constrained.size:
             matrix = eliminate_dofs(matrix, rhs, constrained)
-    system = GlobalSystem(matrix, rhs, dofmap, constrained, problem.kind)
+    system = GlobalSystem(matrix, rhs, dofmap, constrained)
     coeffs, _info = solve_spd(system, tol)
     return coeffs
 
@@ -246,10 +238,9 @@ class EocRow:
     e_trace: float
     eta: float
     iterations: int
-    runtime: float
     oracle_e_field: float | None = None
-    # true when errors sit at the solver-tolerance floor (exact
-    # reproduction); rates computed from such rows are meaningless
+    # true when the trial space contains the exact solution, so errors sit
+    # at the solver-tolerance floor; rates from such rows are meaningless
     floor: bool = False
 
     @property
@@ -261,8 +252,8 @@ class EocRow:
 class EocReport:
     """Mesh-refinement study; rates are log2 ratios of consecutive levels.
 
-    Runtimes are kept in memory for console reports but never written to
-    CSV/JSON so identical configs yield bit-identical output files.
+    No wall-clock data is kept, so identical configs yield bit-identical
+    CSV/JSON output files.
     """
 
     case: str
@@ -329,39 +320,30 @@ def case_mesh(case: ManufacturedCase, n: int) -> Mesh:
 
 
 def eoc_study(case, p: int, levels: int, delta_p: int = 1, base_n: int = 8,
-              tol: float = 1e-10, n_quad: int | None = None,
-              with_oracle: bool = False, verbose: bool = False) -> EocReport:
+              tol: float = 1e-10, with_oracle: bool = False) -> EocReport:
     """Solve a manufactured case on base_n, 2*base_n, ... meshes."""
     if isinstance(case, str):
         case = manufactured_case(case)
     layout = SpaceLayout(p, delta_p)
+    floor = case.poly_degree is not None and case.poly_degree <= p
     rows = []
     for lvl in range(levels):
         n = base_n * 2 ** lvl
         mesh = case_mesh(case, n)
-        t0 = time.perf_counter()
-        solution, info, system = solve_dpg(mesh, case.problem, layout,
-                                           tol=tol, n_quad=n_quad)
-        runtime = time.perf_counter() - t0
-        norms = error_norms(mesh, system.dofmap, solution, case, n_quad)
+        solution, info, system = solve_dpg(mesh, case.problem, layout, tol=tol)
+        norms = error_norms(mesh, system.dofmap, solution, case)
         oracle = None
         if with_oracle:
-            gal = classical_galerkin_solve(mesh, case.problem, layout, tol, n_quad)
+            gal = classical_galerkin_solve(mesh, case.problem, layout, tol)
             oracle = field_l2_error(mesh, system.dofmap, gal,
-                                    case.exact_field, n_quad)[0]
-        scale = norms.norm_field + norms.norm_flux + 1.0
+                                    case.exact_field)[0]
         rows.append(EocRow(lvl, n, mesh.h_max, system.dofmap.n_total,
                            norms.e_field, norms.e_flux, norms.e_trace,
-                           solution.eta, info.iterations, runtime, oracle,
-                           floor=norms.e_combined <= 1e-11 * scale))
-        if verbose:
-            print(f"{case.name} p={p} n={n:4d} dofs={rows[-1].dofs:7d} "
-                  f"e_field={norms.e_field:.3e} e_flux={norms.e_flux:.3e} "
-                  f"eta={solution.eta:.3e} [{runtime:.2f}s]")
+                           solution.eta, info.iterations, oracle, floor))
     return EocReport(case.name, p, delta_p, rows)
 
 
-def trial_gram_dense(mesh: Mesh, dofmap, n_quad: int | None = None) -> np.ndarray:
+def trial_gram_dense(mesh: Mesh, dofmap) -> np.ndarray:
     """Dense trial-space Gram: H1 for the field, L2 for the flux, and the
     skeleton dual norm for the traces.
 
@@ -369,7 +351,7 @@ def trial_gram_dense(mesh: Mesh, dofmap, n_quad: int | None = None) -> np.ndarra
     skeleton_dual_norm does), not the problem's weighted test norm, so
     inf-sup constants of different problems share one trial norm."""
     layout = dofmap.layout
-    geom = geometry_kernels(layout, mesh.dx, mesh.dy, n_quad)
+    geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     n = dofmap.n_total
     M = np.zeros((n, n))
     w = geom.wvol[:, None]
@@ -391,19 +373,18 @@ def trial_gram_dense(mesh: Mesh, dofmap, n_quad: int | None = None) -> np.ndarra
     return M
 
 
-def infsup_constant(mesh: Mesh, problem, layout: SpaceLayout,
-                    n_quad: int | None = None) -> float:
+def infsup_constant(mesh: Mesh, problem, layout: SpaceLayout) -> float:
     """Discrete inf-sup constant: sqrt of the smallest eigenvalue of the
     condensed DPG matrix against the trial-space Gram."""
     dofmap = build_dofmap(mesh, layout, active_facets(mesh, problem))
     if dofmap.n_total > INFSUP_DOF_CAP:
         raise ValueError(f"size cap exceeded: {dofmap.n_total} trial dofs "
                          f"(limit {INFSUP_DOF_CAP}) for the dense eigensolve")
-    system = assemble(mesh, dofmap, problem, n_quad)
+    system = assemble(mesh, dofmap, problem)
     # restricted to the free dofs, the eliminated matrix is the unconstrained one
     free = np.setdiff1d(np.arange(dofmap.n_total), system.constrained)
     A = system.matrix.toarray()[np.ix_(free, free)]
     A = 0.5 * (A + A.T)
-    M = trial_gram_dense(mesh, dofmap, n_quad)[np.ix_(free, free)]
+    M = trial_gram_dense(mesh, dofmap)[np.ix_(free, free)]
     vals = scipy.linalg.eigh(A, M, eigvals_only=True)
     return float(np.sqrt(max(vals[0], 0.0)))

@@ -327,3 +327,18 @@ class TestErrorHandling:
                                      "--outdir", str(tmp_path / "out")])
         assert code == 1
         assert json.loads(out)["error"]["code"] == "config"
+
+    def test_unknown_discretization_key(self, tmp_path, capsys):
+        # a key the discretization block does not know (quad_order was
+        # removed) must not be ignored silently
+        cfg = write_config(tmp_path, {
+            "manufactured": "pot-trig",
+            "mesh": {"nx": 2, "ny": 2},
+            "discretization": {"p": 1, "quad_order": 3},
+        })
+        code, out = run_cli(capsys, ["solve", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "config"
+        assert "'quad_order'" in err["message"]

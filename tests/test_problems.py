@@ -190,13 +190,13 @@ class TestValidateProblem:
 
         problem = PotentialProblem(kappa=1.0, beta=beta, S=(0.0, 0.0),
                                    I=0.0, R=0.0, partition=POT_PARTITION)
-        validate_problem(problem, mesh, n_quad=3)
-        t = 0.5 * (gauss_1d(3).points + 1.0)
+        validate_problem(problem, mesh)
+        t = 0.5 * (gauss_1d(4).points + 1.0)
         expected = [a + s * (b - a)
                     for a, b in map(mesh.facet_endpoints,
                                     mesh.facets_with_tag(FacetTag.ROBIN))
                     for s in t]
-        assert len(seen) == 2 * 3 * 3
+        assert len(seen) == 2 * 3 * 4
         assert np.allclose(seen, expected, rtol=0.0, atol=1e-15)
 
     def test_reference_cases_pass(self):

@@ -47,7 +47,7 @@ def _pot_problem(partition=POT_PARTITION, **overrides):
 def _hand_system(matrix, rhs):
     return GlobalSystem(sp.csr_matrix(np.asarray(matrix, dtype=float)),
                         np.asarray(rhs, dtype=float),
-                        None, np.empty(0, dtype=np.int64), "test")
+                        None, np.empty(0, dtype=np.int64))
 
 
 class TestGroupedAssembly:

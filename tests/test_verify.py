@@ -296,6 +296,15 @@ class TestEocStudy:
         assert all(row.floor for row in report.rows)
         assert all(row.e_field <= 1e-9 for row in report.rows)
 
+    @pytest.mark.parametrize("name, p, floor", [
+        ("conc-poly2", 2, True), ("pot-poly2", 2, True),
+        ("pot-poly2", 3, True), ("conc-poly2", 1, False)])
+    def test_floor_follows_the_case_not_the_solver_path(self, name, p, floor):
+        # 16^2 is solved by PCG, whose tolerance leaves errors far above
+        # the dense-solve floor of the coarser levels
+        report = eoc_study(name, p=p, levels=3, base_n=4)
+        assert [row.floor for row in report.rows] == [floor] * 3
+
     def test_h_halves_between_levels(self):
         report = eoc_study("conc-trig", p=1, levels=3, base_n=2)
         hs = [row.h for row in report.rows]
