@@ -83,6 +83,29 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+_PROBLEM_KEYS = {"manufactured", "problem", "coefficients", "boundary", "mesh",
+                 "discretization"}
+CONFIG_KEYS = {
+    "solve": _PROBLEM_KEYS | {"solver_tol"},
+    "convergence": {"manufactured", "discretization", "levels", "base_n",
+                    "solver_tol", "with_oracle"},
+    "infsup": _PROBLEM_KEYS | {"levels", "base_n"},
+    "bv": {"bv"},
+}
+COEFFICIENT_KEYS = {"concentration": {"D", "dt", "c_prev", "J"},
+                    "potential": {"kappa", "beta", "Sx", "Sy", "I", "R"}}
+BV_REQUIRED = ("k_bv", "F", "R_gas", "T", "c_smax", "c_e", "c_s", "phi_e")
+
+
+def _check_keys(block: dict, allowed, where: str) -> None:
+    """A key outside `allowed` is a config error, never a silent default."""
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise CliError("config", f"unknown {where} key(s): "
+                       + ", ".join(map(repr, unknown)) + " (allowed: "
+                       + ", ".join(map(repr, sorted(allowed))) + ")")
+
+
 def _block(cfg: dict, key: str) -> dict:
     block = cfg.get(key, {})
     if not isinstance(block, dict):
@@ -99,10 +122,7 @@ def _positive_int(block: dict, key: str, default: int) -> int:
 
 def layout_from_config(cfg: dict) -> SpaceLayout:
     disc = _block(cfg, "discretization")
-    unknown = sorted(set(disc) - {"p", "delta_p"})
-    if unknown:
-        raise CliError("config", "unknown 'discretization' key(s): "
-                       + ", ".join(map(repr, unknown)))
+    _check_keys(disc, {"p", "delta_p"}, "'discretization'")
     p = _positive_int(disc, "p", 1)
     delta_p = _positive_int(disc, "delta_p", 1)
     try:
@@ -128,13 +148,19 @@ def partition_from_config(cfg: dict, kind: str) -> BoundaryPartition:
     return BoundaryPartition.from_names(block)
 
 
-def mesh_size_from_config(cfg: dict) -> tuple[int, int]:
+def _mesh_block(cfg: dict) -> dict:
     block = _block(cfg, "mesh")
+    _check_keys(block, {"nx", "ny", "x0", "x1", "y0", "y1"}, "'mesh'")
+    return block
+
+
+def mesh_size_from_config(cfg: dict) -> tuple[int, int]:
+    block = _mesh_block(cfg)
     return _positive_int(block, "nx", 8), _positive_int(block, "ny", 8)
 
 
 def domain_from_config(cfg: dict) -> Rectangle:
-    block = _block(cfg, "mesh")
+    block = _mesh_block(cfg)
     vals = []
     for key, default in (("x0", 0.0), ("x1", 1.0), ("y0", 0.0), ("y1", 1.0)):
         v = block.get(key, default)
@@ -153,6 +179,8 @@ def problem_from_config(cfg: dict):
     kind = cfg.get("problem")
     coeff = _block(cfg, "coefficients")
     domain = domain_from_config(cfg)
+    if kind in COEFFICIENT_KEYS:
+        _check_keys(coeff, COEFFICIENT_KEYS[kind], f"{kind} 'coefficients'")
     if kind == "concentration":
         partition = partition_from_config(cfg, kind)
         problem = ConcentrationProblem(D=coeff.get("D", 1.0),
@@ -258,11 +286,11 @@ def cmd_infsup(cfg: dict, outdir: Path) -> dict:
 
 def cmd_bv(cfg: dict, outdir: Path) -> dict:
     block = _block(cfg, "bv")
-    required = ("k_bv", "F", "R_gas", "T", "c_smax", "c_e", "c_s", "phi_e")
-    missing = [k for k in required if k not in block]
+    _check_keys(block, BV_REQUIRED + ("t_plus", "phi_open"), "'bv'")
+    missing = [k for k in BV_REQUIRED if k not in block]
     if missing:
         raise CliError("config", f"bv block missing keys: {', '.join(missing)}")
-    for key in required + ("t_plus",):
+    for key in BV_REQUIRED + ("t_plus",):
         if key in block and (not isinstance(block[key], (int, float))
                              or isinstance(block[key], bool)):
             raise CliError("config", f"bv key {key!r} must be a number")
@@ -286,6 +314,7 @@ COMMANDS = {"solve": cmd_solve, "convergence": cmd_convergence,
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
     cfg = load_config(args.config)
+    _check_keys(cfg, CONFIG_KEYS[args.command], f"{args.command!r} config")
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

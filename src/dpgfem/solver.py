@@ -1,15 +1,31 @@
 """Global assembly, essential boundary conditions, SPD solve, extraction.
 
-Assembly walks the element groups of the dof map in order and
-scatter-adds the condensed element matrices of each group; repeated runs
-produce bit-identical systems. Dirichlet field dofs (potential problem)
-are eliminated symmetrically: rows and columns zeroed, unit diagonal,
-zero right-hand side.
+Local/skeleton split. The flux unknowns are element-local (broken L2)
+and the interior nodes of an element's field lattice (1 <= ix, iy <= p-1)
+couple only within that element. These local unknowns L are eliminated
+group by group before the scatter: from the element system S u = r of
+`condense_local`, assembly forms the Schur complement
+S_GG - S_GL S_LL^-1 S_LG and the load r_G - S_GL S_LL^-1 r_L over the
+element's skeleton unknowns G (the field nodes on element edges and the
+traces). A group that shares S needs one Cholesky factor of S_LL; Robin
+groups, whose S is stacked per element, take one batched solve. The
+global matrix therefore lives on the skeleton dofs only;
+`GlobalSystem.skeleton` maps its rows to the full numbering (field,
+flux, trace), and is ascending.
+
+Back-substitution. After the skeleton solve, `recover_local` sets the
+local unknowns of every element to u_L = S_LL^-1 r_L - S_LL^-1 S_LG u_G,
+so the indicators and the outputs see the full coefficient vector.
+
+Assembly walks the element groups of the dof map in order; repeated runs
+produce bit-identical systems. Dirichlet field dofs (potential problem),
+which are never local, are eliminated symmetrically from the skeleton
+system: rows and columns zeroed, unit diagonal, zero right-hand side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -20,7 +36,7 @@ from dpgfem.fespace import DofMap, SpaceLayout, build_dofmap
 from dpgfem.mesh import FacetTag, Mesh
 from dpgfem.problems import validate_problem
 
-DENSE_LIMIT = 2000
+DENSE_LIMIT = 1000
 
 
 class SolverError(RuntimeError):
@@ -28,11 +44,39 @@ class SolverError(RuntimeError):
 
 
 @dataclass
+class LocalSolve:
+    """Back-substitution data of one element group: u_L = y - X u_G.
+
+    local, skeleton: (n, n_L) and (n, n_G) full dofs of the group's local
+        and skeleton unknowns.
+    X: S_LL^-1 S_LG, (n_L x n_G) when shared by the group, else stacked
+        per element (n x n_L x n_G).
+    y: S_LL^-1 r_L per element (n x n_L).
+    """
+
+    local: np.ndarray
+    skeleton: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
+
+
+@dataclass
 class GlobalSystem:
+    """The linear system handed to `solve_spd`.
+
+    matrix, rhs: over the skeleton dofs when built by `assemble`.
+    constrained: Dirichlet field dofs in the full numbering.
+    skeleton: full dof of each row of matrix (ascending); None when the
+        rows are the full numbering.
+    local: one LocalSolve per element group.
+    """
+
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
     constrained: np.ndarray
+    skeleton: np.ndarray | None = None
+    local: list = field(default_factory=list)
 
 
 @dataclass
@@ -88,21 +132,78 @@ def eliminate_dofs(matrix: sp.spmatrix, rhs: np.ndarray,
     return (P @ matrix @ P + sp.diags(1.0 - keep)).tocsr()
 
 
+def skeleton_dofs(dofmap: DofMap) -> np.ndarray:
+    """Full dofs that stay in the global system, ascending: the field
+    lattice nodes on element edges, then every trace dof."""
+    p = dofmap.layout.p
+    nxp, nyp = dofmap.field_lattice_shape()
+    inside = (np.arange(nyp) % p != 0)[:, None] & (np.arange(nxp) % p != 0)
+    return np.concatenate([np.flatnonzero(~inside.ravel()),
+                           np.arange(dofmap.trace_offset, dofmap.n_total)])
+
+
+def _local_columns(layout: SpaceLayout, n_trial: int):
+    """Local trial columns (interior lattice nodes, then the flux) and the
+    remaining skeleton columns of an element system."""
+    p, nf = layout.p, layout.n_field_local
+    lattice = np.arange(nf).reshape(p + 1, p + 1)
+    local = np.concatenate([lattice[1:p, 1:p].ravel(),
+                            np.arange(nf, nf + layout.n_flux_local)])
+    return local, np.setdiff1d(np.arange(n_trial), local)
+
+
+def _condense_group(S: np.ndarray, r: np.ndarray, L: np.ndarray, G: np.ndarray):
+    """Eliminate the local columns L of a group's element systems.
+
+    Returns the Schur complement over G (shared or stacked, like S), the
+    condensed loads (n x n_G), and X = S_LL^-1 S_LG and y = S_LL^-1 r_L
+    for the back-substitution.
+    """
+    bad_s = int(np.count_nonzero(~np.isfinite(S)))
+    bad_r = int(np.count_nonzero(~np.isfinite(r)))
+    if bad_s or bad_r:
+        raise SolverError(f"non-finite system: {bad_s} element-matrix and "
+                          f"{bad_r} element-load entries are inf or NaN")
+    S_LL = S[..., L[:, None], L]
+    S_LG = S[..., L[:, None], G]
+    S_GG = S[..., G[:, None], G]
+    try:
+        if S.ndim == 2:
+            factor = scipy.linalg.cho_factor(S_LL, lower=True)
+            Xy = scipy.linalg.cho_solve(factor, np.hstack([S_LG, r[:, L].T]))
+            X, y = Xy[:, :G.size], Xy[:, G.size:].T
+        else:
+            Xy = np.linalg.solve(S_LL, np.concatenate([S_LG, r[:, L, None]], axis=-1))
+            X, y = Xy[..., :G.size], Xy[..., G.size]
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"not SPD / no convergence: local block: {exc}") from None
+    S_GL = np.swapaxes(S_LG, -1, -2)
+    S_c = S_GG - S_GL @ X
+    S_c = 0.5 * (S_c + np.swapaxes(S_c, -1, -2))
+    r_c = r[:, G] - (y[:, None, :] @ S_LG)[:, 0]
+    return S_c, r_c, X, y
+
+
 def assemble(mesh: Mesh, dofmap: DofMap, problem) -> GlobalSystem:
     layout = dofmap.layout
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     kernels = ProblemKernels(geom, problem)
-    n = dofmap.n_total
+    skeleton = skeleton_dofs(dofmap)
+    n = skeleton.size
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
+    local = []
     for group in dofmap.element_groups():
         S, r = condense_local(kernels.local_system(mesh, group))
-        dofs = group.dofs.astype(np.int32)
+        L, G = _local_columns(layout, r.shape[1])
+        S_c, r_c, X, y = _condense_group(S, r, L, G)
+        local.append(LocalSolve(group.dofs[:, L], group.dofs[:, G], X, y))
+        dofs = np.searchsorted(skeleton, group.dofs[:, G]).astype(np.int32)
         n_g, m = dofs.shape
         rows.append(np.repeat(dofs, m, axis=1).ravel())
         cols.append(np.tile(dofs, m).ravel())
-        vals.append(np.broadcast_to(S, (n_g, m, m)).ravel())
-        np.add.at(rhs, dofs, r)
+        vals.append(np.broadcast_to(S_c, (n_g, m, m)).ravel())
+        np.add.at(rhs, dofs, r_c)
     matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
@@ -111,9 +212,19 @@ def assemble(mesh: Mesh, dofmap: DofMap, problem) -> GlobalSystem:
     if problem.kind == "potential":
         constrained = dirichlet_field_dofs(mesh, dofmap)
     if constrained.size:
-        matrix = eliminate_dofs(matrix, rhs, constrained)
+        matrix = eliminate_dofs(matrix, rhs, np.searchsorted(skeleton, constrained))
     matrix.sort_indices()
-    return GlobalSystem(matrix, rhs, dofmap, constrained)
+    return GlobalSystem(matrix, rhs, dofmap, constrained, skeleton, local)
+
+
+def recover_local(system: GlobalSystem, x: np.ndarray) -> np.ndarray:
+    """Full coefficient vector from the skeleton solution x."""
+    coeffs = np.zeros(system.dofmap.n_total)
+    coeffs[system.skeleton] = x
+    for ls in system.local:
+        u_G = coeffs[ls.skeleton]
+        coeffs[ls.local] = ls.y - (ls.X @ u_G[:, :, None])[:, :, 0]
+    return coeffs
 
 
 def solve_spd(system: GlobalSystem, tol: float = 1e-10):
@@ -140,10 +251,13 @@ def solve_spd(system: GlobalSystem, tol: float = 1e-10):
         raise SolverError("not SPD / no convergence: nonpositive diagonal entry")
 
     if n <= DENSE_LIMIT:
+        # one n x n array: equilibrated and factored in place
         d = 1.0 / np.sqrt(diag)
-        As = (A.toarray() * d[:, None]) * d[None, :]
+        As = A.toarray(order="F")
+        As *= d[:, None]
+        As *= d[None, :]
         try:
-            factor = scipy.linalg.cho_factor(As, lower=True)
+            factor = scipy.linalg.cho_factor(As, lower=True, overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:
             raise SolverError(f"not SPD / no convergence: {exc}") from None
         x = d * scipy.linalg.cho_solve(factor, d * b)
@@ -205,13 +319,15 @@ def extract_solution(coeffs: np.ndarray, dofmap: DofMap,
 
 
 def solve_dpg(mesh: Mesh, problem, layout: SpaceLayout, tol: float = 1e-10):
-    """Assemble, solve, and post-process one DPG run.
+    """Assemble the skeleton system, solve it, recover the local unknowns
+    and compute the indicators of one DPG run.
 
     Returns (Solution, SolveInfo, GlobalSystem).
     """
     validate_problem(problem, mesh)
     dofmap = build_dofmap(mesh, layout, active_facets(mesh, problem))
     system = assemble(mesh, dofmap, problem)
-    coeffs, info = solve_spd(system, tol)
+    x, info = solve_spd(system, tol)
+    coeffs = recover_local(system, x)
     indicators = compute_indicators(mesh, dofmap, problem, coeffs)
     return extract_solution(coeffs, dofmap, indicators), info, system

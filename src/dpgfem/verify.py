@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from dpgfem.dpg import geometry_kernels
+from dpgfem.dpg import ProblemKernels, condense_local, geometry_kernels
 from dpgfem.fespace import SpaceLayout, build_dofmap, tabulate_facet_basis
 from dpgfem.manufactured import ManufacturedCase, manufactured_case
 from dpgfem.mesh import FacetTag, Mesh, build_rect_mesh, classify_boundary
@@ -19,7 +19,6 @@ from dpgfem.quadrature import gauss_1d
 from dpgfem.solver import (
     GlobalSystem,
     active_facets,
-    assemble,
     dirichlet_field_dofs,
     eliminate_dofs,
     solve_dpg,
@@ -350,10 +349,21 @@ def trial_gram_dense(mesh: Mesh, dofmap) -> np.ndarray:
     The trace block uses the unweighted H1 Gram of the geometry (as
     skeleton_dual_norm does), not the problem's weighted test norm, so
     inf-sup constants of different problems share one trial norm."""
+    return _dense_trial_forms(mesh, dofmap)[0]
+
+
+def _dense_trial_forms(mesh: Mesh, dofmap, problem=None):
+    """(trial Gram, DPG matrix) over the full trial space, dense. The DPG
+    matrix sums the `condense_local` blocks of each group before any local
+    elimination or boundary condition; it is None without a problem."""
     layout = dofmap.layout
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     n = dofmap.n_total
     M = np.zeros((n, n))
+    A = None
+    if problem is not None:
+        A = np.zeros((n, n))
+        kernels = ProblemKernels(geom, problem)
     w = geom.wvol[:, None]
     field_gram = ((geom.field_val * w).T @ geom.field_val
                   + (geom.field_gx * w).T @ geom.field_gx
@@ -370,21 +380,24 @@ def trial_gram_dense(mesh: Mesh, dofmap) -> np.ndarray:
                            C.T @ scipy.linalg.cho_solve(geom.gram_factor, C)))
         for dofs, block in blocks:
             np.add.at(M, (dofs[:, :, None], dofs[:, None, :]), block)
-    return M
+        if A is not None:
+            S, _ = condense_local(kernels.local_system(mesh, group))
+            np.add.at(A, (group.dofs[:, :, None], group.dofs[:, None, :]), S)
+    return M, A
 
 
 def infsup_constant(mesh: Mesh, problem, layout: SpaceLayout) -> float:
     """Discrete inf-sup constant: sqrt of the smallest eigenvalue of the
-    condensed DPG matrix against the trial-space Gram."""
+    DPG matrix against the trial-space Gram, both over the full trial
+    space (no local elimination) restricted to the free dofs."""
     dofmap = build_dofmap(mesh, layout, active_facets(mesh, problem))
     if dofmap.n_total > INFSUP_DOF_CAP:
         raise ValueError(f"size cap exceeded: {dofmap.n_total} trial dofs "
                          f"(limit {INFSUP_DOF_CAP}) for the dense eigensolve")
-    system = assemble(mesh, dofmap, problem)
-    # restricted to the free dofs, the eliminated matrix is the unconstrained one
-    free = np.setdiff1d(np.arange(dofmap.n_total), system.constrained)
-    A = system.matrix.toarray()[np.ix_(free, free)]
+    M, A = _dense_trial_forms(mesh, dofmap, problem)
+    free = np.setdiff1d(np.arange(dofmap.n_total),
+                        dirichlet_field_dofs(mesh, dofmap))
+    A = A[np.ix_(free, free)]
     A = 0.5 * (A + A.T)
-    M = trial_gram_dense(mesh, dofmap)[np.ix_(free, free)]
-    vals = scipy.linalg.eigh(A, M, eigvals_only=True)
+    vals = scipy.linalg.eigh(A, M[np.ix_(free, free)], eigvals_only=True)
     return float(np.sqrt(max(vals[0], 0.0)))

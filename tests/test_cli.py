@@ -328,6 +328,27 @@ class TestErrorHandling:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "config"
 
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("solve", {"manufactured": "pot-trig", "mesh": {"nx": 2, "ny": 2},
+                   "solvr_tol": 1e-12}, "'solvr_tol'"),
+        ("solve", {"manufactured": "pot-trig",
+                   "mesh": {"nx": 2, "ny": 2, "Nz": 2}}, "'Nz'"),
+        ("solve", {"problem": "concentration", "mesh": {"nx": 2, "ny": 2},
+                   "coefficients": {"D": 0.5, "kappa": 2.0}}, "'kappa'"),
+        ("convergence", {"manufactured": "pot-trig", "levels": 1,
+                         "base_n": 2, "mesh": {"nx": 2}}, "'mesh'"),
+        ("bv", {"bv": dict(BV_CONFIG["bv"], phi0=0.1)}, "'phi0'"),
+    ])
+    def test_unknown_config_key(self, tmp_path, capsys, command, cfg, key):
+        # a misspelt key must not fall back to a default silently
+        path = write_config(tmp_path, cfg)
+        code, out = run_cli(capsys, [command, "--config", path,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "config"
+        assert key in err["message"]
+
     def test_unknown_discretization_key(self, tmp_path, capsys):
         # a key the discretization block does not know (quad_order was
         # removed) must not be ignored silently

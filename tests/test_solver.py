@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import dpgfem.solver as solver_mod
+from dpgfem.dpg import ProblemKernels, condense_local, geometry_kernels
 from dpgfem.fespace import DofMap, SpaceLayout, build_dofmap
 from dpgfem.manufactured import manufactured_case
 from dpgfem.mesh import (
@@ -20,6 +22,7 @@ from dpgfem.solver import (
     active_facets,
     assemble,
     dirichlet_field_dofs,
+    eliminate_dofs,
     extract_solution,
     solve_dpg,
     solve_spd,
@@ -188,18 +191,86 @@ class TestAssemble:
         assert np.abs(asym).max() <= 1e-12 * scale
 
     def test_dirichlet_rows_replaced_by_identity(self):
+        # at p = 2 the skeleton numbering drops the interior lattice nodes,
+        # so the full-numbering Dirichlet dofs must go through the map
         mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2),
                                  POT_PARTITION, "potential")
         problem = _pot_problem(S=("x", "0"))
-        dofmap = build_dofmap(mesh, SpaceLayout(p=1),
+        dofmap = build_dofmap(mesh, SpaceLayout(p=2),
                               active_facets(mesh, problem))
         system = assemble(mesh, dofmap, problem)
         A = system.matrix.toarray()
-        for dof in system.constrained:
+        rows = np.searchsorted(system.skeleton, system.constrained)
+        assert np.array_equal(system.skeleton[rows], system.constrained)
+        assert not np.array_equal(rows, system.constrained)
+        for dof in rows:
             row = A[dof].copy()
             row[dof] -= 1.0
             assert np.all(row == 0.0)
             assert system.rhs[dof] == 0.0
+
+
+def _uncondensed_solve(mesh, problem, layout):
+    """Direct solve of the full system summed from the group blocks."""
+    dofmap = build_dofmap(mesh, layout, active_facets(mesh, problem))
+    kernels = ProblemKernels(geometry_kernels(layout, mesh.dx, mesh.dy),
+                             problem)
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(dofmap.n_total)
+    for group in dofmap.element_groups():
+        S, r = condense_local(kernels.local_system(mesh, group))
+        n_g, m = group.dofs.shape
+        rows.append(np.repeat(group.dofs, m, axis=1).ravel())
+        cols.append(np.tile(group.dofs, m).ravel())
+        vals.append(np.broadcast_to(S, (n_g, m, m)).ravel())
+        np.add.at(rhs, group.dofs, r)
+    matrix = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dofmap.n_total,) * 2)
+    constrained = np.empty(0, dtype=np.int64)
+    if problem.kind == "potential":
+        constrained = dirichlet_field_dofs(mesh, dofmap)
+    matrix = eliminate_dofs(matrix, rhs, constrained)
+    return spla.spsolve(matrix.tocsc(), rhs), dofmap
+
+
+class TestCondensation:
+    # pot-trig has Dirichlet, Neumann and (stacked-B) Robin groups
+    @pytest.mark.parametrize("name", ["pot-trig", "conc-trig"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_uncondensed_direct_solve(self, name, p):
+        case = manufactured_case(name)
+        mesh = case_mesh(case, 4)
+        layout = SpaceLayout(p=p)
+        solution, _, system = solve_dpg(mesh, case.problem, layout, tol=1e-13)
+        full, dofmap = _uncondensed_solve(mesh, case.problem, layout)
+        for got, want in ((solution.field, full[:dofmap.n_field]),
+                          (solution.flux,
+                           full[dofmap.flux_offset:dofmap.trace_offset]),
+                          (solution.trace, full[dofmap.trace_offset:])):
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("name", ["pot-trig", "conc-trig"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_local_unknowns_leave_the_global_system(self, name, p):
+        case = manufactured_case(name)
+        mesh = case_mesh(case, 4)
+        _, _, system = solve_dpg(mesh, case.problem, SpaceLayout(p=p))
+        n_local = 2 * p * p + (p - 1) ** 2
+        assert system.matrix.shape[0] == (system.dofmap.n_total
+                                          - mesh.n_elems * n_local)
+        assert system.skeleton.shape[0] == system.matrix.shape[0]
+
+    @pytest.mark.parametrize("S", [
+        np.array([[-1.0, 0.5], [0.5, 2.0]]),       # shared, S_LL negative
+        np.array([[[0.0, 0.5], [0.5, 2.0]]]),      # stacked, S_LL singular
+    ])
+    def test_bad_local_block_is_solver_error(self, S):
+        # local column 0, skeleton column 1
+        with pytest.raises(SolverError, match="not SPD"):
+            solver_mod._condense_group(S, np.ones((1, 2)), np.array([0]),
+                                       np.array([1]))
+
 
 class TestSolveDpg:
     def test_zero_loads_give_zero_solution(self):
