@@ -12,7 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-from dpgfem.expr import ExprDomainError, ExprSyntaxError
 from dpgfem.fespace import SpaceLayout, build_dofmap
 from dpgfem.manufactured import manufactured_case
 from dpgfem.mesh import (
@@ -95,6 +94,9 @@ CONFIG_KEYS = {
 COEFFICIENT_KEYS = {"concentration": {"D", "dt", "c_prev", "J"},
                     "potential": {"kappa", "beta", "Sx", "Sy", "I", "R"}}
 BV_REQUIRED = ("k_bv", "F", "R_gas", "T", "c_smax", "c_e", "c_s", "phi_e")
+# configs whose trial dof estimate exceeds this are rejected before any
+# allocation (see _check_size)
+MAX_DOFS = 2_000_000
 
 
 def _check_keys(block: dict, allowed, where: str) -> None:
@@ -159,6 +161,18 @@ def mesh_size_from_config(cfg: dict) -> tuple[int, int]:
     return _positive_int(block, "nx", 8), _positive_int(block, "ny", 8)
 
 
+def _check_size(nx: int, ny: int, p: int) -> None:
+    """Reject an nx x ny mesh before anything is allocated when its trial
+    dofs exceed MAX_DOFS. The estimate counts the field lattice, the flux
+    and a trace on every facet, a bound of the active ones."""
+    facets = nx * (ny + 1) + ny * (nx + 1)
+    dofs = (nx * p + 1) * (ny * p + 1) + 2 * p * p * nx * ny + p * facets
+    if dofs > MAX_DOFS:
+        raise CliError("config", f"problem too large: about {float(dofs):.3g} "
+                       f"trial dofs on a {nx} x {ny} mesh at p = {p} "
+                       f"(limit {MAX_DOFS:,})")
+
+
 def domain_from_config(cfg: dict) -> Rectangle:
     block = _mesh_block(cfg)
     vals = []
@@ -206,6 +220,7 @@ def cmd_solve(cfg: dict, outdir: Path) -> dict:
     case, problem, domain, partition = problem_from_config(cfg)
     nx, ny = mesh_size_from_config(cfg)
     layout = layout_from_config(cfg)
+    _check_size(nx, ny, layout.p)
     mesh = classify_boundary(build_rect_mesh(domain, nx, ny), partition,
                              problem.kind)
     solution, info, system = solve_dpg(mesh, problem, layout,
@@ -221,7 +236,8 @@ def cmd_solve(cfg: dict, outdir: Path) -> dict:
                  "trace": dofmap.n_total - dofmap.trace_offset,
                  "total": dofmap.n_total},
         "solver": {"method": info.method, "iterations": info.iterations,
-                   "relative_residual": info.relative_residual},
+                   "relative_residual": info.relative_residual,
+                   "levels": info.levels},
         "eta": solution.eta,
     }
     if case is not None:
@@ -246,6 +262,9 @@ def cmd_convergence(cfg: dict, outdir: Path) -> dict:
     layout = layout_from_config(cfg)
     levels = _positive_int(cfg, "levels", 4)
     base_n = _positive_int(cfg, "base_n", 8)
+    # finest mesh base_n * 2^(levels-1); capping the shift bounds the work
+    finest = base_n << min(levels - 1, 64)
+    _check_size(finest, finest, layout.p)
     report = eoc_study(case, layout.p, levels, delta_p=layout.delta_p,
                        base_n=base_n, tol=tol_from_config(cfg),
                        with_oracle=bool(cfg.get("with_oracle", False)))
@@ -263,6 +282,8 @@ def cmd_infsup(cfg: dict, outdir: Path) -> dict:
     layout = layout_from_config(cfg)
     levels = _positive_int(cfg, "levels", 3)
     base_n = _positive_int(cfg, "base_n", 1)
+    finest = base_n << min(levels - 1, 64)
+    _check_size(finest, finest, layout.p)
     rows = []
     for lvl in range(levels):
         n = base_n * 2 ** lvl
@@ -336,9 +357,6 @@ def main(argv=None) -> int:
         return 1
     except InvalidPartitionError as exc:
         _emit_error("validation", str(exc))
-        return 1
-    except (ExprSyntaxError, ExprDomainError) as exc:
-        _emit_error("config", f"{exc.args[0]} (position {exc.pos})")
         return 1
     except SolverError as exc:
         _emit_error("solver", str(exc))

@@ -53,6 +53,17 @@ class TestBvCommand:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "config"
 
+    def test_expression_error_message_names_position_once(self, tmp_path,
+                                                          capsys):
+        broken = {"bv": dict(BV_CONFIG["bv"], phi_open="high")}
+        cfg = write_config(tmp_path, broken)
+        code, out = run_cli(capsys, ["bv", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "config",
+            "message": "syntax error at position 0: unknown identifier 'high'"}
+
 
 class TestSolveCommand:
     def test_manufactured_quadratic_potential(self, tmp_path, capsys):
@@ -92,6 +103,36 @@ class TestSolveCommand:
         assert report["problem"] == "concentration"
         assert "manufactured" not in report
         assert report["eta"] > 0.0
+        assert report["solver"]["levels"] == []
+
+    def test_multigrid_levels_reported(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "manufactured": "pot-trig",
+            "mesh": {"nx": 16, "ny": 16},
+            "discretization": {"p": 2},
+        })
+        outdir = tmp_path / "out"
+        code, out = run_cli(capsys, ["solve", "--config", cfg,
+                                     "--outdir", str(outdir)])
+        assert code == 0
+        solver = json.loads(out)["solver"]
+        assert solver["method"] == "pcg"
+        assert solver["levels"][0] == 1825
+        on_disk = json.loads((outdir / "report.json").read_text())
+        assert on_disk["solver"]["levels"] == solver["levels"]
+
+    def test_oversized_mesh_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "manufactured": "pot-trig",
+            "mesh": {"nx": 100000, "ny": 100000},
+        })
+        code, out = run_cli(capsys, ["solve", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "config"
+        assert "about 5e+10 trial dofs" in err["message"]
+        assert "limit 2,000,000" in err["message"]
 
     def test_repeat_runs_bit_identical(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -150,6 +191,17 @@ class TestConvergenceCommand:
         err = json.loads(out)["error"]
         assert err["code"] == "config"
         assert "manufactured" in err["message"]
+
+    def test_oversized_finest_level_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"manufactured": "pot-trig",
+                                      "levels": 30})
+        code, out = run_cli(capsys, ["convergence", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "config"
+        assert "4294967296 x 4294967296 mesh" in err["message"]
+        assert "limit 2,000,000" in err["message"]
 
 
 class TestInfsupCommand:
@@ -275,7 +327,7 @@ class TestErrorHandling:
         ("concentration", {"c_prev": "1e308*10"}, "validation", "c_prev"),
         ("potential", {"beta": float("nan")}, "validation", "beta"),
         ("concentration", {"c_prev": "1 + sin(1e308*10)"}, "config",
-         "sin of a non-finite value (position 4)"),
+         "domain error at position 4: sin of a non-finite value"),
         # positive, so accepted by validation, but 1/kappa and 1/(dt*D) overflow
         ("potential", {"kappa": 1e-320, "I": 1.0}, "solver", "non-finite"),
         ("concentration", {"D": 1e-320, "c_prev": 1.0}, "solver", "non-finite"),

@@ -27,7 +27,7 @@ from dpgfem.solver import (
     solve_dpg,
     solve_spd,
 )
-from dpgfem.verify import case_mesh, error_norms
+from dpgfem.verify import case_mesh, classical_galerkin_solve, error_norms
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 
@@ -176,6 +176,87 @@ class TestSolveSpd:
         assert info_i.iterations > 0
         assert info_i.relative_residual <= 1e-12
         assert np.allclose(iterative, dense, atol=1e-9)
+
+
+def _case_system(name, p, nx, ny=None):
+    case = manufactured_case(name)
+    mesh = classify_boundary(build_rect_mesh(case.domain, nx, ny or nx),
+                             case.partition, case.kind)
+    dofmap = build_dofmap(mesh, SpaceLayout(p=p),
+                          active_facets(mesh, case.problem))
+    return assemble(mesh, dofmap, case.problem)
+
+
+def _direct_gap(system, x):
+    direct = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    return np.linalg.norm(x - direct) / np.linalg.norm(direct)
+
+
+class TestMultigrid:
+    @pytest.mark.parametrize("p, n", [(2, 16), (2, 32), (2, 64), (3, 16),
+                                      (3, 32), (3, 64), (1, 32), (1, 64)])
+    def test_iterations_flat_under_refinement(self, monkeypatch, p, n):
+        monkeypatch.setattr(solver_mod, "JACOBI_ITERATIONS", 0)
+        system = _case_system("pot-trig", p, n)
+        x, info = solve_spd(system)
+        assert info.method == "pcg"
+        assert len(info.levels) >= 2
+        assert info.iterations <= 20
+        assert _direct_gap(system, x) <= 1e-8
+
+    @pytest.mark.parametrize("dense_limit", [solver_mod.DENSE_LIMIT, 1])
+    @pytest.mark.parametrize("name, p", [("pot-trig", 2), ("conc-trig", 3)])
+    def test_vcycle_symmetric_positive(self, monkeypatch, dense_limit, name, p):
+        # pot-trig has Dirichlet, Neumann and Robin groups; the hierarchy
+        # ends at 1 x 1, factored densely or, at dense_limit 1, smoothed
+        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", dense_limit)
+        cycle = solver_mod.Multigrid(_case_system(name, p, 8))
+        assert len(cycle.sizes) >= 3
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            v, w = rng.standard_normal((2, cycle.sizes[0]))
+            Mv, Mw = cycle(v), cycle(w)
+            assert (abs(v @ Mw - w @ Mv)
+                    <= 1e-12 * np.linalg.norm(v) * np.linalg.norm(Mw))
+            assert v @ Mv > 0.0
+
+    def test_indefinite_patch_is_solver_error(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "JACOBI_ITERATIONS", 0)
+        system = _case_system("pot-trig", 2, 16)
+        patches = solver_mod._patches(system.dofmap, system.skeleton)
+        i, j = patches[patches.shape[0] // 2, :2]
+        A = system.matrix.tolil()
+        A[i, j] = A[j, i] = 2.0 * np.sqrt(A[i, i] * A[j, j])
+        system.matrix = A.tocsr()
+        with pytest.raises(SolverError,
+                           match="not SPD / no convergence: vertex patch"):
+            solve_spd(system)
+
+    def test_odd_mesh_smoother_only(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 1)
+        monkeypatch.setattr(solver_mod, "JACOBI_ITERATIONS", 0)
+        system = _case_system("pot-trig", 2, 9, 7)
+        x, info = solve_spd(system)
+        assert info.levels == [system.matrix.shape[0]]
+        assert _direct_gap(system, x) <= 1e-8
+
+    def test_jacobi_phase_then_multigrid(self):
+        system = _case_system("pot-trig", 2, 16)
+        x, info = solve_spd(system)
+        assert solver_mod.JACOBI_ITERATIONS < info.iterations <= (
+            solver_mod.JACOBI_ITERATIONS + 20)
+        assert info.levels == [1825, 465, 121, 33, 10]     # 16^2 .. 1^2
+        assert _direct_gap(system, x) <= 1e-8
+
+    def test_galerkin_oracle_shares_the_solver(self, monkeypatch):
+        case = manufactured_case("pot-trig")
+        mesh = case_mesh(case, 16)
+        layout = SpaceLayout(p=3)
+        default = classical_galerkin_solve(mesh, case.problem, layout)
+        monkeypatch.setattr(solver_mod, "JACOBI_ITERATIONS", 0)
+        multigrid = classical_galerkin_solve(mesh, case.problem, layout)
+        assert (np.linalg.norm(multigrid - default)
+                <= 1e-8 * np.linalg.norm(default))
 
 
 class TestAssemble:
