@@ -230,7 +230,10 @@ class ProblemKernels:
         Py[:, self.n_field + self.n_fs:] = ainv * geom.flux_val
         self.res_x, self.res_y = Px, Py
         rw = self.res_weights[:, None]
-        self.lsq_tmpl = (Px * rw).T @ Px + (Py * rw).T @ Py
+        # an overflowing 1/kappa or 1/(dt D) leaves inf and NaN here, which
+        # assembly's non-finite-system check reports; numpy stays quiet
+        with np.errstate(all="ignore"):
+            self.lsq_tmpl = (Px * rw).T @ Px + (Py * rw).T @ Py
 
         bvol = np.zeros((layout.n_enriched, self.n_ff))
         if problem.kind == "concentration":
@@ -257,45 +260,66 @@ class ProblemKernels:
         A = np.zeros((n_trial, n_trial))
         A[:self.n_ff, :self.n_ff] = self.lsq_tmpl
         f = np.zeros((n, n_trial))
-        load = np.zeros((n, layout.n_enriched))
-
-        origin = mesh.element_origin(group.elems)
-        pts = geom.vol_points(origin)
-        prob = self.problem
+        load, robin, source = coefficient_loads(mesh, group, self.problem, geom,
+                                                geom.enr_val, geom.enr_edge)
         shift = None
-        if prob.kind == "concentration":
-            load += (geom.wvol * sample(prob.c_prev, pts, "c_prev")) @ geom.enr_val
-        else:
-            sx = sample(prob.S[0], pts, "Sx")
-            sy = sample(prob.S[1], pts, "Sy")
-            if np.any(sx) or np.any(sy):
-                rw = self.res_weights
-                f[:, :self.n_ff] = -self.coef_inv * ((rw * sx) @ self.res_x
-                                                     + (rw * sy) @ self.res_y)
-                shift = self.coef_inv * np.stack([sx, sy], axis=-1)
-        for k, tag in group.boundary:
-            epts = geom.edge_points(k, origin)
-            nrm = mesh.facet_normals[mesh.elem_facets[group.elems, k]]
-            w = geom.edge_w[k]
-            if prob.kind == "concentration":
-                load -= prob.dt * ((w * sample(prob.J, epts, "J", nrm))
-                                   @ geom.enr_edge[k])
-            elif tag == FacetTag.ROBIN:
-                beta = sample(prob.beta, epts, "beta")
-                if not np.all(beta > 0):
-                    raise ProblemValidationError([
-                        "beta not positive on Gamma_R at the assembly's "
-                        f"quadrature points (min sampled value {beta.min():g})"])
-                if B.ndim == 2:
-                    B = np.repeat(B[None], n, axis=0)
-                B[:, :, :self.n_field] += (geom.enr_edge[k].T * (w * beta)[:, None, :]) \
-                    @ geom.field_edge[k]
-                load -= (w * sample(prob.R, epts, "R", nrm)) @ geom.enr_edge[k]
-            elif tag == FacetTag.NEUMANN:
-                load -= (w * sample(prob.I, epts, "I", nrm)) @ geom.enr_edge[k]
+        if source is not None and (np.any(source[0]) or np.any(source[1])):
+            sx, sy = source
+            rw = self.res_weights
+            f[:, :self.n_ff] = -self.coef_inv * ((rw * sx) @ self.res_x
+                                                 + (rw * sy) @ self.res_y)
+            shift = self.coef_inv * np.stack([sx, sy], axis=-1)
+        if robin is not None:
+            B = np.repeat(B[None], n, axis=0)
+            B[:, :, :self.n_field] += robin
 
         return LocalSystem(self.gram, B, load, A, f, self.res_x, self.res_y,
                            self.res_weights, shift, self.gram_factor)
+
+
+def coefficient_loads(mesh: Mesh, group: ElementGroup, problem,
+                      geom: GeometryKernels, test_val: np.ndarray, test_edge,
+                      test_grad=None):
+    """Loads and Robin terms of one group against a test basis: the enriched
+    basis for DPG, the field basis for the Galerkin oracle. test_val and
+    test_edge[k] tabulate it at the volume and edge-k quadrature points;
+    test_grad = (gx, gy), when given, adds -(S, grad v) to the load (DPG's
+    least-squares term carries S instead). beta must be positive.
+
+    Returns load (n x m); robin, <beta u, v>_R for u in the field basis
+    (n x m x n_field), or None without Robin edges; and source, the sampled
+    (Sx, Sy) of a potential problem, else None.
+    """
+    load = np.zeros((group.elems.shape[0], test_val.shape[1]))
+    robin = source = None
+    origin = mesh.element_origin(group.elems)
+    pts = geom.vol_points(origin)
+    if problem.kind == "concentration":
+        load += (geom.wvol * sample(problem.c_prev, pts, "c_prev")) @ test_val
+    else:
+        source = (sample(problem.S[0], pts, "Sx"), sample(problem.S[1], pts, "Sy"))
+        if test_grad is not None:
+            load -= ((geom.wvol * source[0]) @ test_grad[0]
+                     + (geom.wvol * source[1]) @ test_grad[1])
+    for k, tag in group.boundary:
+        epts = geom.edge_points(k, origin)
+        nrm = mesh.facet_normals[mesh.elem_facets[group.elems, k]]
+        w = geom.edge_w[k]
+        if problem.kind == "concentration":
+            load -= problem.dt * ((w * sample(problem.J, epts, "J", nrm))
+                                  @ test_edge[k])
+        elif tag == FacetTag.ROBIN:
+            beta = sample(problem.beta, epts, "beta")
+            if not np.all(beta > 0):
+                raise ProblemValidationError([
+                    "beta not positive on Gamma_R at the assembly's "
+                    f"quadrature points (min sampled value {beta.min():g})"])
+            term = (test_edge[k].T * (w * beta)[:, None, :]) @ geom.field_edge[k]
+            robin = term if robin is None else robin + term
+            load -= (w * sample(problem.R, epts, "R", nrm)) @ test_edge[k]
+        elif tag == FacetTag.NEUMANN:
+            load -= (w * sample(problem.I, epts, "I", nrm)) @ test_edge[k]
+    return load, robin, source
 
 
 @lru_cache(maxsize=32)

@@ -4,13 +4,17 @@ Each case carries independent closures for the field, its gradient, the
 flux, and the flux divergence; boundary and volume data are derived from
 those closures, so the catalog entries solve their BVPs exactly. The
 gradient/flux pairs are written out by hand (not composed from each
-other), which lets tests cross-check the algebra pointwise.
+other), which lets tests cross-check the algebra pointwise. The closures
+use numpy, so each takes coordinate arrays as well as scalars and works
+elementwise; a constant part is returned as a scalar, for the caller to
+broadcast (as problems.sample does).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from dpgfem.mesh import BoundaryPartition, FacetTag, Rectangle
 from dpgfem.problems import ConcentrationProblem, PotentialProblem
@@ -35,13 +39,14 @@ class ManufacturedCase:
     domain: Rectangle
     partition: BoundaryPartition
     problem: object
+    # (x, y) scalars or arrays -> values of the same shape, or scalars
     exact_field: object            # (x, y) -> value
     exact_grad: object             # (x, y) -> (gx, gy)
     exact_flux: object             # (x, y) -> (fx, fy); j or i
     exact_flux_div: object         # (x, y) -> div of the flux
     poly_degree: int | None        # None for non-polynomial fields
 
-    def exact_normal_flux(self, x, y, nx, ny) -> float:
+    def exact_normal_flux(self, x, y, nx, ny):
         fx, fy = self.exact_flux(x, y)
         return fx * nx + fy * ny
 
@@ -76,21 +81,21 @@ def _conc_poly2() -> ManufacturedCase:
 
 def _conc_trig() -> ManufacturedCase:
     D, dt = 0.5, 0.1
-    pi = math.pi
+    pi = np.pi
 
     def c(x, y):
-        return math.cos(pi * x) * math.cos(pi * y)
+        return np.cos(pi * x) * np.cos(pi * y)
 
     def grad(x, y):
-        return (-pi * math.sin(pi * x) * math.cos(pi * y),
-                -pi * math.cos(pi * x) * math.sin(pi * y))
+        return (-pi * np.sin(pi * x) * np.cos(pi * y),
+                -pi * np.cos(pi * x) * np.sin(pi * y))
 
     def flux(x, y):
-        return (D * pi * math.sin(pi * x) * math.cos(pi * y),
-                D * pi * math.cos(pi * x) * math.sin(pi * y))
+        return (D * pi * np.sin(pi * x) * np.cos(pi * y),
+                D * pi * np.cos(pi * x) * np.sin(pi * y))
 
     def flux_div(x, y):
-        return 2.0 * D * pi * pi * math.cos(pi * x) * math.cos(pi * y)
+        return 2.0 * D * pi * pi * np.cos(pi * x) * np.cos(pi * y)
 
     def c_prev(x, y):
         return c(x, y) + dt * flux_div(x, y)
@@ -146,24 +151,24 @@ def _pot_poly2() -> ManufacturedCase:
 
 def _pot_trig() -> ManufacturedCase:
     kappa = 1.0
-    pi = math.pi
+    pi = np.pi
 
     def phi(x, y):
-        return math.sin(pi * x) * math.sin(0.5 * pi * y)
+        return np.sin(pi * x) * np.sin(0.5 * pi * y)
 
     def grad(x, y):
-        return (pi * math.cos(pi * x) * math.sin(0.5 * pi * y),
-                0.5 * pi * math.sin(pi * x) * math.cos(0.5 * pi * y))
+        return (pi * np.cos(pi * x) * np.sin(0.5 * pi * y),
+                0.5 * pi * np.sin(pi * x) * np.cos(0.5 * pi * y))
 
     def source_x(x, y):
-        return -1.25 * pi * math.cos(pi * x) * math.sin(0.5 * pi * y)
+        return -1.25 * pi * np.cos(pi * x) * np.sin(0.5 * pi * y)
 
     def source_y(x, y):
         return 0.0
 
     def flux(x, y):
-        return (0.25 * pi * math.cos(pi * x) * math.sin(0.5 * pi * y),
-                -0.5 * pi * math.sin(pi * x) * math.cos(0.5 * pi * y))
+        return (0.25 * pi * np.cos(pi * x) * np.sin(0.5 * pi * y),
+                -0.5 * pi * np.sin(pi * x) * np.cos(0.5 * pi * y))
 
     def flux_div(x, y):
         return 0.0

@@ -12,9 +12,12 @@ Potential problem:
     i . n - beta * phi = R on the Robin part.
 
 Volume data is a callable f(x, y); boundary data is a callable
-g(x, y, nx, ny) of position and outward unit normal. Constants, expression
+g(x, y, nx, ny) of position and outward unit normal. Both are called with
+numpy arrays of coordinates (and normal components) and return an array of
+the same shape or a scalar, which is broadcast. Constants, expression
 strings and plain (x, y) callables are accepted and normalized on
-construction. All specs are immutable and the functions reentrant.
+construction; expression strings are evaluated one point at a time. All
+specs are immutable and the functions reentrant.
 """
 
 from __future__ import annotations
@@ -37,18 +40,30 @@ class ProblemValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+def _pointwise_expr(text: str):
+    """Array callable (x, y) for an expression string; the compiled
+    expression evaluates one point at a time, in C order."""
+    f = expr_mod.compile_expr(text)
+
+    def fn(x, y):
+        x, y = np.broadcast_arrays(x, y)
+        vals = [f(a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+        return np.array(vals, dtype=float).reshape(x.shape)
+    return fn
+
+
 def _as_volume_fn(v):
     if callable(v):
         return v
     if isinstance(v, str):
-        return expr_mod.compile_expr(v)
+        return _pointwise_expr(v)
     c = float(v)
     return lambda x, y: c
 
 
 def _as_boundary_fn(v):
     if isinstance(v, str):
-        f = expr_mod.compile_expr(v)
+        f = _pointwise_expr(v)
         return lambda x, y, nx, ny: f(x, y)
     if callable(v):
         try:
@@ -189,23 +204,31 @@ def reaction_species_flux(I_BV: float, F: float, t_plus: float, medium: str) -> 
 
 
 def sample(fn, points: np.ndarray, name: str, normals=None) -> np.ndarray:
-    """Values of the coefficient `name` at points (..., 2), one call per point.
+    """Values of the coefficient `name` at points (..., 2), from one call of
+    fn on the coordinate arrays.
 
     Boundary data also receive the unit normal: `normals` holds one per
-    row of points, shape points.shape[:-2] + (2,). Vector-valued functions
-    add a trailing axis. A non-finite value raises ProblemValidationError.
+    row of points, shape points.shape[:-2] + (2,). Scalar results are
+    broadcast to points.shape[:-1]; a tuple (vector-valued function) is
+    stacked on a trailing axis. A non-finite value raises
+    ProblemValidationError naming the first such point; numpy's
+    floating-point warnings are silenced so that the error alone reports it.
     """
+    shape = points.shape[:-1]
     args = [points[..., 0], points[..., 1]]
     if normals is not None:
         nrm = np.broadcast_to(np.asarray(normals)[..., None, :], points.shape)
         args += [nrm[..., 0], nrm[..., 1]]
-    out = np.array([fn(*a) for a in zip(*(c.ravel().tolist() for c in args))],
-                   dtype=float)
-    bad = ~np.isfinite(out.reshape(out.shape[0], -1)).all(axis=1)
+    with np.errstate(all="ignore"):
+        val = fn(*args)
+    parts = val if isinstance(val, tuple) else (val,)
+    out = np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape)
+                    for v in parts], axis=-1)
+    bad = ~np.isfinite(out).all(axis=-1)
     if bad.any():
-        x, y = points.reshape(-1, 2)[np.argmax(bad)]
+        x, y = points[np.unravel_index(np.argmax(bad), shape)]
         raise ProblemValidationError([f"{name} is not finite at ({x:g}, {y:g})"])
-    return out.reshape(points.shape[:-1] + out.shape[1:])
+    return out if isinstance(val, tuple) else out[..., 0]
 
 
 def validate_problem(spec, mesh: Mesh):

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from dpgfem.dpg import ProblemKernels, condense_local, geometry_kernels
+from dpgfem.dpg import ProblemKernels, coefficient_loads, condense_local, geometry_kernels
 from dpgfem.fespace import SpaceLayout, build_dofmap, tabulate_facet_basis
 from dpgfem.manufactured import ManufacturedCase, manufactured_case
 from dpgfem.mesh import FacetTag, Mesh, build_rect_mesh, classify_boundary
@@ -167,7 +167,8 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
     Concentration: (c, r) + dt (D grad c, grad r) = (c_prev, r) - dt <J, r>.
     Potential: (kappa grad phi, grad zeta) + <beta phi, zeta>_R =
     -(S, grad zeta) - <I, zeta>_N - <R, zeta>_R with phi = 0 on the
-    Dirichlet part. Independent discretization used as an oracle.
+    Dirichlet part. An independent discretization used as an oracle; it
+    shares only the coefficient loads (`coefficient_loads`) with DPG.
     """
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     dofmap = build_dofmap(mesh, layout, np.empty(0, dtype=np.int64))
@@ -184,28 +185,10 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
     for group in dofmap.element_groups():
-        origin = mesh.element_origin(group.elems)
-        pts = geom.vol_points(origin)
-        S_e = S_shared
-        if problem.kind == "concentration":
-            load = (geom.wvol * sample(problem.c_prev, pts, "c_prev")) @ geom.field_val
-        else:
-            load = -((geom.wvol * sample(problem.S[0], pts, "Sx")) @ geom.field_gx
-                     + (geom.wvol * sample(problem.S[1], pts, "Sy")) @ geom.field_gy)
-        for k, tag in group.boundary:
-            epts = geom.edge_points(k, origin)
-            nrm = mesh.facet_normals[mesh.elem_facets[group.elems, k]]
-            ew = geom.edge_w[k]
-            if problem.kind == "concentration":
-                load -= problem.dt * ((ew * sample(problem.J, epts, "J", nrm))
-                                      @ geom.field_edge[k])
-            elif tag == FacetTag.ROBIN:
-                bv = sample(problem.beta, epts, "beta")
-                S_e = S_e + (geom.field_edge[k].T * (ew * bv)[:, None, :]) \
-                    @ geom.field_edge[k]
-                load -= (ew * sample(problem.R, epts, "R", nrm)) @ geom.field_edge[k]
-            elif tag == FacetTag.NEUMANN:
-                load -= (ew * sample(problem.I, epts, "I", nrm)) @ geom.field_edge[k]
+        load, robin, _ = coefficient_loads(
+            mesh, group, problem, geom, geom.field_val, geom.field_edge,
+            (geom.field_gx, geom.field_gy))
+        S_e = S_shared if robin is None else S_shared + robin
         dofs = dofmap.elem_field[group.elems]
         n_g, m = dofs.shape
         rows.append(np.repeat(dofs, m, axis=1).ravel())

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -339,12 +340,16 @@ class TestErrorHandling:
             "mesh": {"nx": 2, "ny": 2},
             "coefficients": coefficients,
         })
-        code_, out = run_cli(capsys, ["solve", "--config", cfg,
-                                      "--outdir", str(tmp_path / "out")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code_, out = run_cli(capsys, ["solve", "--config", cfg,
+                                          "--outdir", str(tmp_path / "out")])
         assert code_ == 1
         err = json.loads(out)["error"]
         assert err["code"] == code
         assert text in err["message"]
+        # the structured error alone reports the problem
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_beta_checked_where_assembly_samples_it(self, tmp_path, capsys):
         # positive at the 4 Gauss points per facet of validate_problem,

@@ -206,3 +206,33 @@ class TestBoundaryData:
             for x in np.linspace(0.0, 1.0, 9):
                 assert case.problem.beta(x, 0.0) > 0.0
                 assert case.problem.beta(x, 1.0) > 0.0
+
+
+class TestArrayEvaluation:
+    def test_array_values_equal_scalar_values(self):
+        # every closure of every case, on a (3, 4) array of points, equals its
+        # evaluation one point at a time, exactly
+        xy = RNG.uniform(0.0, 1.0, size=(3, 4, 2))
+        nrm = np.broadcast_to(np.array([(0.0, -1.0), (0.0, 1.0), (-1.0, 0.0),
+                                        (1.0, 0.0)]), (3, 4, 2))
+        volume = (xy[..., 0], xy[..., 1])
+        boundary = volume + (nrm[..., 0], nrm[..., 1])
+        for name in CASE_NAMES:
+            case = manufactured_case(name)
+            prob = case.problem
+            fns = [(case.exact_field, volume), (case.exact_grad, volume),
+                   (case.exact_flux, volume), (case.exact_flux_div, volume),
+                   (case.exact_normal_flux, boundary)]
+            if case.kind == "concentration":
+                fns += [(prob.c_prev, volume), (prob.J, boundary)]
+            else:
+                fns += [(prob.beta, volume), (prob.S[0], volume),
+                        (prob.S[1], volume), (prob.I, boundary), (prob.R, boundary)]
+            for fn, args in fns:
+                on_array = fn(*args)
+                for idx in np.ndindex(3, 4):
+                    on_scalar = fn(*(float(a[idx]) for a in args))
+                    got = [np.broadcast_to(v, (3, 4))[idx] for v in
+                           (on_array if isinstance(on_array, tuple) else (on_array,))]
+                    want = on_scalar if isinstance(on_scalar, tuple) else (on_scalar,)
+                    assert got == list(want), (name, fn, idx)

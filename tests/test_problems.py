@@ -1,3 +1,6 @@
+import functools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +23,7 @@ from dpgfem.problems import (
     overpotential,
     reaction_species_flux,
     robin_coefficients,
+    sample,
     state_of_charge,
     validate_problem,
 )
@@ -185,7 +189,7 @@ class TestValidateProblem:
         seen = []
 
         def beta(x, y):
-            seen.append((x, y))
+            seen.append(np.stack([x, y], axis=-1))
             return 1.0
 
         problem = PotentialProblem(kappa=1.0, beta=beta, S=(0.0, 0.0),
@@ -196,8 +200,9 @@ class TestValidateProblem:
                     for a, b in map(mesh.facet_endpoints,
                                     mesh.facets_with_tag(FacetTag.ROBIN))
                     for s in t]
-        assert len(seen) == 2 * 3 * 4
-        assert np.allclose(seen, expected, rtol=0.0, atol=1e-15)
+        points = np.concatenate([a.reshape(-1, 2) for a in seen])
+        assert points.shape == (2 * 3 * 4, 2)
+        assert np.allclose(points, expected, rtol=0.0, atol=1e-15)
 
     def test_reference_cases_pass(self):
         from dpgfem.manufactured import CASE_NAMES, manufactured_case
@@ -219,3 +224,78 @@ class TestValidateProblem:
                                        J="sin(pi*x)*0")
         validate_problem(problem, mesh)
         assert problem.c_prev(0.5, 0.0) == pytest.approx(0.25)
+
+
+def _counting(fn, calls):
+    @functools.wraps(fn)
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    return counted
+
+
+class TestSample:
+    POINTS = np.random.default_rng(7).uniform(0.0, 1.0, size=(5, 3, 2))
+
+    @pytest.mark.parametrize("fn, trailing", [
+        (lambda x, y: x * y + 1.0, ()),
+        (lambda x, y: (x, 2.0 * y), (2,)),
+        (lambda x, y: 3.0, ()),
+    ], ids=["scalar", "tuple", "constant"])
+    def test_one_call_on_the_whole_point_array(self, fn, trailing):
+        calls = []
+        out = sample(_counting(fn, calls), self.POINTS, "f")
+        assert len(calls) == 1
+        assert all(np.shape(a) == (5, 3) for a in calls[0])
+        assert out.shape == (5, 3) + trailing
+        x, y = self.POINTS[..., 0], self.POINTS[..., 1]
+        want = fn(x, y)
+        want = np.stack(want, axis=-1) if isinstance(want, tuple) else want
+        assert np.array_equal(out, np.broadcast_to(want, out.shape))
+
+    def test_boundary_data_get_one_normal_per_row(self):
+        calls = []
+        normals = np.array([(1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.0, 1.0),
+                            (1.0, 0.0)])
+        out = sample(_counting(lambda x, y, nx, ny: x * nx + y * ny, calls),
+                     self.POINTS, "g", normals)
+        assert len(calls) == 1
+        assert np.array_equal(out, self.POINTS[..., 0] * normals[:, None, 0]
+                              + self.POINTS[..., 1] * normals[:, None, 1])
+
+    def test_expression_evaluated_once_per_point(self, monkeypatch):
+        from dpgfem import expr
+
+        calls = []
+        compile_expr = expr.compile_expr
+        monkeypatch.setattr(expr, "compile_expr",
+                            lambda text: _counting(compile_expr(text), calls))
+        j_calls = []
+        problem = ConcentrationProblem(
+            D=0.5, dt=0.1, c_prev="x^2 - y",
+            J=_counting(lambda x, y, nx, ny: x * nx, j_calls))
+        out = sample(problem.c_prev, self.POINTS, "c_prev")
+        assert len(calls) == 5 * 3
+        assert all(type(a) is float for args in calls for a in args)
+        x, y = self.POINTS[..., 0], self.POINTS[..., 1]
+        assert np.array_equal(out, x ** 2 - y)
+        # a plain callable of the same problem is called once
+        sample(problem.J, self.POINTS, "J", np.ones((5, 2)))
+        assert len(j_calls) == 1
+
+    def test_non_finite_expression_names_first_point(self):
+        pts = np.array([[(0.0, 0.1), (0.0, 0.2), (0.25, 0.3)],
+                        [(0.5, 0.4), (0.0, 0.5), (0.75, 0.6)]])
+        problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="1e300*x*1e300",
+                                       J=0.0)
+        with pytest.raises(ProblemValidationError,
+                           match=r"c_prev is not finite at \(0\.25, 0\.3\)"):
+            sample(problem.c_prev, pts, "c_prev")
+
+    def test_non_finite_array_value_names_first_point_without_warning(self):
+        pts = np.array([[(0.5, 0.1), (0.0, 0.2)], [(0.0, 0.3), (0.25, 0.4)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProblemValidationError,
+                               match=r"beta is not finite at \(0, 0\.2\)"):
+                sample(lambda x, y: 1.0 / x, pts, "beta")

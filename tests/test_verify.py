@@ -11,7 +11,7 @@ from dpgfem.fespace import (
 )
 from dpgfem.manufactured import manufactured_case
 from dpgfem.mesh import Rectangle, build_rect_mesh, classify_boundary
-from dpgfem.problems import ConcentrationProblem, PotentialProblem
+from dpgfem.problems import ConcentrationProblem, PotentialProblem, ProblemValidationError
 from dpgfem.quadrature import gauss_1d, tensor_quad
 from dpgfem.solver import active_facets, solve_dpg
 from dpgfem.verify import (
@@ -278,6 +278,18 @@ class TestClassicalGalerkin:
         nxp = 4 + 1
         left_column = np.arange(nxp) * nxp
         assert np.all(coeffs[left_column] == 0.0)
+
+    def test_beta_checked_where_the_oracle_samples_it(self):
+        # positive at validate_problem's 4 Gauss points per facet, negative
+        # at the facet midpoint, a point of the p = 1 rule
+        partition = manufactured_case("pot-trig").partition
+        mesh = classify_boundary(build_rect_mesh(UNIT, 1, 1), partition,
+                                 "potential")
+        problem = PotentialProblem(kappa=1.0, beta="1000*(x-0.5)^2 - 0.01",
+                                   S=(0.0, 0.0), I=0.0, R=0.0,
+                                   partition=partition)
+        with pytest.raises(ProblemValidationError, match="beta not positive"):
+            classical_galerkin_solve(mesh, problem, SpaceLayout(p=1))
 
     def test_agrees_with_exact_solution_on_fine_trig_mesh(self):
         case = manufactured_case("pot-trig")
