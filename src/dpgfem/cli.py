@@ -195,10 +195,18 @@ def problem_from_config(cfg: dict):
     domain = domain_from_config(cfg)
     if kind in COEFFICIENT_KEYS:
         _check_keys(coeff, COEFFICIENT_KEYS[kind], f"{kind} 'coefficients'")
+    for key, v in coeff.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+            raise CliError("config", f"coefficient {key!r} must be a number "
+                           "or an expression string")
     if kind == "concentration":
+        # a time step has no neutral default, and D pairs with it in dt * D
+        missing = [key for key in ("D", "dt") if key not in coeff]
+        if missing:
+            raise CliError("config", "concentration 'coefficients' missing "
+                           "key(s): " + ", ".join(map(repr, missing)))
         partition = partition_from_config(cfg, kind)
-        problem = ConcentrationProblem(D=coeff.get("D", 1.0),
-                                       dt=coeff.get("dt", 1.0),
+        problem = ConcentrationProblem(D=coeff["D"], dt=coeff["dt"],
                                        c_prev=coeff.get("c_prev", 0.0),
                                        J=coeff.get("J", 0.0))
     elif kind == "potential":

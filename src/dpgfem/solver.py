@@ -23,14 +23,13 @@ which are never local, are eliminated symmetrically from the skeleton
 system: rows and columns zeroed, unit diagonal, zero right-hand side.
 
 Linear solve. `solve_spd` factors systems of at most DENSE_LIMIT rows
-densely. Larger ones run preconditioned CG in two phases. The first
-JACOBI_ITERATIONS iterations use the diagonal: small meshes, the
-concentration step and most Galerkin oracle systems converge there, and
-the multigrid setup costs about as much as 300 Jacobi iterations on a
-40^2, p = 2 skeleton system. CG then restarts from its current iterate
-with one geometric multigrid V(1,1)-cycle as the preconditioner, whose
-iteration count stays flat under refinement (diagonal PCG grows like
-h^-1).
+densely. Larger ones run CG preconditioned by one geometric multigrid
+V(1,1)-cycle per iteration, whose iteration count stays flat under
+refinement, where diagonal PCG grows like h^-1. The first iteration that
+uses it follows the problem kind the system was assembled from
+(`GlobalSystem.kind`): a potential system starts on the V-cycle, while a
+concentration step, which the diagonal alone usually finishes, first
+spends JACOBI_ITERATIONS diagonal iterations (see `solve_spd`).
 
 Hierarchy (`Multigrid`). The mesh is halved while both nx and ny are
 even, down to 1 x 1 on power-of-two meshes. The rows of a coarse
@@ -109,6 +108,8 @@ class GlobalSystem:
     skeleton: full dof of each row of matrix (ascending); None when the
         rows are the full numbering.
     local: one LocalSolve per element group.
+    kind: the problem kind the system was assembled from ("concentration"
+        or "potential"); None for a hand-built system.
     """
 
     matrix: sp.csr_matrix
@@ -117,6 +118,7 @@ class GlobalSystem:
     constrained: np.ndarray
     skeleton: np.ndarray | None = None
     local: list = field(default_factory=list)
+    kind: str | None = None
 
 
 @dataclass
@@ -259,7 +261,8 @@ def assemble(mesh: Mesh, dofmap: DofMap, problem) -> GlobalSystem:
     if constrained.size:
         matrix = eliminate_dofs(matrix, rhs, np.searchsorted(skeleton, constrained))
     matrix.sort_indices()
-    return GlobalSystem(matrix, rhs, dofmap, constrained, skeleton, local)
+    return GlobalSystem(matrix, rhs, dofmap, constrained, skeleton, local,
+                        problem.kind)
 
 
 def recover_local(system: GlobalSystem, x: np.ndarray) -> np.ndarray:
@@ -525,15 +528,19 @@ class Multigrid:
 
 def solve_spd(system: GlobalSystem, tol: float = 1e-10):
     """Solve the SPD system: dense Cholesky for n <= DENSE_LIMIT, else
-    preconditioned CG in two phases.
+    preconditioned CG.
 
-    CG first runs JACOBI_ITERATIONS iterations with the diagonal, which
-    finishes the easy systems before any setup cost. If it has not
-    converged, it builds a `Multigrid` hierarchy on the system's mesh and
-    restarts from the current iterate with one V(1,1)-cycle per iteration
-    as the preconditioner. A hand-built system with no dof map keeps the
-    diagonal. The budget of 300 is about the cost of the hierarchy setup
-    in Jacobi iterations on the pot_solve system (40^2, p = 2).
+    A potential system builds a `Multigrid` hierarchy on its mesh before
+    the first iteration and takes one V(1,1)-cycle per iteration as the
+    preconditioner. Any other system with a dof map (a concentration
+    step) first runs JACOBI_ITERATIONS iterations with the diagonal; if it
+    has not converged, it builds the hierarchy and restarts from the
+    current iterate on the V-cycle. Diagonal PCG finishes concentration
+    systems in 2-182 iterations from 32^2 to 128^2 (p = 1..3), and the
+    setup costs about 280 of them on a 45k-row system, so the budget of
+    300 keeps them clear of the setup; a budget of 20 makes the conc-trig
+    solve at 64^2 about 7 times slower at p = 2 and 5 times at p = 3. A
+    hand-built system with no dof map keeps the diagonal.
 
     Returns (coefficients, SolveInfo). A system with inf or NaN entries
     raises SolverError before either path.
@@ -558,6 +565,11 @@ def solve_spd(system: GlobalSystem, tol: float = 1e-10):
         res = float(np.linalg.norm(b - A @ x)) / bnorm
         return x, SolveInfo("dense", 0, res)
 
+    # -div(kappa grad phi) has no zeroth-order term, so a potential system
+    # is conditioned like h^-2 and diagonal PCG does not finish it within
+    # the budget; the mass term of a concentration step clusters its
+    # spectrum, and the diagonal usually finishes first.
+    jacobi = 0 if system.kind == "potential" else JACOBI_ITERATIONS
     minv = 1.0 / diag
     precondition, levels = (lambda v: minv * v), []
     x = np.zeros(n)
@@ -565,7 +577,7 @@ def solve_spd(system: GlobalSystem, tol: float = 1e-10):
     rz = None                   # None (re)starts CG from the current x
     max_iter = 10 * n
     for it in range(1, max_iter + 1):
-        if it == JACOBI_ITERATIONS + 1 and system.dofmap is not None:
+        if it == jacobi + 1 and system.dofmap is not None:
             multigrid = Multigrid(system)
             precondition, levels, rz = multigrid, multigrid.sizes, None
         z = precondition(r)

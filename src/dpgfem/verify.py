@@ -204,7 +204,7 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
         constrained = dirichlet_field_dofs(mesh, dofmap)
         if constrained.size:
             matrix = eliminate_dofs(matrix, rhs, constrained)
-    system = GlobalSystem(matrix, rhs, dofmap, constrained)
+    system = GlobalSystem(matrix, rhs, dofmap, constrained, kind=problem.kind)
     coeffs, _info = solve_spd(system, tol)
     return coeffs
 

@@ -229,6 +229,7 @@ class TestInfsupCommand:
     def test_size_cap_reported_as_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "problem": "concentration",
+            "coefficients": {"D": 0.5, "dt": 0.5},
             "discretization": {"p": 2},
             "levels": 4,
             "base_n": 4,
@@ -324,14 +325,17 @@ class TestErrorHandling:
         assert "position" in err["message"]
 
     @pytest.mark.parametrize("problem, coefficients, code, text", [
-        ("concentration", {"c_prev": "exp(1000*x)"}, "config", "position"),
-        ("concentration", {"c_prev": "1e308*10"}, "validation", "c_prev"),
+        ("concentration", {"D": 0.5, "dt": 0.1, "c_prev": "exp(1000*x)"},
+         "config", "position"),
+        ("concentration", {"D": 0.5, "dt": 0.1, "c_prev": "1e308*10"},
+         "validation", "c_prev"),
         ("potential", {"beta": float("nan")}, "validation", "beta"),
-        ("concentration", {"c_prev": "1 + sin(1e308*10)"}, "config",
-         "domain error at position 4: sin of a non-finite value"),
+        ("concentration", {"D": 0.5, "dt": 0.1, "c_prev": "1 + sin(1e308*10)"},
+         "config", "domain error at position 4: sin of a non-finite value"),
         # positive, so accepted by validation, but 1/kappa and 1/(dt*D) overflow
         ("potential", {"kappa": 1e-320, "I": 1.0}, "solver", "non-finite"),
-        ("concentration", {"D": 1e-320, "c_prev": 1.0}, "solver", "non-finite"),
+        ("concentration", {"D": 1e-320, "dt": 0.1, "c_prev": 1.0}, "solver",
+         "non-finite"),
     ])
     def test_non_finite_coefficient_data(self, tmp_path, capsys, problem,
                                          coefficients, code, text):
@@ -350,6 +354,51 @@ class TestErrorHandling:
         assert text in err["message"]
         # the structured error alone reports the problem
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("value", [None, [1.0, 2.0], {"x": 1.0}, True])
+    def test_coefficient_of_wrong_json_type(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {
+            "problem": "potential",
+            "mesh": {"nx": 2, "ny": 2},
+            "coefficients": {"I": value},
+        })
+        code, out = run_cli(capsys, ["solve", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "config"
+        assert "coefficient 'I' must be a number or an expression string" in (
+            err["message"])
+
+    @pytest.mark.parametrize("missing", ["D", "dt"])
+    def test_concentration_requires_D_and_dt(self, tmp_path, capsys, missing):
+        coefficients = {"D": 0.5, "dt": 0.1, "c_prev": 1.0}
+        del coefficients[missing]
+        cfg = write_config(tmp_path, {
+            "problem": "concentration",
+            "mesh": {"nx": 2, "ny": 2},
+            "coefficients": coefficients,
+        })
+        code, out = run_cli(capsys, ["solve", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "config"
+        assert f"missing key(s): {missing!r}" in err["message"]
+
+    def test_concentration_config_emits_no_warning(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "problem": "concentration",
+            "mesh": {"nx": 2, "ny": 2},
+            "coefficients": {"D": 0.5, "dt": 0.1, "c_prev": 1.0},
+        })
+        # pyproject.toml filters the D/dt advisory; record it regardless
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run_cli(capsys, ["solve", "--config", cfg,
+                                       "--outdir", str(tmp_path / "out")])
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, UserWarning)]
 
     def test_beta_checked_where_assembly_samples_it(self, tmp_path, capsys):
         # positive at the 4 Gauss points per facet of validate_problem,

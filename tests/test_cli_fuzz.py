@@ -1,0 +1,86 @@
+"""Whole `solve` configs of both problem kinds, drawn at random.
+
+Every run must end in a report or in a structured error whose code is not
+`internal`, and a rerun must write a byte-identical `report.json`. Meshes
+run from 1 x 1 to 20 x 20 at p = 1..3, odd and even, so potential systems
+cross DENSE_LIMIT into the multigrid path, including hierarchies whose
+coarsest level is smoothed only. Coefficients are numbers or strings of
+the README grammar, some of which divide by zero or overflow.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from dpgfem.cli import main
+
+NUMBERS = [0.0, 1.0, -1.0, 0.5, 1e-3, 2.0, 1e300]
+EXPRESSIONS = [
+    "1 + x/2", "sin(pi*x)*cos(pi*y)", "exp(x*y) - 1", "sqrt(x^2 + y^2)",
+    "ln(2 + x)", "abs(x - 0.5)", "-2^2 + 5*y", "2.5E-1",
+    "1/(x - x)",            # division by zero
+    "exp(1000*x)",          # overflow
+    "1e308*10",             # an infinite value
+    "ln(0 - y)",            # out of domain
+]
+POSITIVE = [0.5, 0.1, 1e-3, 2.0]
+DATA = st.one_of(st.sampled_from(NUMBERS), st.sampled_from(EXPRESSIONS))
+
+CONCENTRATION = st.fixed_dictionaries(
+    {"D": st.sampled_from(POSITIVE + [0.0, -1.0]),
+     "dt": st.sampled_from(POSITIVE + [0.0, -1.0])},
+    optional={"c_prev": DATA, "J": DATA})
+POTENTIAL = st.fixed_dictionaries(
+    {}, optional={"kappa": st.sampled_from(POSITIVE + [0.0, -1.0]),
+                  "beta": DATA, "Sx": DATA, "Sy": DATA, "I": DATA, "R": DATA})
+
+CONFIGS = st.one_of(
+    st.tuples(st.just("concentration"), CONCENTRATION),
+    st.tuples(st.just("potential"), POTENTIAL),
+).flatmap(lambda kind_coeff: st.fixed_dictionaries({
+    "problem": st.just(kind_coeff[0]),
+    "coefficients": st.just(kind_coeff[1]),
+    "mesh": st.fixed_dictionaries({"nx": st.integers(1, 20),
+                                   "ny": st.integers(1, 20)}),
+    "discretization": st.fixed_dictionaries({"p": st.integers(1, 3)}),
+}))
+
+
+def _solve(cfg: dict, root: Path, name: str):
+    path = root / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    outdir = root / name
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["solve", "--config", str(path), "--outdir", str(outdir)])
+    report = outdir / "report.json"
+    return code, stdout.getvalue(), report.read_bytes() if report.exists() else None
+
+
+def _potential(nx, ny, p, **coefficients):
+    return {"problem": "potential", "coefficients": coefficients,
+            "mesh": {"nx": nx, "ny": ny}, "discretization": {"p": p}}
+
+
+@settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow])
+@given(CONFIGS)
+# a V-cycle from the first iteration; an odd mesh smoothed only
+@example(_potential(16, 16, 2, beta="1 + x/2", Sx="sin(pi*x)*cos(pi*y)"))
+@example(_potential(19, 17, 2, I="abs(x - 0.5)"))
+def test_solve_config_ends_in_report_or_structured_error(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        code, out, report = _solve(cfg, root, "first")
+        if code == 0:
+            assert report is not None
+            assert json.loads(out) == json.loads(report)
+        else:
+            assert report is None
+            assert json.loads(out)["error"]["code"] in (
+                "config", "validation", "solver")
+        assert _solve(cfg, root, "rerun") == (code, out, report)

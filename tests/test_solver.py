@@ -240,21 +240,48 @@ class TestMultigrid:
         assert info.levels == [system.matrix.shape[0]]
         assert _direct_gap(system, x) <= 1e-8
 
-    def test_jacobi_phase_then_multigrid(self):
+    def test_jacobi_phase_then_multigrid(self, monkeypatch):
+        # a concentration system restarts on the V-cycle after the budget
+        monkeypatch.setattr(solver_mod, "JACOBI_ITERATIONS", 5)
+        system = _case_system("conc-trig", 3, 16)
+        x, info = solve_spd(system)
+        assert 5 < info.iterations <= 25
+        assert info.levels
+        assert _direct_gap(system, x) <= 1e-8
+
+    def test_potential_starts_on_the_vcycle(self):
         system = _case_system("pot-trig", 2, 16)
         x, info = solve_spd(system)
-        assert solver_mod.JACOBI_ITERATIONS < info.iterations <= (
-            solver_mod.JACOBI_ITERATIONS + 20)
+        assert info.iterations <= 20
         assert info.levels == [1825, 465, 121, 33, 10]     # 16^2 .. 1^2
         assert _direct_gap(system, x) <= 1e-8
 
+    def test_concentration_converges_in_the_diagonal_phase(self):
+        system = _case_system("conc-trig", 2, 32)
+        x, info = solve_spd(system)
+        assert info.method == "pcg"
+        assert info.levels == []
+        assert _direct_gap(system, x) <= 1e-8
+
     def test_galerkin_oracle_shares_the_solver(self, monkeypatch):
-        case = manufactured_case("pot-trig")
+        # the diagonal finishes the concentration oracle; at budget 0 the
+        # same system goes through one V-cycle hierarchy instead
+        built = []
+
+        class Counting(solver_mod.Multigrid):
+            def __init__(self, system):
+                built.append(system.kind)
+                super().__init__(system)
+
+        monkeypatch.setattr(solver_mod, "Multigrid", Counting)
+        case = manufactured_case("conc-trig")
         mesh = case_mesh(case, 16)
         layout = SpaceLayout(p=3)
         default = classical_galerkin_solve(mesh, case.problem, layout)
+        assert built == []
         monkeypatch.setattr(solver_mod, "JACOBI_ITERATIONS", 0)
         multigrid = classical_galerkin_solve(mesh, case.problem, layout)
+        assert built == ["concentration"]
         assert (np.linalg.norm(multigrid - default)
                 <= 1e-8 * np.linalg.norm(default))
 
