@@ -10,8 +10,20 @@ Grammar (token set is normative, see README):
     FUNC    := "sin" | "cos" | "exp" | "ln" | "sqrt" | "abs"
 
 "^" binds tighter than unary minus and associates to the right; "+", "-",
-"*", "/" associate to the left. Trees are immutable and evaluation is
-reentrant. Positions are 0-based character offsets into the source text.
+"*", "/" associate to the left. Positions are 0-based character offsets
+into the source text.
+
+Nesting is bounded so that parsing and compiling stay far below Python's
+recursion limit: no more than MAX_DEPTH parentheses, function calls,
+unary minuses and exponents may enclose one another, and no tree may be
+deeper than MAX_DEPTH nodes (a sum of MAX_DEPTH + 1 terms is too deep).
+Past the bound, parsing raises ExprSyntaxError.
+
+`compile_expr` parses a string once and compiles its tree into one
+Python function of straight-line code, which evaluates the nodes in the
+order of a post-order walk and applies the same domain checks, raising
+ExprDomainError with the node's position. Trees are immutable and the
+compiled functions reentrant.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from dataclasses import dataclass, field
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 VARIABLES = ("x", "y")
+MAX_DEPTH = 100
 
 
 class ExprSyntaxError(ValueError):
@@ -35,22 +48,37 @@ class ExprDomainError(ValueError):
         self.pos = pos
 
 
+def _depth(pos: int, *children: "Node") -> int:
+    depth = 1 + max(child.depth for child in children)
+    if depth > MAX_DEPTH:
+        raise ExprSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+    return depth
+
+
+# `depth` is the height of a node's tree; constructing a node deeper than
+# MAX_DEPTH raises, so the recursive walks over trees stay shallow.
 @dataclass(frozen=True)
 class Num:
     value: float
     pos: int = field(default=0, compare=False)
+    depth = 1
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
     pos: int = field(default=0, compare=False)
+    depth = 1
 
 
 @dataclass(frozen=True)
 class Neg:
     arg: "Node"
     pos: int = field(default=0, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "depth", _depth(self.pos, self.arg))
 
 
 @dataclass(frozen=True)
@@ -59,6 +87,10 @@ class BinOp:
     left: "Node"
     right: "Node"
     pos: int = field(default=0, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "depth", _depth(self.pos, self.left, self.right))
 
 
 @dataclass(frozen=True)
@@ -66,6 +98,10 @@ class Call:
     func: str
     arg: "Node"
     pos: int = field(default=0, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "depth", _depth(self.pos, self.arg))
 
 
 Node = Num | Var | Neg | BinOp | Call
@@ -132,6 +168,16 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.level = 0
+
+    def nested(self, parse, pos: int) -> Node:
+        """parse() one level deeper, for the group opened at pos."""
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+        node = parse()
+        self.level -= 1
+        return node
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -173,7 +219,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.factor(), tok.pos)
+            return Neg(self.nested(self.factor, tok.pos), tok.pos)
         return self.power()
 
     def power(self) -> Node:
@@ -182,7 +228,7 @@ class _Parser:
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             # exponent parsed at factor level: right associative, may be signed
-            node = BinOp("^", node, self.factor(), tok.pos)
+            node = BinOp("^", node, self.nested(self.factor, tok.pos), tok.pos)
         return node
 
     def atom(self) -> Node:
@@ -199,13 +245,13 @@ class _Parser:
                 return Num(math.pi, tok.pos)
             if name in FUNCTIONS:
                 self.expect("lparen", "'(' after function name")
-                arg = self.expr()
+                arg = self.nested(self.expr, tok.pos)
                 self.expect("rparen", "')'")
                 return Call(name, arg, tok.pos)
             raise ExprSyntaxError(f"unknown identifier {name!r}", tok.pos)
         if tok.kind == "lparen":
             self.advance()
-            node = self.expr()
+            node = self.nested(self.expr, tok.pos)
             self.expect("rparen", "')'")
             return node
         got = repr(tok.text) if tok.kind != "end" else "end of input"
@@ -216,49 +262,109 @@ def parse(text: str) -> Node:
     return _Parser(text).parse()
 
 
-def evaluate(node: Node, x: float, y: float) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return float(x) if node.name == "x" else float(y)
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, x, y)
-    if isinstance(node, BinOp):
-        a = evaluate(node.left, x, y)
-        b = evaluate(node.right, x, y)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0.0:
-                raise ExprDomainError("division by zero", node.pos)
-            return a / b
-        try:
-            return math.pow(a, b)
-        except (ValueError, OverflowError) as exc:
-            raise ExprDomainError(f"invalid power: {exc}", node.pos) from None
-    a = evaluate(node.arg, x, y)
-    if node.func in ("sin", "cos"):
-        if not math.isfinite(a):
-            raise ExprDomainError(f"{node.func} of a non-finite value", node.pos)
-        return math.sin(a) if node.func == "sin" else math.cos(a)
-    if node.func == "exp":
-        try:
-            return math.exp(a)
-        except OverflowError:
-            raise ExprDomainError("exp overflows", node.pos) from None
-    if node.func == "ln":
-        if a <= 0.0:
-            raise ExprDomainError("ln of a non-positive value", node.pos)
-        return math.log(a)
-    if node.func == "sqrt":
-        if a < 0.0:
-            raise ExprDomainError("sqrt of a negative value", node.pos)
-        return math.sqrt(a)
+# Domain rules of the evaluator; `pos` is the position of the node applied.
+def _div(a: float, b: float, pos: int) -> float:
+    if b == 0.0:
+        raise ExprDomainError("division by zero", pos)
+    return a / b
+
+
+def _pow(a: float, b: float, pos: int) -> float:
+    try:
+        return math.pow(a, b)
+    except (ValueError, OverflowError) as exc:
+        raise ExprDomainError(f"invalid power: {exc}", pos) from None
+
+
+def _sin(a: float, pos: int) -> float:
+    if not math.isfinite(a):
+        raise ExprDomainError("sin of a non-finite value", pos)
+    return math.sin(a)
+
+
+def _cos(a: float, pos: int) -> float:
+    if not math.isfinite(a):
+        raise ExprDomainError("cos of a non-finite value", pos)
+    return math.cos(a)
+
+
+def _exp(a: float, pos: int) -> float:
+    try:
+        return math.exp(a)
+    except OverflowError:
+        raise ExprDomainError("exp overflows", pos) from None
+
+
+def _ln(a: float, pos: int) -> float:
+    if a <= 0.0:
+        raise ExprDomainError("ln of a non-positive value", pos)
+    return math.log(a)
+
+
+def _sqrt(a: float, pos: int) -> float:
+    if a < 0.0:
+        raise ExprDomainError("sqrt of a negative value", pos)
+    return math.sqrt(a)
+
+
+def _abs(a: float, pos: int) -> float:
     return abs(a)
+
+
+_HELPERS = {"_float": float, "_div": _div, "_pow": _pow, "_sin": _sin,
+            "_cos": _cos, "_exp": _exp, "_ln": _ln, "_sqrt": _sqrt, "_abs": _abs}
+
+
+def _compile(tree: Node):
+    """def f(x, y) evaluating `tree`: one assignment per node, in post-order.
+
+    The source holds only temporaries, literal names c0, c1, ..., the
+    operators + - *, helper names and integer positions; literal values
+    are bound in the function's namespace, so no text of the expression
+    reaches `exec`. x and y are converted with float() where the first
+    node reading them is evaluated.
+    """
+    consts: dict = {}
+    lines: list = []
+    converted: set = set()
+
+    def emit(node: Node) -> str:
+        if isinstance(node, Num):
+            name = f"c{len(consts)}"
+            consts[name] = node.value
+            return name
+        if isinstance(node, Var):
+            name = "x" if node.name == "x" else "y"
+            if name not in converted:
+                converted.add(name)
+                lines.append(f"{name} = _float({name})")
+            return name
+        if isinstance(node, Neg):
+            value = f"-{emit(node.arg)}"
+        elif isinstance(node, BinOp):
+            a, b = emit(node.left), emit(node.right)
+            if node.op in ("+", "-", "*"):
+                value = f"{a} {node.op} {b}"
+            else:
+                helper = "_div" if node.op == "/" else "_pow"
+                value = f"{helper}({a}, {b}, {node.pos:d})"
+        else:
+            helper = f"_{node.func}" if node.func in FUNCTIONS else "_abs"
+            value = f"{helper}({emit(node.arg)}, {node.pos:d})"
+        name = f"t{len(lines)}"
+        lines.append(f"{name} = {value}")
+        return name
+
+    result = emit(tree)
+    source = "".join(f"    {line}\n" for line in lines)
+    namespace = {"__builtins__": {}, **_HELPERS, **consts}
+    exec(f"def f(x, y):\n{source}    return {result}\n", namespace)
+    return namespace["f"]
+
+
+def evaluate(node: Node, x: float, y: float) -> float:
+    """Value of the tree at (x, y), computed by its compiled code."""
+    return _compile(node)(x, y)
 
 
 def unparse(node: Node) -> str:
@@ -275,6 +381,5 @@ def unparse(node: Node) -> str:
 
 
 def compile_expr(text: str):
-    """Parse once, return a callable (x, y) -> float."""
-    tree = parse(text)
-    return lambda x, y: evaluate(tree, x, y)
+    """Parse and compile once; return a callable (x, y) -> float."""
+    return _compile(parse(text))

@@ -16,8 +16,9 @@ g(x, y, nx, ny) of position and outward unit normal. Both are called with
 numpy arrays of coordinates (and normal components) and return an array of
 the same shape or a scalar, which is broadcast. Constants, expression
 strings and plain (x, y) callables are accepted and normalized on
-construction; expression strings are evaluated one point at a time. All
-specs are immutable and the functions reentrant.
+construction; an expression string is compiled once (`expr.compile_expr`)
+and its compiled function is called once per point. All specs are
+immutable and the functions reentrant.
 """
 
 from __future__ import annotations
@@ -243,6 +244,9 @@ def validate_problem(spec, mesh: Mesh):
             violations.append("D must be positive")
         if not spec.dt > 0:
             violations.append("dt must be positive")
+        elif spec.D > 0 and not 0 < spec.dt * spec.D < math.inf:
+            violations.append(f"eps = dt*D must be finite and nonzero "
+                              f"(dt*D = {spec.dt * spec.D:g})")
         if spec.D >= 1 or spec.dt >= 1:
             warnings.warn("D or dt is not < 1; error bounds assume small values",
                           stacklevel=2)

@@ -56,6 +56,7 @@ in the A-norm, which makes the symmetric V-cycle positive definite
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -542,8 +543,16 @@ def solve_spd(system: GlobalSystem, tol: float = 1e-10):
     solve at 64^2 about 7 times slower at p = 2 and 5 times at p = 3. A
     hand-built system with no dof map keeps the diagonal.
 
+    Both paths solve for the right-hand side times the power of two 2^-k
+    that brings its largest entry into [0.5, 1), and scale the solution
+    back. Every operation of either path is linear in the right-hand
+    side, so this is exact (unless an entry falls below 2^-1022 when
+    scaled): the iterates are those of the unscaled solve times 2^-k, bit
+    for bit, but no inner product of large data overflows.
+
     Returns (coefficients, SolveInfo). A system with inf or NaN entries
-    raises SolverError before either path.
+    raises SolverError before either path, as does a solution that
+    overflows when scaled back.
     """
     A, b = system.matrix, system.rhs
     bad_a = int(np.count_nonzero(~np.isfinite(A.data)))
@@ -551,11 +560,23 @@ def solve_spd(system: GlobalSystem, tol: float = 1e-10):
     if bad_a or bad_b:
         raise SolverError(f"non-finite system: {bad_a} matrix and {bad_b} "
                           "right-hand-side entries are inf or NaN")
+    bmax = float(np.abs(b).max(initial=0.0))
+    if bmax == 0.0:
+        return np.zeros(A.shape[0]), SolveInfo("trivial", 0, 0.0)
+    k = math.frexp(bmax)[1]
+    x, info = _solve_scaled(system, np.ldexp(b, -k), tol)
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x, k)
+    if not np.isfinite(x).all():
+        raise SolverError("non-finite solution: the solution overflows")
+    return x, info
+
+
+def _solve_scaled(system: GlobalSystem, b: np.ndarray, tol: float):
+    """The two paths of `solve_spd`, for a nonzero right-hand side b."""
+    A = system.matrix
     n = A.shape[0]
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros(n), SolveInfo("trivial", 0, 0.0)
-
     diag = A.diagonal()
     if np.any(diag <= 0):
         raise SolverError("not SPD / no convergence: nonpositive diagonal entry")
@@ -602,9 +623,16 @@ def compute_indicators(mesh: Mesh, dofmap: DofMap, problem,
     geom = geometry_kernels(dofmap.layout, mesh.dx, mesh.dy)
     kernels = ProblemKernels(geom, problem)
     out = np.empty((mesh.n_elems, 2))
-    for group in dofmap.element_groups():
-        out[group.elems] = error_indicator(kernels.local_system(mesh, group),
-                                           coeffs[group.dofs])
+    # squared residuals of data beyond about 1e154 overflow; the error
+    # below reports them, and numpy stays quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in dofmap.element_groups():
+            out[group.elems] = error_indicator(kernels.local_system(mesh, group),
+                                               coeffs[group.dofs])
+        total = out.sum()
+    if not np.isfinite(total):
+        raise SolverError("non-finite error indicators: the squared residuals "
+                          "overflow")
     return out
 
 

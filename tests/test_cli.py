@@ -12,6 +12,10 @@ def run_cli(capsys, argv):
     return code, out
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -336,6 +340,11 @@ class TestErrorHandling:
         ("potential", {"kappa": 1e-320, "I": 1.0}, "solver", "non-finite"),
         ("concentration", {"D": 1e-320, "dt": 0.1, "c_prev": 1.0}, "solver",
          "non-finite"),
+        # dt*D overflows, or underflows to zero
+        ("concentration", {"D": 1e308, "dt": 1e308, "c_prev": 1.0}, "validation",
+         "eps = dt*D must be finite and nonzero (dt*D = inf)"),
+        ("concentration", {"D": 1e-200, "dt": 1e-200, "c_prev": 1.0}, "validation",
+         "eps = dt*D must be finite and nonzero (dt*D = 0)"),
     ])
     def test_non_finite_coefficient_data(self, tmp_path, capsys, problem,
                                          coefficients, code, text):
@@ -354,6 +363,53 @@ class TestErrorHandling:
         assert text in err["message"]
         # the structured error alone reports the problem
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("problem, coefficients, nx, ny, p", [
+        ("potential", {"I": 1e300}, 3, 2, 2),
+        ("potential", {"Sx": 1e300}, 3, 2, 2),
+        ("potential", {"R": 1e300}, 3, 2, 2),
+        ("concentration", {"D": 0.5, "dt": 0.1, "c_prev": 1e300}, 3, 2, 2),
+        ("concentration", {"D": 0.5, "dt": 0.1, "J": 1e300}, 3, 2, 2),
+        # the CG path, whose inner products of this load would overflow
+        ("potential", {"I": 3.2e153}, 20, 20, 2),
+    ])
+    def test_overflowing_data_ends_in_finite_report_or_solver_error(
+            self, tmp_path, capsys, problem, coefficients, nx, ny, p):
+        cfg = write_config(tmp_path, {
+            "problem": problem,
+            "mesh": {"nx": nx, "ny": ny},
+            "discretization": {"p": p},
+            "coefficients": coefficients,
+        })
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(capsys, ["solve", "--config", cfg,
+                                         "--outdir", str(tmp_path / "out")])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code == 0:
+            for text in (out, (tmp_path / "out" / "report.json").read_text()):
+                json.loads(text, parse_constant=_reject_constant)
+        else:
+            assert json.loads(out)["error"]["code"] == "solver"
+
+    @pytest.mark.parametrize("c_prev", [
+        "+".join(["x"] * 3000),
+        "-" * 3000 + "x",
+        "(" * 3000 + "x" + ")" * 3000,
+    ], ids=["long-sum", "minus-chain", "parentheses"])
+    def test_deep_nesting_is_config_error(self, tmp_path, capsys, c_prev):
+        cfg = write_config(tmp_path, {
+            "problem": "concentration",
+            "mesh": {"nx": 2, "ny": 2},
+            "coefficients": {"D": 0.5, "dt": 0.1, "c_prev": c_prev},
+        })
+        code, out = run_cli(capsys, ["solve", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "config"
+        assert "syntax error at position" in err["message"]
+        assert "nesting deeper than 100 levels" in err["message"]
 
     @pytest.mark.parametrize("value", [None, [1.0, 2.0], {"x": 1.0}, True])
     def test_coefficient_of_wrong_json_type(self, tmp_path, capsys, value):

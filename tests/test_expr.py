@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,8 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dpgfem.expr import (
+    FUNCTIONS,
+    MAX_DEPTH,
+    BinOp,
+    Call,
     ExprDomainError,
     ExprSyntaxError,
+    Neg,
+    Num,
+    Var,
     compile_expr,
     evaluate,
     parse,
@@ -160,3 +168,129 @@ class TestProperties:
         tree = parse("sin(x)*exp(y) + x^3")
         vals = {evaluate(tree, 0.3, 0.7) for _ in range(20)}
         assert len(vals) == 1
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("text", [
+        "+".join(["x"] * 3000),
+        "-" * 3000 + "x",
+        "(" * 3000 + "x" + ")" * 3000,
+    ])
+    def test_deep_nesting_is_syntax_error(self, text):
+        with pytest.raises(ExprSyntaxError, match="nesting deeper than") as err:
+            compile_expr(text)
+        assert 0 <= err.value.pos < len(text)
+
+    @pytest.mark.parametrize("make", [
+        lambda n: "+".join(["x"] * n),                  # tree height n
+        lambda n: "-" * (n - 1) + "x",                  # n - 1 minuses, height n
+        lambda n: "(" * n + "x" + ")" * n,              # n parentheses
+        lambda n: "sin(" * (n - 1) + "x" + ")" * (n - 1),
+        lambda n: "1^" * (n - 1) + "1",
+    ])
+    def test_bound_is_exact(self, make):
+        assert math.isfinite(compile_expr(make(MAX_DEPTH))(0.5, 0.5))
+        with pytest.raises(ExprSyntaxError):
+            compile_expr(make(MAX_DEPTH + 1))
+
+
+class TestCompiledCode:
+    def test_overflowing_literal(self):
+        assert compile_expr("1e999*x")(1.0, 0.0) == math.inf
+
+    def test_node_names_do_not_reach_the_source(self):
+        # a hand-built tree with foreign names evaluates as the tree walker
+        # does: a variable other than x reads y, an unknown function is abs
+        tree = Call("__import__('os')", BinOp("-", Var("y);x=(1"), Num(5.0)))
+        assert evaluate(tree, 1.0, 2.0) == 3.0
+
+
+def reference_evaluate(node, x, y):
+    """The recursive tree walker that evaluated expressions before they
+    were compiled, kept as the reference for the compiled code."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return float(x) if node.name == "x" else float(y)
+    if isinstance(node, Neg):
+        return -reference_evaluate(node.arg, x, y)
+    if isinstance(node, BinOp):
+        a = reference_evaluate(node.left, x, y)
+        b = reference_evaluate(node.right, x, y)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            if b == 0.0:
+                raise ExprDomainError("division by zero", node.pos)
+            return a / b
+        try:
+            return math.pow(a, b)
+        except (ValueError, OverflowError) as exc:
+            raise ExprDomainError(f"invalid power: {exc}", node.pos) from None
+    a = reference_evaluate(node.arg, x, y)
+    if node.func in ("sin", "cos"):
+        if not math.isfinite(a):
+            raise ExprDomainError(f"{node.func} of a non-finite value", node.pos)
+        return math.sin(a) if node.func == "sin" else math.cos(a)
+    if node.func == "exp":
+        try:
+            return math.exp(a)
+        except OverflowError:
+            raise ExprDomainError("exp overflows", node.pos) from None
+    if node.func == "ln":
+        if a <= 0.0:
+            raise ExprDomainError("ln of a non-positive value", node.pos)
+        return math.log(a)
+    if node.func == "sqrt":
+        if a < 0.0:
+            raise ExprDomainError("sqrt of a negative value", node.pos)
+        return math.sqrt(a)
+    return abs(a)
+
+
+def _outcome(fn, *args):
+    """Float bits of the result (NaN as one value), or the exception's
+    class, position and message."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), getattr(exc, "pos", None), str(exc)
+    if math.isnan(value):
+        return "nan"
+    return struct.pack("<d", value)
+
+
+# literals that divide by zero, leave the domain of ln and sqrt, and
+# overflow exp and ^; 1e999 is how an overflowing literal parses
+LITERALS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, math.pi,
+                            710.0, 1e-300, 1e300, 1e308, math.inf]) | st.floats(
+    min_value=-1e3, max_value=1e3, allow_nan=False)
+POS = st.integers(0, 500)
+LEAVES = st.builds(Num, LITERALS, POS) | st.builds(Var, st.sampled_from("xy"), POS)
+TREES = st.recursive(LEAVES, lambda sub: st.one_of(
+    st.builds(Neg, sub, POS),
+    st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub, POS),
+    st.builds(Call, st.sampled_from(FUNCTIONS), sub, POS),
+), max_leaves=12)
+POINTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308]) | st.floats()
+
+
+class TestDifferential:
+    @given(TREES, POINTS, POINTS)
+    def test_compiled_tree_matches_tree_walker(self, tree, x, y):
+        assert _outcome(evaluate, tree, x, y) == _outcome(reference_evaluate,
+                                                          tree, x, y)
+
+    @given(TREES, POINTS, POINTS)
+    def test_compiled_string_matches_tree_walker(self, tree, x, y):
+        # unparse writes repr(value); inf has no literal in the grammar
+        text = unparse(tree)
+        if "inf" in text:
+            return
+        tree = parse(text)
+        assert _outcome(compile_expr(text), x, y) == _outcome(
+            reference_evaluate, tree, x, y)

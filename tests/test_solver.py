@@ -162,6 +162,19 @@ class TestSolveSpd:
             with pytest.raises(SolverError, match="non-finite"):
                 solve_spd(_hand_system(matrix, rhs))
 
+    @pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 600], ids=["tiny", "huge"])
+    @pytest.mark.parametrize("name, p, n", [("conc-trig", 1, 4),     # dense
+                                            ("conc-trig", 2, 16),    # diagonal
+                                            ("pot-trig", 2, 16)])    # V-cycle
+    def test_load_times_power_of_two_scales_solution_exactly(self, name, p, n,
+                                                             scale):
+        # at these scales the unscaled inner products underflow or overflow
+        system = _case_system(name, p, n)
+        x, info = solve_spd(system)
+        xs, info_s = solve_spd(dataclasses.replace(system, rhs=system.rhs * scale))
+        assert info_s == info
+        assert np.array_equal(xs, x * scale)
+
     def test_pcg_path_matches_dense(self, monkeypatch):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="x*y", J=0.0)
