@@ -13,7 +13,6 @@ from dpgfem.mesh import (
     Mesh,
     build_rect_mesh,
     classify_boundary,
-    refine_uniform,
 )
 from dpgfem.fespace import SpaceLayout, DofMap, build_dofmap
 from dpgfem.problems import (
@@ -39,7 +38,6 @@ __all__ = [
     "Mesh",
     "build_rect_mesh",
     "classify_boundary",
-    "refine_uniform",
     "SpaceLayout",
     "DofMap",
     "build_dofmap",

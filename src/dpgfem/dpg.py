@@ -340,17 +340,19 @@ def condense_local(ls: LocalSystem):
     every element of a group.
 
     S is (n_trial x n_trial) when the group shares B, else (n x n_trial x
-    n_trial); rhs is (n x n_trial).
+    n_trial); rhs is (n x n_trial). Data near the overflow threshold can
+    leave inf or NaN entries, which the caller reports; numpy stays quiet.
     """
     try:
         factor = ls.factor()
     except scipy.linalg.LinAlgError as exc:
         raise ValueError(f"enriched Gram is not SPD: {exc}") from None
     B = ls.coupling
-    S = ls.lsq_matrix + np.swapaxes(B, -1, -2) @ _gram_solve(factor, B, -2)
-    S = 0.5 * (S + np.swapaxes(S, -1, -2))
-    y = _gram_solve(factor, ls.load, -1)
-    rhs = ls.lsq_load + (y[:, None, :] @ B)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = ls.lsq_matrix + np.swapaxes(B, -1, -2) @ _gram_solve(factor, B, -2)
+        S = 0.5 * (S + np.swapaxes(S, -1, -2))
+        y = _gram_solve(factor, ls.load, -1)
+        rhs = ls.lsq_load + (y[:, None, :] @ B)[:, 0]
     return S, rhs
 
 

@@ -367,19 +367,6 @@ def evaluate(node: Node, x: float, y: float) -> float:
     return _compile(node)(x, y)
 
 
-def unparse(node: Node) -> str:
-    """Canonical parenthesized form; parse(unparse(t)) equals t."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{unparse(node.arg)})"
-    if isinstance(node, BinOp):
-        return f"({unparse(node.left)}{node.op}{unparse(node.right)})"
-    return f"{node.func}({unparse(node.arg)})"
-
-
 def compile_expr(text: str):
     """Parse and compile once; return a callable (x, y) -> float."""
     return _compile(parse(text))

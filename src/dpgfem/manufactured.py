@@ -207,21 +207,3 @@ def manufactured_case(name: str) -> ManufacturedCase:
     except KeyError:
         raise ValueError(f"unknown manufactured case {name!r}; "
                          f"available: {', '.join(CASE_NAMES)}") from None
-
-
-def strong_form_residual(case: ManufacturedCase, x: float, y: float) -> float:
-    """Largest pointwise residual of the first-order system at (x, y)."""
-    prob = case.problem
-    fx, fy = case.exact_flux(x, y)
-    gx, gy = case.exact_grad(x, y)
-    if case.kind == "concentration":
-        balance = (case.exact_field(x, y) + prob.dt * case.exact_flux_div(x, y)
-                   - prob.c_prev(x, y))
-        rx = fx / prob.D + gx
-        ry = fy / prob.D + gy
-    else:
-        balance = case.exact_flux_div(x, y)
-        sx, sy = prob.S[0](x, y), prob.S[1](x, y)
-        rx = fx / prob.kappa + gx + sx / prob.kappa
-        ry = fy / prob.kappa + gy + sy / prob.kappa
-    return max(abs(balance), abs(rx), abs(ry))

@@ -56,10 +56,6 @@ class Rectangle:
     def height(self) -> float:
         return self.y1 - self.y0
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
 
 @dataclass(frozen=True)
 class BoundaryPartition:
@@ -150,10 +146,6 @@ class Mesh:
     def h_max(self) -> float:
         return float(np.hypot(self.dx, self.dy))
 
-    @property
-    def element_area(self) -> float:
-        return self.dx * self.dy
-
     def element_origin(self, e):
         """Lower-left corner (x0, y0) of element e, or arrays of them for
         an array of element ids."""
@@ -168,23 +160,6 @@ class Mesh:
 
     def facets_with_tag(self, tag: FacetTag) -> np.ndarray:
         return np.flatnonzero(self.facet_tags == int(tag))
-
-    def facet_length(self, f: int) -> float:
-        a, b = self.facet_verts[f]
-        return float(np.linalg.norm(self.vertices[b] - self.vertices[a]))
-
-    def facet_endpoints(self, f: int) -> np.ndarray:
-        return self.vertices[self.facet_verts[f]]
-
-
-def facet_geometry(mesh: Mesh, f: int):
-    """Length, global normal, incident elements and per-element signs of a facet."""
-    elems = tuple(int(e) for e in mesh.facet_elems[f] if e >= 0)
-    signs = []
-    for e in elems:
-        k = int(np.flatnonzero(mesh.elem_facets[e] == f)[0])
-        signs.append(float(mesh.elem_facet_signs[e, k]))
-    return mesh.facet_length(f), mesh.facet_normals[f].copy(), elems, tuple(signs)
 
 
 def build_rect_mesh(domain: Rectangle, nx: int, ny: int) -> Mesh:
@@ -249,10 +224,3 @@ def classify_boundary(mesh: Mesh, partition: BoundaryPartition,
                 mesh.facet_verts, mesh.facet_normals, mesh.facet_elems, tags,
                 mesh.elem_facets, mesh.elem_facet_signs, partition, problem_kind)
 
-
-def refine_uniform(mesh: Mesh) -> Mesh:
-    """Halve every element; boundary tags are inherited from the parent sides."""
-    fine = build_rect_mesh(mesh.domain, 2 * mesh.nx, 2 * mesh.ny)
-    if mesh.partition is not None:
-        fine = classify_boundary(fine, mesh.partition, mesh.problem_kind)
-    return fine

@@ -11,53 +11,52 @@ traces). A group that shares S needs one Cholesky factor of S_LL; Robin
 groups, whose S is stacked per element, take one batched solve. The
 global matrix therefore lives on the skeleton dofs only;
 `GlobalSystem.skeleton` maps its rows to the full numbering (field,
-flux, trace), and is ascending.
+flux, trace), and is ascending. After the skeleton solve, `recover_local`
+sets the local unknowns to u_L = S_LL^-1 r_L - S_LL^-1 S_LG u_G.
 
-Back-substitution. After the skeleton solve, `recover_local` sets the
-local unknowns of every element to u_L = S_LL^-1 r_L - S_LL^-1 S_LG u_G,
-so the indicators and the outputs see the full coefficient vector.
-
-Assembly walks the element groups of the dof map in order; repeated runs
-produce bit-identical systems. Dirichlet field dofs (potential problem),
-which are never local, are eliminated symmetrically from the skeleton
-system: rows and columns zeroed, unit diagonal, zero right-hand side.
+Assembly walks the element groups in order and sums their condensed
+matrices into a CSR matrix (`scatter`, shared with the Galerkin oracle
+and the coarse levels); repeated runs produce bit-identical systems.
+Dirichlet field dofs (potential problem), never local, are eliminated
+symmetrically in place: rows and columns zeroed, unit diagonal, zero
+right-hand side. The group data stays on the system as ElementBlocks.
 
 Linear solve. `solve_spd` factors systems of at most DENSE_LIMIT rows
 densely. Larger ones run CG preconditioned by one geometric multigrid
 V(1,1)-cycle per iteration, whose iteration count stays flat under
-refinement, where diagonal PCG grows like h^-1. The first iteration that
-uses it follows the problem kind the system was assembled from
-(`GlobalSystem.kind`): a potential system starts on the V-cycle, while a
-concentration step, which the diagonal alone usually finishes, first
-spends JACOBI_ITERATIONS diagonal iterations (see `solve_spd`).
+refinement, where diagonal PCG grows like h^-1. A potential system
+starts on the V-cycle; a concentration step, which the diagonal alone
+usually finishes, first spends JACOBI_ITERATIONS diagonal iterations.
 
-Hierarchy (`Multigrid`). The mesh is halved while both nx and ny are
-even, down to 1 x 1 on power-of-two meshes. The rows of a coarse
-level are the coarse mesh's skeleton dofs; a coarse facet carries traces
-when its fine halves do. The prolongation P interpolates along coarse
-edges (field nodes by degree-p Lagrange interpolation on the
-Gauss-Lobatto nodes, traces by restricting the coarse facet's degree
-p-1 trace to each half), and sets the fine rows strictly inside a coarse
-element to the A-harmonic extension -A_II^-1 A_IE of those edge values.
-The Dirichlet rows of either level are zero in P, and the Galerkin
-coarse matrix P^T A P gets a unit diagonal on the coarse ones. The
-coarsest level is factored densely when it has at most DENSE_LIMIT rows;
-otherwise (a large odd mesh) it is smoothed only.
+Hierarchy (`Multigrid`). The mesh is halved while nx and ny are even,
+down to 1 x 1 on power-of-two meshes; a coarse level's rows are the
+coarse mesh's skeleton dofs. Levels are built from element classes
+alone (element-by-element Galerkin coarsening): the elements are
+congruent, so an element matrix depends only on its group and, on Robin
+edges, on beta. A shared group matrix is a class, and so is each element
+of a stacked group; a 2 x 2 block of elements, around a vertex or
+forming a coarse element, takes its class from its elements' and from
+its Dirichlet rows. Per class of coarse elements, P interpolates along
+the coarse edges and extends A-harmonically, -A_II^-1 A_IE, inside; the
+coarse element matrix is sum_e P_e^T S_e P_e. Dirichlet rows are zero in
+P and get a unit coarse diagonal. The coarsest level is factored densely
+if it has at most DENSE_LIMIT rows, else (a large odd mesh) smoothed.
 
-Smoother. Additive Schwarz over vertex patches: a patch holds the rows
-located strictly inside the vertex's elements (a facet's traces sit at
-its midpoint), with one batched inverse per level. Patches of vertices
-with the same index parity share no element, so the patches are
-4-colourable, the undamped Schwarz operator M^-1 A has lambda_max <= 4,
-and the damping 0.4 keeps 0.4 * 4 < 2. The smoother therefore converges
-in the A-norm, which makes the symmetric V-cycle positive definite
-(Gopalakrishnan & Schoeberl 2014; Petrides & Demkowicz 2021).
+Smoother. Additive Schwarz over vertex patches, the rows strictly inside
+a vertex's elements (a facet's traces sit at its midpoint); a patch
+block is summed from element matrices and inverted once per class.
+Patches of vertices with the same index parity share no element, so the
+patches are 4-colourable, M^-1 A has lambda_max <= 4, and the damping
+0.4 keeps 0.4 * 4 < 2: the smoother converges in the A-norm, and the
+symmetric V-cycle is positive definite (Gopalakrishnan & Schoeberl 2014;
+Petrides & Demkowicz 2021).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -84,20 +83,20 @@ class SolverError(RuntimeError):
 
 
 @dataclass
-class LocalSolve:
-    """Back-substitution data of one element group: u_L = y - X u_G.
+class ElementBlock:
+    """One element group: its elements elems (n,), their rows dofs (n x m)
+    of the global matrix, and their element matrices before the Dirichlet
+    elimination, (m x m) shared by the group or stacked (n x m x m). A DPG
+    group also carries the back-substitution u_L = y - X u_G: the local
+    unknowns' full dofs (n x n_L), X = S_LL^-1 S_LG, shared or stacked,
+    and y = S_LL^-1 r_L (n x n_L)."""
 
-    local, skeleton: (n, n_L) and (n, n_G) full dofs of the group's local
-        and skeleton unknowns.
-    X: S_LL^-1 S_LG, (n_L x n_G) when shared by the group, else stacked
-        per element (n x n_L x n_G).
-    y: S_LL^-1 r_L per element (n x n_L).
-    """
-
-    local: np.ndarray
-    skeleton: np.ndarray
-    X: np.ndarray
-    y: np.ndarray
+    elems: np.ndarray
+    dofs: np.ndarray
+    matrix: np.ndarray
+    local: np.ndarray | None = None
+    X: np.ndarray | None = None
+    y: np.ndarray | None = None
 
 
 @dataclass
@@ -108,9 +107,9 @@ class GlobalSystem:
     constrained: Dirichlet field dofs in the full numbering.
     skeleton: full dof of each row of matrix (ascending); None when the
         rows are the full numbering.
-    local: one LocalSolve per element group.
     kind: the problem kind the system was assembled from ("concentration"
         or "potential"); None for a hand-built system.
+    elements: one ElementBlock per element group (`Multigrid` reads them).
     """
 
     matrix: sp.csr_matrix
@@ -118,8 +117,8 @@ class GlobalSystem:
     dofmap: DofMap
     constrained: np.ndarray
     skeleton: np.ndarray | None = None
-    local: list = field(default_factory=list)
     kind: str | None = None
+    elements: list = field(default_factory=list)
 
 
 @dataclass
@@ -170,14 +169,42 @@ def dirichlet_field_dofs(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
 
 def eliminate_dofs(matrix: sp.spmatrix, rhs: np.ndarray,
                    constrained: np.ndarray) -> sp.csr_matrix:
-    """Symmetric elimination of the constrained dofs (homogeneous data):
-    their rows and columns are zeroed, the diagonal set to one and the
-    right-hand side entries (changed in place) to zero."""
-    keep = np.ones(matrix.shape[0])
-    keep[constrained] = 0.0
-    P = sp.diags(keep)
+    """Symmetric elimination of the constrained dofs (homogeneous data), in
+    place for rhs and a CSR matrix: rows and columns zeroed, unit diagonal
+    (which must be stored), stored zeros dropped, zero right-hand side."""
     rhs[constrained] = 0.0
-    return (P @ matrix @ P + sp.diags(1.0 - keep)).tocsr()
+    matrix = matrix.tocsr()
+    matrix.sum_duplicates()
+    if constrained.size:
+        fixed = np.zeros(matrix.shape[0], dtype=bool)
+        fixed[constrained] = True
+        hit = np.flatnonzero(np.repeat(fixed, np.diff(matrix.indptr))
+                             | fixed[matrix.indices])
+        row = np.searchsorted(matrix.indptr, hit, side="right") - 1
+        matrix.data[hit] = np.where(row == matrix.indices[hit], 1.0, 0.0)
+        matrix.eliminate_zeros()
+    return matrix
+
+
+def scatter(blocks, n: int) -> sp.csr_matrix:
+    """Canonical CSR matrix over n rows summed from element blocks, (dofs,
+    matrix) pairs shaped like an ElementBlock's; a dof n stands for none.
+    The triplets are written in place, one array each, to bound the peak."""
+    size = sum(dofs.size * dofs.shape[1] for dofs, _ in blocks)
+    idx = np.int32 if n < 2**31 else np.int64            # scipy's CSR index type
+    vals, rows, cols = np.empty(size), np.empty(size, idx), np.empty(size, idx)
+    at = 0
+    for dofs, S in blocks:
+        shape = dofs.shape + dofs.shape[1:]
+        part = slice(at, at + np.prod(shape))
+        rows[part].reshape(shape)[...] = dofs[:, :, None]
+        cols[part].reshape(shape)[...] = dofs[:, None, :]
+        vals[part].reshape(shape)[...] = S
+        at = part.stop
+    if any(dofs.max(initial=0) >= n for dofs, _ in blocks):
+        keep = (rows < n) & (cols < n)
+        vals, rows, cols = vals[keep], rows[keep], cols[keep]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def skeleton_dofs(dofmap: DofMap) -> np.ndarray:
@@ -237,42 +264,42 @@ def assemble(mesh: Mesh, dofmap: DofMap, problem) -> GlobalSystem:
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     kernels = ProblemKernels(geom, problem)
     skeleton = skeleton_dofs(dofmap)
-    n = skeleton.size
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n)
-    local = []
+    rhs = np.zeros(skeleton.size)
+    elements = []
     for group in dofmap.element_groups():
         S, r = condense_local(kernels.local_system(mesh, group))
         L, G = _local_columns(layout, r.shape[1])
         S_c, r_c, X, y = _condense_group(S, r, L, G)
-        local.append(LocalSolve(group.dofs[:, L], group.dofs[:, G], X, y))
         dofs = np.searchsorted(skeleton, group.dofs[:, G]).astype(np.int32)
-        n_g, m = dofs.shape
-        rows.append(np.repeat(dofs, m, axis=1).ravel())
-        cols.append(np.tile(dofs, m).ravel())
-        vals.append(np.broadcast_to(S_c, (n_g, m, m)).ravel())
+        elements.append(ElementBlock(group.elems, dofs, S_c, group.dofs[:, L], X, y))
         np.add.at(rhs, dofs, r_c)
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+    return global_system(dofmap, elements, rhs, problem.kind, skeleton)
 
-    constrained = np.empty(0, dtype=np.int64)
-    if problem.kind == "potential":
-        constrained = dirichlet_field_dofs(mesh, dofmap)
-    if constrained.size:
-        matrix = eliminate_dofs(matrix, rhs, np.searchsorted(skeleton, constrained))
-    matrix.sort_indices()
-    return GlobalSystem(matrix, rhs, dofmap, constrained, skeleton, local,
-                        problem.kind)
+
+def global_system(dofmap: DofMap, elements: list, rhs: np.ndarray, kind: str,
+                  skeleton: np.ndarray | None = None) -> GlobalSystem:
+    """The system of the ElementBlocks over the rows `skeleton` (None: all
+    dofs), with a potential problem's Dirichlet field dofs eliminated."""
+    constrained = (dirichlet_field_dofs(dofmap.mesh, dofmap) if kind == "potential"
+                   else np.empty(0, dtype=np.int64))
+    rows = constrained if skeleton is None else np.searchsorted(skeleton, constrained)
+    matrix = eliminate_dofs(scatter([(b.dofs, b.matrix) for b in elements], rhs.size),
+                            rhs, rows)
+    return GlobalSystem(matrix, rhs, dofmap, constrained, skeleton, kind, elements)
 
 
 def recover_local(system: GlobalSystem, x: np.ndarray) -> np.ndarray:
     """Full coefficient vector from the skeleton solution x."""
     coeffs = np.zeros(system.dofmap.n_total)
     coeffs[system.skeleton] = x
-    for ls in system.local:
-        u_G = coeffs[ls.skeleton]
-        coeffs[ls.local] = ls.y - (ls.X @ u_G[:, :, None])[:, :, 0]
+    # huge data can overflow here; the error below reports it. The layout
+    # of u_G (column-major) sets matmul's summation order, bit for bit
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in system.elements:
+            u_G = x[np.asfortranarray(b.dofs)]
+            coeffs[b.local] = b.y - (b.X @ u_G[:, :, None])[:, :, 0]
+    if not np.isfinite(coeffs).all():
+        raise SolverError("non-finite solution: the local unknowns overflow")
     return coeffs
 
 
@@ -295,64 +322,12 @@ def _dense_solve(dense, b: np.ndarray) -> np.ndarray:
     return d * scipy.linalg.cho_solve(factor, d * b)
 
 
-def _facet_site(mesh: Mesh, f: np.ndarray):
-    """(vertical, i, j) of facets f: orientation and lower-end vertex, in
-    the numbering of `build_rect_mesh` (vertical facets first)."""
-    n_vert = (mesh.nx + 1) * mesh.ny
-    vertical = f < n_vert
-    g = np.where(vertical, f, f - n_vert)
-    width = np.where(vertical, mesh.nx + 1, mesh.nx)
-    return vertical, g % width, g // width
-
-
-def _facet_id(mesh: Mesh, vertical: np.ndarray, i: np.ndarray, j: np.ndarray):
-    """Inverse of `_facet_site`."""
-    n_vert = (mesh.nx + 1) * mesh.ny
-    return np.where(vertical, j * (mesh.nx + 1) + i, n_vert + j * mesh.nx + i)
-
-
-def _sites(dofmap: DofMap, rows: np.ndarray):
-    """Site of each row in half-lattice units, (U, V) = twice the field
-    lattice coordinates of a field node or of its facet's midpoint for a
-    trace, and the trace mode (-1 on field rows)."""
-    p = dofmap.layout.p
-    nxp, _ = dofmap.field_lattice_shape()
-    trace = rows >= dofmap.trace_offset
-    U, V = 2 * (rows % nxp), 2 * (rows // nxp)
-    mode = np.full(rows.size, -1)
-    t = rows[trace] - dofmap.trace_offset
-    vertical, i, j = _facet_site(dofmap.mesh, dofmap.active_facets[t // p])
-    U[trace] = 2 * p * i + np.where(vertical, 0, p)
-    V[trace] = 2 * p * j + np.where(vertical, p, 0)
-    mode[trace] = t % p
-    return U, V, mode
-
-
-def _dense_blocks(A: sp.csr_matrix, idx: np.ndarray) -> np.ndarray:
-    """A[idx[b][:, None], idx[b]] for every row b of idx; the padding index
-    n = A.shape[0] reads as an identity row and column. The lookup runs
-    over chunks of 64 blocks, which bounds its temporary arrays."""
-    n = A.shape[0]
-    keys = np.repeat(np.arange(n, dtype=np.int64) * (n + 1), np.diff(A.indptr))
-    keys += A.indices                           # ascending: A is canonical
-    blocks = np.empty(idx.shape + idx.shape[-1:])
-    for c in range(0, idx.shape[0], 64):
-        chunk = idx[c:c + 64]
-        query = chunk[:, :, None] * (n + 1) + chunk[:, None, :]
-        pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
-        blocks[c:c + 64] = np.where(keys[pos] == query, A.data[pos], 0.0)
-    b, s = np.nonzero(idx == n)
-    blocks[b, s, s] = 1.0
-    return blocks
-
-
-def _block_inverses(A: sp.csr_matrix, idx: np.ndarray, what: str) -> np.ndarray:
-    """Inverses L^-T L^-1 of the SPD blocks _dense_blocks(A, idx), exactly
-    symmetric. Each Cholesky factor L is overwritten by L^-1, by forward
-    substitution across the whole stack row by row, which beats one LAPACK
-    call per small block and holds two stacks at a time, not four."""
+def _block_inverses(blocks: np.ndarray, what: str) -> np.ndarray:
+    """Inverses L^-T L^-1 of a stack of SPD blocks, exactly symmetric: each
+    Cholesky factor L becomes L^-1 by forward substitution across the whole
+    stack, row by row, which beats one LAPACK call per small block."""
     try:
-        L = np.linalg.cholesky(_dense_blocks(A, idx))
+        L = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"not SPD / no convergence: {what}: {exc}") from None
     for i in range(L.shape[-1]):
@@ -363,97 +338,221 @@ def _block_inverses(A: sp.csr_matrix, idx: np.ndarray, what: str) -> np.ndarray:
     return np.swapaxes(L, -1, -2) @ L
 
 
-def _patches(dofmap: DofMap, rows: np.ndarray) -> np.ndarray:
-    """Rows of each vertex patch (one per mesh vertex), padded with
-    rows.size: the rows whose site lies strictly inside the vertex's
-    elements."""
-    mesh, h = dofmap.mesh, 2 * dofmap.layout.p
-    U, V, _ = _sites(dofmap, rows)
-    members, verts = [], []
-    for da in (0, 1):
-        for db in (0, 1):
-            ok = ((da == 0) | (U % h != 0)) & ((db == 0) | (V % h != 0))
-            members.append(np.flatnonzero(ok))
-            verts.append(((V // h + db) * (mesh.nx + 1) + U // h + da)[ok])
-    members, verts = np.concatenate(members), np.concatenate(verts)
-    order = np.lexsort((members, verts))
-    members, verts = members[order], verts[order]
-    counts = np.bincount(verts, minlength=(mesh.nx + 1) * (mesh.ny + 1))
-    start = np.cumsum(counts) - counts
-    idx = np.full((counts.size, counts.max()), rows.size)
-    idx[verts, np.arange(verts.size) - start[verts]] = members
-    return idx
+def _classes(ids: np.ndarray, flags: np.ndarray):
+    """First row of each class and class of each row, where rows equal in
+    both ids (n x k integers) and flags (n x m booleans) share a class."""
+    keys = np.column_stack([ids, np.packbits(flags, axis=1)])
+    order = np.lexsort(keys.T)
+    new = np.concatenate([[True], np.any(np.diff(keys[order], axis=0) != 0, axis=1)])
+    cls = np.empty_like(order)
+    cls[order] = np.cumsum(new) - 1
+    return order[new], cls
 
 
-def _coarsen(dofmap: DofMap) -> DofMap:
-    """Dof map of the mesh with every 2 x 2 block of elements merged; a
-    coarse facet takes the tag and the traces of its fine halves."""
-    mesh = dofmap.mesh
-    coarse = build_rect_mesh(mesh.domain, mesh.nx // 2, mesh.ny // 2)
-    vertical, i, j = _facet_site(coarse, np.arange(coarse.n_facets))
-    half = _facet_id(mesh, vertical, 2 * i, 2 * j)
-    coarse = replace(coarse, facet_tags=mesh.facet_tags[half])
-    active = np.flatnonzero(dofmap.facet_slot[half] >= 0)
-    return DofMap(coarse, dofmap.layout, active)
+@dataclass
+class _Grid:
+    """Element data of a multigrid level, whose elements share their slots
+    at element-local sites (u, v, mode) in half-lattice units: a field node
+    (ix, iy) at (2 ix, 2 iy), mode -1, an edge's traces at its midpoint.
+    elem_rows: each slot's row (rows.size if absent); mats[elem_class]: the
+    element matrices; off: the Dirichlet rows and the index rows.size."""
+
+    dofmap: DofMap
+    rows: np.ndarray
+    sites: np.ndarray
+    elem_rows: np.ndarray
+    off: np.ndarray
+    layout: tuple                           # _block_layout of the sites
+    elem_class: np.ndarray | None = None
+    mats: np.ndarray | None = None
 
 
-def _prolongation(A: sp.csr_matrix, fine: DofMap, rows: np.ndarray,
-                  fixed: np.ndarray, coarse: DofMap, c_rows: np.ndarray,
-                  c_fixed: np.ndarray) -> sp.csr_matrix:
-    """P from the coarse rows c_rows to the fine rows; `fixed`, `c_fixed`
-    are the Dirichlet rows of each level, whose P rows/columns are zero."""
-    p = fine.layout.p
-    U, V, mode = _sites(fine, rows)
-    E = 4 * p                                   # coarse element width
-    vertical = U % E == 0                       # on a vertical coarse edge
-    edge = vertical | (V % E == 0)
-    along = np.where(vertical, V, U)
-    across = np.where(vertical, U, V) // 4      # coarse lattice line
+def _slot_sites(p: int, inside: bool, traces: bool) -> np.ndarray:
+    """Sites of an element's lattice nodes, those strictly inside only if
+    `inside`, and with traces of p trace modes per edge in edge order."""
+    iy, ix = np.divmod(np.arange((p + 1) ** 2), p + 1)
+    on = inside | (ix % p == 0) | (iy % p == 0)
+    sites = np.column_stack([2 * ix[on], 2 * iy[on], np.full(on.sum(), -1)])
+    if not traces:
+        return sites
+    mid = np.repeat([(0, p), (2 * p, p), (p, 0), (p, 2 * p)], p, axis=0)
+    return np.vstack([sites, np.column_stack([mid, np.tile(np.arange(p), 4)])])
 
-    # field nodes: Lagrange interpolation from the coarse edge's p + 1 nodes
-    f = np.flatnonzero(edge & (mode < 0))
-    lattice = along[f] // 2
-    n_along = np.where(vertical[f], fine.mesh.ny, fine.mesh.nx)
-    e = np.minimum(lattice // p, n_along - 1)
-    xi = gauss_lobatto_nodes(p)[lattice - e * p]
-    W_f = lagrange_1d(gauss_lobatto_nodes(p), e % 2 + 0.5 * (xi + 1.0) - 1.0)
-    pos = (e // 2 * p)[:, None] + np.arange(p + 1)
-    line = across[f, None]
-    nxp_c, _ = coarse.field_lattice_shape()
-    dofs_f = np.where(vertical[f, None], pos * nxp_c + line, line * nxp_c + pos)
 
-    # traces: the coarse facet's degree p-1 trace restricted to each half
-    t = np.flatnonzero(edge & (mode >= 0))
-    e = (along[t] - p) // (2 * p)
-    tau = gauss_lobatto_nodes(p - 1)[mode[t]]
-    W_t = lagrange_1d(gauss_lobatto_nodes(p - 1), e % 2 + 0.5 * (tau + 1.0) - 1.0)
-    v, line = vertical[t], across[t] // p
-    facet = _facet_id(coarse.mesh, v, np.where(v, line, e // 2),
-                      np.where(v, e // 2, line))
-    dofs_t = (coarse.trace_offset + (coarse.facet_slot[facet] * p)[:, None]
-              + np.arange(p))
+def _grid(dofmap: DofMap, rows: np.ndarray, sites: np.ndarray,
+          constrained: np.ndarray) -> _Grid:
+    p, mesh = dofmap.layout.p, dofmap.mesh
+    u, v, mode = sites.T
+    t = mode >= 0
+    full = np.empty((mesh.n_elems, len(sites)), dtype=np.int64)
+    full[:, ~t] = dofmap.elem_field[:, v[~t] // 2 * (p + 1) + u[~t] // 2]
+    edge = (u == 2 * p) + 2 * (v == 0) + 3 * (v == 2 * p)    # left, right, ...
+    slot = dofmap.facet_slot[mesh.elem_facets[:, edge[t]]]
+    full[:, t] = np.where(slot >= 0, dofmap.trace_offset + slot * p + mode[t], -1)
+    elem_rows = np.where(full >= 0, np.searchsorted(rows, full), rows.size)
+    off = np.zeros(rows.size + 1, dtype=bool)
+    off[np.searchsorted(rows, constrained)] = off[-1] = True
+    return _Grid(dofmap, rows, sites, elem_rows.astype(np.int32), off,
+                 _block_layout(p, tuple(map(tuple, sites.tolist()))))
 
-    r_idx = np.concatenate([np.repeat(f, p + 1), np.repeat(t, p)])
-    c_idx = np.searchsorted(c_rows, np.concatenate([dofs_f.ravel(),
-                                                    dofs_t.ravel()]))
-    w = np.concatenate([W_f.ravel(), W_t.ravel()])
-    keep = (w != 0.0) & ~np.isin(r_idx, fixed) & ~np.isin(c_idx, c_fixed)
-    P_E = sp.csr_matrix((w[keep], (r_idx[keep], c_idx[keep])),
-                        shape=(rows.size, c_rows.size))
 
-    # rows strictly inside a coarse element: -A_II^-1 A_IE P_E, per element
-    inside = np.flatnonzero(~edge)
-    parent = (V[inside] // E) * coarse.mesh.nx + U[inside] // E
-    inside = inside[np.argsort(parent, kind="stable")]
-    inside = inside.reshape(coarse.mesh.n_elems, -1)
-    inv = _block_inverses(A, inside, "harmonic-extension block")
-    n_b, k = inside.shape
-    A_II_inv = sp.bsr_matrix((inv, np.arange(n_b), np.arange(n_b + 1)),
-                             shape=(n_b * k, n_b * k))
-    place = sp.csr_matrix((np.ones(n_b * k),
-                           (inside.ravel(), np.arange(n_b * k))),
-                          shape=(rows.size, n_b * k))
-    return (P_E - place @ (A_II_inv @ (A[inside.ravel()] @ P_E))).tocsr()
+def _fine_grid(system: GlobalSystem) -> _Grid:
+    """The level of the system itself: one class per shared group matrix
+    and per element of a stacked one."""
+    dofmap, full = system.dofmap, system.skeleton is None
+    grid = _grid(dofmap, np.arange(dofmap.n_field) if full else system.skeleton,
+                 _slot_sites(dofmap.layout.p, full, dofmap.n_trace > 0),
+                 system.constrained)
+    m = len(grid.sites)
+    grid.elem_class = np.empty(dofmap.mesh.n_elems, dtype=np.int64)
+    mats = []
+    for block in system.elements:
+        # the slot of each block column, read off the group's first element
+        pos = np.argmax(grid.elem_rows[block.elems[0]] == block.dofs[0][:, None], 1)
+        M = np.zeros(block.matrix.shape[:-2] + (m, m))
+        M[..., pos[:, None], pos] = block.matrix
+        grid.elem_class[block.elems] = len(mats) + (
+            np.arange(block.elems.size) if M.ndim == 3 else 0)
+        mats.extend(M.reshape(-1, m, m))
+    grid.mats = np.array(mats)
+    return grid
+
+
+def _edge_weights(p: int, fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """Interpolation from a coarse element's slots (sites `coarse`) to the
+    fine slots on its edges (sites `fine`): field nodes by degree-p Lagrange
+    interpolation, traces by restricting the coarse trace to each half."""
+    nodes, t_nodes = gauss_lobatto_nodes(p), gauss_lobatto_nodes(p - 1)
+    lattice = np.arange(2 * p + 1)          # fine lattice index along an edge
+    e = np.minimum(lattice // p, 1)
+    field_w = lagrange_1d(nodes, e + 0.5 * (nodes[lattice - e * p] + 1.0) - 1.0)
+    half = np.repeat([0, 1], p)             # rows half * p + trace mode
+    trace_w = lagrange_1d(t_nodes, half + 0.5 * (np.tile(t_nodes, 2) + 1.0) - 1.0)
+    u, v, mode = fine.T
+    vertical = u % (4 * p) == 0
+    along, across = np.where(vertical, v, u), np.where(vertical, u, v)
+    cu, cv, cmode = 2 * coarse[:, 0], 2 * coarse[:, 1], coarse[:, 2]
+    c_along = np.where(vertical[:, None], cv, cu)
+    on = ((vertical | (v % (4 * p) == 0))[:, None]
+          & (np.where(vertical[:, None], cu, cv) == across[:, None]))
+    W = np.zeros((len(fine), len(coarse)))
+    s, c = np.nonzero(on & (mode[:, None] < 0) & (cmode < 0))
+    W[s, c] = field_w[along[s] // 2, c_along[s, c] // 4]
+    s, c = np.nonzero(on & (mode[:, None] >= 0) & (cmode >= 0) & (c_along == 2 * p))
+    W[s, c] = trace_w[(along[s] - p) // (2 * p) * p + mode[s], cmode[c]]
+    return W
+
+
+@lru_cache(maxsize=16)
+def _block_layout(p: int, sites: tuple):
+    """Slots of a 2 x 2 block of elements with slots at `sites`: their sites
+    (each once), where each element's (lower left, lower right, upper left,
+    upper right) go, the inner ones strictly inside the block, the block's
+    slot sites as a coarse element, and the `_edge_weights` from them."""
+    sites = np.array(sites)
+    shifts = [[2 * p * qx, 2 * p * qy, 0] for qy in (0, 1) for qx in (0, 1)]
+    block, pos = np.unique(np.concatenate([sites + s for s in shifts]), axis=0,
+                           return_inverse=True)
+    inner = np.flatnonzero(np.all((block[:, :2] > 0) & (block[:, :2] < 4 * p), axis=1))
+    coarse = _slot_sites(p, False, bool((sites[:, 2] >= 0).any()))
+    return block, pos.reshape(4, -1), inner, coarse, _edge_weights(p, block, coarse)
+
+
+def _summed(grid: _Grid, cls: np.ndarray, pos: np.ndarray, slots: np.ndarray):
+    """Block matrices on the block slots `slots` (ascending), summed from the
+    element matrices of the classes cls (n x 4, -1 for none) placed at pos."""
+    m, k = len(grid.sites), slots.size
+    mats = np.vstack([grid.mats.reshape(-1, m * m), np.zeros(m * m)])
+    A = np.zeros((len(cls), k * k))
+    for q, at in enumerate(pos):
+        sel = np.flatnonzero(np.isin(at, slots))
+        at = np.searchsorted(slots, at[sel])
+        A[:, (at[:, None] * k + at).ravel()] += \
+            mats[cls[:, q]][:, (sel[:, None] * m + sel).ravel()]
+    return A.reshape(-1, k, k)
+
+
+def _vertex_blocks(grid: _Grid):
+    """The 2 x 2 block of elements around each mesh vertex, partly outside
+    the mesh at its ends. Returns each block's rows (rows.size if absent)
+    and element classes (-1 if absent), the class of each block, by those
+    and by the off flags of its rows, and the inverse of each class's inner
+    block (the patch of the vertex), off rows replaced by identity ones."""
+    mesh, n = grid.dofmap.mesh, grid.rows.size
+    sites, pos, inner = grid.layout[:3]
+    j, i = np.divmod(np.arange((mesh.nx + 1) * (mesh.ny + 1)), mesh.nx + 1)
+    rows = np.full((4, i.size, len(sites)), n, dtype=np.int32)
+    cls = np.full((i.size, 4), -1)
+    for q in range(4):
+        ii, jj = i - 1 + q % 2, j - 1 + q // 2
+        b = np.flatnonzero((ii >= 0) & (ii < mesh.nx) & (jj >= 0) & (jj < mesh.ny))
+        rows[q][b[:, None], pos[q]] = grid.elem_rows[jj[b] * mesh.nx + ii[b]]
+        cls[b, q] = grid.elem_class[jj[b] * mesh.nx + ii[b]]
+    rows = rows.min(axis=0)                 # a site shared by two elements
+    first, vclass = _classes(cls, grid.off[rows])
+    keep = ~grid.off[rows[first][:, inner]]
+    A_II = np.where(keep[:, :, None] & keep[:, None, :],
+                    _summed(grid, cls[first], pos, inner), 0.0)
+    A_II[:, np.arange(inner.size), np.arange(inner.size)] += ~keep
+    return rows, cls, vclass, _block_inverses(A_II, "vertex patch")
+
+
+def _smoother(grid: _Grid, rows: np.ndarray, vclass: np.ndarray, inverses):
+    """Vertex patches and their inverses: one per class shared by several
+    vertices, then a stack for the classes of one vertex (by Robin edges)."""
+    counts = np.bincount(vclass)
+    shared = np.flatnonzero(counts > 1)
+    order = np.argsort(np.where(counts[vclass] > 1, vclass, counts.size), kind="stable")
+    alone = order[counts[shared].sum():]
+    runs = [(counts[c], inverses[c]) for c in shared]
+    runs.append((alone.size, inverses[vclass[alone]]))
+    return rows[order][:, grid.layout[2]], runs
+
+
+def _coarsen(grid: _Grid, rows: np.ndarray, cls: np.ndarray, vclass: np.ndarray,
+             inverses: np.ndarray):
+    """The next coarser level and the prolongation P from it, given the
+    `_vertex_blocks`: a coarse element K is the block around the vertex at
+    its centre. Within K, P interpolates along K's edges and extends A-
+    harmonically, -A_II^-1 A_IE, to the fine rows inside K, which couple
+    only within K's four elements; off rows and columns of P are zero. K's
+    element matrix sum_{e in K} P_e^T S_e P_e is formed once per class."""
+    dofmap, mesh, n = grid.dofmap, grid.dofmap.mesh, grid.rows.size
+    p, (sites, pos, inner, c_sites, W) = dofmap.layout.p, grid.layout
+    # merge 2 x 2 blocks; a coarse facet has its lower/left half's tag and traces
+    c_mesh = build_rect_mesh(mesh.domain, mesh.nx // 2, mesh.ny // 2)
+    J, I = np.divmod(np.arange(c_mesh.n_elems), c_mesh.nx)
+    corner = 2 * J * mesh.nx + 2 * I
+    half = np.empty(c_mesh.n_facets, dtype=np.int64)
+    half[c_mesh.elem_facets] = mesh.elem_facets[
+        np.column_stack([corner, corner + 1, corner, corner + mesh.nx]), np.arange(4)]
+    coarse = DofMap(replace(c_mesh, facet_tags=mesh.facet_tags[half]), dofmap.layout,
+                    np.flatnonzero(dofmap.facet_slot[half] >= 0))
+    c_grid = _grid(coarse, skeleton_dofs(coarse), c_sites,
+                   dirichlet_field_dofs(coarse.mesh, coarse))
+    v = (2 * J + 1) * (mesh.nx + 1) + 2 * I + 1
+    c_off = c_grid.off[c_grid.elem_rows]
+    first, c_grid.elem_class = _classes(vclass[v, None], c_off)
+    rows = rows[v]
+    A = _summed(grid, cls[v[first]], pos, np.arange(len(sites)))
+    P = W * ~grid.off[rows[first]][:, :, None] * ~c_off[first][:, None, :]
+    P[:, inner] = -inverses[vclass[v[first]]] @ (A[:, inner] @ P)
+    S = np.swapaxes(P, -1, -2) @ A @ P
+    c_grid.mats = 0.5 * (S + np.swapaxes(S, -1, -2))
+
+    # each fine row takes its P row from the one coarse element that owns
+    # it: a row on K's right or top edge belongs to the neighbour there
+    owned = (((sites[:, 0] < 4 * p) | (I == c_mesh.nx - 1)[:, None])
+             & ((sites[:, 1] < 4 * p) | (J == c_mesh.ny - 1)[:, None])
+             & (rows < n))
+    owner, slot = np.empty((2, n), dtype=np.int64)
+    owner[rows[owned]], slot[rows[owned]] = np.nonzero(owned)
+    w = P[c_grid.elem_class[owner], slot]
+    cols = np.minimum(c_grid.elem_rows[owner], c_grid.rows.size - 1)   # w is 0 there
+    P = sp.csr_matrix((w.ravel(), cols.ravel(), np.arange(0, w.size + 1, w.shape[1])),
+                      shape=(n, c_grid.rows.size))
+    P.eliminate_zeros()
+    return P, c_grid
 
 
 @dataclass
@@ -463,53 +562,47 @@ class _Level:
 
     A: sp.csr_matrix
     patches: np.ndarray | None = None       # smoother rows, padded with n
-    inverses: np.ndarray | None = None      # one inverse per patch
+    inverses: list | None = None            # (count, k x k or count x k x k)
     P: sp.csr_matrix | None = None          # from the next coarser level
     dense: tuple | None = None              # coarsest only: _dense_factor
 
     def smooth(self, r: np.ndarray) -> np.ndarray:
         n = r.size
-        z = (self.inverses @ np.append(r, 0.0)[self.patches][:, :, None])[:, :, 0]
+        z = np.append(r, 0.0)[self.patches]
+        start = 0
+        for count, inv in self.inverses:
+            part = z[start:start + count]
+            part[:] = (part @ inv.T if inv.ndim == 2
+                       else (inv @ part[:, :, None])[:, :, 0])
+            start += count
         return DAMPING * np.bincount(self.patches.ravel(), z.ravel(), n + 1)[:n]
 
 
 class Multigrid:
-    """Geometric multigrid V(1,1)-cycle for a system built on a structured
-    mesh: the skeleton system of `assemble`, or a field-only system whose
-    rows are the full field lattice. Calling it applies one cycle to a
+    """Geometric multigrid V(1,1)-cycle for a system with element blocks on
+    a structured mesh (the skeleton system of `assemble`, or a field-only
+    system over the full field lattice). Calling it applies one cycle to a
     residual; `sizes` lists the row count of each level."""
 
     def __init__(self, system: GlobalSystem):
+        grid = _fine_grid(system)
         A = system.matrix
-        if not A.has_canonical_format:
-            A = A.copy()
-            A.sum_duplicates()
-        dofmap = system.dofmap
-        rows = (np.arange(A.shape[0]) if system.skeleton is None
-                else system.skeleton)
-        fixed = np.searchsorted(rows, system.constrained)
         self.levels = []
         while True:
             level = _Level(A)
             self.levels.append(level)
-            coarsest = dofmap.mesh.nx % 2 or dofmap.mesh.ny % 2
+            coarsest = grid.dofmap.mesh.nx % 2 or grid.dofmap.mesh.ny % 2
             if coarsest and A.shape[0] <= DENSE_LIMIT:
                 level.dense = _dense_factor(A)
                 break
-            level.patches = _patches(dofmap, rows)
-            level.inverses = _block_inverses(A, level.patches, "vertex patch")
+            rows, cls, vclass, inverses = _vertex_blocks(grid)
+            level.patches, level.inverses = _smoother(grid, rows, vclass, inverses)
             if coarsest:
                 break
-            coarse = _coarsen(dofmap)
-            c_rows = skeleton_dofs(coarse)
-            c_fixed = np.searchsorted(c_rows, dirichlet_field_dofs(coarse.mesh, coarse))
-            level.P = _prolongation(A, dofmap, rows, fixed, coarse, c_rows, c_fixed)
-            A_c = level.P.T.tocsr() @ (A @ level.P)
-            unit = np.zeros(c_rows.size)
-            unit[c_fixed] = 1.0
-            A = (0.5 * (A_c + A_c.T) + sp.diags(unit)).tocsr()
-            A.sum_duplicates()
-            dofmap, rows, fixed = coarse, c_rows, c_fixed
+            level.P, grid = _coarsen(grid, rows, cls, vclass, inverses)
+            n = grid.rows.size
+            A = scatter([(grid.elem_rows, grid.mats[grid.elem_class])], n)
+            A = eliminate_dofs(A, np.zeros(n), np.flatnonzero(grid.off[:n]))
 
     @property
     def sizes(self) -> list:
@@ -531,16 +624,15 @@ def solve_spd(system: GlobalSystem, tol: float = 1e-10):
     """Solve the SPD system: dense Cholesky for n <= DENSE_LIMIT, else
     preconditioned CG.
 
-    A potential system builds a `Multigrid` hierarchy on its mesh before
-    the first iteration and takes one V(1,1)-cycle per iteration as the
+    A potential system builds a `Multigrid` hierarchy before the first
+    iteration and takes one V(1,1)-cycle per iteration as the
     preconditioner. Any other system with a dof map (a concentration
     step) first runs JACOBI_ITERATIONS iterations with the diagonal; if it
     has not converged, it builds the hierarchy and restarts from the
-    current iterate on the V-cycle. Diagonal PCG finishes concentration
-    systems in 2-182 iterations from 32^2 to 128^2 (p = 1..3), and the
-    setup costs about 280 of them on a 45k-row system, so the budget of
-    300 keeps them clear of the setup; a budget of 20 makes the conc-trig
-    solve at 64^2 about 7 times slower at p = 2 and 5 times at p = 3. A
+    current iterate on the V-cycle. The diagonal finishes conc-trig from
+    32^2 to 128^2 (p = 1..3) in 2-182 iterations. The hierarchy setup costs
+    about 40 of them on a 45k-row system, but starting on the V-cycle (12
+    to 16 cycles) is slower on all of these except 128^2, p = 3. A
     hand-built system with no dof map keeps the diagonal.
 
     Both paths solve for the right-hand side times the power of two 2^-k
@@ -644,14 +736,10 @@ def extract_solution(coeffs: np.ndarray, dofmap: DofMap,
     indicators = np.asarray(indicators, dtype=float).reshape(-1, 2)
     if indicators.shape[0] != dofmap.mesh.n_elems:
         raise ValueError("indicator array does not match element count")
-    eta = float(np.sqrt(indicators.sum()))
-    return Solution(
-        field=coeffs[:dofmap.n_field].copy(),
-        flux=coeffs[dofmap.flux_offset:dofmap.trace_offset].copy(),
-        trace=coeffs[dofmap.trace_offset:].copy(),
-        indicators=indicators,
-        eta=eta,
-    )
+    return Solution(coeffs[:dofmap.n_field].copy(),
+                    coeffs[dofmap.flux_offset:dofmap.trace_offset].copy(),
+                    coeffs[dofmap.trace_offset:].copy(), indicators,
+                    float(np.sqrt(indicators.sum())))
 
 
 def solve_dpg(mesh: Mesh, problem, layout: SpaceLayout, tol: float = 1e-10):

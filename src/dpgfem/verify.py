@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from dpgfem.dpg import ProblemKernels, coefficient_loads, condense_local, geometry_kernels
 from dpgfem.fespace import SpaceLayout, build_dofmap, tabulate_facet_basis
@@ -17,10 +16,10 @@ from dpgfem.mesh import FacetTag, Mesh, build_rect_mesh, classify_boundary
 from dpgfem.problems import sample
 from dpgfem.quadrature import gauss_1d
 from dpgfem.solver import (
-    GlobalSystem,
+    ElementBlock,
     active_facets,
     dirichlet_field_dofs,
-    eliminate_dofs,
+    global_system,
     solve_dpg,
     solve_spd,
 )
@@ -168,11 +167,10 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
     Potential: (kappa grad phi, grad zeta) + <beta phi, zeta>_R =
     -(S, grad zeta) - <I, zeta>_N - <R, zeta>_R with phi = 0 on the
     Dirichlet part. An independent discretization used as an oracle; it
-    shares only the coefficient loads (`coefficient_loads`) with DPG.
+    shares with DPG only the coefficient loads and `global_system`.
     """
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     dofmap = build_dofmap(mesh, layout, np.empty(0, dtype=np.int64))
-    n = dofmap.n_field
     w = geom.wvol[:, None]
     mass = (geom.field_val * w).T @ geom.field_val
     stiff = ((geom.field_gx * w).T @ geom.field_gx
@@ -182,29 +180,18 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
     else:
         S_shared = problem.kappa * stiff
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n)
+    rhs = np.zeros(dofmap.n_field)
+    elements = []
     for group in dofmap.element_groups():
         load, robin, _ = coefficient_loads(
             mesh, group, problem, geom, geom.field_val, geom.field_edge,
             (geom.field_gx, geom.field_gy))
         S_e = S_shared if robin is None else S_shared + robin
         dofs = dofmap.elem_field[group.elems]
-        n_g, m = dofs.shape
-        rows.append(np.repeat(dofs, m, axis=1).ravel())
-        cols.append(np.tile(dofs, m).ravel())
-        vals.append(np.broadcast_to(S_e, (n_g, m, m)).ravel())
+        elements.append(ElementBlock(group.elems, dofs, S_e))
         np.add.at(rhs, dofs, load)
 
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    constrained = np.empty(0, dtype=np.int64)
-    if problem.kind == "potential":
-        constrained = dirichlet_field_dofs(mesh, dofmap)
-        if constrained.size:
-            matrix = eliminate_dofs(matrix, rhs, constrained)
-    system = GlobalSystem(matrix, rhs, dofmap, constrained, kind=problem.kind)
+    system = global_system(dofmap, elements, rhs, problem.kind)
     coeffs, _info = solve_spd(system, tol)
     return coeffs
 
@@ -255,9 +242,6 @@ class EocReport:
 
     def eoc_flux(self):
         return self._rates(lambda r: r.e_flux)
-
-    def eoc_trace(self):
-        return self._rates(lambda r: r.e_trace)
 
     def eoc_combined(self):
         return self._rates(lambda r: r.e_combined)
@@ -323,16 +307,6 @@ def eoc_study(case, p: int, levels: int, delta_p: int = 1, base_n: int = 8,
                            norms.e_field, norms.e_flux, norms.e_trace,
                            solution.eta, info.iterations, oracle, floor))
     return EocReport(case.name, p, delta_p, rows)
-
-
-def trial_gram_dense(mesh: Mesh, dofmap) -> np.ndarray:
-    """Dense trial-space Gram: H1 for the field, L2 for the flux, and the
-    skeleton dual norm for the traces.
-
-    The trace block uses the unweighted H1 Gram of the geometry (as
-    skeleton_dual_norm does), not the problem's weighted test norm, so
-    inf-sup constants of different problems share one trial norm."""
-    return _dense_trial_forms(mesh, dofmap)[0]
 
 
 def _dense_trial_forms(mesh: Mesh, dofmap, problem=None):

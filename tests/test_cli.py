@@ -392,6 +392,26 @@ class TestErrorHandling:
         else:
             assert json.loads(out)["error"]["code"] == "solver"
 
+    @pytest.mark.parametrize("problem, coefficients", [
+        ("potential", {"I": 1e308}),
+        ("concentration", {"c_prev": 1e308, "D": 1.0, "dt": 1.0}),
+    ])
+    def test_data_at_the_overflow_threshold_is_a_quiet_solver_error(
+            self, tmp_path, capsys, problem, coefficients):
+        # the condensed loads overflow; the structured error reports it
+        cfg = write_config(tmp_path, {
+            "problem": problem,
+            "mesh": {"nx": 3, "ny": 2},
+            "discretization": {"p": 2},
+            "coefficients": coefficients,
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run_cli(capsys, ["solve", "--config", cfg,
+                                         "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "solver"
+
     @pytest.mark.parametrize("c_prev", [
         "+".join(["x"] * 3000),
         "-" * 3000 + "x",

@@ -19,8 +19,23 @@ from dpgfem.expr import (
     compile_expr,
     evaluate,
     parse,
-    unparse,
 )
+
+
+# -- frozen reference: the canonical printer, which only these checks use
+
+def unparse(node) -> str:
+    """Canonical parenthesized form; parse(unparse(t)) equals t."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        return f"(-{unparse(node.arg)})"
+    if isinstance(node, BinOp):
+        return f"({unparse(node.left)}{node.op}{unparse(node.right)})"
+    return f"{node.func}({unparse(node.arg)})"
+
 
 RNG = np.random.default_rng(915)
 

@@ -12,9 +12,30 @@ from dpgfem.manufactured import (
     CASE_NAMES,
     ManufacturedCase,
     manufactured_case,
-    strong_form_residual,
 )
 from dpgfem.mesh import FacetTag
+
+
+# -- frozen reference: the pointwise check of the first-order system, which
+# only these tests use
+
+def strong_form_residual(case, x: float, y: float) -> float:
+    """Largest pointwise residual of the first-order system at (x, y)."""
+    prob = case.problem
+    fx, fy = case.exact_flux(x, y)
+    gx, gy = case.exact_grad(x, y)
+    if case.kind == "concentration":
+        balance = (case.exact_field(x, y) + prob.dt * case.exact_flux_div(x, y)
+                   - prob.c_prev(x, y))
+        rx = fx / prob.D + gx
+        ry = fy / prob.D + gy
+    else:
+        balance = case.exact_flux_div(x, y)
+        sx, sy = prob.S[0](x, y), prob.S[1](x, y)
+        rx = fx / prob.kappa + gx + sx / prob.kappa
+        ry = fy / prob.kappa + gy + sy / prob.kappa
+    return max(abs(balance), abs(rx), abs(ry))
+
 
 RNG = np.random.default_rng(424242)
 

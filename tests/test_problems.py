@@ -197,8 +197,8 @@ class TestValidateProblem:
         validate_problem(problem, mesh)
         t = 0.5 * (gauss_1d(4).points + 1.0)
         expected = [a + s * (b - a)
-                    for a, b in map(mesh.facet_endpoints,
-                                    mesh.facets_with_tag(FacetTag.ROBIN))
+                    for a, b in mesh.vertices[mesh.facet_verts[
+                        mesh.facets_with_tag(FacetTag.ROBIN)]]
                     for s in t]
         points = np.concatenate([a.reshape(-1, 2) for a in seen])
         assert points.shape == (2 * 3 * 4, 2)

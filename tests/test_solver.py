@@ -6,8 +6,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import dpgfem.solver as solver_mod
+import dpgfem.verify as verify_mod
 from dpgfem.dpg import ProblemKernels, condense_local, geometry_kernels
-from dpgfem.fespace import DofMap, SpaceLayout, build_dofmap
+from dpgfem.fespace import (
+    DofMap,
+    SpaceLayout,
+    build_dofmap,
+    gauss_lobatto_nodes,
+    lagrange_1d,
+)
 from dpgfem.manufactured import manufactured_case
 from dpgfem.mesh import (
     BoundaryPartition,
@@ -205,6 +212,243 @@ def _direct_gap(system, x):
     return np.linalg.norm(x - direct) / np.linalg.norm(direct)
 
 
+# -- frozen reference: the CSR-based hierarchy setup --------------------
+# The hierarchy as built before it was formed per element class: patch
+# blocks looked up in the assembled CSR, one inverse per vertex, the
+# harmonic extension from CSR rows and the sparse Galerkin product P^T A P.
+
+def _ref_facet_site(mesh, f: np.ndarray):
+    """(vertical, i, j) of facets f: orientation and lower-end vertex, in
+    the numbering of `build_rect_mesh` (vertical facets first)."""
+    n_vert = (mesh.nx + 1) * mesh.ny
+    vertical = f < n_vert
+    g = np.where(vertical, f, f - n_vert)
+    width = np.where(vertical, mesh.nx + 1, mesh.nx)
+    return vertical, g % width, g // width
+
+
+def _ref_facet_id(mesh, vertical: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """Inverse of `_facet_site`."""
+    n_vert = (mesh.nx + 1) * mesh.ny
+    return np.where(vertical, j * (mesh.nx + 1) + i, n_vert + j * mesh.nx + i)
+
+
+def _ref_sites(dofmap: DofMap, rows: np.ndarray):
+    """Site of each row in half-lattice units, (U, V) = twice the field
+    lattice coordinates of a field node or of its facet's midpoint for a
+    trace, and the trace mode (-1 on field rows)."""
+    p = dofmap.layout.p
+    nxp, _ = dofmap.field_lattice_shape()
+    trace = rows >= dofmap.trace_offset
+    U, V = 2 * (rows % nxp), 2 * (rows // nxp)
+    mode = np.full(rows.size, -1)
+    t = rows[trace] - dofmap.trace_offset
+    vertical, i, j = _ref_facet_site(dofmap.mesh, dofmap.active_facets[t // p])
+    U[trace] = 2 * p * i + np.where(vertical, 0, p)
+    V[trace] = 2 * p * j + np.where(vertical, p, 0)
+    mode[trace] = t % p
+    return U, V, mode
+
+
+def _ref_dense_blocks(A: sp.csr_matrix, idx: np.ndarray) -> np.ndarray:
+    """A[idx[b][:, None], idx[b]] for every row b of idx; the padding index
+    n = A.shape[0] reads as an identity row and column. The lookup runs
+    over chunks of 64 blocks, which bounds its temporary arrays."""
+    n = A.shape[0]
+    keys = np.repeat(np.arange(n, dtype=np.int64) * (n + 1), np.diff(A.indptr))
+    keys += A.indices                           # ascending: A is canonical
+    blocks = np.empty(idx.shape + idx.shape[-1:])
+    for c in range(0, idx.shape[0], 64):
+        chunk = idx[c:c + 64]
+        query = chunk[:, :, None] * (n + 1) + chunk[:, None, :]
+        pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        blocks[c:c + 64] = np.where(keys[pos] == query, A.data[pos], 0.0)
+    b, s = np.nonzero(idx == n)
+    blocks[b, s, s] = 1.0
+    return blocks
+
+
+def _ref_block_inverses(A: sp.csr_matrix, idx: np.ndarray, what: str) -> np.ndarray:
+    """Inverses L^-T L^-1 of the SPD blocks _ref_dense_blocks(A, idx), exactly
+    symmetric. Each Cholesky factor L is overwritten by L^-1, by forward
+    substitution across the whole stack row by row, which beats one LAPACK
+    call per small block and holds two stacks at a time, not four."""
+    try:
+        L = np.linalg.cholesky(_ref_dense_blocks(A, idx))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"not SPD / no convergence: {what}: {exc}") from None
+    for i in range(L.shape[-1]):
+        # rows < i of L already hold L^-1
+        row = -np.einsum("bk,bkj->bj", L[:, i, :i], L[:, :i])
+        row[:, i] += 1.0
+        L[:, i] = row / L[:, i, i, None]
+    return np.swapaxes(L, -1, -2) @ L
+
+
+def _ref_patches(dofmap: DofMap, rows: np.ndarray) -> np.ndarray:
+    """Rows of each vertex patch (one per mesh vertex), padded with
+    rows.size: the rows whose site lies strictly inside the vertex's
+    elements."""
+    mesh, h = dofmap.mesh, 2 * dofmap.layout.p
+    U, V, _ = _ref_sites(dofmap, rows)
+    members, verts = [], []
+    for da in (0, 1):
+        for db in (0, 1):
+            ok = ((da == 0) | (U % h != 0)) & ((db == 0) | (V % h != 0))
+            members.append(np.flatnonzero(ok))
+            verts.append(((V // h + db) * (mesh.nx + 1) + U // h + da)[ok])
+    members, verts = np.concatenate(members), np.concatenate(verts)
+    order = np.lexsort((members, verts))
+    members, verts = members[order], verts[order]
+    counts = np.bincount(verts, minlength=(mesh.nx + 1) * (mesh.ny + 1))
+    start = np.cumsum(counts) - counts
+    idx = np.full((counts.size, counts.max()), rows.size)
+    idx[verts, np.arange(verts.size) - start[verts]] = members
+    return idx
+
+
+def _ref_coarsen(dofmap: DofMap) -> DofMap:
+    """Dof map of the mesh with every 2 x 2 block of elements merged; a
+    coarse facet takes the tag and the traces of its fine halves."""
+    mesh = dofmap.mesh
+    coarse = build_rect_mesh(mesh.domain, mesh.nx // 2, mesh.ny // 2)
+    vertical, i, j = _ref_facet_site(coarse, np.arange(coarse.n_facets))
+    half = _ref_facet_id(mesh, vertical, 2 * i, 2 * j)
+    coarse = dataclasses.replace(coarse, facet_tags=mesh.facet_tags[half])
+    active = np.flatnonzero(dofmap.facet_slot[half] >= 0)
+    return DofMap(coarse, dofmap.layout, active)
+
+
+def _ref_prolongation(A: sp.csr_matrix, fine: DofMap, rows: np.ndarray,
+                      fixed: np.ndarray, coarse: DofMap, c_rows: np.ndarray,
+                      c_fixed: np.ndarray) -> sp.csr_matrix:
+    """P from the coarse rows c_rows to the fine rows; `fixed`, `c_fixed`
+    are the Dirichlet rows of each level, whose P rows/columns are zero."""
+    p = fine.layout.p
+    U, V, mode = _ref_sites(fine, rows)
+    E = 4 * p                                   # coarse element width
+    vertical = U % E == 0                       # on a vertical coarse edge
+    edge = vertical | (V % E == 0)
+    along = np.where(vertical, V, U)
+    across = np.where(vertical, U, V) // 4      # coarse lattice line
+
+    # field nodes: Lagrange interpolation from the coarse edge's p + 1 nodes
+    f = np.flatnonzero(edge & (mode < 0))
+    lattice = along[f] // 2
+    n_along = np.where(vertical[f], fine.mesh.ny, fine.mesh.nx)
+    e = np.minimum(lattice // p, n_along - 1)
+    xi = gauss_lobatto_nodes(p)[lattice - e * p]
+    W_f = lagrange_1d(gauss_lobatto_nodes(p), e % 2 + 0.5 * (xi + 1.0) - 1.0)
+    pos = (e // 2 * p)[:, None] + np.arange(p + 1)
+    line = across[f, None]
+    nxp_c, _ = coarse.field_lattice_shape()
+    dofs_f = np.where(vertical[f, None], pos * nxp_c + line, line * nxp_c + pos)
+
+    # traces: the coarse facet's degree p-1 trace restricted to each half
+    t = np.flatnonzero(edge & (mode >= 0))
+    e = (along[t] - p) // (2 * p)
+    tau = gauss_lobatto_nodes(p - 1)[mode[t]]
+    W_t = lagrange_1d(gauss_lobatto_nodes(p - 1), e % 2 + 0.5 * (tau + 1.0) - 1.0)
+    v, line = vertical[t], across[t] // p
+    facet = _ref_facet_id(coarse.mesh, v, np.where(v, line, e // 2),
+                      np.where(v, e // 2, line))
+    dofs_t = (coarse.trace_offset + (coarse.facet_slot[facet] * p)[:, None]
+              + np.arange(p))
+
+    r_idx = np.concatenate([np.repeat(f, p + 1), np.repeat(t, p)])
+    c_idx = np.searchsorted(c_rows, np.concatenate([dofs_f.ravel(),
+                                                    dofs_t.ravel()]))
+    w = np.concatenate([W_f.ravel(), W_t.ravel()])
+    keep = (w != 0.0) & ~np.isin(r_idx, fixed) & ~np.isin(c_idx, c_fixed)
+    P_E = sp.csr_matrix((w[keep], (r_idx[keep], c_idx[keep])),
+                        shape=(rows.size, c_rows.size))
+
+    # rows strictly inside a coarse element: -A_II^-1 A_IE P_E, per element
+    inside = np.flatnonzero(~edge)
+    parent = (V[inside] // E) * coarse.mesh.nx + U[inside] // E
+    inside = inside[np.argsort(parent, kind="stable")]
+    inside = inside.reshape(coarse.mesh.n_elems, -1)
+    inv = _ref_block_inverses(A, inside, "harmonic-extension block")
+    n_b, k = inside.shape
+    A_II_inv = sp.bsr_matrix((inv, np.arange(n_b), np.arange(n_b + 1)),
+                             shape=(n_b * k, n_b * k))
+    place = sp.csr_matrix((np.ones(n_b * k),
+                           (inside.ravel(), np.arange(n_b * k))),
+                          shape=(rows.size, n_b * k))
+    return (P_E - place @ (A_II_inv @ (A[inside.ravel()] @ P_E))).tocsr()
+
+
+def _reference_multigrid(system):
+    """A Multigrid whose levels are built by the CSR-based setup."""
+    A = system.matrix
+    dofmap = system.dofmap
+    rows = (np.arange(A.shape[0]) if system.skeleton is None
+            else system.skeleton)
+    fixed = np.searchsorted(rows, system.constrained)
+    cycle = object.__new__(solver_mod.Multigrid)
+    cycle.levels = []
+    while True:
+        level = solver_mod._Level(A)
+        cycle.levels.append(level)
+        coarsest = dofmap.mesh.nx % 2 or dofmap.mesh.ny % 2
+        if coarsest and A.shape[0] <= solver_mod.DENSE_LIMIT:
+            level.dense = solver_mod._dense_factor(A)
+            break
+        level.patches = _ref_patches(dofmap, rows)
+        inverses = _ref_block_inverses(A, level.patches, "vertex patch")
+        level.inverses = [(len(inverses), inverses)]
+        if coarsest:
+            break
+        coarse = _ref_coarsen(dofmap)
+        c_rows = solver_mod.skeleton_dofs(coarse)
+        c_fixed = np.searchsorted(c_rows, dirichlet_field_dofs(coarse.mesh, coarse))
+        level.P = _ref_prolongation(A, dofmap, rows, fixed, coarse, c_rows, c_fixed)
+        A_c = level.P.T.tocsr() @ (A @ level.P)
+        unit = np.zeros(c_rows.size)
+        unit[c_fixed] = 1.0
+        A = (0.5 * (A_c + A_c.T) + sp.diags(unit)).tocsr()
+        A.sum_duplicates()
+        dofmap, rows, fixed = coarse, c_rows, c_fixed
+    return cycle
+
+
+def _oracle_system(name, p, n):
+    """The field-only system of the Galerkin oracle."""
+    case = manufactured_case(name)
+    systems = []
+    solve = verify_mod.solve_spd
+    verify_mod.solve_spd = lambda system, tol: (systems.append(system),
+                                                solve(system, tol))[1]
+    try:
+        classical_galerkin_solve(case_mesh(case, n), case.problem, SpaceLayout(p=p))
+    finally:
+        verify_mod.solve_spd = solve
+    return systems[0]
+
+
+def _assert_same_hierarchy(system):
+    """Every level's A to 1e-12 of its largest entry, P to 1e-11, and the
+    V-cycle on random vectors to 1e-12.
+
+    P's harmonic rows solve with A_II, whose condition number reaches about
+    3e4 at p = 3 on 16^2: summing A_II in another order moves them by
+    about 1e-12 (both setups lie within 2.1e-12 of an extension computed
+    with extended-precision residuals), while A = P^T A P is stationary in
+    those errors."""
+    new, ref = solver_mod.Multigrid(system), _reference_multigrid(system)
+    assert new.sizes == ref.sizes
+    for got, want in zip(new.levels, ref.levels):
+        assert (got.dense is None) == (want.dense is None)
+        assert abs(got.A - want.A).max() <= 1e-12 * abs(want.A).max()
+        assert (got.P is None) == (want.P is None)
+        if got.P is not None:
+            assert abs(got.P - want.P).max() <= 1e-11 * abs(want.P).max()
+    rng = np.random.default_rng(3)
+    for v in rng.standard_normal((3, new.sizes[0])):
+        want = ref(v)
+        assert np.linalg.norm(new(v) - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestMultigrid:
     @pytest.mark.parametrize("p, n", [(2, 16), (2, 32), (2, 64), (3, 16),
                                       (3, 32), (3, 64), (1, 32), (1, 64)])
@@ -234,16 +478,57 @@ class TestMultigrid:
             assert v @ Mv > 0.0
 
     def test_indefinite_patch_is_solver_error(self, monkeypatch):
+        # the hierarchy reads the element matrices, not system.matrix: give
+        # the largest group the pair A_ij = A_ji = 2 sqrt(A_ii A_jj) between
+        # its first two field nodes, which share the patch of the element's
+        # lower-left vertex
         monkeypatch.setattr(solver_mod, "JACOBI_ITERATIONS", 0)
         system = _case_system("pot-trig", 2, 16)
-        patches = solver_mod._patches(system.dofmap, system.skeleton)
-        i, j = patches[patches.shape[0] // 2, :2]
-        A = system.matrix.tolil()
-        A[i, j] = A[j, i] = 2.0 * np.sqrt(A[i, i] * A[j, j])
-        system.matrix = A.tocsr()
+        block = max(system.elements, key=lambda b: b.elems.size)
+        i, j = block.dofs[0, :2]
+        diag = system.matrix.diagonal()
+        S = block.matrix.copy()
+        S[0, 1] = S[1, 0] = 2.0 * np.sqrt(diag[i] * diag[j])
+        block.matrix = S
         with pytest.raises(SolverError,
                            match="not SPD / no convergence: vertex patch"):
             solve_spd(system)
+
+    @pytest.mark.parametrize("name, p, nx, ny, dense_limit", [
+        *[("pot-trig", p, n, n, None) for n in (8, 16) for p in (1, 2, 3)],
+        ("conc-trig", 2, 16, 16, None),
+        ("pot-trig", 2, 9, 7, 1),           # smoothed only, no hierarchy
+        ("pot-trig", 2, 8, 8, 1),           # 1 x 1 level smoothed only
+    ])
+    def test_matches_the_csr_reference(self, monkeypatch, name, p, nx, ny,
+                                       dense_limit):
+        # Dirichlet, Neumann and (stacked) Robin groups on pot-trig
+        if dense_limit is not None:
+            monkeypatch.setattr(solver_mod, "DENSE_LIMIT", dense_limit)
+        _assert_same_hierarchy(_case_system(name, p, nx, ny))
+
+    @pytest.mark.parametrize("name", ["pot-trig", "conc-trig"])
+    def test_oracle_matches_the_csr_reference(self, name):
+        # a field-only system: its rows are the full field lattice
+        system = _oracle_system(name, 2, 16)
+        assert system.skeleton is None
+        _assert_same_hierarchy(system)
+
+    def test_patch_blocks_are_inverted_per_class(self, monkeypatch):
+        # 5 position classes per direction on conc-trig, whose element
+        # matrices are shared by their groups
+        counts = []
+        inverses = solver_mod._block_inverses
+
+        def counting(blocks, what):
+            if what == "vertex patch":
+                counts.append(len(blocks))
+            return inverses(blocks, what)
+
+        monkeypatch.setattr(solver_mod, "_block_inverses", counting)
+        cycle = solver_mod.Multigrid(_case_system("conc-trig", 2, 32))
+        assert len(counts) == sum(level.P is not None for level in cycle.levels)
+        assert max(counts) <= 25
 
     def test_odd_mesh_smoother_only(self, monkeypatch):
         monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 1)
@@ -329,6 +614,23 @@ class TestAssemble:
             row[dof] -= 1.0
             assert np.all(row == 0.0)
             assert system.rhs[dof] == 0.0
+
+
+    def test_dirichlet_elimination_matches_the_product_form(self):
+        # zeroing rows and columns in place keeps every stored value of the
+        # symmetric product P A P + diag(1 - keep) with the 0/1 diagonal P
+        system = _case_system("pot-trig", 3, 8)
+        n = system.matrix.shape[0]
+        raw = solver_mod.scatter([(b.dofs, b.matrix) for b in system.elements], n)
+        keep = np.ones(n)
+        keep[np.searchsorted(system.skeleton, system.constrained)] = 0.0
+        P = sp.diags(keep)
+        want = (P @ raw @ P + sp.diags(1.0 - keep)).tocsr()
+        want.sort_indices()
+        got = system.matrix
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
 
 
 def _uncondensed_solve(mesh, problem, layout):

@@ -14,6 +14,7 @@ from dpgfem.mesh import Rectangle, build_rect_mesh, classify_boundary
 from dpgfem.problems import ConcentrationProblem, PotentialProblem, ProblemValidationError
 from dpgfem.quadrature import gauss_1d, tensor_quad
 from dpgfem.solver import active_facets, solve_dpg
+import dpgfem.verify as verify_mod
 from dpgfem.verify import (
     INFSUP_DOF_CAP,
     EocReport,
@@ -27,11 +28,16 @@ from dpgfem.verify import (
     infsup_constant,
     project_trace,
     skeleton_dual_norm,
-    trial_gram_dense,
 )
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 RNG = np.random.default_rng(31415)
+
+
+def trial_gram_dense(mesh, dofmap) -> np.ndarray:
+    """Dense trial-space Gram: H1 for the field, L2 for the flux, and the
+    skeleton dual norm for the traces, as the inf-sup constants use it."""
+    return verify_mod._dense_trial_forms(mesh, dofmap)[0]
 
 
 def _interior_dofmap(mesh, layout):
@@ -121,7 +127,7 @@ class TestProjectTrace:
         line = gauss_1d(4)
         basis = tabulate_facet_basis(layout.p - 1, line.points)
         for slot, f in enumerate(np.sort(active)):
-            ends = mesh.facet_endpoints(f)
+            ends = mesh.vertices[mesh.facet_verts[f]]
             t01 = 0.5 * (line.points + 1.0)
             pts = ends[0][None, :] + t01[:, None] * (ends[1] - ends[0])
             nx, ny = mesh.facet_normals[f]
@@ -166,8 +172,8 @@ def _brute_force_dual_norm(mesh, layout, active, trace_coeffs):
             if s is None:
                 continue
             sign = float(mesh.elem_facet_signs[e, k])
-            ends = mesh.facet_endpoints(f)
-            L = mesh.facet_length(f)
+            ends = mesh.vertices[mesh.facet_verts[f]]
+            L = float(np.linalg.norm(ends[1] - ends[0]))
             t01 = 0.5 * (line.points + 1.0)
             pts = ends[0][None, :] + t01[:, None] * (ends[1] - ends[0])
             ref = np.column_stack([2.0 * (pts[:, 0] - ox) / dx - 1.0,
