@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from dpgfem.fespace import (
     ElementGroup,
@@ -73,7 +72,8 @@ class LocalSystem:
     coefficients enter: loads always, and B in groups with Robin edges,
     where beta varies from element to element.
 
-    gram: enriched Gram of the problem's test norm (n_enr x n_enr), SPD.
+    gram: enriched Gram of the problem's test norm (n_enr x n_enr), SPD,
+        and gram_inv, its inverse.
     coupling: B, trial-to-enriched-test, (n_enr x n_trial) when shared by
         the group, else stacked per element (n x n_enr x n_trial).
     load: l per element (n x n_enr).
@@ -89,6 +89,7 @@ class LocalSystem:
     """
 
     gram: np.ndarray
+    gram_inv: np.ndarray
     coupling: np.ndarray
     load: np.ndarray
     lsq_matrix: np.ndarray
@@ -97,18 +98,12 @@ class LocalSystem:
     res_y: np.ndarray
     res_weights: np.ndarray
     res_shift: np.ndarray | None = None
-    gram_factor: tuple | None = None
-
-    def factor(self):
-        if self.gram_factor is None:
-            self.gram_factor = scipy.linalg.cho_factor(self.gram, lower=True)
-        return self.gram_factor
 
 
 class GeometryKernels:
     """Problem-independent tabulations for one element geometry dx-by-dy.
 
-    gram/gram_factor hold the unweighted enriched H1 Gram
+    gram/gram_inv hold the unweighted enriched H1 Gram
     int_K (r_a r_b + grad r_a . grad r_b), used for trial-side measures;
     the problem's test norm is built by test_gram(eps). n_quad Gauss points
     per direction: by default p + delta_p + 1, exact for the enriched Gram;
@@ -144,7 +139,7 @@ class GeometryKernels:
         self.enr_stiff_x = (self.enr_gx * w).T @ self.enr_gx
         self.enr_stiff_y = (self.enr_gy * w).T @ self.enr_gy
         self.gram = self.test_gram(1.0)
-        self.gram_factor = scipy.linalg.cho_factor(self.gram, lower=True)
+        self.gram_inv = spd_inverses(self.gram)
 
         line = gauss_1d(n)
         self.edge_t = line.points
@@ -192,7 +187,7 @@ class ProblemKernels:
     """Adds the coefficient-dependent templates for one problem.
 
     eps weights the test-norm seminorm and the least-squares block (see
-    the module docstring); gram/gram_factor are the problem's test norm.
+    the module docstring); gram/gram_inv are the problem's test norm.
     """
 
     def __init__(self, geom: GeometryKernels, problem):
@@ -216,7 +211,7 @@ class ProblemKernels:
             self.eps = 1.0
         self.coef_inv = ainv
         self.gram = geom.test_gram(self.eps)
-        self.gram_factor = scipy.linalg.cho_factor(self.gram, lower=True)
+        self.gram_inv = geom.gram_inv if self.eps == 1.0 else spd_inverses(self.gram)
         # quadrature weights of the eps-weighted first-order residual
         self.res_weights = self.eps * geom.wvol
 
@@ -273,8 +268,8 @@ class ProblemKernels:
             B = np.repeat(B[None], n, axis=0)
             B[:, :, :self.n_field] += robin
 
-        return LocalSystem(self.gram, B, load, A, f, self.res_x, self.res_y,
-                           self.res_weights, shift, self.gram_factor)
+        return LocalSystem(self.gram, self.gram_inv, B, load, A, f, self.res_x,
+                           self.res_y, self.res_weights, shift)
 
 
 def coefficient_loads(mesh: Mesh, group: ElementGroup, problem,
@@ -328,11 +323,30 @@ def geometry_kernels(layout: SpaceLayout, dx: float, dy: float,
     return GeometryKernels(layout, dx, dy, n_quad)
 
 
-def _gram_solve(factor, a: np.ndarray, axis: int) -> np.ndarray:
-    """G^-1 applied to every vector of `a` along the enriched axis."""
-    a = np.moveaxis(a, axis, 0)
-    x = scipy.linalg.cho_solve(factor, a.reshape(a.shape[0], -1))
-    return np.moveaxis(x.reshape(a.shape), 0, axis)
+def cholesky(A: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky, which also raises LinAlgError on inf or NaN
+    entries (numpy alone factors some of them quietly)."""
+    if not np.isfinite(A).all():
+        raise np.linalg.LinAlgError("array must not contain infs or NaNs")
+    return np.linalg.cholesky(A)
+
+
+def spd_inverses(blocks: np.ndarray) -> np.ndarray:
+    """Inverses L^-T L^-1 of an SPD matrix, or of a stack of them, from
+    their Cholesky factors L. In a stack each L becomes L^-1 by forward
+    substitution across the whole stack, row by row, which beats one
+    LAPACK call per small block. Raises LinAlgError on a block that is not
+    finite or not positive definite."""
+    L = cholesky(blocks)
+    if L.ndim == 2:
+        L = np.linalg.inv(L)
+    else:
+        for i in range(L.shape[-1]):
+            # rows < i of L already hold L^-1
+            row = -np.einsum("bk,bkj->bj", L[:, i, :i], L[:, :i])
+            row[:, i] += 1.0
+            L[:, i] = row / L[:, i, i, None]
+    return np.swapaxes(L, -1, -2) @ L
 
 
 def condense_local(ls: LocalSystem):
@@ -343,15 +357,11 @@ def condense_local(ls: LocalSystem):
     n_trial); rhs is (n x n_trial). Data near the overflow threshold can
     leave inf or NaN entries, which the caller reports; numpy stays quiet.
     """
-    try:
-        factor = ls.factor()
-    except scipy.linalg.LinAlgError as exc:
-        raise ValueError(f"enriched Gram is not SPD: {exc}") from None
     B = ls.coupling
     with np.errstate(over="ignore", invalid="ignore"):
-        S = ls.lsq_matrix + np.swapaxes(B, -1, -2) @ _gram_solve(factor, B, -2)
+        S = ls.lsq_matrix + np.swapaxes(B, -1, -2) @ (ls.gram_inv @ B)
         S = 0.5 * (S + np.swapaxes(S, -1, -2))
-        y = _gram_solve(factor, ls.load, -1)
+        y = ls.load @ ls.gram_inv
         rhs = ls.lsq_load + (y[:, None, :] @ B)[:, 0]
     return S, rhs
 
@@ -360,7 +370,7 @@ def error_indicator(ls: LocalSystem, u: np.ndarray) -> np.ndarray:
     """Squared residual parts (eta_sq_riesz, eta_sq_fosls) of every element
     of a group at trial coefficients u (n x n_trial); returns (n x 2)."""
     r = ls.load - (ls.coupling @ u[:, :, None])[:, :, 0]
-    eta_riesz = np.sum(r * _gram_solve(ls.factor(), r, -1), axis=1)
+    eta_riesz = np.sum(r * (r @ ls.gram_inv), axis=1)
     uf = u[:, :ls.res_x.shape[1]]
     rx = uf @ ls.res_x.T
     ry = uf @ ls.res_y.T

@@ -2,45 +2,41 @@
 
 Local/skeleton split. The flux unknowns are element-local (broken L2)
 and the interior nodes of an element's field lattice (1 <= ix, iy <= p-1)
-couple only within that element. These local unknowns L are eliminated
-group by group before the scatter: from the element system S u = r of
-`condense_local`, assembly forms the Schur complement
-S_GG - S_GL S_LL^-1 S_LG and the load r_G - S_GL S_LL^-1 r_L over the
-element's skeleton unknowns G (the field nodes on element edges and the
-traces). A group that shares S needs one Cholesky factor of S_LL; Robin
-groups, whose S is stacked per element, take one batched solve. The
-global matrix therefore lives on the skeleton dofs only;
-`GlobalSystem.skeleton` maps its rows to the full numbering (field,
-flux, trace), and is ascending. After the skeleton solve, `recover_local`
-sets the local unknowns to u_L = S_LL^-1 r_L - S_LL^-1 S_LG u_G.
+couple only within that element. Assembly eliminates these local
+unknowns L group by group: from the element system S u = r of
+`condense_local` it forms S_GG - S_GL S_LL^-1 S_LG and r_G - S_GL S_LL^-1
+r_L over the skeleton unknowns G (the field nodes on element edges and
+the traces), with one Cholesky-based inverse of S_LL per group (per
+element where Robin terms stack S). `GlobalSystem.skeleton` maps the
+global rows to the full numbering; `recover_local` sets u_L = S_LL^-1 r_L
+- S_LL^-1 S_LG u_G after the solve.
 
-Assembly walks the element groups in order and sums their condensed
-matrices into a CSR matrix (`scatter`, shared with the Galerkin oracle
-and the coarse levels); repeated runs produce bit-identical systems.
+Assembly. The condensed matrices stay ElementBlocks and are never summed:
+`ElementOperator` applies them group by group (gather, one GEMM per
+shared matrix or one batched product per stack, one bincount back).
 Dirichlet field dofs (potential problem), never local, are eliminated
-symmetrically in place: rows and columns zeroed, unit diagonal, zero
-right-hand side. The group data stays on the system as ElementBlocks.
+symmetrically by a mask: zero rows and columns, unit diagonal, zero load.
+`GlobalSystem.matrix` exports the same matrix as a canonical CSR matrix
+on request; no solve reads it.
 
-Linear solve. `solve_spd` factors systems of at most DENSE_LIMIT rows
-densely. Larger ones run CG preconditioned by one geometric multigrid
-V(1,1)-cycle per iteration, whose iteration count stays flat under
-refinement, where diagonal PCG grows like h^-1. A potential system
-starts on the V-cycle; a concentration step, which the diagonal alone
-usually finishes, first spends JACOBI_ITERATIONS diagonal iterations.
+Linear solve. `solve_spd` factors at most DENSE_LIMIT rows densely, from
+the array summed out of the blocks. Larger systems run CG preconditioned
+by a geometric multigrid V(1,1)-cycle, whose iteration count stays flat
+under refinement.
 
-Hierarchy (`Multigrid`). The mesh is halved while nx and ny are even,
-down to 1 x 1 on power-of-two meshes; a coarse level's rows are the
-coarse mesh's skeleton dofs. Levels are built from element classes
-alone (element-by-element Galerkin coarsening): the elements are
+Hierarchy (`Multigrid`). The mesh is halved while nx and ny are even; a
+coarse level's rows are the coarse mesh's skeleton dofs. Elements are
 congruent, so an element matrix depends only on its group and, on Robin
-edges, on beta. A shared group matrix is a class, and so is each element
-of a stacked group; a 2 x 2 block of elements, around a vertex or
-forming a coarse element, takes its class from its elements' and from
-its Dirichlet rows. Per class of coarse elements, P interpolates along
-the coarse edges and extends A-harmonically, -A_II^-1 A_IE, inside; the
-coarse element matrix is sum_e P_e^T S_e P_e. Dirichlet rows are zero in
-P and get a unit coarse diagonal. The coarsest level is factored densely
-if it has at most DENSE_LIMIT rows, else (a large odd mesh) smoothed.
+edges, on beta: a shared group matrix is a class, and so is each element
+of a stacked group; a 2 x 2 block of elements takes its class from its
+elements' and its Dirichlet rows. Per class of coarse elements, P
+interpolates along the coarse edges and extends A-harmonically,
+-A_II^-1 A_IE, inside, and the coarse element matrix is sum_e P_e^T S_e
+P_e (element-by-element Galerkin coarsening). A, P and P^T of every
+level apply per class; a fine row takes its P row from the one coarse
+element that owns it, and Dirichlet rows are zero in P. The coarsest
+level keeps a dense inverse if it has at most DENSE_LIMIT rows, else (a
+large odd mesh) is smoothed.
 
 Smoother. Additive Schwarz over vertex patches, the rows strictly inside
 a vertex's elements (a facet's traces sit at its midpoint); a patch
@@ -56,13 +52,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
-from dpgfem.dpg import ProblemKernels, condense_local, error_indicator, geometry_kernels
+from dpgfem.dpg import (
+    ProblemKernels,
+    cholesky,
+    condense_local,
+    error_indicator,
+    geometry_kernels,
+    spd_inverses,
+)
 from dpgfem.fespace import (
     DofMap,
     SpaceLayout,
@@ -74,6 +75,7 @@ from dpgfem.mesh import FacetTag, Mesh, build_rect_mesh
 from dpgfem.problems import validate_problem
 
 DENSE_LIMIT = 1000
+DENSE_BLOCK = 64
 JACOBI_ITERATIONS = 300
 DAMPING = 0.4
 
@@ -101,24 +103,45 @@ class ElementBlock:
 
 @dataclass
 class GlobalSystem:
-    """The linear system handed to `solve_spd`.
+    """The linear system handed to `solve_spd`: the ElementBlocks summed
+    over rhs.size rows (the skeleton dofs when built by `assemble`), with
+    the Dirichlet rows eliminated.
 
-    matrix, rhs: over the skeleton dofs when built by `assemble`.
     constrained: Dirichlet field dofs in the full numbering.
-    skeleton: full dof of each row of matrix (ascending); None when the
-        rows are the full numbering.
+    skeleton: full dof of each row (ascending); None when the rows are the
+        full numbering.
     kind: the problem kind the system was assembled from ("concentration"
         or "potential"); None for a hand-built system.
-    elements: one ElementBlock per element group (`Multigrid` reads them).
+    elements: one ElementBlock per element group.
     """
 
-    matrix: sp.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
     constrained: np.ndarray
     skeleton: np.ndarray | None = None
     kind: str | None = None
     elements: list = field(default_factory=list)
+
+    @cached_property
+    def fixed(self) -> np.ndarray:
+        """The rows of the constrained dofs."""
+        return (self.constrained if self.skeleton is None
+                else np.searchsorted(self.skeleton, self.constrained))
+
+    @cached_property
+    def operator(self) -> ElementOperator:
+        """The matrix applied ElementBlock by ElementBlock (the solves' A)."""
+        rows = np.concatenate([b.dofs.ravel() for b in self.elements])
+        return ElementOperator((self.rhs.size,) * 2, rows, rows,
+                               [(len(b.dofs), b.matrix) for b in self.elements],
+                               self.fixed)
+
+    @cached_property
+    def matrix(self):
+        """The matrix as a canonical CSR matrix, built on first access: an
+        export for inspection and direct solvers; no solve reads it."""
+        return eliminate_dofs(scatter([(b.dofs, b.matrix) for b in self.elements],
+                                      self.rhs.size), self.fixed)
 
 
 @dataclass
@@ -167,12 +190,10 @@ def dirichlet_field_dofs(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     return np.unique(dofmap.elem_field[elems[:, None], edge_dofs[edges]])
 
 
-def eliminate_dofs(matrix: sp.spmatrix, rhs: np.ndarray,
-                   constrained: np.ndarray) -> sp.csr_matrix:
-    """Symmetric elimination of the constrained dofs (homogeneous data), in
-    place for rhs and a CSR matrix: rows and columns zeroed, unit diagonal
-    (which must be stored), stored zeros dropped, zero right-hand side."""
-    rhs[constrained] = 0.0
+def eliminate_dofs(matrix, constrained: np.ndarray):
+    """Symmetric elimination of the constrained rows of a sparse matrix, in
+    place for a CSR one: rows and columns zeroed, unit diagonal (which must
+    be stored), stored zeros dropped. Returns the canonical CSR matrix."""
     matrix = matrix.tocsr()
     matrix.sum_duplicates()
     if constrained.size:
@@ -186,12 +207,14 @@ def eliminate_dofs(matrix: sp.spmatrix, rhs: np.ndarray,
     return matrix
 
 
-def scatter(blocks, n: int) -> sp.csr_matrix:
-    """Canonical CSR matrix over n rows summed from element blocks, (dofs,
-    matrix) pairs shaped like an ElementBlock's; a dof n stands for none.
-    The triplets are written in place, one array each, to bound the peak."""
+def scatter(blocks, n: int):
+    """CSR matrix over n rows summed from element blocks, (dofs, matrix)
+    pairs shaped like an ElementBlock's; a dof n stands for none. The
+    triplets are written in place, one array each, to bound the peak."""
+    from scipy.sparse import coo_matrix
+
     size = sum(dofs.size * dofs.shape[1] for dofs, _ in blocks)
-    idx = np.int32 if n < 2**31 else np.int64            # scipy's CSR index type
+    idx = np.int32 if n < 2**31 else np.int64            # the CSR index type
     vals, rows, cols = np.empty(size), np.empty(size, idx), np.empty(size, idx)
     at = 0
     for dofs, S in blocks:
@@ -204,7 +227,88 @@ def scatter(blocks, n: int) -> sp.csr_matrix:
     if any(dofs.max(initial=0) >= n for dofs, _ in blocks):
         keep = (rows < n) & (cols < n)
         vals, rows, cols = vals[keep], rows[keep], cols[keep]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+class ElementOperator:
+    """The matrix sum_e R_e^T M_e C_e of `shape`, applied element by
+    element. Runs (count, M) hold a matrix shared by `count` elements or a
+    stack of one per element; rows and cols index each element's output
+    and input entries, flat, run by run (the row or column count stands
+    for none). The rows `fixed` of a square operator are eliminated: zero
+    rows and columns, unit diagonal."""
+
+    def __init__(self, shape: tuple, rows: np.ndarray, cols: np.ndarray,
+                 runs: list, fixed: np.ndarray = np.empty(0, dtype=np.int64)):
+        self.shape, self.runs, self.fixed = shape, runs, fixed
+        self.rows, self.cols = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
+        self.keep = np.ones(shape[1] + 1)
+        self.keep[fixed] = 0.0
+        self.parts, at_r, at_c = [], 0, 0       # (count, M, output, input slice)
+        for count, M in runs:
+            b, a = M.shape[-2:]
+            self.parts.append((count, M, slice(at_r, at_r + count * b),
+                               slice(at_c, at_c + count * a)))
+            at_r, at_c = at_r + count * b, at_c + count * a
+
+    @classmethod
+    def by_class(cls, shape: tuple, rows: np.ndarray, cols: np.ndarray,
+                 classes: np.ndarray, mats: np.ndarray,
+                 fixed: np.ndarray = np.empty(0, dtype=np.int64)) -> ElementOperator:
+        """Elements with rows and cols (n x b, n x a) and the matrices
+        mats[classes]: one run per class of several elements, then one stack
+        for the elements alone in their class."""
+        counts = np.bincount(classes)
+        shared = np.flatnonzero(counts > 1)
+        order = np.argsort(np.where(counts[classes] > 1, classes, counts.size),
+                           kind="stable")
+        alone = order[counts[shared].sum():]
+        runs = [(counts[c], mats[c]) for c in shared] + [(alone.size, mats[classes[alone]])]
+        return cls(shape, rows[order].ravel(), cols[order].ravel(), runs, fixed)
+
+    @cached_property
+    def T(self) -> ElementOperator:
+        return ElementOperator(self.shape[::-1], self.cols, self.rows,
+                               [(c, np.swapaxes(M, -1, -2)) for c, M in self.runs],
+                               self.fixed)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        g = (np.append(x, 0.0) * self.keep)[self.cols]
+        out = np.empty(self.rows.size)
+        for count, M, r, c in self.parts:
+            X, Y = g[c].reshape(count, -1), out[r].reshape(count, -1)
+            if M.ndim == 2:
+                np.matmul(X, M.T, out=Y)
+            else:
+                np.matmul(M, X[:, :, None], out=Y[:, :, None])
+        n = self.shape[0]
+        y = np.bincount(self.rows, out, n + 1)[:n]
+        y[self.fixed] = x[self.fixed]
+        return y
+
+    def diagonal(self) -> np.ndarray:
+        """Diagonal of a square operator whose rows and cols agree."""
+        n = self.shape[0]
+        d = np.concatenate([np.broadcast_to(np.diagonal(M, 0, -2, -1),
+                                            (count, M.shape[-1])).ravel()
+                            for count, M, _, _ in self.parts])
+        diag = np.bincount(self.rows, d, n + 1)[:n]
+        diag[self.fixed] = 1.0
+        return diag
+
+    def dense(self) -> np.ndarray:
+        """The square operator as a dense array, summed by one bincount."""
+        n = self.shape[0]
+        index, vals = [], []
+        for count, M, r, c in self.parts:
+            rows = self.rows[r].reshape(count, -1, 1).astype(np.int64)
+            index.append((rows * (n + 1) + self.cols[c].reshape(count, 1, -1)).ravel())
+            vals.append(np.broadcast_to(M, (count,) + M.shape[-2:]).ravel())
+        A = np.bincount(np.concatenate(index), np.concatenate(vals),
+                        (n + 1) ** 2).reshape(n + 1, n + 1)[:n, :n]
+        A[self.fixed] = A[:, self.fixed] = 0.0
+        A[self.fixed, self.fixed] = 1.0
+        return A
 
 
 def skeleton_dofs(dofmap: DofMap) -> np.ndarray:
@@ -239,19 +343,11 @@ def _condense_group(S: np.ndarray, r: np.ndarray, L: np.ndarray, G: np.ndarray):
     if bad_s or bad_r:
         raise SolverError(f"non-finite system: {bad_s} element-matrix and "
                           f"{bad_r} element-load entries are inf or NaN")
-    S_LL = S[..., L[:, None], L]
     S_LG = S[..., L[:, None], G]
     S_GG = S[..., G[:, None], G]
-    try:
-        if S.ndim == 2:
-            factor = scipy.linalg.cho_factor(S_LL, lower=True)
-            Xy = scipy.linalg.cho_solve(factor, np.hstack([S_LG, r[:, L].T]))
-            X, y = Xy[:, :G.size], Xy[:, G.size:].T
-        else:
-            Xy = np.linalg.solve(S_LL, np.concatenate([S_LG, r[:, L, None]], axis=-1))
-            X, y = Xy[..., :G.size], Xy[..., G.size]
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"not SPD / no convergence: local block: {exc}") from None
+    inv = _block_inverses(S[..., L[:, None], L], "local block")
+    X = inv @ S_LG
+    y = r[:, L] @ inv if S.ndim == 2 else (inv @ r[:, L, None])[:, :, 0]
     S_GL = np.swapaxes(S_LG, -1, -2)
     S_c = S_GG - S_GL @ X
     S_c = 0.5 * (S_c + np.swapaxes(S_c, -1, -2))
@@ -282,10 +378,9 @@ def global_system(dofmap: DofMap, elements: list, rhs: np.ndarray, kind: str,
     dofs), with a potential problem's Dirichlet field dofs eliminated."""
     constrained = (dirichlet_field_dofs(dofmap.mesh, dofmap) if kind == "potential"
                    else np.empty(0, dtype=np.int64))
-    rows = constrained if skeleton is None else np.searchsorted(skeleton, constrained)
-    matrix = eliminate_dofs(scatter([(b.dofs, b.matrix) for b in elements], rhs.size),
-                            rhs, rows)
-    return GlobalSystem(matrix, rhs, dofmap, constrained, skeleton, kind, elements)
+    system = GlobalSystem(rhs, dofmap, constrained, skeleton, kind, elements)
+    rhs[system.fixed] = 0.0
+    return system
 
 
 def recover_local(system: GlobalSystem, x: np.ndarray) -> np.ndarray:
@@ -303,39 +398,41 @@ def recover_local(system: GlobalSystem, x: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _dense_factor(A: sp.csr_matrix):
-    """Jacobi-equilibrated dense Cholesky factor of A, held in one n x n
-    array factored in place; the equilibration keeps heavily weighted
-    Robin terms from degrading the factorization."""
-    d = 1.0 / np.sqrt(A.diagonal())
-    As = A.toarray(order="F")
-    As *= d[:, None]
-    As *= d[None, :]
+def _dense_factor(A: np.ndarray):
+    """Jacobi-equilibrated dense Cholesky factor of A, which is scaled in
+    place; the equilibration keeps heavily weighted Robin terms from
+    degrading the factorization."""
+    with np.errstate(all="ignore"):
+        d = 1.0 / np.sqrt(np.diagonal(A))
+        A *= d[:, None]
+        A *= d
     try:
-        return d, scipy.linalg.cho_factor(As, lower=True, overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:
+        return d, cholesky(A)
+    except np.linalg.LinAlgError as exc:
         raise SolverError(f"not SPD / no convergence: {exc}") from None
 
 
 def _dense_solve(dense, b: np.ndarray) -> np.ndarray:
-    d, factor = dense
-    return d * scipy.linalg.cho_solve(factor, d * b)
+    """Solve with a `_dense_factor`: forward, then back substitution over
+    blocks of DENSE_BLOCK rows."""
+    d, L = dense
+    x = d * b
+    starts = range(0, len(d), DENSE_BLOCK)
+    for s in starts:
+        t = slice(s, s + DENSE_BLOCK)
+        x[t] = np.linalg.solve(L[t, t], x[t] - L[t, :s] @ x[:s])
+    for s in reversed(starts):
+        t = slice(s, s + DENSE_BLOCK)
+        x[t] = np.linalg.solve(L[t, t].T, x[t] - L[t.stop:, t].T @ x[t.stop:])
+    return d * x
 
 
 def _block_inverses(blocks: np.ndarray, what: str) -> np.ndarray:
-    """Inverses L^-T L^-1 of a stack of SPD blocks, exactly symmetric: each
-    Cholesky factor L becomes L^-1 by forward substitution across the whole
-    stack, row by row, which beats one LAPACK call per small block."""
+    """`spd_inverses` of a block or a stack of blocks, which must be SPD."""
     try:
-        L = np.linalg.cholesky(blocks)
+        return spd_inverses(blocks)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"not SPD / no convergence: {what}: {exc}") from None
-    for i in range(L.shape[-1]):
-        # rows < i of L already hold L^-1
-        row = -np.einsum("bk,bkj->bj", L[:, i, :i], L[:, :i])
-        row[:, i] += 1.0
-        L[:, i] = row / L[:, i, i, None]
-    return np.swapaxes(L, -1, -2) @ L
 
 
 def _classes(ids: np.ndarray, flags: np.ndarray):
@@ -497,18 +594,6 @@ def _vertex_blocks(grid: _Grid):
     return rows, cls, vclass, _block_inverses(A_II, "vertex patch")
 
 
-def _smoother(grid: _Grid, rows: np.ndarray, vclass: np.ndarray, inverses):
-    """Vertex patches and their inverses: one per class shared by several
-    vertices, then a stack for the classes of one vertex (by Robin edges)."""
-    counts = np.bincount(vclass)
-    shared = np.flatnonzero(counts > 1)
-    order = np.argsort(np.where(counts[vclass] > 1, vclass, counts.size), kind="stable")
-    alone = order[counts[shared].sum():]
-    runs = [(counts[c], inverses[c]) for c in shared]
-    runs.append((alone.size, inverses[vclass[alone]]))
-    return rows[order][:, grid.layout[2]], runs
-
-
 def _coarsen(grid: _Grid, rows: np.ndarray, cls: np.ndarray, vclass: np.ndarray,
              inverses: np.ndarray):
     """The next coarser level and the prolongation P from it, given the
@@ -543,39 +628,21 @@ def _coarsen(grid: _Grid, rows: np.ndarray, cls: np.ndarray, vclass: np.ndarray,
     # each fine row takes its P row from the one coarse element that owns
     # it: a row on K's right or top edge belongs to the neighbour there
     owned = (((sites[:, 0] < 4 * p) | (I == c_mesh.nx - 1)[:, None])
-             & ((sites[:, 1] < 4 * p) | (J == c_mesh.ny - 1)[:, None])
-             & (rows < n))
-    owner, slot = np.empty((2, n), dtype=np.int64)
-    owner[rows[owned]], slot[rows[owned]] = np.nonzero(owned)
-    w = P[c_grid.elem_class[owner], slot]
-    cols = np.minimum(c_grid.elem_rows[owner], c_grid.rows.size - 1)   # w is 0 there
-    P = sp.csr_matrix((w.ravel(), cols.ravel(), np.arange(0, w.size + 1, w.shape[1])),
-                      shape=(n, c_grid.rows.size))
-    P.eliminate_zeros()
-    return P, c_grid
+             & ((sites[:, 1] < 4 * p) | (J == c_mesh.ny - 1)[:, None]))
+    return ElementOperator.by_class((n, c_grid.rows.size), np.where(owned, rows, n),
+                                    c_grid.elem_rows, c_grid.elem_class, P), c_grid
 
 
 @dataclass
 class _Level:
-    """One level of a Multigrid: its matrix with a smoother and the
-    prolongation from the next level, or, coarsest, a dense factor."""
+    """One level of a Multigrid: its matrix with the undamped additive
+    Schwarz smoother and the prolongation P from the next level, or,
+    coarsest, the inverse of the matrix."""
 
-    A: sp.csr_matrix
-    patches: np.ndarray | None = None       # smoother rows, padded with n
-    inverses: list | None = None            # (count, k x k or count x k x k)
-    P: sp.csr_matrix | None = None          # from the next coarser level
-    dense: tuple | None = None              # coarsest only: _dense_factor
-
-    def smooth(self, r: np.ndarray) -> np.ndarray:
-        n = r.size
-        z = np.append(r, 0.0)[self.patches]
-        start = 0
-        for count, inv in self.inverses:
-            part = z[start:start + count]
-            part[:] = (part @ inv.T if inv.ndim == 2
-                       else (inv @ part[:, :, None])[:, :, 0])
-            start += count
-        return DAMPING * np.bincount(self.patches.ravel(), z.ravel(), n + 1)[:n]
+    A: ElementOperator
+    smoother: ElementOperator | None = None
+    P: ElementOperator | None = None
+    dense: np.ndarray | None = None
 
 
 class Multigrid:
@@ -586,23 +653,27 @@ class Multigrid:
 
     def __init__(self, system: GlobalSystem):
         grid = _fine_grid(system)
-        A = system.matrix
+        A = system.operator
         self.levels = []
         while True:
             level = _Level(A)
             self.levels.append(level)
+            n = A.shape[0]
             coarsest = grid.dofmap.mesh.nx % 2 or grid.dofmap.mesh.ny % 2
-            if coarsest and A.shape[0] <= DENSE_LIMIT:
-                level.dense = _dense_factor(A)
+            if coarsest and n <= DENSE_LIMIT:
+                level.dense = _block_inverses(A.dense(), "coarsest level")
                 break
             rows, cls, vclass, inverses = _vertex_blocks(grid)
-            level.patches, level.inverses = _smoother(grid, rows, vclass, inverses)
+            patches = rows[:, grid.layout[2]]
+            level.smoother = ElementOperator.by_class((n, n), patches, patches,
+                                                      vclass, inverses)
             if coarsest:
                 break
             level.P, grid = _coarsen(grid, rows, cls, vclass, inverses)
             n = grid.rows.size
-            A = scatter([(grid.elem_rows, grid.mats[grid.elem_class])], n)
-            A = eliminate_dofs(A, np.zeros(n), np.flatnonzero(grid.off[:n]))
+            A = ElementOperator.by_class((n, n), grid.elem_rows, grid.elem_rows,
+                                         grid.elem_class, grid.mats,
+                                         np.flatnonzero(grid.off[:n]))
 
     @property
     def sizes(self) -> list:
@@ -611,43 +682,39 @@ class Multigrid:
     def __call__(self, r: np.ndarray, depth: int = 0) -> np.ndarray:
         level = self.levels[depth]
         if level.dense is not None:
-            return _dense_solve(level.dense, r)
-        x = level.smooth(r)
+            return level.dense @ r
+        x = DAMPING * (level.smoother @ r)
         if level.P is None:
             return x
         x += level.P @ self(level.P.T @ (r - level.A @ x), depth + 1)
-        x += level.smooth(r - level.A @ x)
+        x += DAMPING * (level.smoother @ (r - level.A @ x))
         return x
 
 
 def solve_spd(system: GlobalSystem, tol: float = 1e-10):
-    """Solve the SPD system: dense Cholesky for n <= DENSE_LIMIT, else
-    preconditioned CG.
+    """Solve the SPD system through `system.operator`: dense Cholesky for
+    n <= DENSE_LIMIT, else preconditioned CG.
 
-    A potential system builds a `Multigrid` hierarchy before the first
-    iteration and takes one V(1,1)-cycle per iteration as the
-    preconditioner. Any other system with a dof map (a concentration
-    step) first runs JACOBI_ITERATIONS iterations with the diagonal; if it
-    has not converged, it builds the hierarchy and restarts from the
-    current iterate on the V-cycle. The diagonal finishes conc-trig from
-    32^2 to 128^2 (p = 1..3) in 2-182 iterations. The hierarchy setup costs
-    about 40 of them on a 45k-row system, but starting on the V-cycle (12
-    to 16 cycles) is slower on all of these except 128^2, p = 3. A
-    hand-built system with no dof map keeps the diagonal.
+    A potential system starts CG on the `Multigrid` V-cycle. Any other
+    system with a dof map (a concentration step, whose mass term clusters
+    the spectrum) first spends JACOBI_ITERATIONS iterations on the
+    diagonal, which finishes conc-trig from 32^2 to 128^2 (p = 1..3) in
+    2-182 iterations, and then restarts on the V-cycle. A hand-built
+    system with no dof map keeps the diagonal.
 
     Both paths solve for the right-hand side times the power of two 2^-k
     that brings its largest entry into [0.5, 1), and scale the solution
-    back. Every operation of either path is linear in the right-hand
-    side, so this is exact (unless an entry falls below 2^-1022 when
-    scaled): the iterates are those of the unscaled solve times 2^-k, bit
-    for bit, but no inner product of large data overflows.
+    back. Every operation is linear in the right-hand side, so this is
+    exact (unless an entry falls below 2^-1022 when scaled), but no inner
+    product of large data overflows.
 
     Returns (coefficients, SolveInfo). A system with inf or NaN entries
     raises SolverError before either path, as does a solution that
     overflows when scaled back.
     """
-    A, b = system.matrix, system.rhs
-    bad_a = int(np.count_nonzero(~np.isfinite(A.data)))
+    A, b = system.operator, system.rhs
+    bad_a = sum(int(np.count_nonzero(~np.isfinite(blk.matrix)))
+                for blk in system.elements)
     bad_b = int(np.count_nonzero(~np.isfinite(b)))
     if bad_a or bad_b:
         raise SolverError(f"non-finite system: {bad_a} matrix and {bad_b} "
@@ -666,7 +733,7 @@ def solve_spd(system: GlobalSystem, tol: float = 1e-10):
 
 def _solve_scaled(system: GlobalSystem, b: np.ndarray, tol: float):
     """The two paths of `solve_spd`, for a nonzero right-hand side b."""
-    A = system.matrix
+    A = system.operator
     n = A.shape[0]
     bnorm = float(np.linalg.norm(b))
     diag = A.diagonal()
@@ -674,14 +741,12 @@ def _solve_scaled(system: GlobalSystem, b: np.ndarray, tol: float):
         raise SolverError("not SPD / no convergence: nonpositive diagonal entry")
 
     if n <= DENSE_LIMIT:
-        x = _dense_solve(_dense_factor(A), b)
+        x = _dense_solve(_dense_factor(A.dense()), b)
         res = float(np.linalg.norm(b - A @ x)) / bnorm
         return x, SolveInfo("dense", 0, res)
 
-    # -div(kappa grad phi) has no zeroth-order term, so a potential system
-    # is conditioned like h^-2 and diagonal PCG does not finish it within
-    # the budget; the mass term of a concentration step clusters its
-    # spectrum, and the diagonal usually finishes first.
+    # -div(kappa grad phi) has no zeroth-order term: a potential system
+    # is conditioned like h^-2, beyond the diagonal's budget
     jacobi = 0 if system.kind == "potential" else JACOBI_ITERATIONS
     minv = 1.0 / diag
     precondition, levels = (lambda v: minv * v), []

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from dpgfem.dpg import ProblemKernels, coefficient_loads, condense_local, geometry_kernels
 from dpgfem.fespace import SpaceLayout, build_dofmap, tabulate_facet_basis
@@ -98,8 +97,7 @@ def project_trace(mesh: Mesh, layout: SpaceLayout, active: np.ndarray,
                   mesh.facet_normals[active])
     # the facet length scales the mass matrix and the load alike
     mass = (basis * line.weights[:, None]).T @ basis
-    out = scipy.linalg.solve(mass, ((vals * line.weights) @ basis).T,
-                             assume_a="pos")
+    out = np.linalg.solve(mass, ((vals * line.weights) @ basis).T)
     return out.T.ravel()
 
 
@@ -123,7 +121,7 @@ def skeleton_dual_norm(mesh: Mesh, layout: SpaceLayout, active: np.ndarray,
         on = s >= 0
         b[on] += (mesh.elem_facet_signs[on, k, None] * modes[s[on]]) \
             @ geom.trace_tmpl[k].T
-    total = float(np.sum(b * scipy.linalg.cho_solve(geom.gram_factor, b.T).T))
+    total = float(np.sum(b * (b @ geom.gram_inv)))
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -334,7 +332,7 @@ def _dense_trial_forms(mesh: Mesh, dofmap, problem=None):
         if group.edges:
             C = np.hstack([sign * geom.trace_tmpl[k] for k, sign in group.edges])
             blocks.append((group.dofs[:, -C.shape[1]:],
-                           C.T @ scipy.linalg.cho_solve(geom.gram_factor, C)))
+                           C.T @ geom.gram_inv @ C))
         for dofs, block in blocks:
             np.add.at(M, (dofs[:, :, None], dofs[:, None, :]), block)
         if A is not None:
@@ -354,7 +352,8 @@ def infsup_constant(mesh: Mesh, problem, layout: SpaceLayout) -> float:
     M, A = _dense_trial_forms(mesh, dofmap, problem)
     free = np.setdiff1d(np.arange(dofmap.n_total),
                         dirichlet_field_dofs(mesh, dofmap))
-    A = A[np.ix_(free, free)]
-    A = 0.5 * (A + A.T)
-    vals = scipy.linalg.eigh(A, M[np.ix_(free, free)], eigvals_only=True)
+    # the pencil (A, M) reduced by M = L L^T to L^-1 A L^-T
+    L = np.linalg.cholesky(M[np.ix_(free, free)])
+    C = np.linalg.solve(L, np.linalg.solve(L, A[np.ix_(free, free)]).T)
+    vals = np.linalg.eigvalsh(0.5 * (C + C.T))
     return float(np.sqrt(max(vals[0], 0.0)))

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from dpgfem.dpg import (
     condense_local,
     error_indicator,
     geometry_kernels,
+    spd_inverses,
 )
 from dpgfem.fespace import SpaceLayout, build_dofmap
 from dpgfem.mesh import (
@@ -193,11 +195,31 @@ class TestFosls:
         assert np.all(ls.lsq_matrix[:, n_ff:] == 0.0)
 
 
+class TestGramInverse:
+    @pytest.mark.parametrize("gram", [[[1.0, 2.0], [2.0, 1.0]],
+                                      [[np.inf, 0.0], [0.0, 1.0]],
+                                      [[np.nan, 0.0], [0.0, 1.0]]])
+    def test_bad_gram_is_a_quiet_value_error(self, gram):
+        # a config error at the CLI, as scipy's factorization raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError):
+                spd_inverses(np.array(gram))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_a_direct_inverse(self, p):
+        geom = geometry_kernels(SpaceLayout(p=p), 0.25, 0.5)
+        want = np.linalg.inv(geom.gram)
+        assert np.abs(geom.gram_inv - want).max() <= 1e-12 * np.abs(want).max()
+        stacked = spd_inverses(np.stack([geom.gram, 2.0 * geom.gram]))
+        assert np.abs(stacked[1] - 0.5 * want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestCondense:
     def test_no_coupling_returns_least_squares_block(self):
         gram = np.eye(3)
         lsq = np.diag([1.0, 2.0, 3.0])
-        ls = LocalSystem(gram=gram, coupling=np.zeros((3, 3)),
+        ls = LocalSystem(gram=gram, gram_inv=gram, coupling=np.zeros((3, 3)),
                          load=np.zeros((1, 3)), lsq_matrix=lsq,
                          lsq_load=np.zeros((1, 3)), res_x=np.zeros((1, 3)),
                          res_y=np.zeros((1, 3)), res_weights=np.ones(1))

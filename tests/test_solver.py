@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from dpgfem.mesh import (
 )
 from dpgfem.problems import ConcentrationProblem, PotentialProblem
 from dpgfem.solver import (
+    ElementBlock,
     GlobalSystem,
     SolverError,
     active_facets,
@@ -55,9 +57,12 @@ def _pot_problem(partition=POT_PARTITION, **overrides):
 
 
 def _hand_system(matrix, rhs):
-    return GlobalSystem(sp.csr_matrix(np.asarray(matrix, dtype=float)),
-                        np.asarray(rhs, dtype=float),
-                        None, np.empty(0, dtype=np.int64))
+    """A system of one element that holds the whole dense matrix."""
+    matrix = np.asarray(matrix, dtype=float)
+    block = ElementBlock(np.zeros(1, dtype=np.int64),
+                         np.arange(len(matrix))[None], matrix)
+    return GlobalSystem(np.asarray(rhs, dtype=float), None,
+                        np.empty(0, dtype=np.int64), elements=[block])
 
 
 class TestGroupedAssembly:
@@ -379,7 +384,9 @@ def _ref_prolongation(A: sp.csr_matrix, fine: DofMap, rows: np.ndarray,
 
 
 def _reference_multigrid(system):
-    """A Multigrid whose levels are built by the CSR-based setup."""
+    """A Multigrid whose levels are built by the CSR-based setup and hold
+    CSR matrices: A, P, the smoother's sum of patch inverses, and a dense
+    inverse on the coarsest level."""
     A = system.matrix
     dofmap = system.dofmap
     rows = (np.arange(A.shape[0]) if system.skeleton is None
@@ -392,11 +399,11 @@ def _reference_multigrid(system):
         cycle.levels.append(level)
         coarsest = dofmap.mesh.nx % 2 or dofmap.mesh.ny % 2
         if coarsest and A.shape[0] <= solver_mod.DENSE_LIMIT:
-            level.dense = solver_mod._dense_factor(A)
+            level.dense = np.linalg.inv(A.toarray())
             break
-        level.patches = _ref_patches(dofmap, rows)
-        inverses = _ref_block_inverses(A, level.patches, "vertex patch")
-        level.inverses = [(len(inverses), inverses)]
+        patches = _ref_patches(dofmap, rows)
+        inverses = _ref_block_inverses(A, patches, "vertex patch")
+        level.smoother = solver_mod.scatter([(patches, inverses)], A.shape[0])
         if coarsest:
             break
         coarse = _ref_coarsen(dofmap)
@@ -426,9 +433,32 @@ def _oracle_system(name, p, n):
     return systems[0]
 
 
+def _csr(op):
+    """The entries of an ElementOperator as a CSR matrix, summed by scipy."""
+    n, m = op.shape
+    rows, cols, vals = [], [], []
+    for count, M, r, c in op.parts:
+        R, C, V = np.broadcast_arrays(op.rows[r].reshape(count, -1, 1),
+                                      op.cols[c].reshape(count, 1, -1), M)
+        keep = (R < n) & (C < m)
+        rows.append(R[keep]), cols.append(C[keep]), vals.append(V[keep])
+    matrix = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                   np.concatenate(cols))),
+                           shape=op.shape)
+    return eliminate_dofs(matrix, op.fixed) if op.fixed.size else matrix
+
+
+def _assert_applies_as(op, matrix, rng):
+    """The grouped product matches the CSR one to 1e-14 relative."""
+    for v in rng.standard_normal((3, matrix.shape[1])):
+        want = matrix @ v
+        assert np.linalg.norm(op @ v - want) <= 1e-14 * np.linalg.norm(want)
+
+
 def _assert_same_hierarchy(system):
     """Every level's A to 1e-12 of its largest entry, P to 1e-11, and the
-    V-cycle on random vectors to 1e-12.
+    V-cycle on random vectors to 1e-12. The grouped A, P and P^T apply
+    their entries to 1e-14.
 
     P's harmonic rows solve with A_II, whose condition number reaches about
     3e4 at p = 3 on 16^2: summing A_II in another order moves them by
@@ -437,13 +467,18 @@ def _assert_same_hierarchy(system):
     those errors."""
     new, ref = solver_mod.Multigrid(system), _reference_multigrid(system)
     assert new.sizes == ref.sizes
+    rng = np.random.default_rng(3)
     for got, want in zip(new.levels, ref.levels):
         assert (got.dense is None) == (want.dense is None)
-        assert abs(got.A - want.A).max() <= 1e-12 * abs(want.A).max()
+        A = _csr(got.A)
+        assert abs(A - want.A).max() <= 1e-12 * abs(want.A).max()
+        _assert_applies_as(got.A, A, rng)
         assert (got.P is None) == (want.P is None)
         if got.P is not None:
-            assert abs(got.P - want.P).max() <= 1e-11 * abs(want.P).max()
-    rng = np.random.default_rng(3)
+            P = _csr(got.P)
+            assert abs(P - want.P).max() <= 1e-11 * abs(want.P).max()
+            _assert_applies_as(got.P, P, rng)
+            _assert_applies_as(got.P.T, P.T.tocsr(), rng)
     for v in rng.standard_normal((3, new.sizes[0])):
         want = ref(v)
         assert np.linalg.norm(new(v) - want) <= 1e-12 * np.linalg.norm(want)
@@ -633,6 +668,60 @@ class TestAssemble:
         assert np.array_equal(got.data, want.data)
 
 
+class TestGroupedOperator:
+    # the solves apply the ElementBlocks; system.matrix is the CSR export
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["conc-poly2", "conc-trig", "pot-poly2",
+                                      "pot-trig"])
+    def test_matches_the_csr_export(self, name, p):
+        # pot cases hold Dirichlet rows and stacked Robin groups
+        system = _case_system(name, p, 6)
+        A = system.matrix
+        rng = np.random.default_rng(5)
+        for x in rng.standard_normal((3, A.shape[0])):
+            want = A @ x
+            assert (np.linalg.norm(system.operator @ x - want)
+                    <= 1e-14 * np.linalg.norm(want))
+        assert np.allclose(system.operator.diagonal(), A.diagonal(),
+                           rtol=1e-14, atol=0.0)
+        assert abs(A - system.operator.dense()).max() <= 1e-14 * abs(A).max()
+
+    @pytest.mark.parametrize("name", ["pot-trig", "conc-trig"])
+    def test_export_is_the_scatter_of_the_blocks(self, name):
+        for system in (_case_system(name, 2, 8), _oracle_system(name, 2, 8)):
+            n = system.rhs.size
+            want = eliminate_dofs(solver_mod.scatter(
+                [(b.dofs, b.matrix) for b in system.elements], n), system.fixed)
+            got = system.matrix
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
+                assert getattr(got, attr).dtype == getattr(want, attr).dtype
+
+    @pytest.mark.parametrize("name, p, n", [("conc-trig", 1, 4),     # dense
+                                            ("conc-trig", 2, 16),    # diagonal
+                                            ("pot-trig", 2, 16)])    # V-cycle
+    def test_solve_does_not_read_the_export(self, name, p, n):
+        x, info = solve_spd(_case_system(name, p, n))
+        system = _case_system(name, p, n)
+        system.matrix
+        x_read, info_read = solve_spd(system)
+        assert info_read == info
+        assert np.array_equal(x_read, x)
+
+    @pytest.mark.parametrize("name, p, n", [
+        ("pot-trig", 2, 8), ("conc-trig", 3, 8),         # below DENSE_LIMIT
+        ("pot-trig", 2, 12), ("pot-trig", 3, 10), ("conc-trig", 1, 20)])
+    def test_dense_path_matches_the_sparse_direct_solve(self, monkeypatch,
+                                                        name, p, n):
+        # rows above DENSE_LIMIT take the dense path under a raised limit
+        system = _case_system(name, p, n)
+        monkeypatch.setattr(solver_mod, "DENSE_LIMIT",
+                            max(solver_mod.DENSE_LIMIT, system.rhs.size))
+        x, info = solve_spd(system)
+        assert info.method == "dense"
+        assert _direct_gap(system, x) <= 1e-10
+
+
 def _uncondensed_solve(mesh, problem, layout):
     """Direct solve of the full system summed from the group blocks."""
     dofmap = build_dofmap(mesh, layout, active_facets(mesh, problem))
@@ -653,7 +742,8 @@ def _uncondensed_solve(mesh, problem, layout):
     constrained = np.empty(0, dtype=np.int64)
     if problem.kind == "potential":
         constrained = dirichlet_field_dofs(mesh, dofmap)
-    matrix = eliminate_dofs(matrix, rhs, constrained)
+    rhs[constrained] = 0.0
+    matrix = eliminate_dofs(matrix, constrained)
     return spla.spsolve(matrix.tocsc(), rhs), dofmap
 
 
@@ -693,6 +783,19 @@ class TestCondensation:
         with pytest.raises(SolverError, match="not SPD"):
             solver_mod._condense_group(S, np.ones((1, 2)), np.array([0]),
                                        np.array([1]))
+
+    @pytest.mark.parametrize("block", [[[np.inf, 0.0], [0.0, 1.0]],
+                                       [[np.nan, 0.0], [0.0, 1.0]],
+                                       [[1.0, np.inf], [np.inf, 1.0]]])
+    def test_non_finite_block_is_a_quiet_solver_error(self, block):
+        # numpy's Cholesky factors some inf and NaN blocks without an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for blocks in (np.array(block), np.array([block])):
+                with pytest.raises(SolverError, match="not SPD.*infs or NaNs"):
+                    solver_mod._block_inverses(blocks, "local block")
+            with pytest.raises(SolverError, match="not SPD.*infs or NaNs"):
+                solver_mod._dense_factor(np.array(block))
 
 
 class TestSolveDpg:

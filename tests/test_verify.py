@@ -411,6 +411,25 @@ class TestInfsup:
         for coarse, fine in zip(alphas, alphas[1:]):
             assert fine >= 0.8 * coarse
 
+    @pytest.mark.parametrize("name, n, p", [("conc-trig", 1, 1), ("conc-trig", 4, 1),
+                                            ("pot-trig", 2, 2), ("pot-poly2", 3, 1)])
+    def test_matches_the_generalized_eigensolver(self, name, n, p):
+        # scipy is the test oracle: eigh on the pencil, no Cholesky reduction
+        import scipy.linalg
+
+        case = manufactured_case(name)
+        mesh = case_mesh(case, n)
+        layout = SpaceLayout(p=p)
+        dofmap = build_dofmap(mesh, layout, active_facets(mesh, case.problem))
+        M, A = verify_mod._dense_trial_forms(mesh, dofmap, case.problem)
+        free = np.setdiff1d(np.arange(dofmap.n_total),
+                            verify_mod.dirichlet_field_dofs(mesh, dofmap))
+        A = A[np.ix_(free, free)]
+        want = np.sqrt(scipy.linalg.eigh(0.5 * (A + A.T), M[np.ix_(free, free)],
+                                         eigvals_only=True)[0])
+        got = infsup_constant(mesh, case.problem, layout)
+        assert abs(got - want) <= 1e-10 * want
+
     def test_size_cap(self):
         mesh = build_rect_mesh(UNIT, 8, 8)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
