@@ -402,6 +402,7 @@ def _dense_factor(A: np.ndarray):
     """Jacobi-equilibrated dense Cholesky factor of A, which is scaled in
     place; the equilibration keeps heavily weighted Robin terms from
     degrading the factorization."""
+    # a nonpositive or tiny diagonal leaves inf or NaN, which cholesky reports
     with np.errstate(all="ignore"):
         d = 1.0 / np.sqrt(np.diagonal(A))
         A *= d[:, None]

@@ -442,10 +442,9 @@ def _csr(op):
                                       op.cols[c].reshape(count, 1, -1), M)
         keep = (R < n) & (C < m)
         rows.append(R[keep]), cols.append(C[keep]), vals.append(V[keep])
-    matrix = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                   np.concatenate(cols))),
-                           shape=op.shape)
-    return eliminate_dofs(matrix, op.fixed) if op.fixed.size else matrix
+    return eliminate_dofs(sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                                np.concatenate(cols))),
+                                        shape=op.shape), op.fixed)
 
 
 def _assert_applies_as(op, matrix, rng):
