@@ -301,7 +301,7 @@ class ElementOperator:
         n = self.shape[0]
         index, vals = [], []
         for count, M, r, c in self.parts:
-            rows = self.rows[r].reshape(count, -1, 1).astype(np.int64)
+            rows = self.rows[r].reshape(count, -1, 1)
             index.append((rows * (n + 1) + self.cols[c].reshape(count, 1, -1)).ravel())
             vals.append(np.broadcast_to(M, (count,) + M.shape[-2:]).ravel())
         A = np.bincount(np.concatenate(index), np.concatenate(vals),
