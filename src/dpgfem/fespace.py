@@ -16,6 +16,8 @@ from dpgfem.mesh import FacetTag
 
 MAX_DEGREE = 10
 
+_INTERIOR = int(FacetTag.INTERIOR)
+
 
 def gauss_lobatto_nodes(degree: int) -> np.ndarray:
     """Nodes in [-1, 1] of the degree-`degree` Lobatto family (degree+1 points).
@@ -173,6 +175,9 @@ class ElementGroup:
     edges: (local edge, sign) of each trace-carrying edge, in local edge order.
     boundary: (local edge, FacetTag) of each boundary edge.
     dofs: (n, n_trial) global dofs, each row in element_dofs order.
+
+    A DofMap hands the same groups to every caller, so elems and dofs are
+    read-only arrays.
     """
 
     elems: np.ndarray
@@ -214,6 +219,7 @@ class DofMap:
         self.elem_field = corner[:, None] + block.ravel()
         self._nxp = nxp
         self._nyp = nyp
+        self._groups = None
 
     def field_lattice_shape(self) -> tuple[int, int]:
         return (self._nxp, self._nyp)
@@ -246,25 +252,46 @@ class DofMap:
         return np.concatenate(parts)
 
     def element_groups(self) -> list:
-        """Partition of the elements into ElementGroups, ordered by key."""
+        """Partition of the elements into ElementGroups, ordered by key.
+
+        The key of an element is the sign of each local edge (0 on an edge
+        without traces), then the tag of each local edge. The partition is
+        built on the first call; later calls return the same groups.
+        """
+        if self._groups is None:
+            self._groups = self._partition()
+        return list(self._groups)
+
+    def _partition(self) -> list:
         mesh, p = self.mesh, self.layout.p
         slots = self.facet_slot[mesh.elem_facets]
         signs = np.where(slots >= 0, mesh.elem_facet_signs, 0.0)
-        keys = np.column_stack([signs, mesh.facet_tags[mesh.elem_facets]])
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        tags = mesh.facet_tags[mesh.elem_facets]
+        # mixed radix, first column most significant: the codes sort as
+        # the keys do lexicographically
+        code = np.zeros(mesh.n_elems, dtype=np.int64)
+        for k in range(4):
+            code = code * 3 + (signs[:, k] + 1).astype(np.int64)
+        for k in range(4):
+            code = code * 4 + tags[:, k]
+        _, first, inverse = np.unique(code, return_index=True,
+                                      return_inverse=True)
         n_flux = self.layout.n_flux_local
         groups = []
-        for g, key in enumerate(uniq):
-            elems = np.flatnonzero(inverse.ravel() == g)
-            edges = tuple((k, float(key[k])) for k in range(4) if key[k] != 0)
-            boundary = tuple((k, FacetTag(int(key[4 + k]))) for k in range(4)
-                             if key[4 + k] != FacetTag.INTERIOR)
+        for g, e0 in enumerate(first.tolist()):
+            elems = np.flatnonzero(inverse == g)
+            edges = tuple((k, s) for k, s in enumerate(signs[e0].tolist()) if s)
+            boundary = tuple((k, FacetTag(t)) for k, t in enumerate(tags[e0].tolist())
+                             if t != _INTERIOR)
             parts = [self.elem_field[elems],
                      self.flux_offset + elems[:, None] * n_flux + np.arange(n_flux)]
             for k, _sign in edges:
                 parts.append(self.trace_offset + slots[elems, k][:, None] * p
                              + np.arange(p))
-            groups.append(ElementGroup(elems, edges, boundary, np.hstack(parts)))
+            dofs = np.hstack(parts)
+            elems.setflags(write=False)
+            dofs.setflags(write=False)
+            groups.append(ElementGroup(elems, edges, boundary, dofs))
         return groups
 
 

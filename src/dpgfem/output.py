@@ -18,10 +18,6 @@ FIELD_NAMES = {"concentration": ("concentration", "species_flux"),
 _CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def vertex_field_values(mesh: Mesh, dofmap, field: np.ndarray) -> np.ndarray:
     """Field values at mesh vertices, x-fastest ordering.
 
@@ -57,20 +53,23 @@ def write_vtk(path, mesh: Mesh, dofmap, solution, kind: str) -> None:
              "DATASET STRUCTURED_GRID",
              f"DIMENSIONS {mesh.nx + 1} {mesh.ny + 1} 1",
              f"POINTS {npts} double"]
-    lines.extend(f"{_fmt(x)} {_fmt(y)} 0.0" for x, y in mesh.vertices)
+    # the vertices form an x-fastest lattice: format each coordinate once
+    xs = [repr(x) for x in mesh.vertices[:mesh.nx + 1, 0].tolist()]
+    ys = [repr(y) for y in mesh.vertices[::mesh.nx + 1, 1].tolist()]
+    lines.extend(f"{x} {y} 0.0" for y in ys for x in xs)
     lines.append(f"POINT_DATA {npts}")
     lines.append(f"SCALARS {scalar_name} double")
     lines.append("LOOKUP_TABLE default")
-    lines.extend(_fmt(v) for v in field)
+    lines.extend(map(repr, field.tolist()))
     lines.append(f"VECTORS {vector_name} double")
-    lines.extend(f"{_fmt(fx)} {_fmt(fy)} 0.0" for fx, fy in flux)
+    lines.extend(f"{fx!r} {fy!r} 0.0" for fx, fy in flux.tolist())
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def write_indicators_csv(path, solution) -> None:
     lines = ["element,eta_sq_riesz,eta_sq_fosls"]
-    for e, (riesz, fosls) in enumerate(solution.indicators):
-        lines.append(f"{e},{_fmt(riesz)},{_fmt(fosls)}")
+    for e, (riesz, fosls) in enumerate(solution.indicators.tolist()):
+        lines.append(f"{e},{riesz!r},{fosls!r}")
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -83,8 +82,8 @@ def write_infsup_csv(path, rows) -> None:
     lines = ["level,n,dofs,alpha,ratio"]
     prev = None
     for level, n, dofs, alpha in rows:
-        ratio = "" if prev is None else _fmt(alpha / prev)
-        lines.append(f"{level},{n},{dofs},{_fmt(alpha)},{ratio}")
+        ratio = "" if prev is None else repr(float(alpha / prev))
+        lines.append(f"{level},{n},{dofs},{float(alpha)!r},{ratio}")
         prev = alpha
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 

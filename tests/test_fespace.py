@@ -25,6 +25,31 @@ UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 RNG = np.random.default_rng(20240817)
 
 
+def _reference_groups(dofmap):
+    """The partition as np.unique over the float key rows built it before
+    element_groups encoded each key as one integer: (elems, edges,
+    boundary, dofs) per group, in key order."""
+    mesh, p = dofmap.mesh, dofmap.layout.p
+    slots = dofmap.facet_slot[mesh.elem_facets]
+    signs = np.where(slots >= 0, mesh.elem_facet_signs, 0.0)
+    keys = np.column_stack([signs, mesh.facet_tags[mesh.elem_facets]])
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    n_flux = dofmap.layout.n_flux_local
+    groups = []
+    for g, key in enumerate(uniq):
+        elems = np.flatnonzero(inverse.ravel() == g)
+        edges = tuple((k, float(key[k])) for k in range(4) if key[k] != 0)
+        boundary = tuple((k, FacetTag(int(key[4 + k]))) for k in range(4)
+                         if key[4 + k] != FacetTag.INTERIOR)
+        parts = [dofmap.elem_field[elems],
+                 dofmap.flux_offset + elems[:, None] * n_flux + np.arange(n_flux)]
+        for k, _sign in edges:
+            parts.append(dofmap.trace_offset + slots[elems, k][:, None] * p
+                         + np.arange(p))
+        groups.append((elems, edges, boundary, np.hstack(parts)))
+    return groups
+
+
 class TestGaussLobattoNodes:
     def test_low_degrees(self):
         assert np.allclose(gauss_lobatto_nodes(0), [0.0])
@@ -255,3 +280,52 @@ class TestElementGroups:
                         for k in range(4)}
                 assert g.boundary == tuple(
                     (k, t) for k, t in tags.items() if t != FacetTag.INTERIOR)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("nx, ny, partition", [
+        (4, 3, (FacetTag.DIRICHLET, FacetTag.NEUMANN, FacetTag.ROBIN, FacetTag.ROBIN)),
+        (3, 5, (FacetTag.ROBIN, FacetTag.DIRICHLET, FacetTag.NEUMANN, FacetTag.DIRICHLET)),
+        (1, 1, (FacetTag.DIRICHLET, FacetTag.ROBIN, FacetTag.NEUMANN, FacetTag.ROBIN)),
+        (5, 1, (FacetTag.NEUMANN, FacetTag.NEUMANN, FacetTag.ROBIN, FacetTag.NEUMANN)),
+        (1, 1, None),
+        (1, 4, None),
+        (6, 2, None),
+        (4, 4, None),
+    ])
+    def test_matches_the_float_key_partition(self, p, nx, ny, partition):
+        mesh = build_rect_mesh(Rectangle(-0.5, 1.0, 0.0, 2.0), nx, ny)
+        if partition is None:
+            # the concentration problem: Neumann sides, interior traces
+            mesh = classify_boundary(mesh, BoundaryPartition(), "concentration")
+            active = mesh.interior_facets()
+        else:
+            mesh = classify_boundary(mesh, BoundaryPartition(*partition),
+                                     "potential")
+            active = np.concatenate([mesh.interior_facets(),
+                                     mesh.facets_with_tag(FacetTag.DIRICHLET)])
+        dofmap = build_dofmap(mesh, SpaceLayout(p=p), active)
+        groups = dofmap.element_groups()
+        reference = _reference_groups(dofmap)
+        assert len(groups) == len(reference)
+        for g, (elems, edges, boundary, dofs) in zip(groups, reference):
+            assert np.array_equal(g.elems, elems)
+            assert g.edges == edges
+            assert all(type(sign) is float for _k, sign in g.edges)
+            assert g.boundary == boundary
+            assert all(type(tag) is FacetTag for _k, tag in g.boundary)
+            assert g.dofs.dtype == dofs.dtype
+            assert np.array_equal(g.dofs, dofs)
+
+    def test_groups_are_built_once_and_read_only(self):
+        mesh = build_rect_mesh(UNIT, 3, 3)
+        dofmap = build_dofmap(mesh, SpaceLayout(p=2), mesh.interior_facets())
+        first, second = dofmap.element_groups(), dofmap.element_groups()
+        assert all(a is b for a, b in zip(first, second))
+        group = first[0]
+        with pytest.raises(ValueError):
+            group.dofs[0, 0] = -1
+        with pytest.raises(ValueError):
+            group.elems[0] = -1
+        # a caller may reorder or drop groups in its own list
+        first.pop()
+        assert len(dofmap.element_groups()) == len(second)

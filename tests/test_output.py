@@ -7,6 +7,7 @@ from dpgfem.fespace import SpaceLayout, build_dofmap
 from dpgfem.manufactured import manufactured_case
 from dpgfem.mesh import Rectangle, build_rect_mesh
 from dpgfem.output import (
+    FIELD_NAMES,
     vertex_field_values,
     vertex_flux_values,
     write_eoc_csv,
@@ -19,6 +20,42 @@ from dpgfem.solver import Solution, active_facets, solve_dpg
 from dpgfem.verify import case_mesh, eoc_study
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
+
+SPECIAL_VALUES = [-0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308]
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def _reference_vtk_text(mesh, dofmap, solution, kind):
+    """The VTK export as formatted value by value from numpy scalars,
+    before the writer formatted Python floats."""
+    scalar_name, vector_name = FIELD_NAMES[kind]
+    field = vertex_field_values(mesh, dofmap, solution.field)
+    flux = vertex_flux_values(mesh, dofmap, solution.flux)
+    npts = (mesh.nx + 1) * (mesh.ny + 1)
+    lines = ["# vtk DataFile Version 3.0",
+             "dpgfem solution export",
+             "ASCII",
+             "DATASET STRUCTURED_GRID",
+             f"DIMENSIONS {mesh.nx + 1} {mesh.ny + 1} 1",
+             f"POINTS {npts} double"]
+    lines.extend(f"{_fmt(x)} {_fmt(y)} 0.0" for x, y in mesh.vertices)
+    lines.append(f"POINT_DATA {npts}")
+    lines.append(f"SCALARS {scalar_name} double")
+    lines.append("LOOKUP_TABLE default")
+    lines.extend(_fmt(v) for v in field)
+    lines.append(f"VECTORS {vector_name} double")
+    lines.extend(f"{_fmt(fx)} {_fmt(fy)} 0.0" for fx, fy in flux)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_indicators_text(solution):
+    lines = ["element,eta_sq_riesz,eta_sq_fosls"]
+    for e, (riesz, fosls) in enumerate(solution.indicators):
+        lines.append(f"{e},{_fmt(riesz)},{_fmt(fosls)}")
+    return "\n".join(lines) + "\n"
 
 
 def _solved_case(name, n=2, p=2):
@@ -108,6 +145,57 @@ class TestVtkWriter:
         write_vtk(a, mesh, dofmap, solution, "potential")
         write_vtk(b, mesh, dofmap, solution, "potential")
         assert a.read_bytes() == b.read_bytes()
+
+
+def _assert_writes_reference_bytes(tmp_path, mesh, dofmap, solution, kind):
+    write_vtk(tmp_path / "fields.vtk", mesh, dofmap, solution, kind)
+    write_indicators_csv(tmp_path / "indicators.csv", solution)
+    assert ((tmp_path / "fields.vtk").read_bytes()
+            == _reference_vtk_text(mesh, dofmap, solution, kind).encode())
+    assert ((tmp_path / "indicators.csv").read_bytes()
+            == _reference_indicators_text(solution).encode())
+
+
+def _hand_solution(mesh, dofmap, field, flux, indicators):
+    return Solution(field=np.asarray(field, dtype=float),
+                    flux=np.asarray(flux, dtype=float),
+                    trace=np.zeros(dofmap.n_trace),
+                    indicators=np.asarray(indicators, dtype=float).reshape(-1, 2),
+                    eta=1.0)
+
+
+class TestReferenceBytes:
+    @pytest.mark.parametrize("name, kind, n, p", [
+        ("pot-trig", "potential", 4, 2), ("pot-trig", "potential", 3, 3),
+        ("conc-trig", "concentration", 4, 1), ("conc-trig", "concentration", 2, 2)])
+    def test_solved_cases(self, tmp_path, name, kind, n, p):
+        _case, mesh, dofmap, solution = _solved_case(name, n=n, p=p)
+        _assert_writes_reference_bytes(tmp_path, mesh, dofmap, solution, kind)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_domain_with_negative_origin(self, tmp_path, p):
+        mesh = build_rect_mesh(Rectangle(-1.3, 0.7, -0.1, 2.9), 5, 3)
+        dofmap = build_dofmap(mesh, SpaceLayout(p=p), mesh.interior_facets())
+        rng = np.random.default_rng(7)
+        solution = _hand_solution(mesh, dofmap, rng.normal(size=dofmap.n_field),
+                                  rng.normal(size=dofmap.n_flux) * 1e3,
+                                  rng.random(2 * mesh.n_elems) * 1e-9)
+        _assert_writes_reference_bytes(tmp_path, mesh, dofmap, solution,
+                                       "concentration")
+
+    def test_special_values(self, tmp_path):
+        mesh = build_rect_mesh(UNIT, 3, 1)
+        dofmap = build_dofmap(mesh, SpaceLayout(p=1), mesh.interior_facets())
+        values = SPECIAL_VALUES + [-v for v in SPECIAL_VALUES]
+        # one element's constant flux reaches its corners unaveraged
+        solution = _hand_solution(mesh, dofmap, values[:dofmap.n_field],
+                                  values[:dofmap.n_flux],
+                                  values[:2 * mesh.n_elems])
+        _assert_writes_reference_bytes(tmp_path, mesh, dofmap, solution,
+                                       "potential")
+        text = (tmp_path / "indicators.csv").read_text()
+        assert text.split("\n")[1:4] == ["0,-0.0,1e+16", "1,1e-05,5e-324",
+                                          "2,1.7976931348623157e+308,0.0"]
 
 
 class TestCsvWriters:

@@ -808,6 +808,27 @@ class TestSolveDpg:
         assert solution.eta == 0.0
         assert info.method == "trivial"
 
+    @pytest.mark.parametrize("name", ["conc-trig", "pot-trig"])
+    def test_partitions_the_elements_once(self, monkeypatch, name):
+        partitions, lookups = [], []
+        partition, element_groups = DofMap._partition, DofMap.element_groups
+
+        def counted_partition(self):
+            partitions.append(self)
+            return partition(self)
+
+        def counted_groups(self):
+            lookups.append(self)
+            return element_groups(self)
+
+        monkeypatch.setattr(DofMap, "_partition", counted_partition)
+        monkeypatch.setattr(DofMap, "element_groups", counted_groups)
+        case = manufactured_case(name)
+        solve_dpg(case_mesh(case, 4), case.problem, SpaceLayout(p=2))
+        # assembly and the indicator pass both ask for the groups
+        assert len(lookups) == 2 and lookups[0] is lookups[1]
+        assert partitions == [lookups[0]]
+
     @pytest.mark.parametrize("name", ["conc-poly2", "pot-poly2"])
     def test_exact_reproduction_of_quadratic_cases(self, name):
         case = manufactured_case(name)
