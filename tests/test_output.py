@@ -156,7 +156,7 @@ def _assert_writes_reference_bytes(tmp_path, mesh, dofmap, solution, kind):
             == _reference_indicators_text(solution).encode())
 
 
-def _hand_solution(mesh, dofmap, field, flux, indicators):
+def _hand_solution(dofmap, field, flux, indicators):
     return Solution(field=np.asarray(field, dtype=float),
                     flux=np.asarray(flux, dtype=float),
                     trace=np.zeros(dofmap.n_trace),
@@ -177,7 +177,7 @@ class TestReferenceBytes:
         mesh = build_rect_mesh(Rectangle(-1.3, 0.7, -0.1, 2.9), 5, 3)
         dofmap = build_dofmap(mesh, SpaceLayout(p=p), mesh.interior_facets())
         rng = np.random.default_rng(7)
-        solution = _hand_solution(mesh, dofmap, rng.normal(size=dofmap.n_field),
+        solution = _hand_solution(dofmap, rng.normal(size=dofmap.n_field),
                                   rng.normal(size=dofmap.n_flux) * 1e3,
                                   rng.random(2 * mesh.n_elems) * 1e-9)
         _assert_writes_reference_bytes(tmp_path, mesh, dofmap, solution,
@@ -187,8 +187,7 @@ class TestReferenceBytes:
         mesh = build_rect_mesh(UNIT, 3, 1)
         dofmap = build_dofmap(mesh, SpaceLayout(p=1), mesh.interior_facets())
         values = SPECIAL_VALUES + [-v for v in SPECIAL_VALUES]
-        # one element's constant flux reaches its corners unaveraged
-        solution = _hand_solution(mesh, dofmap, values[:dofmap.n_field],
+        solution = _hand_solution(dofmap, values[:dofmap.n_field],
                                   values[:dofmap.n_flux],
                                   values[:2 * mesh.n_elems])
         _assert_writes_reference_bytes(tmp_path, mesh, dofmap, solution,
