@@ -107,53 +107,41 @@ class GeometryKernels:
     int_K (r_a r_b + grad r_a . grad r_b), used for trial-side measures;
     the problem's test norm is built by test_gram(eps). n_quad Gauss points
     per direction: by default p + delta_p + 1, exact for the enriched Gram;
-    the verify error measures ask for p + delta_p + 2.
+    the verify error measures ask for p + delta_p + 2. vol_ref, enr_val,
+    field_val, flux_val, edge_t, enr_edge, field_edge and trace_val are the
+    `reference_tables` of (layout, n_quad): shared by every geometry of the
+    pair, and read-only.
     """
 
     def __init__(self, layout: SpaceLayout, dx: float, dy: float,
                  n_quad: int | None = None):
         self.layout = layout
         self.dx, self.dy = float(dx), float(dy)
-        n = n_quad or layout.default_quad_points
+        (self.vol_ref, vol_w, self.enr_val, eg, self.field_val, fg, self.flux_val,
+         self.edge_t, line_w, self.enr_edge, self.field_edge, self.trace_val) = \
+            reference_tables(layout, n_quad or layout.default_quad_points)
 
-        vol = tensor_quad(n)
         self.jac = 0.25 * self.dx * self.dy
-        self.wvol = vol.weights * self.jac
-        self.vol_ref = vol.points
+        self.wvol = vol_w * self.jac
         self.scale_x = 2.0 / self.dx
         self.scale_y = 2.0 / self.dy
 
-        q = layout.enriched_degree
-        ev, eg = tabulate_h1_basis(q, vol.points)
-        self.enr_val = ev
         self.enr_gx = self.scale_x * eg[:, :, 0]
         self.enr_gy = self.scale_y * eg[:, :, 1]
-        fv, fg = tabulate_h1_basis(layout.p, vol.points)
-        self.field_val = fv
         self.field_gx = self.scale_x * fg[:, :, 0]
         self.field_gy = self.scale_y * fg[:, :, 1]
-        self.flux_val = tabulate_l2_basis(layout.p - 1, vol.points)
 
         w = self.wvol[:, None]
-        self.enr_mass = (ev * w).T @ ev
+        self.enr_mass = (self.enr_val * w).T @ self.enr_val
         self.enr_stiff_x = (self.enr_gx * w).T @ self.enr_gx
         self.enr_stiff_y = (self.enr_gy * w).T @ self.enr_gy
         self.gram = self.test_gram(1.0)
         self.gram_inv = spd_inverses(self.gram)
 
-        line = gauss_1d(n)
-        self.edge_t = line.points
-        self.edge_t01 = 0.5 * (line.points + 1.0)
+        self.edge_t01 = 0.5 * (self.edge_t + 1.0)
         lengths = (self.dy, self.dy, self.dx, self.dx)
         self.edge_len = lengths
-        self.edge_w = [0.5 * L * line.weights for L in lengths]
-        self.enr_edge = []
-        self.field_edge = []
-        for k in range(4):
-            coords = _EDGE_REF[k](line.points)
-            self.enr_edge.append(tabulate_h1_basis(q, coords)[0])
-            self.field_edge.append(tabulate_h1_basis(layout.p, coords)[0])
-        self.trace_val = tabulate_facet_basis(layout.p - 1, line.points)
+        self.edge_w = [0.5 * L * line_w for L in lengths]
         # sign-free trace pairing int_f mu_b r_e per local edge
         self.trace_tmpl = [
             (self.enr_edge[k] * self.edge_w[k][:, None]).T @ self.trace_val
@@ -315,6 +303,29 @@ def coefficient_loads(mesh: Mesh, group: ElementGroup, problem,
         elif tag == FacetTag.NEUMANN:
             load -= (w * sample(problem.I, epts, "I", nrm)) @ test_edge[k]
     return load, robin, source
+
+
+@lru_cache(maxsize=32)
+def reference_tables(layout: SpaceLayout, n_quad: int) -> tuple:
+    """Bases of a layout on the reference element at n_quad Gauss points
+    per direction: the volume rule's points and weights; the enriched and
+    the field H1 values and reference gradients, and the flux modes, at
+    its points; the edge rule's points and weights; the enriched and the
+    field H1 values on each local edge (4-tuples); the trace basis. Built
+    once per (layout, n_quad) and shared, so every array is read-only."""
+    vol, line = tensor_quad(n_quad), gauss_1d(n_quad)
+    q, p = layout.enriched_degree, layout.p
+    edges = [_EDGE_REF[k](line.points) for k in range(4)]
+    tables = (vol.points, vol.weights, *tabulate_h1_basis(q, vol.points),
+              *tabulate_h1_basis(p, vol.points), tabulate_l2_basis(p - 1, vol.points),
+              line.points, line.weights,
+              tuple(tabulate_h1_basis(q, c)[0] for c in edges),
+              tuple(tabulate_h1_basis(p, c)[0] for c in edges),
+              tabulate_facet_basis(p - 1, line.points))
+    for table in tables:
+        for a in table if isinstance(table, tuple) else (table,):
+            a.setflags(write=False)
+    return tables
 
 
 @lru_cache(maxsize=32)

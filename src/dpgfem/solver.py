@@ -19,10 +19,12 @@ symmetrically by a mask: zero rows and columns, unit diagonal, zero load.
 `GlobalSystem.matrix` exports the same matrix as a canonical CSR matrix
 on request; no solve reads it.
 
-Linear solve. `solve_spd` factors at most DENSE_LIMIT rows densely, from
-the array summed out of the blocks. Larger systems run CG preconditioned
-by a geometric multigrid V(1,1)-cycle, whose iteration count stays flat
-under refinement.
+Linear solve. The problem kind picks the start. `solve_spd` factors a
+potential or hand-built system of at most DENSE_LIMIT rows densely, from
+the array summed out of the blocks. Larger ones run CG preconditioned by
+a geometric multigrid V(1,1)-cycle, whose iteration count stays flat
+under refinement. A concentration system of any size starts CG on the
+diagonal, which its mass term makes cheap, and moves to the V-cycle.
 
 Hierarchy (`Multigrid`). The mesh is halved while nx and ny are even; a
 coarse level's rows are the coarse mesh's skeleton dofs. Elements are
@@ -694,14 +696,17 @@ class Multigrid:
 
 def solve_spd(system: GlobalSystem, tol: float = 1e-10):
     """Solve the SPD system through `system.operator`: dense Cholesky for
-    n <= DENSE_LIMIT, else preconditioned CG.
+    a potential or hand-built (kind None) system of n <= DENSE_LIMIT rows,
+    else preconditioned CG. A dense solution whose relative residual
+    exceeds tol raises SolverError, as does CG that has not converged 10 n
+    iterations after the diagonal phase below.
 
     A potential system starts CG on the `Multigrid` V-cycle. Any other
     system with a dof map (a concentration step, whose mass term clusters
     the spectrum) first spends JACOBI_ITERATIONS iterations on the
-    diagonal, which finishes conc-trig from 32^2 to 128^2 (p = 1..3) in
-    2-182 iterations, and then restarts on the V-cycle. A hand-built
-    system with no dof map keeps the diagonal.
+    diagonal, at every size, which finishes conc-trig from 4^2 to 128^2
+    (p = 1..3) in 2-182 iterations, and then restarts on the V-cycle. A
+    hand-built system with no dof map keeps the diagonal.
 
     Both paths solve for the right-hand side times the power of two 2^-k
     that brings its largest entry into [0.5, 1), and scale the solution
@@ -741,9 +746,11 @@ def _solve_scaled(system: GlobalSystem, b: np.ndarray, tol: float):
     if np.any(diag <= 0):
         raise SolverError("not SPD / no convergence: nonpositive diagonal entry")
 
-    if n <= DENSE_LIMIT:
+    if n <= DENSE_LIMIT and system.kind != "concentration":
         x = _dense_solve(_dense_factor(A.dense()), b)
         res = float(np.linalg.norm(b - A @ x)) / bnorm
+        if not res <= tol:
+            raise SolverError(f"not SPD / no convergence: dense residual {res:.3g}")
         return x, SolveInfo("dense", 0, res)
 
     # -div(kappa grad phi) has no zeroth-order term: a potential system
@@ -754,7 +761,7 @@ def _solve_scaled(system: GlobalSystem, b: np.ndarray, tol: float):
     x = np.zeros(n)
     r = b.copy()
     rz = None                   # None (re)starts CG from the current x
-    max_iter = 10 * n
+    max_iter = jacobi + 10 * n
     for it in range(1, max_iter + 1):
         if it == jacobi + 1 and system.dofmap is not None:
             multigrid = Multigrid(system)

@@ -6,6 +6,8 @@ import pytest
 import scipy.linalg
 
 from dpgfem.dpg import (
+    _EDGE_REF,
+    GeometryKernels,
     LocalSystem,
     ProblemKernels,
     condense_local,
@@ -13,7 +15,13 @@ from dpgfem.dpg import (
     geometry_kernels,
     spd_inverses,
 )
-from dpgfem.fespace import SpaceLayout, build_dofmap
+from dpgfem.fespace import (
+    SpaceLayout,
+    build_dofmap,
+    tabulate_facet_basis,
+    tabulate_h1_basis,
+    tabulate_l2_basis,
+)
 from dpgfem.mesh import (
     BoundaryPartition,
     Rectangle,
@@ -21,6 +29,7 @@ from dpgfem.mesh import (
     classify_boundary,
 )
 from dpgfem.problems import ConcentrationProblem, PotentialProblem
+from dpgfem.quadrature import gauss_1d, tensor_quad
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 
@@ -213,6 +222,91 @@ class TestGramInverse:
         assert np.abs(geom.gram_inv - want).max() <= 1e-12 * np.abs(want).max()
         stacked = spd_inverses(np.stack([geom.gram, 2.0 * geom.gram]))
         assert np.abs(stacked[1] - 0.5 * want).max() <= 1e-12 * np.abs(want).max()
+
+
+class _ReferenceGeometry:
+    """Frozen reference: GeometryKernels as built before the reference
+    tables were shared, every basis tabulated again for each geometry."""
+
+    def __init__(self, layout, dx, dy, n_quad=None):
+        self.layout = layout
+        self.dx, self.dy = float(dx), float(dy)
+        n = n_quad or layout.default_quad_points
+        vol = tensor_quad(n)
+        self.jac = 0.25 * self.dx * self.dy
+        self.wvol = vol.weights * self.jac
+        self.vol_ref = vol.points
+        self.scale_x = 2.0 / self.dx
+        self.scale_y = 2.0 / self.dy
+        q = layout.enriched_degree
+        ev, eg = tabulate_h1_basis(q, vol.points)
+        self.enr_val = ev
+        self.enr_gx = self.scale_x * eg[:, :, 0]
+        self.enr_gy = self.scale_y * eg[:, :, 1]
+        fv, fg = tabulate_h1_basis(layout.p, vol.points)
+        self.field_val = fv
+        self.field_gx = self.scale_x * fg[:, :, 0]
+        self.field_gy = self.scale_y * fg[:, :, 1]
+        self.flux_val = tabulate_l2_basis(layout.p - 1, vol.points)
+        w = self.wvol[:, None]
+        self.enr_mass = (ev * w).T @ ev
+        self.enr_stiff_x = (self.enr_gx * w).T @ self.enr_gx
+        self.enr_stiff_y = (self.enr_gy * w).T @ self.enr_gy
+        self.gram = self.enr_mass + 1.0 * self.enr_stiff_x + 1.0 * self.enr_stiff_y
+        self.gram_inv = spd_inverses(self.gram)
+        line = gauss_1d(n)
+        self.edge_t = line.points
+        self.edge_t01 = 0.5 * (line.points + 1.0)
+        lengths = (self.dy, self.dy, self.dx, self.dx)
+        self.edge_len = lengths
+        self.edge_w = [0.5 * L * line.weights for L in lengths]
+        self.enr_edge, self.field_edge = [], []
+        for k in range(4):
+            coords = _EDGE_REF[k](line.points)
+            self.enr_edge.append(tabulate_h1_basis(q, coords)[0])
+            self.field_edge.append(tabulate_h1_basis(layout.p, coords)[0])
+        self.trace_val = tabulate_facet_basis(layout.p - 1, line.points)
+        self.trace_tmpl = [
+            (self.enr_edge[k] * self.edge_w[k][:, None]).T @ self.trace_val
+            for k in range(4)]
+
+
+class TestReferenceTables:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("dx, dy", [(0.25, 0.25), (0.125, 0.5), (1.0 / 3.0, 0.2),
+                                        (2.0, 0.0625)])
+    @pytest.mark.parametrize("extra", [0, 1])    # DPG kernels, error measures
+    def test_matches_the_per_geometry_tabulation(self, p, dx, dy, extra):
+        layout = SpaceLayout(p=p)
+        n_quad = layout.default_quad_points + extra if extra else None
+        got = GeometryKernels(layout, dx, dy, n_quad)
+        want = _ReferenceGeometry(layout, dx, dy, n_quad)
+        assert vars(got).keys() == vars(want).keys()
+        for name, value in vars(want).items():
+            if isinstance(value, list):          # one array per local edge
+                assert len(getattr(got, name)) == len(value)
+                assert all(np.array_equal(a, b) for a, b in zip(getattr(got, name), value))
+            elif isinstance(value, np.ndarray):
+                assert np.array_equal(getattr(got, name), value), name
+            else:
+                assert getattr(got, name) == value, name
+
+    def test_tables_are_shared_and_read_only(self):
+        layout = SpaceLayout(p=2)
+        a = geometry_kernels(layout, 0.25, 0.25)
+        b = geometry_kernels(layout, 0.125, 0.5)
+        assert a is not b
+        for name in ("vol_ref", "enr_val", "field_val", "flux_val", "edge_t",
+                     "trace_val"):
+            assert getattr(a, name) is getattr(b, name)
+            with pytest.raises(ValueError):
+                getattr(a, name)[0, ...] = 1.0
+        for k in range(4):
+            assert a.enr_edge[k] is b.enr_edge[k]
+            assert a.field_edge[k] is b.field_edge[k]
+            with pytest.raises(ValueError):
+                a.field_edge[k][0, 0] = 1.0
+        assert a.enr_val is not geometry_kernels(layout, 0.25, 0.25, 5).enr_val
 
 
 class TestCondense:

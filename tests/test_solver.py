@@ -175,7 +175,8 @@ class TestSolveSpd:
                 solve_spd(_hand_system(matrix, rhs))
 
     @pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 600], ids=["tiny", "huge"])
-    @pytest.mark.parametrize("name, p, n", [("conc-trig", 1, 4),     # dense
+    @pytest.mark.parametrize("name, p, n", [("pot-trig", 1, 4),      # dense
+                                            ("conc-trig", 1, 4),     # diagonal
                                             ("conc-trig", 2, 16),    # diagonal
                                             ("pot-trig", 2, 16)])    # V-cycle
     def test_load_times_power_of_two_scales_solution_exactly(self, name, p, n,
@@ -187,20 +188,45 @@ class TestSolveSpd:
         assert info_s == info
         assert np.array_equal(xs, x * scale)
 
-    def test_pcg_path_matches_dense(self, monkeypatch):
+    def test_pcg_path_matches_dense(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="x*y", J=0.0)
         dofmap = build_dofmap(mesh, SpaceLayout(p=1),
                               active_facets(mesh, problem))
         system = assemble(mesh, dofmap, problem)
-        dense, info_d = solve_spd(system, tol=1e-12)
+        # the same matrix without a kind takes the dense path
+        dense, info_d = solve_spd(dataclasses.replace(system, kind=None), tol=1e-12)
         assert info_d.method == "dense"
-        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 1)
         iterative, info_i = solve_spd(system, tol=1e-12)
         assert info_i.method == "pcg"
         assert info_i.iterations > 0
         assert info_i.relative_residual <= 1e-12
         assert np.allclose(iterative, dense, atol=1e-9)
+
+    def test_dense_residual_above_tol_raises(self):
+        # Hilbert matrix, n = 12: SPD, but its Cholesky solve leaves a
+        # residual of about 5e-9
+        n = 12
+        hilbert = 1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0)
+        system = _hand_system(hilbert, np.ones(n))
+        with pytest.raises(SolverError, match="not SPD / no convergence: dense"):
+            solve_spd(system)
+        x, info = solve_spd(system, tol=1e-6)
+        assert info.method == "dense"
+        assert 1e-10 < info.relative_residual <= 1e-6
+
+    @pytest.mark.parametrize("nx, ny, p, D", [
+        (1, 1, 3, 1e12),    # 12 rows; a dense factor left a residual 1.4e-3
+        (3, 2, 1, 1e14)])   # 19 rows; needs more than 10 n = 190 iterations
+    def test_small_diffusion_dominated_step_meets_tol(self, nx, ny, p, D):
+        problem = ConcentrationProblem(D=D, dt=1.0, c_prev="1 + x*y", J=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)     # D dt >= 1
+            _, info, system = solve_dpg(build_rect_mesh(UNIT, nx, ny), problem,
+                                        SpaceLayout(p=p))
+        assert system.rhs.size < 20
+        assert info.method == "pcg"
+        assert info.relative_residual <= 1e-10
 
 
 def _case_system(name, p, nx, ny=None):
@@ -696,7 +722,8 @@ class TestGroupedOperator:
                 assert np.array_equal(getattr(got, attr), getattr(want, attr))
                 assert getattr(got, attr).dtype == getattr(want, attr).dtype
 
-    @pytest.mark.parametrize("name, p, n", [("conc-trig", 1, 4),     # dense
+    @pytest.mark.parametrize("name, p, n", [("pot-trig", 1, 4),      # dense
+                                            ("conc-trig", 1, 4),     # diagonal
                                             ("conc-trig", 2, 16),    # diagonal
                                             ("pot-trig", 2, 16)])    # V-cycle
     def test_solve_does_not_read_the_export(self, name, p, n):
@@ -712,8 +739,9 @@ class TestGroupedOperator:
         ("pot-trig", 2, 12), ("pot-trig", 3, 10), ("conc-trig", 1, 20)])
     def test_dense_path_matches_the_sparse_direct_solve(self, monkeypatch,
                                                         name, p, n):
-        # rows above DENSE_LIMIT take the dense path under a raised limit
-        system = _case_system(name, p, n)
+        # rows above DENSE_LIMIT take the dense path under a raised limit;
+        # a concentration matrix takes it without its kind
+        system = dataclasses.replace(_case_system(name, p, n), kind=None)
         monkeypatch.setattr(solver_mod, "DENSE_LIMIT",
                             max(solver_mod.DENSE_LIMIT, system.rhs.size))
         x, info = solve_spd(system)
