@@ -171,6 +171,11 @@ class GeometryKernels:
         return np.stack(np.broadcast_arrays(x, y), axis=-1)
 
 
+class SolverError(RuntimeError):
+    """A numerical breakdown: a matrix that is not SPD, a solve that does
+    not converge, or values that overflow."""
+
+
 class ProblemKernels:
     """Adds the coefficient-dependent templates for one problem.
 
@@ -199,7 +204,12 @@ class ProblemKernels:
             self.eps = 1.0
         self.coef_inv = ainv
         self.gram = geom.test_gram(self.eps)
-        self.gram_inv = geom.gram_inv if self.eps == 1.0 else spd_inverses(self.gram)
+        try:
+            self.gram_inv = geom.gram_inv if self.eps == 1.0 else spd_inverses(self.gram)
+        except np.linalg.LinAlgError as exc:
+            # at eps >> 1 the mass term falls below the seminorm's rounding
+            raise SolverError(f"not SPD / no convergence: test Gram (eps = dt*D = "
+                              f"{self.eps:g}): {exc}") from None
         # quadrature weights of the eps-weighted first-order residual
         self.res_weights = self.eps * geom.wvol
 

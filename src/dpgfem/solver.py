@@ -20,9 +20,12 @@ symmetrically by a mask: zero rows and columns, unit diagonal, zero load.
 on request; no solve reads it.
 
 Linear solve. The problem kind picks the start. `solve_spd` factors a
-potential or hand-built system of at most DENSE_LIMIT rows densely, from
-the array summed out of the blocks. Larger ones run CG preconditioned by
-a geometric multigrid V(1,1)-cycle, whose iteration count stays flat
+potential or hand-built system of at most DENSE_LIMIT rows directly, by
+a `LayerCholesky`: every unknown is element-local or tied to one facet,
+so the skeleton rows grouped by mesh layer (a row of elements, or a
+column on a wide mesh) make a block-tridiagonal matrix, factored block
+by block and never formed whole. Larger ones run CG preconditioned by a
+geometric multigrid V(1,1)-cycle, whose iteration count stays flat
 under refinement. A concentration system of any size starts CG on the
 diagonal, which its mass term makes cheap, and moves to the V-cycle.
 
@@ -37,8 +40,8 @@ interpolates along the coarse edges and extends A-harmonically,
 P_e (element-by-element Galerkin coarsening). A, P and P^T of every
 level apply per class; a fine row takes its P row from the one coarse
 element that owns it, and Dirichlet rows are zero in P. The coarsest
-level keeps a dense inverse if it has at most DENSE_LIMIT rows, else (a
-large odd mesh) is smoothed.
+level is solved exactly by a `LayerCholesky` over its mesh layers if it
+has at most DENSE_LIMIT rows, else (a large odd mesh) is smoothed.
 
 Smoother. Additive Schwarz over vertex patches, the rows strictly inside
 a vertex's elements (a facet's traces sit at its midpoint); a patch
@@ -60,6 +63,7 @@ import numpy as np
 
 from dpgfem.dpg import (
     ProblemKernels,
+    SolverError,
     cholesky,
     condense_local,
     error_indicator,
@@ -76,14 +80,13 @@ from dpgfem.fespace import (
 from dpgfem.mesh import FacetTag, Mesh, build_rect_mesh
 from dpgfem.problems import validate_problem
 
-DENSE_LIMIT = 1000
-DENSE_BLOCK = 64
+# Direct solves up to this many rows. The layer factor beats the V-cycle
+# up to about 2,400 rows: pot-trig 16^2, p = 2 (1,825 rows) 12 against
+# 13 ms, 14^2, p = 3 (2,199 rows) 16 against 20 ms, 16^2, p = 3 (2,865
+# rows) 25 against 17 ms (BLAS at 1 thread, 2-vCPU x86-64 VM)
+DENSE_LIMIT = 2000
 JACOBI_ITERATIONS = 300
 DAMPING = 0.4
-
-
-class SolverError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -137,6 +140,14 @@ class GlobalSystem:
         return ElementOperator((self.rhs.size,) * 2, rows, rows,
                                [(len(b.dofs), b.matrix) for b in self.elements],
                                self.fixed)
+
+    @cached_property
+    def layers(self) -> np.ndarray:
+        """The `mesh_layers` of the rows; one layer without a dof map."""
+        if self.dofmap is None:
+            return np.zeros(self.rhs.size, dtype=np.intp)
+        return mesh_layers(self.dofmap.mesh, [(b.elems, b.dofs) for b in self.elements],
+                           self.rhs.size)
 
     @cached_property
     def matrix(self):
@@ -298,19 +309,102 @@ class ElementOperator:
         diag[self.fixed] = 1.0
         return diag
 
-    def dense(self) -> np.ndarray:
-        """The square operator as a dense array, summed by one bincount."""
-        n = self.shape[0]
-        index, vals = [], []
-        for count, M, r, c in self.parts:
-            rows = self.rows[r].reshape(count, -1, 1)
-            index.append((rows * (n + 1) + self.cols[c].reshape(count, 1, -1)).ravel())
-            vals.append(np.broadcast_to(M, (count,) + M.shape[-2:]).ravel())
-        A = np.bincount(np.concatenate(index), np.concatenate(vals),
-                        (n + 1) ** 2).reshape(n + 1, n + 1)[:n, :n]
-        A[self.fixed] = A[:, self.fixed] = 0.0
-        A[self.fixed, self.fixed] = 1.0
-        return A
+
+def mesh_layers(mesh: Mesh, blocks, n: int) -> np.ndarray:
+    """Layer of each of n rows, from (elems, rows) pairs of elements and
+    their rows (n_e x m, n for none): the highest mesh row, elem // nx,
+    among the elements that hold the row, or mesh column, elem % nx, when
+    nx > ny, so that the layers are thin. An element holds rows of its own
+    layer and the next one only, so rows sorted by layer make any matrix
+    summed from element matrices block-tridiagonal."""
+    layer = np.zeros(n + 1, dtype=np.intp)
+    for elems, rows in blocks:
+        at = elems % mesh.nx if mesh.nx > mesh.ny else elems // mesh.nx
+        np.maximum.at(layer, rows, at[:, None])
+    return layer[:n]
+
+
+def _triangular_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower triangular matrix by halves, [[A, 0], [B, C]]^-1
+    = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: products, where np.linalg.inv
+    (an LU factorization) costs six Cholesky factorizations at 150 rows."""
+    n = len(L)
+    if n <= 32:
+        return np.linalg.inv(L)
+    h = n // 2
+    out = np.zeros_like(L)
+    out[:h, :h] = A = _triangular_inverse(L[:h, :h])
+    out[h:, h:] = C = _triangular_inverse(L[h:, h:])
+    out[h:, :h] = -C @ (L[h:, :h] @ A)
+    return out
+
+
+class LayerCholesky:
+    """Direct solver for a square SPD ElementOperator A whose rows, sorted
+    by `layer`, make A block-tridiagonal (see `mesh_layers`). A is Jacobi-
+    equilibrated, which keeps heavily weighted Robin terms from degrading
+    the factorization; its diagonal blocks D_i and upper blocks B_i are
+    summed straight from the element matrices, and for each layer in turn
+    D_i <- D_i - C_{i-1}^T C_{i-1}, L_i = chol(D_i), C_i = L_i^-1 B_i.
+    Calling it solves A x = b by forward and back substitution over the
+    layers. Raises SolverError when A is not SPD."""
+
+    def __init__(self, A: ElementOperator, layer: np.ndarray):
+        n = A.shape[0]
+        layer = np.append(layer, 0)
+        sizes = np.bincount(layer[:n])
+        self.order = np.argsort(layer[:n], kind="stable")
+        self.cuts = np.cumsum(sizes)[:-1]
+        local = np.zeros(n + 1, dtype=np.intp)          # row within its layer
+        local[self.order] = np.arange(n) - np.repeat(np.append(0, self.cuts), sizes)
+        # the blocks [D_i B_i], s_i x (s_i + s_i+1), row-major one after another
+        width = sizes + np.append(sizes[1:], 0)
+        start = np.append(0, np.cumsum(sizes * width))
+        keep = np.ones(n + 1, dtype=bool)
+        keep[A.fixed] = keep[n] = False
+        # a nonpositive or tiny diagonal leaves inf or NaN, which cholesky reports
+        with np.errstate(all="ignore"):
+            self.d = 1.0 / np.sqrt(A.diagonal())
+            d = np.append(self.d, 0.0)
+            index, vals = [], []
+            for count, M, r, c in A.parts:
+                R = A.rows[r].reshape(count, -1, 1)
+                C = A.cols[c].reshape(count, 1, -1)
+                at, up = layer[R], layer[C] - layer[R]       # up: 0 in D, 1 in B
+                ok = keep[R] & keep[C] & (up >= 0)
+                index.append((start[at] + local[R] * width[at] + up * sizes[at]
+                              + local[C])[ok])
+                vals.append((M * (d[R] * d[C]))[ok])
+        blocks = np.bincount(np.concatenate(index), np.concatenate(vals), start[-1])
+        at = layer[A.fixed]
+        blocks[start[at] + local[A.fixed] * (width[at] + 1)] = 1.0
+        self.inv, self.upper = [], []
+        C = np.empty((0, sizes[0]))
+        for i, s in enumerate(sizes):
+            W = blocks[start[i]:start[i + 1]].reshape(s, -1)
+            try:
+                L = cholesky(W[:, :s] - C.T @ C)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"not SPD / no convergence: {exc}") from None
+            self.inv.append(_triangular_inverse(L))
+            C = self.inv[-1] @ W[:, s:]
+            self.upper.append(C)
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        x = (self.d * b)[self.order]
+        parts = np.split(x, self.cuts)          # views of x, one per layer
+        k = len(parts)
+        for i in range(k):                      # L y = b
+            if i:
+                parts[i] -= self.upper[i - 1].T @ parts[i - 1]
+            parts[i][:] = self.inv[i] @ parts[i]
+        for i in reversed(range(k)):            # L^T x = y
+            if i < k - 1:
+                parts[i] -= self.upper[i] @ parts[i + 1]
+            parts[i][:] = self.inv[i].T @ parts[i]
+        out = np.empty(x.size)
+        out[self.order] = x
+        return self.d * out
 
 
 def skeleton_dofs(dofmap: DofMap) -> np.ndarray:
@@ -323,14 +417,19 @@ def skeleton_dofs(dofmap: DofMap) -> np.ndarray:
                            np.arange(dofmap.trace_offset, dofmap.n_total)])
 
 
+@lru_cache(maxsize=32)
 def _local_columns(layout: SpaceLayout, n_trial: int):
     """Local trial columns (interior lattice nodes, then the flux) and the
-    remaining skeleton columns of an element system."""
+    remaining skeleton columns of an element system. Built once per
+    (layout, n_trial) and shared, so both arrays are read-only."""
     p, nf = layout.p, layout.n_field_local
     lattice = np.arange(nf).reshape(p + 1, p + 1)
     local = np.concatenate([lattice[1:p, 1:p].ravel(),
                             np.arange(nf, nf + layout.n_flux_local)])
-    return local, np.setdiff1d(np.arange(n_trial), local)
+    columns = local, np.setdiff1d(np.arange(n_trial), local)
+    for a in columns:
+        a.setflags(write=False)
+    return columns
 
 
 def _condense_group(S: np.ndarray, r: np.ndarray, L: np.ndarray, G: np.ndarray):
@@ -398,36 +497,6 @@ def recover_local(system: GlobalSystem, x: np.ndarray) -> np.ndarray:
     if not np.isfinite(coeffs).all():
         raise SolverError("non-finite solution: the local unknowns overflow")
     return coeffs
-
-
-def _dense_factor(A: np.ndarray):
-    """Jacobi-equilibrated dense Cholesky factor of A, which is scaled in
-    place; the equilibration keeps heavily weighted Robin terms from
-    degrading the factorization."""
-    # a nonpositive or tiny diagonal leaves inf or NaN, which cholesky reports
-    with np.errstate(all="ignore"):
-        d = 1.0 / np.sqrt(np.diagonal(A))
-        A *= d[:, None]
-        A *= d
-    try:
-        return d, cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"not SPD / no convergence: {exc}") from None
-
-
-def _dense_solve(dense, b: np.ndarray) -> np.ndarray:
-    """Solve with a `_dense_factor`: forward, then back substitution over
-    blocks of DENSE_BLOCK rows."""
-    d, L = dense
-    x = d * b
-    starts = range(0, len(d), DENSE_BLOCK)
-    for s in starts:
-        t = slice(s, s + DENSE_BLOCK)
-        x[t] = np.linalg.solve(L[t, t], x[t] - L[t, :s] @ x[:s])
-    for s in reversed(starts):
-        t = slice(s, s + DENSE_BLOCK)
-        x[t] = np.linalg.solve(L[t, t].T, x[t] - L[t.stop:, t].T @ x[t.stop:])
-    return d * x
 
 
 def _block_inverses(blocks: np.ndarray, what: str) -> np.ndarray:
@@ -640,12 +709,12 @@ def _coarsen(grid: _Grid, rows: np.ndarray, cls: np.ndarray, vclass: np.ndarray,
 class _Level:
     """One level of a Multigrid: its matrix with the undamped additive
     Schwarz smoother and the prolongation P from the next level, or,
-    coarsest, the inverse of the matrix."""
+    coarsest, a direct solver of the matrix."""
 
     A: ElementOperator
     smoother: ElementOperator | None = None
     P: ElementOperator | None = None
-    dense: np.ndarray | None = None
+    direct: LayerCholesky | None = None
 
 
 class Multigrid:
@@ -662,9 +731,11 @@ class Multigrid:
             level = _Level(A)
             self.levels.append(level)
             n = A.shape[0]
-            coarsest = grid.dofmap.mesh.nx % 2 or grid.dofmap.mesh.ny % 2
+            mesh = grid.dofmap.mesh
+            coarsest = mesh.nx % 2 or mesh.ny % 2
             if coarsest and n <= DENSE_LIMIT:
-                level.dense = _block_inverses(A.dense(), "coarsest level")
+                layers = mesh_layers(mesh, [(np.arange(mesh.n_elems), grid.elem_rows)], n)
+                level.direct = LayerCholesky(A, layers)
                 break
             rows, cls, vclass, inverses = _vertex_blocks(grid)
             patches = rows[:, grid.layout[2]]
@@ -684,8 +755,8 @@ class Multigrid:
 
     def __call__(self, r: np.ndarray, depth: int = 0) -> np.ndarray:
         level = self.levels[depth]
-        if level.dense is not None:
-            return level.dense @ r
+        if level.direct is not None:
+            return level.direct(r)
         x = DAMPING * (level.smoother @ r)
         if level.P is None:
             return x
@@ -695,10 +766,11 @@ class Multigrid:
 
 
 def solve_spd(system: GlobalSystem, tol: float = 1e-10):
-    """Solve the SPD system through `system.operator`: dense Cholesky for
-    a potential or hand-built (kind None) system of n <= DENSE_LIMIT rows,
-    else preconditioned CG. A dense solution whose relative residual
-    exceeds tol raises SolverError, as does CG that has not converged 10 n
+    """Solve the SPD system through `system.operator`: the `LayerCholesky`
+    of `system.layers` for a potential or hand-built (kind None) system of
+    n <= DENSE_LIMIT rows (SolveInfo method "dense"), else preconditioned
+    CG. A direct solution whose relative residual exceeds tol raises
+    SolverError, as does CG that has not converged 10 n
     iterations after the diagonal phase below.
 
     A potential system starts CG on the `Multigrid` V-cycle. Any other
@@ -747,7 +819,7 @@ def _solve_scaled(system: GlobalSystem, b: np.ndarray, tol: float):
         raise SolverError("not SPD / no convergence: nonpositive diagonal entry")
 
     if n <= DENSE_LIMIT and system.kind != "concentration":
-        x = _dense_solve(_dense_factor(A.dense()), b)
+        x = LayerCholesky(A, system.layers)(b)
         res = float(np.linalg.norm(b - A @ x)) / bnorm
         if not res <= tol:
             raise SolverError(f"not SPD / no convergence: dense residual {res:.3g}")

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+import dpgfem.solver as solver_mod
 from dpgfem.cli import main
 
 
@@ -110,7 +111,9 @@ class TestSolveCommand:
         assert report["eta"] > 0.0
         assert report["solver"]["levels"] == []
 
-    def test_multigrid_levels_reported(self, tmp_path, capsys):
+    def test_multigrid_levels_reported(self, tmp_path, capsys, monkeypatch):
+        # below 1,825 rows, so that 16^2, p = 2 stays on the V-cycle
+        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 1000)
         cfg = write_config(tmp_path, {
             "manufactured": "pot-trig",
             "mesh": {"nx": 16, "ny": 16},
@@ -411,6 +414,22 @@ class TestErrorHandling:
                                          "--outdir", str(tmp_path / "out")])
         assert code == 1
         assert json.loads(out)["error"]["code"] == "solver"
+
+    def test_singular_test_gram_is_solver_error(self, tmp_path, capsys):
+        # at eps = dt*D = 1e14 the mass term of the test Gram falls below
+        # rounding, and its Cholesky factorization breaks down
+        cfg = write_config(tmp_path, {
+            "problem": "concentration",
+            "mesh": {"nx": 3, "ny": 3},
+            "discretization": {"p": 2},
+            "coefficients": {"D": 1e14, "dt": 1.0, "c_prev": 1.0},
+        })
+        code, out = run_cli(capsys, ["solve", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "solver"
+        assert "test Gram" in err["message"]
 
     @pytest.mark.parametrize("c_prev", [
         "+".join(["x"] * 3000),

@@ -56,6 +56,11 @@ def _pot_problem(partition=POT_PARTITION, **overrides):
     return PotentialProblem(**base)
 
 
+# a DENSE_LIMIT below 16^2, p = 2 (1,825 rows), which keeps that system
+# on the V-cycle
+V_CYCLE_LIMIT = 1000
+
+
 def _hand_system(matrix, rhs):
     """A system of one element that holds the whole dense matrix."""
     matrix = np.asarray(matrix, dtype=float)
@@ -425,7 +430,7 @@ def _reference_multigrid(system):
         cycle.levels.append(level)
         coarsest = dofmap.mesh.nx % 2 or dofmap.mesh.ny % 2
         if coarsest and A.shape[0] <= solver_mod.DENSE_LIMIT:
-            level.dense = np.linalg.inv(A.toarray())
+            level.direct = np.linalg.inv(A.toarray()).__matmul__
             break
         patches = _ref_patches(dofmap, rows)
         inverses = _ref_block_inverses(A, patches, "vertex patch")
@@ -473,6 +478,21 @@ def _csr(op):
                                         shape=op.shape), op.fixed)
 
 
+def _dense(op):
+    """A square ElementOperator as a dense array, summed by one bincount."""
+    n = op.shape[0]
+    index, vals = [], []
+    for count, M, r, c in op.parts:
+        rows = op.rows[r].reshape(count, -1, 1)
+        index.append((rows * (n + 1) + op.cols[c].reshape(count, 1, -1)).ravel())
+        vals.append(np.broadcast_to(M, (count,) + M.shape[-2:]).ravel())
+    A = np.bincount(np.concatenate(index), np.concatenate(vals),
+                    (n + 1) ** 2).reshape(n + 1, n + 1)[:n, :n]
+    A[op.fixed] = A[:, op.fixed] = 0.0
+    A[op.fixed, op.fixed] = 1.0
+    return A
+
+
 def _assert_applies_as(op, matrix, rng):
     """The grouped product matches the CSR one to 1e-14 relative."""
     for v in rng.standard_normal((3, matrix.shape[1])):
@@ -494,7 +514,7 @@ def _assert_same_hierarchy(system):
     assert new.sizes == ref.sizes
     rng = np.random.default_rng(3)
     for got, want in zip(new.levels, ref.levels):
-        assert (got.dense is None) == (want.dense is None)
+        assert (got.direct is None) == (want.direct is None)
         A = _csr(got.A)
         assert abs(A - want.A).max() <= 1e-12 * abs(want.A).max()
         _assert_applies_as(got.A, A, rng)
@@ -514,6 +534,7 @@ class TestMultigrid:
                                       (3, 32), (3, 64), (1, 32), (1, 64)])
     def test_iterations_flat_under_refinement(self, monkeypatch, p, n):
         monkeypatch.setattr(solver_mod, "JACOBI_ITERATIONS", 0)
+        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", V_CYCLE_LIMIT)
         system = _case_system("pot-trig", p, n)
         x, info = solve_spd(system)
         assert info.method == "pcg"
@@ -543,6 +564,7 @@ class TestMultigrid:
         # its first two field nodes, which share the patch of the element's
         # lower-left vertex
         monkeypatch.setattr(solver_mod, "JACOBI_ITERATIONS", 0)
+        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", V_CYCLE_LIMIT)
         system = _case_system("pot-trig", 2, 16)
         block = max(system.elements, key=lambda b: b.elems.size)
         i, j = block.dofs[0, :2]
@@ -559,6 +581,7 @@ class TestMultigrid:
         ("conc-trig", 2, 16, 16, None),
         ("pot-trig", 2, 9, 7, 1),           # smoothed only, no hierarchy
         ("pot-trig", 2, 8, 8, 1),           # 1 x 1 level smoothed only
+        ("pot-trig", 2, 10, 10, None),      # 5 x 5 level solved directly
     ])
     def test_matches_the_csr_reference(self, monkeypatch, name, p, nx, ny,
                                        dense_limit):
@@ -607,7 +630,8 @@ class TestMultigrid:
         assert info.levels
         assert _direct_gap(system, x) <= 1e-8
 
-    def test_potential_starts_on_the_vcycle(self):
+    def test_potential_starts_on_the_vcycle(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", V_CYCLE_LIMIT)
         system = _case_system("pot-trig", 2, 16)
         x, info = solve_spd(system)
         assert info.iterations <= 20
@@ -709,7 +733,7 @@ class TestGroupedOperator:
                     <= 1e-14 * np.linalg.norm(want))
         assert np.allclose(system.operator.diagonal(), A.diagonal(),
                            rtol=1e-14, atol=0.0)
-        assert abs(A - system.operator.dense()).max() <= 1e-14 * abs(A).max()
+        assert abs(A - _dense(system.operator)).max() <= 1e-14 * abs(A).max()
 
     @pytest.mark.parametrize("name", ["pot-trig", "conc-trig"])
     def test_export_is_the_scatter_of_the_blocks(self, name):
@@ -736,6 +760,7 @@ class TestGroupedOperator:
 
     @pytest.mark.parametrize("name, p, n", [
         ("pot-trig", 2, 8), ("conc-trig", 3, 8),         # below DENSE_LIMIT
+        ("conc-trig", 2, 16),
         ("pot-trig", 2, 12), ("pot-trig", 3, 10), ("conc-trig", 1, 20)])
     def test_dense_path_matches_the_sparse_direct_solve(self, monkeypatch,
                                                         name, p, n):
@@ -747,6 +772,63 @@ class TestGroupedOperator:
         x, info = solve_spd(system)
         assert info.method == "dense"
         assert _direct_gap(system, x) <= 1e-10
+
+
+class TestLayerCholesky:
+    # the direct path against scipy's sparse direct solve
+    @pytest.mark.parametrize("name, p, nx, ny", [
+        ("pot-trig", 2, 16, 16),        # 1,825 rows, direct since the limit of 2,000
+        ("pot-trig", 2, 12, 3),         # layers along mesh columns
+        ("pot-trig", 2, 3, 12),         # layers along mesh rows
+    ])
+    def test_matches_the_sparse_direct_solve(self, name, p, nx, ny):
+        system = _case_system(name, p, nx, ny)
+        assert np.unique(system.layers).size == max(nx, ny)
+        x, info = solve_spd(system)
+        assert info.method == "dense"
+        assert info.relative_residual <= 1e-10
+        assert _direct_gap(system, x) <= 1e-10
+
+    def test_robin_stacked_potential(self):
+        # a heavy, varying beta stacks the Robin groups' element matrices
+        mesh = classify_boundary(build_rect_mesh(UNIT, 8, 6), POT_PARTITION,
+                                 "potential")
+        problem = _pot_problem(beta="1 + 1e6*x", S=("x", "y"), I=1.0, R="x")
+        dofmap = build_dofmap(mesh, SpaceLayout(p=2), active_facets(mesh, problem))
+        system = assemble(mesh, dofmap, problem)
+        assert any(b.matrix.ndim == 3 for b in system.elements)
+        x, info = solve_spd(system)
+        assert info.method == "dense"
+        assert _direct_gap(system, x) <= 1e-10
+
+    @pytest.mark.parametrize("nx, ny", [(6, 6), (7, 3), (3, 7)])
+    def test_elements_hold_rows_of_two_consecutive_layers(self, nx, ny):
+        system = _case_system("pot-trig", 3, nx, ny)
+        for b in system.elements:
+            own = b.elems % nx if nx > ny else b.elems // nx
+            layers = system.layers[b.dofs]
+            assert np.all(layers.min(axis=1) >= own)
+            assert np.all(layers.max(axis=1) <= own + 1)
+
+    def test_odd_coarsest_level_is_solved_exactly(self):
+        # 10^2 -> 5^2: the coarsest level holds Dirichlet and Robin rows
+        cycle = solver_mod.Multigrid(_case_system("pot-trig", 2, 10))
+        coarsest = cycle.levels[-1]
+        assert len(cycle.levels) == 2
+        assert coarsest.direct is not None and coarsest.smoother is None
+        A = _csr(coarsest.A).tocsc()
+        for v in np.random.default_rng(11).standard_normal((3, A.shape[0])):
+            want = spla.spsolve(A, v)
+            assert (np.linalg.norm(coarsest.direct(v) - want)
+                    <= 1e-10 * np.linalg.norm(want))
+
+    def test_hand_built_system_is_one_layer(self):
+        system = _hand_system([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]],
+                              [1.0, 2.0, 3.0])
+        assert np.array_equal(system.layers, [0, 0, 0])
+        x, info = solve_spd(system)
+        assert info.method == "dense"
+        assert np.allclose(system.matrix @ x, system.rhs, rtol=1e-14, atol=0.0)
 
 
 def _uncondensed_solve(mesh, problem, layout):
@@ -822,7 +904,8 @@ class TestCondensation:
                 with pytest.raises(SolverError, match="not SPD.*infs or NaNs"):
                     solver_mod._block_inverses(blocks, "local block")
             with pytest.raises(SolverError, match="not SPD.*infs or NaNs"):
-                solver_mod._dense_factor(np.array(block))
+                solver_mod.LayerCholesky(_hand_system(block, [1.0, 1.0]).operator,
+                                         np.zeros(2, dtype=np.intp))
 
 
 class TestSolveDpg:
