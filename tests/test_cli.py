@@ -3,7 +3,6 @@ import warnings
 
 import pytest
 
-import dpgfem.solver as solver_mod
 from dpgfem.cli import main
 
 
@@ -111,9 +110,7 @@ class TestSolveCommand:
         assert report["eta"] > 0.0
         assert report["solver"]["levels"] == []
 
-    def test_multigrid_levels_reported(self, tmp_path, capsys, monkeypatch):
-        # below 1,825 rows, so that 16^2, p = 2 stays on the V-cycle
-        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 1000)
+    def test_multigrid_levels_reported(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "manufactured": "pot-trig",
             "mesh": {"nx": 16, "ny": 16},

@@ -56,11 +56,6 @@ def _pot_problem(partition=POT_PARTITION, **overrides):
     return PotentialProblem(**base)
 
 
-# a DENSE_LIMIT below 16^2, p = 2 (1,825 rows), which keeps that system
-# on the V-cycle
-V_CYCLE_LIMIT = 1000
-
-
 def _hand_system(matrix, rhs):
     """A system of one element that holds the whole dense matrix."""
     matrix = np.asarray(matrix, dtype=float)
@@ -534,7 +529,6 @@ class TestMultigrid:
                                       (3, 32), (3, 64), (1, 32), (1, 64)])
     def test_iterations_flat_under_refinement(self, monkeypatch, p, n):
         monkeypatch.setattr(solver_mod, "JACOBI_ITERATIONS", 0)
-        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", V_CYCLE_LIMIT)
         system = _case_system("pot-trig", p, n)
         x, info = solve_spd(system)
         assert info.method == "pcg"
@@ -564,7 +558,6 @@ class TestMultigrid:
         # its first two field nodes, which share the patch of the element's
         # lower-left vertex
         monkeypatch.setattr(solver_mod, "JACOBI_ITERATIONS", 0)
-        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", V_CYCLE_LIMIT)
         system = _case_system("pot-trig", 2, 16)
         block = max(system.elements, key=lambda b: b.elems.size)
         i, j = block.dofs[0, :2]
@@ -630,8 +623,7 @@ class TestMultigrid:
         assert info.levels
         assert _direct_gap(system, x) <= 1e-8
 
-    def test_potential_starts_on_the_vcycle(self, monkeypatch):
-        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", V_CYCLE_LIMIT)
+    def test_potential_starts_on_the_vcycle(self):
         system = _case_system("pot-trig", 2, 16)
         x, info = solve_spd(system)
         assert info.iterations <= 20
@@ -758,15 +750,18 @@ class TestGroupedOperator:
         assert info_read == info
         assert np.array_equal(x_read, x)
 
-    @pytest.mark.parametrize("name, p, n", [
-        ("pot-trig", 2, 8), ("conc-trig", 3, 8),         # below DENSE_LIMIT
-        ("conc-trig", 2, 16),
-        ("pot-trig", 2, 12), ("pot-trig", 3, 10), ("conc-trig", 1, 20)])
+    @pytest.mark.parametrize("name, p, n, ny", [
+        ("pot-trig", 2, 8, None), ("conc-trig", 3, 8, None),  # below DENSE_LIMIT
+        ("pot-trig", 2, 16, None), ("conc-trig", 2, 16, None),
+        ("pot-trig", 2, 12, 3),         # layers along mesh columns
+        ("pot-trig", 2, 3, 12),         # layers along mesh rows
+        ("pot-trig", 2, 12, None), ("pot-trig", 3, 10, None),
+        ("conc-trig", 1, 20, None)])
     def test_dense_path_matches_the_sparse_direct_solve(self, monkeypatch,
-                                                        name, p, n):
-        # rows above DENSE_LIMIT take the dense path under a raised limit;
-        # a concentration matrix takes it without its kind
-        system = dataclasses.replace(_case_system(name, p, n), kind=None)
+                                                        name, p, n, ny):
+        # rows above DENSE_LIMIT take the dense path (a LayerCholesky) under
+        # a raised limit; a concentration matrix takes it without its kind
+        system = dataclasses.replace(_case_system(name, p, n, ny), kind=None)
         monkeypatch.setattr(solver_mod, "DENSE_LIMIT",
                             max(solver_mod.DENSE_LIMIT, system.rhs.size))
         x, info = solve_spd(system)
@@ -775,20 +770,6 @@ class TestGroupedOperator:
 
 
 class TestLayerCholesky:
-    # the direct path against scipy's sparse direct solve
-    @pytest.mark.parametrize("name, p, nx, ny", [
-        ("pot-trig", 2, 16, 16),        # 1,825 rows, direct since the limit of 2,000
-        ("pot-trig", 2, 12, 3),         # layers along mesh columns
-        ("pot-trig", 2, 3, 12),         # layers along mesh rows
-    ])
-    def test_matches_the_sparse_direct_solve(self, name, p, nx, ny):
-        system = _case_system(name, p, nx, ny)
-        assert np.unique(system.layers).size == max(nx, ny)
-        x, info = solve_spd(system)
-        assert info.method == "dense"
-        assert info.relative_residual <= 1e-10
-        assert _direct_gap(system, x) <= 1e-10
-
     def test_robin_stacked_potential(self):
         # a heavy, varying beta stacks the Robin groups' element matrices
         mesh = classify_boundary(build_rect_mesh(UNIT, 8, 6), POT_PARTITION,
@@ -801,9 +782,10 @@ class TestLayerCholesky:
         assert info.method == "dense"
         assert _direct_gap(system, x) <= 1e-10
 
-    @pytest.mark.parametrize("nx, ny", [(6, 6), (7, 3), (3, 7)])
+    @pytest.mark.parametrize("nx, ny", [(6, 6), (7, 3), (3, 7), (12, 3), (3, 12)])
     def test_elements_hold_rows_of_two_consecutive_layers(self, nx, ny):
         system = _case_system("pot-trig", 3, nx, ny)
+        assert np.unique(system.layers).size == max(nx, ny)
         for b in system.elements:
             own = b.elems % nx if nx > ny else b.elems // nx
             layers = system.layers[b.dofs]
