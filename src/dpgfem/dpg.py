@@ -136,7 +136,11 @@ class GeometryKernels:
         self.enr_stiff_x = (self.enr_gx * w).T @ self.enr_gx
         self.enr_stiff_y = (self.enr_gy * w).T @ self.enr_gy
         self.gram = self.test_gram(1.0)
-        self.gram_inv = spd_inverses(self.gram)
+        try:
+            self.gram_inv = spd_inverses(self.gram)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"not SPD / no convergence: geometry Gram (dx = {dx:g}, "
+                              f"dy = {dy:g}): {exc}") from None
 
         self.edge_t01 = 0.5 * (self.edge_t + 1.0)
         lengths = (self.dy, self.dy, self.dx, self.dx)

@@ -171,10 +171,6 @@ def exchange_current(params: ButlerVolmerParams, c_e: float, c_s: float) -> floa
             * math.sqrt(params.c_smax - c_s) * math.sqrt(c_s))
 
 
-def overpotential(phi_s: float, phi_e: float, phi_open_val: float) -> float:
-    return phi_s - phi_e - phi_open_val
-
-
 def butler_volmer_current(params: ButlerVolmerParams, I_c: float, eta: float) -> float:
     if I_c < 0.0:
         raise ValueError("exchange current must be nonnegative")
@@ -192,16 +188,6 @@ def robin_coefficients(params: ButlerVolmerParams, c_e: float, c_s: float,
     beta = I_c * params.F / (params.R_gas * params.T)
     soc = state_of_charge(c_s, params.c_smax)
     return beta, beta * (-phi_e - params.phi_open(soc))
-
-
-def reaction_species_flux(I_BV: float, F: float, t_plus: float, medium: str) -> float:
-    if not F > 0:
-        raise ValueError("F must be positive")
-    if medium == "electrode":
-        return I_BV / F
-    if medium == "electrolyte":
-        return -(1.0 - t_plus) * I_BV / F
-    raise ValueError(f"unknown medium {medium!r}")
 
 
 def sample(fn, points: np.ndarray, name: str, normals=None) -> np.ndarray:

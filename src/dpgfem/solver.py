@@ -19,15 +19,14 @@ symmetrically by a mask: zero rows and columns, unit diagonal, zero load.
 `GlobalSystem.matrix` exports the same matrix as a canonical CSR matrix
 on request; no solve reads it.
 
-Linear solve. The problem kind picks the start. `solve_spd` factors a
-potential or hand-built system of at most DENSE_LIMIT rows directly, by
-a `LayerCholesky`: every unknown is element-local or tied to one facet,
-so the skeleton rows grouped by mesh layer (a row of elements, or a
-column on a wide mesh) make a block-tridiagonal matrix, factored block
-by block and never formed whole. Larger ones run CG preconditioned by a
-geometric multigrid V(1,1)-cycle, whose iteration count stays flat
-under refinement. A concentration system of any size starts CG on the
-diagonal, which its mass term makes cheap, and moves to the V-cycle.
+Linear solve. `solve_spd` runs CG preconditioned by a `Multigrid`
+V(1,1)-cycle, whose iteration count stays flat under refinement; a
+concentration step first runs CG on the diagonal, which its mass term
+makes cheap. A level of at most DENSE_LIMIT rows is factored exactly by a
+`LayerCholesky`: every unknown is element-local or tied to one facet, so
+the rows grouped by mesh layer (a row of elements, or a column on a wide
+mesh) make a block-tridiagonal matrix, factored block by block and never
+formed whole. A small system is one factored level, solved in one step.
 
 Hierarchy (`Multigrid`). The mesh is halved while nx and ny are even; a
 coarse level's rows are the coarse mesh's skeleton dofs. Elements are
@@ -39,9 +38,9 @@ interpolates along the coarse edges and extends A-harmonically,
 -A_II^-1 A_IE, inside, and the coarse element matrix is sum_e P_e^T S_e
 P_e (element-by-element Galerkin coarsening). A, P and P^T of every
 level apply per class; a fine row takes its P row from the one coarse
-element that owns it, and Dirichlet rows are zero in P. The coarsest
-level is solved exactly by a `LayerCholesky` over its mesh layers if it
-has at most DENSE_LIMIT rows, else (a large odd mesh) is smoothed.
+element that owns it, and Dirichlet rows are zero in P. The first level
+with at most DENSE_LIMIT rows is factored and ends the hierarchy; a large
+odd mesh ends it smoothed only.
 
 Smoother. Additive Schwarz over vertex patches, the rows strictly inside
 a vertex's elements (a facet's traces sit at its midpoint); a patch
@@ -80,12 +79,13 @@ from dpgfem.fespace import (
 from dpgfem.mesh import FacetTag, Mesh, build_rect_mesh
 from dpgfem.problems import validate_problem
 
-# Direct solves up to this many rows. The layer factor beats the V-cycle
-# up to about 2,400 rows: pot-trig 16^2, p = 2 (1,825 rows) 12 against
-# 13 ms, 14^2, p = 3 (2,199 rows) 16 against 20 ms, 16^2, p = 3 (2,865
-# rows) 25 against 17 ms (BLAS at 1 thread, 2-vCPU x86-64 VM). The limit
-# stays at 1,000 while the benchmark's smoke check (16^2, p = 2) tells a
-# tampered residual only from an iterative one; see ROADMAP item 3(h).
+# A multigrid level of at most this many rows is factored, at any depth:
+# pot-trig, p = 2, solves in 8.6/20.2/27.5/62.8 ms on 16/32/40/64^2, and
+# at p = 3 on 16^2 in 12.6 ms, against 13.4/25.0/28.7/67.0 and 17.3 ms
+# when only the odd coarsest mesh is factored (medians of 15 alternated
+# pairs, BLAS at 1 thread, 2-vCPU x86-64 VM). One level beats the V-cycle
+# up to about 2,400 rows, but the benchmark's smoke check (16^2, p = 2)
+# tells a tampered residual only from an iterative one; ROADMAP item 1(g).
 DENSE_LIMIT = 1000
 JACOBI_ITERATIONS = 300
 DAMPING = 0.4
@@ -115,19 +115,19 @@ class GlobalSystem:
     the Dirichlet rows eliminated.
 
     constrained: Dirichlet field dofs in the full numbering.
+    kind: the problem kind the system was assembled from ("concentration"
+        or "potential"); a concentration step starts CG on the diagonal.
+    elements: one ElementBlock per element group.
     skeleton: full dof of each row (ascending); None when the rows are the
         full numbering.
-    kind: the problem kind the system was assembled from ("concentration"
-        or "potential"); None for a hand-built system.
-    elements: one ElementBlock per element group.
     """
 
     rhs: np.ndarray
     dofmap: DofMap
     constrained: np.ndarray
+    kind: str
+    elements: list
     skeleton: np.ndarray | None = None
-    kind: str | None = None
-    elements: list = field(default_factory=list)
 
     @cached_property
     def fixed(self) -> np.ndarray:
@@ -144,14 +144,6 @@ class GlobalSystem:
                                self.fixed)
 
     @cached_property
-    def layers(self) -> np.ndarray:
-        """The `mesh_layers` of the rows; one layer without a dof map."""
-        if self.dofmap is None:
-            return np.zeros(self.rhs.size, dtype=np.intp)
-        return mesh_layers(self.dofmap.mesh, [(b.elems, b.dofs) for b in self.elements],
-                           self.rhs.size)
-
-    @cached_property
     def matrix(self):
         """The matrix as a canonical CSR matrix, built on first access: an
         export for inspection and direct solvers; no solve reads it."""
@@ -161,9 +153,10 @@ class GlobalSystem:
 
 @dataclass
 class SolveInfo:
-    """method: "trivial", "dense" or "pcg"; iterations count both CG
-    phases; levels: row count of each multigrid level, [] when no
-    hierarchy was built."""
+    """method: "trivial", "dense" (CG on one factored level from the
+    start) or "pcg"; iterations count both CG phases; relative_residual
+    is the true ||b - A x|| / ||b||; levels: row count of each multigrid
+    level, [] when no hierarchy was built."""
 
     method: str
     iterations: int
@@ -312,17 +305,16 @@ class ElementOperator:
         return diag
 
 
-def mesh_layers(mesh: Mesh, blocks, n: int) -> np.ndarray:
-    """Layer of each of n rows, from (elems, rows) pairs of elements and
-    their rows (n_e x m, n for none): the highest mesh row, elem // nx,
-    among the elements that hold the row, or mesh column, elem % nx, when
-    nx > ny, so that the layers are thin. An element holds rows of its own
-    layer and the next one only, so rows sorted by layer make any matrix
-    summed from element matrices block-tridiagonal."""
+def mesh_layers(mesh: Mesh, elems: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Layer of each of n rows, from elements elems and their rows (n_e x
+    m, n for none): the highest mesh row, elem // nx, among the elements
+    that hold the row, or mesh column, elem % nx, when nx > ny, so that
+    the layers are thin. An element holds rows of its own layer and the
+    next one only, so rows sorted by layer make any matrix summed from
+    element matrices block-tridiagonal."""
     layer = np.zeros(n + 1, dtype=np.intp)
-    for elems, rows in blocks:
-        at = elems % mesh.nx if mesh.nx > mesh.ny else elems // mesh.nx
-        np.maximum.at(layer, rows, at[:, None])
+    at = elems % mesh.nx if mesh.nx > mesh.ny else elems // mesh.nx
+    np.maximum.at(layer, rows, at[:, None])
     return layer[:n]
 
 
@@ -478,10 +470,10 @@ def assemble(mesh: Mesh, dofmap: DofMap, problem) -> GlobalSystem:
 def global_system(dofmap: DofMap, elements: list, rhs: np.ndarray, kind: str,
                   skeleton: np.ndarray | None = None) -> GlobalSystem:
     """The system of the ElementBlocks over the rows `skeleton` (None: all
-    dofs), with a potential problem's Dirichlet field dofs eliminated."""
-    constrained = (dirichlet_field_dofs(dofmap.mesh, dofmap) if kind == "potential"
-                   else np.empty(0, dtype=np.int64))
-    system = GlobalSystem(rhs, dofmap, constrained, skeleton, kind, elements)
+    dofs), with the field dofs on the mesh's Dirichlet facets (none on a
+    concentration mesh) eliminated."""
+    system = GlobalSystem(rhs, dofmap, dirichlet_field_dofs(dofmap.mesh, dofmap), kind,
+                          elements, skeleton)
     rhs[system.fixed] = 0.0
     return system
 
@@ -569,11 +561,14 @@ def _grid(dofmap: DofMap, rows: np.ndarray, sites: np.ndarray,
 
 def _fine_grid(system: GlobalSystem) -> _Grid:
     """The level of the system itself: one class per shared group matrix
-    and per element of a stacked one."""
+    and per element of a stacked one, or no classes when the level is
+    factored (at most DENSE_LIMIT rows)."""
     dofmap, full = system.dofmap, system.skeleton is None
     grid = _grid(dofmap, np.arange(dofmap.n_field) if full else system.skeleton,
                  _slot_sites(dofmap.layout.p, full, dofmap.n_trace > 0),
                  system.constrained)
+    if system.rhs.size <= DENSE_LIMIT:
+        return grid
     m = len(grid.sites)
     grid.elem_class = np.empty(dofmap.mesh.n_elems, dtype=np.int64)
     mats = []
@@ -710,8 +705,8 @@ def _coarsen(grid: _Grid, rows: np.ndarray, cls: np.ndarray, vclass: np.ndarray,
 @dataclass
 class _Level:
     """One level of a Multigrid: its matrix with the undamped additive
-    Schwarz smoother and the prolongation P from the next level, or,
-    coarsest, a direct solver of the matrix."""
+    Schwarz smoother and the prolongation P from the next level, or, at
+    most DENSE_LIMIT rows, a direct solver of the matrix."""
 
     A: ElementOperator
     smoother: ElementOperator | None = None
@@ -723,7 +718,8 @@ class Multigrid:
     """Geometric multigrid V(1,1)-cycle for a system with element blocks on
     a structured mesh (the skeleton system of `assemble`, or a field-only
     system over the full field lattice). Calling it applies one cycle to a
-    residual; `sizes` lists the row count of each level."""
+    residual, or the exact solve of a system of one factored level;
+    `sizes` lists the row count of each level."""
 
     def __init__(self, system: GlobalSystem):
         grid = _fine_grid(system)
@@ -732,18 +728,16 @@ class Multigrid:
         while True:
             level = _Level(A)
             self.levels.append(level)
-            n = A.shape[0]
-            mesh = grid.dofmap.mesh
-            coarsest = mesh.nx % 2 or mesh.ny % 2
-            if coarsest and n <= DENSE_LIMIT:
-                layers = mesh_layers(mesh, [(np.arange(mesh.n_elems), grid.elem_rows)], n)
-                level.direct = LayerCholesky(A, layers)
+            n, mesh = A.shape[0], grid.dofmap.mesh
+            if n <= DENSE_LIMIT:
+                level.direct = LayerCholesky(
+                    A, mesh_layers(mesh, np.arange(mesh.n_elems), grid.elem_rows, n))
                 break
             rows, cls, vclass, inverses = _vertex_blocks(grid)
             patches = rows[:, grid.layout[2]]
             level.smoother = ElementOperator.by_class((n, n), patches, patches,
                                                       vclass, inverses)
-            if coarsest:
+            if mesh.nx % 2 or mesh.ny % 2:
                 break
             level.P, grid = _coarsen(grid, rows, cls, vclass, inverses)
             n = grid.rows.size
@@ -768,78 +762,57 @@ class Multigrid:
 
 
 def solve_spd(system: GlobalSystem, tol: float = 1e-10):
-    """Solve the SPD system through `system.operator`: the `LayerCholesky`
-    of `system.layers` for a potential or hand-built (kind None) system of
-    n <= DENSE_LIMIT rows (SolveInfo method "dense"), else preconditioned
-    CG. A direct solution whose relative residual exceeds tol raises
-    SolverError, as does CG that has not converged 10 n
-    iterations after the diagonal phase below.
+    """Solve the SPD system through `system.operator` by CG preconditioned
+    by its `Multigrid`; on a system of at most DENSE_LIMIT rows, one
+    factored level, CG converges in one iteration (method "dense"). A
+    concentration system (its mass term clusters the spectrum) first
+    spends up to JACOBI_ITERATIONS iterations on the diagonal, which
+    finishes conc-trig from 4^2 to 128^2 (p = 1..3) in 2-182 iterations.
 
-    A potential system starts CG on the `Multigrid` V-cycle. Any other
-    system with a dof map (a concentration step, whose mass term clusters
-    the spectrum) first spends JACOBI_ITERATIONS iterations on the
-    diagonal, at every size, which finishes conc-trig from 4^2 to 128^2
-    (p = 1..3) in 2-182 iterations, and then restarts on the V-cycle. A
-    hand-built system with no dof map keeps the diagonal.
+    CG stops when the true residual b - A x, recomputed each time the
+    updated one meets tol, meets tol too, and otherwise continues from it.
+    SolverError is raised when a recomputed residual is not below the one
+    before, or after 10 n iterations past the diagonal phase.
 
-    Both paths solve for the right-hand side times the power of two 2^-k
-    that brings its largest entry into [0.5, 1), and scale the solution
-    back. Every operation is linear in the right-hand side, so this is
-    exact (unless an entry falls below 2^-1022 when scaled), but no inner
-    product of large data overflows.
-
-    Returns (coefficients, SolveInfo). A system with inf or NaN entries
-    raises SolverError before either path, as does a solution that
-    overflows when scaled back.
+    CG solves for the right-hand side times the power of two 2^-k that
+    brings its largest entry into [0.5, 1), and scales the solution back:
+    exact (unless an entry falls below 2^-1022 when scaled), as every
+    operation is linear in it, but no inner product of large data
+    overflows. Returns (coefficients, SolveInfo). A system with inf or NaN
+    entries raises SolverError, as does a solution that overflows.
     """
-    A, b = system.operator, system.rhs
+    A, n = system.operator, system.rhs.size
     bad_a = sum(int(np.count_nonzero(~np.isfinite(blk.matrix)))
                 for blk in system.elements)
-    bad_b = int(np.count_nonzero(~np.isfinite(b)))
+    bad_b = int(np.count_nonzero(~np.isfinite(system.rhs)))
     if bad_a or bad_b:
         raise SolverError(f"non-finite system: {bad_a} matrix and {bad_b} "
                           "right-hand-side entries are inf or NaN")
-    bmax = float(np.abs(b).max(initial=0.0))
+    bmax = float(np.abs(system.rhs).max(initial=0.0))
     if bmax == 0.0:
-        return np.zeros(A.shape[0]), SolveInfo("trivial", 0, 0.0)
+        return np.zeros(n), SolveInfo("trivial", 0, 0.0)
     k = math.frexp(bmax)[1]
-    x, info = _solve_scaled(system, np.ldexp(b, -k), tol)
-    with np.errstate(over="ignore"):
-        x = np.ldexp(x, k)
-    if not np.isfinite(x).all():
-        raise SolverError("non-finite solution: the solution overflows")
-    return x, info
-
-
-def _solve_scaled(system: GlobalSystem, b: np.ndarray, tol: float):
-    """The two paths of `solve_spd`, for a nonzero right-hand side b."""
-    A = system.operator
-    n = A.shape[0]
+    b = np.ldexp(system.rhs, -k)
     bnorm = float(np.linalg.norm(b))
     diag = A.diagonal()
     if np.any(diag <= 0):
         raise SolverError("not SPD / no convergence: nonpositive diagonal entry")
 
-    if n <= DENSE_LIMIT and system.kind != "concentration":
-        x = LayerCholesky(A, system.layers)(b)
-        res = float(np.linalg.norm(b - A @ x)) / bnorm
-        if not res <= tol:
-            raise SolverError(f"not SPD / no convergence: dense residual {res:.3g}")
-        return x, SolveInfo("dense", 0, res)
-
     # -div(kappa grad phi) has no zeroth-order term: a potential system
     # is conditioned like h^-2, beyond the diagonal's budget
-    jacobi = 0 if system.kind == "potential" else JACOBI_ITERATIONS
+    jacobi = JACOBI_ITERATIONS if system.kind == "concentration" else 0
     minv = 1.0 / diag
-    precondition, levels = (lambda v: minv * v), []
+    precondition, levels, method = (lambda v: minv * v), [], "pcg"
     x = np.zeros(n)
     r = b.copy()
     rz = None                   # None (re)starts CG from the current x
-    max_iter = jacobi + 10 * n
-    for it in range(1, max_iter + 1):
-        if it == jacobi + 1 and system.dofmap is not None:
+    checked = math.inf          # the last recomputed residual norm
+    for it in range(1, jacobi + 10 * n + 1):
+        if it == jacobi + 1:
             multigrid = Multigrid(system)
             precondition, levels, rz = multigrid, multigrid.sizes, None
+            if it == 1 and multigrid.levels[0].direct is not None:
+                method = "dense"
         z = precondition(r)
         rz_new = float(r @ z)
         p = z if rz is None else z + (rz_new / rz) * p
@@ -851,10 +824,22 @@ def _solve_scaled(system: GlobalSystem, b: np.ndarray, tol: float):
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= tol * bnorm:
-            return x, SolveInfo("pcg", it, rnorm / bnorm, levels)
-    raise SolverError(f"not SPD / no convergence: {max_iter} iterations exceeded")
+        if float(np.linalg.norm(r)) <= tol * bnorm:
+            r = b - A @ x
+            rnorm = float(np.linalg.norm(r))
+            if rnorm <= tol * bnorm:
+                break
+            if not rnorm < checked:
+                raise SolverError("not SPD / no convergence: the true residual "
+                                  f"stalls at {rnorm / bnorm:.3g}")
+            checked, rz = rnorm, None
+    else:
+        raise SolverError(f"not SPD / no convergence: {it} iterations exceeded")
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x, k)
+    if not np.isfinite(x).all():
+        raise SolverError("non-finite solution: the solution overflows")
+    return x, SolveInfo(method, it, rnorm / bnorm, levels)
 
 
 def compute_indicators(mesh: Mesh, dofmap: DofMap, problem,

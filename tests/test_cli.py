@@ -428,6 +428,36 @@ class TestErrorHandling:
         assert err["code"] == "solver"
         assert "test Gram" in err["message"]
 
+    def test_degenerate_geometry_gram_is_solver_error(self, tmp_path, capsys):
+        # at dx = 2.5e-301 the mass term of the geometry Gram falls below
+        # the rounding of its gradient terms
+        cfg = write_config(tmp_path, {
+            "problem": "potential",
+            "mesh": {"nx": 4, "ny": 4, "x0": 0, "x1": 1e-300},
+        })
+        code, out = run_cli(capsys, ["solve", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "solver"
+        assert "geometry Gram" in err["message"]
+
+    def test_unreachable_solver_tol_is_solver_error(self, tmp_path, capsys):
+        # CG's updated residual underflows below 1e-300; the true one stalls
+        # near 1e-15
+        cfg = write_config(tmp_path, {
+            "manufactured": "pot-trig",
+            "mesh": {"nx": 16, "ny": 16},
+            "discretization": {"p": 2},
+            "solver_tol": 1e-300,
+        })
+        code, out = run_cli(capsys, ["solve", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "solver"
+        assert "true residual" in err["message"]
+
     @pytest.mark.parametrize("c_prev", [
         "+".join(["x"] * 3000),
         "-" * 3000 + "x",

@@ -20,8 +20,6 @@ from dpgfem.problems import (
     ProblemValidationError,
     butler_volmer_current,
     exchange_current,
-    overpotential,
-    reaction_species_flux,
     robin_coefficients,
     sample,
     state_of_charge,
@@ -67,13 +65,6 @@ class TestExchangeCurrent:
     @given(c_s=st.floats(min_value=0.0, max_value=5.0))
     def test_nonnegative(self, c_s):
         assert exchange_current(_arithmetic_params(), c_e=4.0, c_s=c_s) >= 0.0
-
-
-class TestOverpotential:
-    def test_examples(self):
-        assert overpotential(1.0, 0.2, 0.3) == pytest.approx(0.5)
-        assert overpotential(0.0, 0.0, 0.0) == 0.0
-        assert overpotential(-0.1, 0.4, 0.2) == pytest.approx(-0.7)
 
 
 class TestButlerVolmerCurrent:
@@ -126,21 +117,6 @@ class TestRobinCoefficients:
         assert beta == 6.0
         # state of charge 0.2 -> phi_open 0.1 -> load = 6 * (-0.1)
         assert load == pytest.approx(-0.6)
-
-
-class TestReactionSpeciesFlux:
-    def test_electrode_side(self):
-        assert reaction_species_flux(2.0, 4.0, 0.5, "electrode") == 0.5
-
-    def test_electrolyte_side(self):
-        assert reaction_species_flux(2.0, 4.0, 0.5, "electrolyte") == -0.25
-
-    def test_full_transference_cancels_electrolyte_flux(self):
-        assert reaction_species_flux(2.0, 4.0, 1.0, "electrolyte") == 0.0
-
-    def test_unknown_medium(self):
-        with pytest.raises(ValueError):
-            reaction_species_flux(2.0, 4.0, 0.5, "membrane")
 
 
 class TestButlerVolmerParams:

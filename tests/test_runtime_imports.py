@@ -26,7 +26,7 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 """
 
 CONFIGS = {
-    # dense path; V-cycle with a dense coarsest level (1825 rows)
+    # one factored level (465 rows); V-cycle down to a factored 8^2 level (1825 rows)
     "solve": [{"manufactured": "pot-trig", "mesh": {"nx": 8, "ny": 8},
                "discretization": {"p": 2}},
               {"manufactured": "pot-trig", "mesh": {"nx": 16, "ny": 16},

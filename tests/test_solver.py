@@ -25,8 +25,6 @@ from dpgfem.mesh import (
 )
 from dpgfem.problems import ConcentrationProblem, PotentialProblem
 from dpgfem.solver import (
-    ElementBlock,
-    GlobalSystem,
     SolverError,
     active_facets,
     assemble,
@@ -56,13 +54,26 @@ def _pot_problem(partition=POT_PARTITION, **overrides):
     return PotentialProblem(**base)
 
 
-def _hand_system(matrix, rhs):
-    """A system of one element that holds the whole dense matrix."""
-    matrix = np.asarray(matrix, dtype=float)
-    block = ElementBlock(np.zeros(1, dtype=np.int64),
-                         np.arange(len(matrix))[None], matrix)
-    return GlobalSystem(np.asarray(rhs, dtype=float), None,
-                        np.empty(0, dtype=np.int64), elements=[block])
+def _tampered(system, change):
+    """The system with change(S, block) applied to a copy of the element
+    matrices S of its largest ElementBlock."""
+    block = max(system.elements, key=lambda b: b.elems.size)
+    S = block.matrix.copy()
+    change(S, block)
+    block.matrix = S
+    return system
+
+
+def _indefinite(system):
+    """Give the largest group the pair A_ij = A_ji = 2 sqrt(A_ii A_jj)
+    between its first two rows; the diagonal stays positive."""
+    diag = system.matrix.diagonal()
+
+    def change(S, block):
+        i, j = block.dofs[0, :2]
+        S[..., 0, 1] = S[..., 1, 0] = 2.0 * np.sqrt(diag[i] * diag[j])
+
+    return _tampered(system, change)
 
 
 class TestGroupedAssembly:
@@ -140,39 +151,81 @@ class TestDirichletFieldDofs:
 
 
 class TestSolveSpd:
-    def test_identity_system(self):
-        x, info = solve_spd(_hand_system(np.eye(3), [1.0, 0.0, 0.0]))
-        assert np.allclose(x, [1.0, 0.0, 0.0], atol=1e-14)
-        assert info.method == "dense"
-        assert info.relative_residual <= 1e-12
+    @pytest.mark.parametrize("name, p, n, ny", [("pot-trig", 1, 4, None),
+                                                ("pot-trig", 2, 9, 7),
+                                                ("pot-poly2", 3, 6, None)])
+    def test_small_system_is_one_factored_level(self, name, p, n, ny):
+        system = _case_system(name, p, n, ny)
+        x, info = solve_spd(system)
+        assert system.rhs.size <= solver_mod.DENSE_LIMIT
+        assert (info.method, info.iterations) == ("dense", 1)
+        assert info.levels == [system.rhs.size]
+        assert info.relative_residual <= 1e-14
+        assert _direct_gap(system, x) <= 1e-12
 
-    def test_two_by_two_reference_solve(self):
-        x, _ = solve_spd(_hand_system([[2.0, 1.0], [1.0, 2.0]], [1.0, 1.0]))
-        assert np.allclose(x, [1.0 / 3.0, 1.0 / 3.0], atol=1e-14)
+    @pytest.mark.parametrize("name, p, n, tol", [("pot-trig", 2, 16, 1e-10),
+                                                 ("conc-trig", 2, 16, 1e-14)])
+    def test_reports_the_true_residual(self, name, p, n, tol):
+        # at 1e-14 the updated residual of the diagonal phase drifts 25%
+        # below the true one
+        system = _case_system(name, p, n)
+        x, info = solve_spd(system, tol=tol)
+        true = (np.linalg.norm(system.rhs - system.matrix @ x)
+                / np.linalg.norm(system.rhs))
+        assert info.relative_residual <= tol
+        assert info.relative_residual == pytest.approx(true, rel=0.1, abs=0.0)
+
+    @pytest.mark.parametrize("name, p, n", [("pot-trig", 2, 16),      # V-cycle
+                                            ("pot-trig", 1, 4),       # factored
+                                            ("conc-trig", 1, 8)])     # diagonal
+    def test_unreachable_tol_is_solver_error(self, name, p, n):
+        # the updated residual underflows below 1e-300; the true one stalls
+        # near rounding and may not pass for it
+        with pytest.raises(SolverError, match="true residual stalls"):
+            solve_spd(_case_system(name, p, n), tol=1e-300)
 
     def test_zero_rhs_short_circuits(self):
-        x, info = solve_spd(_hand_system(np.eye(4), np.zeros(4)))
+        system = _case_system("pot-trig", 1, 4)
+        x, info = solve_spd(dataclasses.replace(system, rhs=np.zeros(system.rhs.size)))
         assert np.all(x == 0.0)
         assert info.method == "trivial"
         assert info.iterations == 0
 
-    def test_indefinite_matrix_raises(self):
+    @pytest.mark.parametrize("jacobi", [0, solver_mod.JACOBI_ITERATIONS])
+    @pytest.mark.parametrize("name", ["pot-trig", "conc-trig"])
+    def test_indefinite_matrix_raises(self, monkeypatch, name, jacobi):
+        # at either start: the factored level, or a concentration step's diagonal
+        monkeypatch.setattr(solver_mod, "JACOBI_ITERATIONS", jacobi)
         with pytest.raises(SolverError, match="not SPD / no convergence"):
-            solve_spd(_hand_system([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0]))
+            solve_spd(_indefinite(_case_system(name, 2, 4)))
 
     def test_nonpositive_diagonal_raises(self):
-        with pytest.raises(SolverError, match="not SPD / no convergence"):
-            solve_spd(_hand_system([[-1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]))
+        system = _tampered(_case_system("pot-trig", 1, 4),
+                           lambda S, block: np.negative(S, out=S))
+        with pytest.raises(SolverError, match="nonpositive diagonal entry"):
+            solve_spd(system)
 
     @pytest.mark.parametrize("dense_limit", [solver_mod.DENSE_LIMIT, 1])
     def test_non_finite_system_raises_on_every_path(self, monkeypatch,
                                                     dense_limit):
         monkeypatch.setattr(solver_mod, "DENSE_LIMIT", dense_limit)
-        for matrix, rhs in [([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]),
-                            ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 1.0]),
-                            ([[np.nan, 0.0], [0.0, 1.0]], [0.0, 0.0])]:
+
+        def entry(value):
+            return lambda S, block: S[..., 0, 0].fill(value)
+
+        for name in ("pot-trig", "conc-trig"):
+            for system in (_tampered(_case_system(name, 1, 3), entry(np.inf)),
+                           _tampered(_case_system(name, 1, 3), entry(np.nan))):
+                with pytest.raises(SolverError, match="non-finite"):
+                    solve_spd(system)
+            system = _case_system(name, 1, 3)
+            system.rhs[0] = np.nan
             with pytest.raises(SolverError, match="non-finite"):
-                solve_spd(_hand_system(matrix, rhs))
+                solve_spd(system)
+            system = _tampered(_case_system(name, 1, 3), entry(np.nan))
+            system.rhs[:] = 0.0
+            with pytest.raises(SolverError, match="non-finite"):
+                solve_spd(system)
 
     @pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 600], ids=["tiny", "huge"])
     @pytest.mark.parametrize("name, p, n", [("pot-trig", 1, 4),      # dense
@@ -188,45 +241,38 @@ class TestSolveSpd:
         assert info_s == info
         assert np.array_equal(xs, x * scale)
 
-    def test_pcg_path_matches_dense(self):
+    def test_diagonal_phase_matches_the_factored_level(self, monkeypatch):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="x*y", J=0.0)
         dofmap = build_dofmap(mesh, SpaceLayout(p=1),
                               active_facets(mesh, problem))
         system = assemble(mesh, dofmap, problem)
-        # the same matrix without a kind takes the dense path
-        dense, info_d = solve_spd(dataclasses.replace(system, kind=None), tol=1e-12)
-        assert info_d.method == "dense"
         iterative, info_i = solve_spd(system, tol=1e-12)
-        assert info_i.method == "pcg"
-        assert info_i.iterations > 0
+        assert info_i.method == "pcg" and info_i.levels == []
+        assert info_i.iterations > 1
         assert info_i.relative_residual <= 1e-12
+        # without the diagonal phase the same system is one factored level
+        monkeypatch.setattr(solver_mod, "JACOBI_ITERATIONS", 0)
+        dense, info_d = solve_spd(system, tol=1e-12)
+        assert (info_d.method, info_d.iterations) == ("dense", 1)
         assert np.allclose(iterative, dense, atol=1e-9)
 
-    def test_dense_residual_above_tol_raises(self):
-        # Hilbert matrix, n = 12: SPD, but its Cholesky solve leaves a
-        # residual of about 5e-9
-        n = 12
-        hilbert = 1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0)
-        system = _hand_system(hilbert, np.ones(n))
-        with pytest.raises(SolverError, match="not SPD / no convergence: dense"):
-            solve_spd(system)
-        x, info = solve_spd(system, tol=1e-6)
-        assert info.method == "dense"
-        assert 1e-10 < info.relative_residual <= 1e-6
-
-    @pytest.mark.parametrize("nx, ny, p, D", [
-        (1, 1, 3, 1e12),    # 12 rows; a dense factor left a residual 1.4e-3
-        (3, 2, 1, 1e14)])   # 19 rows; needs more than 10 n = 190 iterations
-    def test_small_diffusion_dominated_step_meets_tol(self, nx, ny, p, D):
+    @pytest.mark.parametrize("nx, ny, p, D", [(1, 1, 3, 1e12),    # 12 rows
+                                              (3, 2, 1, 1e14)])   # 19 rows
+    def test_small_diffusion_dominated_step_reports_the_true_residual(
+            self, nx, ny, p, D):
+        # the solution is nearly constant, where A x cancels: any solve in
+        # double precision leaves a true residual of about 1e-3 (12 rows) or
+        # 0.06 (19 rows), while CG's updated residual falls below 1e-10
         problem = ConcentrationProblem(D=D, dt=1.0, c_prev="1 + x*y", J=0.0)
+        mesh = build_rect_mesh(UNIT, nx, ny)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)     # D dt >= 1
-            _, info, system = solve_dpg(build_rect_mesh(UNIT, nx, ny), problem,
-                                        SpaceLayout(p=p))
+            with pytest.raises(SolverError, match="true residual stalls"):
+                solve_dpg(mesh, problem, SpaceLayout(p=p))
+            _, info, system = solve_dpg(mesh, problem, SpaceLayout(p=p), tol=0.5)
         assert system.rhs.size < 20
-        assert info.method == "pcg"
-        assert info.relative_residual <= 1e-10
+        assert 1e-4 < info.relative_residual <= 0.5
 
 
 def _case_system(name, p, nx, ny=None):
@@ -412,7 +458,7 @@ def _ref_prolongation(A: sp.csr_matrix, fine: DofMap, rows: np.ndarray,
 def _reference_multigrid(system):
     """A Multigrid whose levels are built by the CSR-based setup and hold
     CSR matrices: A, P, the smoother's sum of patch inverses, and a dense
-    inverse on the coarsest level."""
+    inverse on the first level of at most DENSE_LIMIT rows."""
     A = system.matrix
     dofmap = system.dofmap
     rows = (np.arange(A.shape[0]) if system.skeleton is None
@@ -423,14 +469,13 @@ def _reference_multigrid(system):
     while True:
         level = solver_mod._Level(A)
         cycle.levels.append(level)
-        coarsest = dofmap.mesh.nx % 2 or dofmap.mesh.ny % 2
-        if coarsest and A.shape[0] <= solver_mod.DENSE_LIMIT:
+        if A.shape[0] <= solver_mod.DENSE_LIMIT:
             level.direct = np.linalg.inv(A.toarray()).__matmul__
             break
         patches = _ref_patches(dofmap, rows)
         inverses = _ref_block_inverses(A, patches, "vertex patch")
         level.smoother = solver_mod.scatter([(patches, inverses)], A.shape[0])
-        if coarsest:
+        if dofmap.mesh.nx % 2 or dofmap.mesh.ny % 2:
             break
         coarse = _ref_coarsen(dofmap)
         c_rows = solver_mod.skeleton_dofs(coarse)
@@ -540,10 +585,10 @@ class TestMultigrid:
     @pytest.mark.parametrize("name, p", [("pot-trig", 2), ("conc-trig", 3)])
     def test_vcycle_symmetric_positive(self, monkeypatch, dense_limit, name, p):
         # pot-trig has Dirichlet, Neumann and Robin groups; the hierarchy
-        # ends at 1 x 1, factored densely or, at dense_limit 1, smoothed
+        # ends factored at 8 x 8 or, at dense_limit 1, smoothed at 1 x 1
         monkeypatch.setattr(solver_mod, "DENSE_LIMIT", dense_limit)
-        cycle = solver_mod.Multigrid(_case_system(name, p, 8))
-        assert len(cycle.sizes) >= 3
+        cycle = solver_mod.Multigrid(_case_system(name, p, 16))
+        assert len(cycle.sizes) == (2 if dense_limit > 1 else 5)
         rng = np.random.default_rng(7)
         for _ in range(5):
             v, w = rng.standard_normal((2, cycle.sizes[0]))
@@ -552,29 +597,22 @@ class TestMultigrid:
                     <= 1e-12 * np.linalg.norm(v) * np.linalg.norm(Mw))
             assert v @ Mv > 0.0
 
-    def test_indefinite_patch_is_solver_error(self, monkeypatch):
-        # the hierarchy reads the element matrices, not system.matrix: give
-        # the largest group the pair A_ij = A_ji = 2 sqrt(A_ii A_jj) between
-        # its first two field nodes, which share the patch of the element's
-        # lower-left vertex
-        monkeypatch.setattr(solver_mod, "JACOBI_ITERATIONS", 0)
-        system = _case_system("pot-trig", 2, 16)
-        block = max(system.elements, key=lambda b: b.elems.size)
-        i, j = block.dofs[0, :2]
-        diag = system.matrix.diagonal()
-        S = block.matrix.copy()
-        S[0, 1] = S[1, 0] = 2.0 * np.sqrt(diag[i] * diag[j])
-        block.matrix = S
+    def test_indefinite_patch_is_solver_error(self):
+        # the hierarchy reads the element matrices, not system.matrix: the
+        # largest group's first two field nodes share the patch of the
+        # element's lower-left vertex
         with pytest.raises(SolverError,
                            match="not SPD / no convergence: vertex patch"):
-            solve_spd(system)
+            solve_spd(_indefinite(_case_system("pot-trig", 2, 16)))
 
     @pytest.mark.parametrize("name, p, nx, ny, dense_limit", [
         *[("pot-trig", p, n, n, None) for n in (8, 16) for p in (1, 2, 3)],
         ("conc-trig", 2, 16, 16, None),
         ("pot-trig", 2, 9, 7, 1),           # smoothed only, no hierarchy
         ("pot-trig", 2, 8, 8, 1),           # 1 x 1 level smoothed only
-        ("pot-trig", 2, 10, 10, None),      # 5 x 5 level solved directly
+        ("pot-trig", 2, 10, 10, None),      # one factored level
+        ("pot-trig", 2, 20, 20, None),      # 10 x 10 level factored
+        ("pot-trig", 1, 32, 32, None),      # 16 x 16 level factored
     ])
     def test_matches_the_csr_reference(self, monkeypatch, name, p, nx, ny,
                                        dense_limit):
@@ -623,12 +661,25 @@ class TestMultigrid:
         assert info.levels
         assert _direct_gap(system, x) <= 1e-8
 
-    def test_potential_starts_on_the_vcycle(self):
-        system = _case_system("pot-trig", 2, 16)
+    @pytest.mark.parametrize("n, levels", [(16, [1825, 465]),
+                                           (40, [11281, 2841, 721])])
+    def test_potential_starts_on_the_vcycle(self, n, levels):
+        # the first level of at most DENSE_LIMIT rows (8^2, 10^2) is factored
+        system = _case_system("pot-trig", 2, n)
         x, info = solve_spd(system)
-        assert info.iterations <= 20
-        assert info.levels == [1825, 465, 121, 33, 10]     # 16^2 .. 1^2
+        assert info.method == "pcg"
+        assert info.levels == levels
+        assert 2 <= info.iterations <= 20
         assert _direct_gap(system, x) <= 1e-8
+
+    def test_benchmark_smoke_mesh_iterates(self):
+        # a tampered residual check of the smoke pot_solve run (16^2, p = 2)
+        # scales the solve's residual by 1e3; it must stay an iterative
+        # one, near tol, to fail the check
+        case = manufactured_case("pot-trig")
+        _, info, _ = solve_dpg(case_mesh(case, 16), case.problem, SpaceLayout(p=2))
+        assert info.method == "pcg" and info.iterations >= 2
+        assert info.relative_residual > 1e-13
 
     def test_concentration_converges_in_the_diagonal_phase(self):
         system = _case_system("conc-trig", 2, 32)
@@ -757,13 +808,14 @@ class TestGroupedOperator:
         ("pot-trig", 2, 3, 12),         # layers along mesh rows
         ("pot-trig", 2, 12, None), ("pot-trig", 3, 10, None),
         ("conc-trig", 1, 20, None)])
-    def test_dense_path_matches_the_sparse_direct_solve(self, monkeypatch,
-                                                        name, p, n, ny):
-        # rows above DENSE_LIMIT take the dense path (a LayerCholesky) under
-        # a raised limit; a concentration matrix takes it without its kind
-        system = dataclasses.replace(_case_system(name, p, n, ny), kind=None)
+    def test_factored_level_matches_the_sparse_direct_solve(self, monkeypatch,
+                                                            name, p, n, ny):
+        # rows above DENSE_LIMIT make one factored level (a LayerCholesky)
+        # under a raised limit; a concentration system skips the diagonal
+        system = _case_system(name, p, n, ny)
         monkeypatch.setattr(solver_mod, "DENSE_LIMIT",
                             max(solver_mod.DENSE_LIMIT, system.rhs.size))
+        monkeypatch.setattr(solver_mod, "JACOBI_ITERATIONS", 0)
         x, info = solve_spd(system)
         assert info.method == "dense"
         assert _direct_gap(system, x) <= 1e-10
@@ -784,17 +836,21 @@ class TestLayerCholesky:
 
     @pytest.mark.parametrize("nx, ny", [(6, 6), (7, 3), (3, 7), (12, 3), (3, 12)])
     def test_elements_hold_rows_of_two_consecutive_layers(self, nx, ny):
+        # the layers come from the fine level's slots; the blocks' rows agree
         system = _case_system("pot-trig", 3, nx, ny)
-        assert np.unique(system.layers).size == max(nx, ny)
+        n, mesh = system.rhs.size, system.dofmap.mesh
+        layer = solver_mod.mesh_layers(mesh, np.arange(mesh.n_elems),
+                                       solver_mod._fine_grid(system).elem_rows, n)
+        assert np.unique(layer).size == max(nx, ny)
         for b in system.elements:
             own = b.elems % nx if nx > ny else b.elems // nx
-            layers = system.layers[b.dofs]
+            layers = layer[b.dofs]
             assert np.all(layers.min(axis=1) >= own)
             assert np.all(layers.max(axis=1) <= own + 1)
 
-    def test_odd_coarsest_level_is_solved_exactly(self):
-        # 10^2 -> 5^2: the coarsest level holds Dirichlet and Robin rows
-        cycle = solver_mod.Multigrid(_case_system("pot-trig", 2, 10))
+    def test_coarse_level_is_solved_exactly(self):
+        # 20^2 -> 10^2: the factored level holds Dirichlet and Robin rows
+        cycle = solver_mod.Multigrid(_case_system("pot-trig", 2, 20))
         coarsest = cycle.levels[-1]
         assert len(cycle.levels) == 2
         assert coarsest.direct is not None and coarsest.smoother is None
@@ -804,13 +860,14 @@ class TestLayerCholesky:
             assert (np.linalg.norm(coarsest.direct(v) - want)
                     <= 1e-10 * np.linalg.norm(want))
 
-    def test_hand_built_system_is_one_layer(self):
-        system = _hand_system([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]],
-                              [1.0, 2.0, 3.0])
-        assert np.array_equal(system.layers, [0, 0, 0])
-        x, info = solve_spd(system)
-        assert info.method == "dense"
-        assert np.allclose(system.matrix @ x, system.rhs, rtol=1e-14, atol=0.0)
+    def test_one_layer_is_one_dense_factor(self):
+        # two elements share row 1; row 3 is eliminated
+        M = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+        rows = np.array([0, 1, 2, 1, 3, 4])
+        A = solver_mod.ElementOperator((5, 5), rows, rows, [(2, M)], np.array([3]))
+        x = solver_mod.LayerCholesky(A, np.zeros(5, dtype=np.intp))(np.arange(1.0, 6.0))
+        want = np.linalg.solve(_dense(A), np.arange(1.0, 6.0))
+        assert np.allclose(x, want, rtol=1e-14, atol=0.0)
 
 
 def _uncondensed_solve(mesh, problem, layout):
@@ -885,9 +942,10 @@ class TestCondensation:
             for blocks in (np.array(block), np.array([block])):
                 with pytest.raises(SolverError, match="not SPD.*infs or NaNs"):
                     solver_mod._block_inverses(blocks, "local block")
+            A = solver_mod.ElementOperator((2, 2), np.arange(2), np.arange(2),
+                                           [(1, np.array(block))])
             with pytest.raises(SolverError, match="not SPD.*infs or NaNs"):
-                solver_mod.LayerCholesky(_hand_system(block, [1.0, 1.0]).operator,
-                                         np.zeros(2, dtype=np.intp))
+                solver_mod.LayerCholesky(A, np.zeros(2, dtype=np.intp))
 
 
 class TestSolveDpg:
