@@ -136,11 +136,7 @@ class GeometryKernels:
         self.enr_stiff_x = (self.enr_gx * w).T @ self.enr_gx
         self.enr_stiff_y = (self.enr_gy * w).T @ self.enr_gy
         self.gram = self.test_gram(1.0)
-        try:
-            self.gram_inv = spd_inverses(self.gram)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"not SPD / no convergence: geometry Gram (dx = {dx:g}, "
-                              f"dy = {dy:g}): {exc}") from None
+        self.gram_inv = spd_inverses(self.gram, f"geometry Gram (dx = {dx:g}, dy = {dy:g})")
 
         self.edge_t01 = 0.5 * (self.edge_t + 1.0)
         lengths = (self.dy, self.dy, self.dx, self.dx)
@@ -208,12 +204,9 @@ class ProblemKernels:
             self.eps = 1.0
         self.coef_inv = ainv
         self.gram = geom.test_gram(self.eps)
-        try:
-            self.gram_inv = geom.gram_inv if self.eps == 1.0 else spd_inverses(self.gram)
-        except np.linalg.LinAlgError as exc:
-            # at eps >> 1 the mass term falls below the seminorm's rounding
-            raise SolverError(f"not SPD / no convergence: test Gram (eps = dt*D = "
-                              f"{self.eps:g}): {exc}") from None
+        # at eps >> 1 the mass term falls below the seminorm's rounding
+        self.gram_inv = geom.gram_inv if self.eps == 1.0 else spd_inverses(
+            self.gram, f"test Gram (eps = dt*D = {self.eps:g})")
         # quadrature weights of the eps-weighted first-order residual
         self.res_weights = self.eps * geom.wvol
 
@@ -348,21 +341,24 @@ def geometry_kernels(layout: SpaceLayout, dx: float, dy: float,
     return GeometryKernels(layout, dx, dy, n_quad)
 
 
-def cholesky(A: np.ndarray) -> np.ndarray:
-    """np.linalg.cholesky, which also raises LinAlgError on inf or NaN
-    entries (numpy alone factors some of them quietly)."""
-    if not np.isfinite(A).all():
-        raise np.linalg.LinAlgError("array must not contain infs or NaNs")
-    return np.linalg.cholesky(A)
+def cholesky(A: np.ndarray, what: str) -> np.ndarray:
+    """np.linalg.cholesky of an SPD matrix, or of a stack of them. Raises
+    SolverError naming `what` when one is not positive definite or has inf
+    or NaN entries (numpy alone factors some of them quietly)."""
+    try:
+        if not np.isfinite(A).all():
+            raise np.linalg.LinAlgError("array must not contain infs or NaNs")
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"not SPD / no convergence: {what}: {exc}") from None
 
 
-def spd_inverses(blocks: np.ndarray) -> np.ndarray:
+def spd_inverses(blocks: np.ndarray, what: str) -> np.ndarray:
     """Inverses L^-T L^-1 of an SPD matrix, or of a stack of them, from
-    their Cholesky factors L. In a stack each L becomes L^-1 by forward
+    their `cholesky` factors L. In a stack each L becomes L^-1 by forward
     substitution across the whole stack, row by row, which beats one
-    LAPACK call per small block. Raises LinAlgError on a block that is not
-    finite or not positive definite."""
-    L = cholesky(blocks)
+    LAPACK call per small block."""
+    L = cholesky(blocks, what)
     if L.ndim == 2:
         L = np.linalg.inv(L)
     else:

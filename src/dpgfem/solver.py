@@ -95,31 +95,30 @@ DAMPING = 0.4
 class ElementBlock:
     """One element group: its elements elems (n,), their rows dofs (n x m)
     of the global matrix, and their element matrices before the Dirichlet
-    elimination, (m x m) shared by the group or stacked (n x m x m). A DPG
-    group also carries the back-substitution u_L = y - X u_G: the local
-    unknowns' full dofs (n x n_L), X = S_LL^-1 S_LG, shared or stacked,
-    and y = S_LL^-1 r_L (n x n_L)."""
+    elimination, (m x m) shared by the group or stacked (n x m x m); and
+    the back-substitution u_L = y - X u_G: the local unknowns' full dofs
+    (n x n_L), X = S_LL^-1 S_LG, shared or stacked, and y = S_LL^-1 r_L
+    (n x n_L)."""
 
     elems: np.ndarray
     dofs: np.ndarray
     matrix: np.ndarray
-    local: np.ndarray | None = None
-    X: np.ndarray | None = None
-    y: np.ndarray | None = None
+    local: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
 
 
 @dataclass
 class GlobalSystem:
-    """The linear system handed to `solve_spd`: the ElementBlocks summed
-    over rhs.size rows (the skeleton dofs when built by `assemble`), with
-    the Dirichlet rows eliminated.
+    """The linear system handed to `solve_spd`, built by
+    `condensed_system`: the ElementBlocks summed over the rows `skeleton`,
+    with the Dirichlet rows eliminated.
 
     constrained: Dirichlet field dofs in the full numbering.
     kind: the problem kind the system was assembled from ("concentration"
         or "potential"); a concentration step starts CG on the diagonal.
     elements: one ElementBlock per element group.
-    skeleton: full dof of each row (ascending); None when the rows are the
-        full numbering.
+    skeleton: full dof of each row (ascending).
     """
 
     rhs: np.ndarray
@@ -127,13 +126,12 @@ class GlobalSystem:
     constrained: np.ndarray
     kind: str
     elements: list
-    skeleton: np.ndarray | None = None
+    skeleton: np.ndarray
 
     @cached_property
     def fixed(self) -> np.ndarray:
         """The rows of the constrained dofs."""
-        return (self.constrained if self.skeleton is None
-                else np.searchsorted(self.skeleton, self.constrained))
+        return np.searchsorted(self.skeleton, self.constrained)
 
     @cached_property
     def operator(self) -> ElementOperator:
@@ -271,7 +269,9 @@ class ElementOperator:
         order = np.argsort(np.where(counts[classes] > 1, classes, counts.size),
                            kind="stable")
         alone = order[counts[shared].sum():]
-        runs = [(counts[c], mats[c]) for c in shared] + [(alone.size, mats[classes[alone]])]
+        runs = [(counts[c], mats[c]) for c in shared]
+        if alone.size:
+            runs.append((alone.size, mats[classes[alone]]))
         return cls(shape, rows[order].ravel(), cols[order].ravel(), runs, fixed)
 
     @cached_property
@@ -341,7 +341,7 @@ class LayerCholesky:
     summed straight from the element matrices, and for each layer in turn
     D_i <- D_i - C_{i-1}^T C_{i-1}, L_i = chol(D_i), C_i = L_i^-1 B_i.
     Calling it solves A x = b by forward and back substitution over the
-    layers. Raises SolverError when A is not SPD."""
+    layers. `cholesky` raises SolverError when A is not SPD."""
 
     def __init__(self, A: ElementOperator, layer: np.ndarray):
         n = A.shape[0]
@@ -376,10 +376,7 @@ class LayerCholesky:
         C = np.empty((0, sizes[0]))
         for i, s in enumerate(sizes):
             W = blocks[start[i]:start[i + 1]].reshape(s, -1)
-            try:
-                L = cholesky(W[:, :s] - C.T @ C)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"not SPD / no convergence: {exc}") from None
+            L = cholesky(W[:, :s] - C.T @ C, f"factored level, layer {i}")
             self.inv.append(_triangular_inverse(L))
             C = self.inv[-1] @ W[:, s:]
             self.upper.append(C)
@@ -413,13 +410,14 @@ def skeleton_dofs(dofmap: DofMap) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _local_columns(layout: SpaceLayout, n_trial: int):
-    """Local trial columns (interior lattice nodes, then the flux) and the
-    remaining skeleton columns of an element system. Built once per
-    (layout, n_trial) and shared, so both arrays are read-only."""
+    """Local trial columns (interior lattice nodes, then the flux columns
+    among the n_trial) and the remaining skeleton columns of an element
+    system. Built once per (layout, n_trial) and shared, so both arrays
+    are read-only."""
     p, nf = layout.p, layout.n_field_local
     lattice = np.arange(nf).reshape(p + 1, p + 1)
     local = np.concatenate([lattice[1:p, 1:p].ravel(),
-                            np.arange(nf, nf + layout.n_flux_local)])
+                            np.arange(nf, min(n_trial, nf + layout.n_flux_local))])
     columns = local, np.setdiff1d(np.arange(n_trial), local)
     for a in columns:
         a.setflags(write=False)
@@ -440,7 +438,7 @@ def _condense_group(S: np.ndarray, r: np.ndarray, L: np.ndarray, G: np.ndarray):
                           f"{bad_r} element-load entries are inf or NaN")
     S_LG = S[..., L[:, None], G]
     S_GG = S[..., G[:, None], G]
-    inv = _block_inverses(S[..., L[:, None], L], "local block")
+    inv = spd_inverses(S[..., L[:, None], L], "local block")
     X = inv @ S_LG
     y = r[:, L] @ inv if S.ndim == 2 else (inv @ r[:, L, None])[:, :, 0]
     S_GL = np.swapaxes(S_LG, -1, -2)
@@ -450,32 +448,32 @@ def _condense_group(S: np.ndarray, r: np.ndarray, L: np.ndarray, G: np.ndarray):
     return S_c, r_c, X, y
 
 
-def assemble(mesh: Mesh, dofmap: DofMap, problem) -> GlobalSystem:
-    layout = dofmap.layout
-    geom = geometry_kernels(layout, mesh.dx, mesh.dy)
-    kernels = ProblemKernels(geom, problem)
+def condensed_system(dofmap: DofMap, kind: str, systems) -> GlobalSystem:
+    """The skeleton system of a problem of `kind` from element systems
+    (elems, trial dofs, S, r) like an ElementGroup's, S shared by the
+    elements or stacked: each one's local columns eliminated by
+    `_condense_group`, and the field dofs on the mesh's Dirichlet facets
+    (none on a concentration mesh) too."""
     skeleton = skeleton_dofs(dofmap)
     rhs = np.zeros(skeleton.size)
     elements = []
-    for group in dofmap.element_groups():
-        S, r = condense_local(kernels.local_system(mesh, group))
-        L, G = _local_columns(layout, r.shape[1])
+    for elems, trial, S, r in systems:
+        L, G = _local_columns(dofmap.layout, r.shape[1])
         S_c, r_c, X, y = _condense_group(S, r, L, G)
-        dofs = np.searchsorted(skeleton, group.dofs[:, G]).astype(np.int32)
-        elements.append(ElementBlock(group.elems, dofs, S_c, group.dofs[:, L], X, y))
+        dofs = np.searchsorted(skeleton, trial[:, G]).astype(np.int32)
+        elements.append(ElementBlock(elems, dofs, S_c, trial[:, L], X, y))
         np.add.at(rhs, dofs, r_c)
-    return global_system(dofmap, elements, rhs, problem.kind, skeleton)
-
-
-def global_system(dofmap: DofMap, elements: list, rhs: np.ndarray, kind: str,
-                  skeleton: np.ndarray | None = None) -> GlobalSystem:
-    """The system of the ElementBlocks over the rows `skeleton` (None: all
-    dofs), with the field dofs on the mesh's Dirichlet facets (none on a
-    concentration mesh) eliminated."""
     system = GlobalSystem(rhs, dofmap, dirichlet_field_dofs(dofmap.mesh, dofmap), kind,
                           elements, skeleton)
     rhs[system.fixed] = 0.0
     return system
+
+
+def assemble(mesh: Mesh, dofmap: DofMap, problem) -> GlobalSystem:
+    kernels = ProblemKernels(geometry_kernels(dofmap.layout, mesh.dx, mesh.dy), problem)
+    return condensed_system(dofmap, problem.kind, (
+        (group.elems, group.dofs, *condense_local(kernels.local_system(mesh, group)))
+        for group in dofmap.element_groups()))
 
 
 def recover_local(system: GlobalSystem, x: np.ndarray) -> np.ndarray:
@@ -491,14 +489,6 @@ def recover_local(system: GlobalSystem, x: np.ndarray) -> np.ndarray:
     if not np.isfinite(coeffs).all():
         raise SolverError("non-finite solution: the local unknowns overflow")
     return coeffs
-
-
-def _block_inverses(blocks: np.ndarray, what: str) -> np.ndarray:
-    """`spd_inverses` of a block or a stack of blocks, which must be SPD."""
-    try:
-        return spd_inverses(blocks)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"not SPD / no convergence: {what}: {exc}") from None
 
 
 def _classes(ids: np.ndarray, flags: np.ndarray):
@@ -530,11 +520,11 @@ class _Grid:
     mats: np.ndarray | None = None
 
 
-def _slot_sites(p: int, inside: bool, traces: bool) -> np.ndarray:
-    """Sites of an element's lattice nodes, those strictly inside only if
-    `inside`, and with traces of p trace modes per edge in edge order."""
+def _slot_sites(p: int, traces: bool) -> np.ndarray:
+    """Sites of an element's lattice nodes on its edges, and with traces
+    of p trace modes per edge in edge order."""
     iy, ix = np.divmod(np.arange((p + 1) ** 2), p + 1)
-    on = inside | (ix % p == 0) | (iy % p == 0)
+    on = (ix % p == 0) | (iy % p == 0)
     sites = np.column_stack([2 * ix[on], 2 * iy[on], np.full(on.sum(), -1)])
     if not traces:
         return sites
@@ -563,9 +553,8 @@ def _fine_grid(system: GlobalSystem) -> _Grid:
     """The level of the system itself: one class per shared group matrix
     and per element of a stacked one, or no classes when the level is
     factored (at most DENSE_LIMIT rows)."""
-    dofmap, full = system.dofmap, system.skeleton is None
-    grid = _grid(dofmap, np.arange(dofmap.n_field) if full else system.skeleton,
-                 _slot_sites(dofmap.layout.p, full, dofmap.n_trace > 0),
+    dofmap = system.dofmap
+    grid = _grid(dofmap, system.skeleton, _slot_sites(dofmap.layout.p, dofmap.n_trace > 0),
                  system.constrained)
     if system.rhs.size <= DENSE_LIMIT:
         return grid
@@ -620,7 +609,7 @@ def _block_layout(p: int, sites: tuple):
     block, pos = np.unique(np.concatenate([sites + s for s in shifts]), axis=0,
                            return_inverse=True)
     inner = np.flatnonzero(np.all((block[:, :2] > 0) & (block[:, :2] < 4 * p), axis=1))
-    coarse = _slot_sites(p, False, bool((sites[:, 2] >= 0).any()))
+    coarse = _slot_sites(p, bool((sites[:, 2] >= 0).any()))
     return block, pos.reshape(4, -1), inner, coarse, _edge_weights(p, block, coarse)
 
 
@@ -660,7 +649,7 @@ def _vertex_blocks(grid: _Grid):
     A_II = np.where(keep[:, :, None] & keep[:, None, :],
                     _summed(grid, cls[first], pos, inner), 0.0)
     A_II[:, np.arange(inner.size), np.arange(inner.size)] += ~keep
-    return rows, cls, vclass, _block_inverses(A_II, "vertex patch")
+    return rows, cls, vclass, spd_inverses(A_II, "vertex patch")
 
 
 def _coarsen(grid: _Grid, rows: np.ndarray, cls: np.ndarray, vclass: np.ndarray,
@@ -715,11 +704,10 @@ class _Level:
 
 
 class Multigrid:
-    """Geometric multigrid V(1,1)-cycle for a system with element blocks on
-    a structured mesh (the skeleton system of `assemble`, or a field-only
-    system over the full field lattice). Calling it applies one cycle to a
-    residual, or the exact solve of a system of one factored level;
-    `sizes` lists the row count of each level."""
+    """Geometric multigrid V(1,1)-cycle for a skeleton system on a
+    structured mesh. Calling it applies one cycle to a residual, or the
+    exact solve of a system of one factored level; `sizes` lists the row
+    count of each level."""
 
     def __init__(self, system: GlobalSystem):
         grid = _fine_grid(system)
@@ -768,6 +756,8 @@ def solve_spd(system: GlobalSystem, tol: float = 1e-10):
     concentration system (its mass term clusters the spectrum) first
     spends up to JACOBI_ITERATIONS iterations on the diagonal, which
     finishes conc-trig from 4^2 to 128^2 (p = 1..3) in 2-182 iterations.
+    That holds for its eigenfunction data only: `c_prev = 1 + x*y` at
+    D = 0.5, dt = 0.1 uses up all 300 at 64^2, p = 1, and at 32^2, p = 2.
 
     CG stops when the true residual b - A x, recomputed each time the
     updated one meets tol, meets tol too, and otherwise continues from it.

@@ -15,10 +15,10 @@ from dpgfem.mesh import FacetTag, Mesh, build_rect_mesh, classify_boundary
 from dpgfem.problems import sample
 from dpgfem.quadrature import gauss_1d
 from dpgfem.solver import (
-    ElementBlock,
     active_facets,
+    condensed_system,
     dirichlet_field_dofs,
-    global_system,
+    recover_local,
     solve_dpg,
     solve_spd,
 )
@@ -165,7 +165,10 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
     Potential: (kappa grad phi, grad zeta) + <beta phi, zeta>_R =
     -(S, grad zeta) - <I, zeta>_N - <R, zeta>_R with phi = 0 on the
     Dirichlet part. An independent discretization used as an oracle; it
-    shares with DPG only the coefficient loads and `global_system`.
+    shares with DPG only the coefficient loads and `condensed_system`,
+    which eliminates the interior lattice nodes of each element: at once
+    for all elements without Robin edges, which share one matrix, and for
+    the stack of the others. Returns the field coefficients.
     """
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     dofmap = build_dofmap(mesh, layout, np.empty(0, dtype=np.int64))
@@ -178,20 +181,23 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
     else:
         S_shared = problem.kappa * stiff
 
-    rhs = np.zeros(dofmap.n_field)
-    elements = []
+    parts = ([], [])                        # groups without, with Robin edges
     for group in dofmap.element_groups():
         load, robin, _ = coefficient_loads(
             mesh, group, problem, geom, geom.field_val, geom.field_edge,
             (geom.field_gx, geom.field_gy))
-        S_e = S_shared if robin is None else S_shared + robin
-        dofs = dofmap.elem_field[group.elems]
-        elements.append(ElementBlock(group.elems, dofs, S_e))
-        np.add.at(rhs, dofs, load)
-
-    system = global_system(dofmap, elements, rhs, problem.kind)
-    coeffs, _info = solve_spd(system, tol)
-    return coeffs
+        parts[robin is not None].append((group, S_shared if robin is None
+                                         else S_shared + robin, load))
+    systems = []
+    for part in filter(None, parts):
+        groups, mats, loads = zip(*part)
+        systems.append((np.concatenate([g.elems for g in groups]),
+                        np.vstack([g.dofs for g in groups]),
+                        mats[0] if mats[0].ndim == 2 else np.concatenate(mats),
+                        np.vstack(loads)))
+    system = condensed_system(dofmap, problem.kind, systems)
+    x, _info = solve_spd(system, tol)
+    return recover_local(system, x)[:dofmap.n_field]
 
 
 @dataclass

@@ -10,6 +10,7 @@ from dpgfem.dpg import (
     GeometryKernels,
     LocalSystem,
     ProblemKernels,
+    SolverError,
     condense_local,
     error_indicator,
     geometry_kernels,
@@ -208,19 +209,19 @@ class TestGramInverse:
     @pytest.mark.parametrize("gram", [[[1.0, 2.0], [2.0, 1.0]],
                                       [[np.inf, 0.0], [0.0, 1.0]],
                                       [[np.nan, 0.0], [0.0, 1.0]]])
-    def test_bad_gram_is_a_quiet_value_error(self, gram):
-        # a config error at the CLI, as scipy's factorization raised
+    def test_bad_gram_is_a_quiet_solver_error(self, gram):
+        # a solver error at the CLI, which names the matrix
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError):
-                spd_inverses(np.array(gram))
+            with pytest.raises(SolverError, match="not SPD / no convergence: gram: "):
+                spd_inverses(np.array(gram), "gram")
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_matches_a_direct_inverse(self, p):
         geom = geometry_kernels(SpaceLayout(p=p), 0.25, 0.5)
         want = np.linalg.inv(geom.gram)
         assert np.abs(geom.gram_inv - want).max() <= 1e-12 * np.abs(want).max()
-        stacked = spd_inverses(np.stack([geom.gram, 2.0 * geom.gram]))
+        stacked = spd_inverses(np.stack([geom.gram, 2.0 * geom.gram]), "gram")
         assert np.abs(stacked[1] - 0.5 * want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -253,7 +254,7 @@ class _ReferenceGeometry:
         self.enr_stiff_x = (self.enr_gx * w).T @ self.enr_gx
         self.enr_stiff_y = (self.enr_gy * w).T @ self.enr_gy
         self.gram = self.enr_mass + 1.0 * self.enr_stiff_x + 1.0 * self.enr_stiff_y
-        self.gram_inv = spd_inverses(self.gram)
+        self.gram_inv = spd_inverses(self.gram, "geometry Gram")
         line = gauss_1d(n)
         self.edge_t = line.points
         self.edge_t01 = 0.5 * (line.points + 1.0)

@@ -37,7 +37,11 @@ CONFIGS = {
                                 "c_prev": "cos(pi*x)*cos(pi*y)", "J": 0.0},
                "mesh": {"nx": 20, "ny": 20}}],
     "convergence": [{"manufactured": "pot-trig", "discretization": {"p": 1},
-                     "levels": 2, "base_n": 4, "with_oracle": True}],
+                     "levels": 2, "base_n": 4, "with_oracle": True},
+                    # p = 3: the 16^2 oracle condenses its interior lattice
+                    # nodes and runs the V-cycle on 1377 rows
+                    {"manufactured": "pot-trig", "discretization": {"p": 3},
+                     "levels": 2, "base_n": 8, "with_oracle": True}],
     "infsup": [{"problem": "concentration", "coefficients": {"D": 0.5, "dt": 0.5},
                 "discretization": {"p": 1}, "levels": 2, "base_n": 1}],
     "bv": [{"bv": {"k_bv": 2.0, "F": 3.0, "R_gas": 2.0, "T": 6.0, "c_smax": 5.0,

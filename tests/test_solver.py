@@ -461,8 +461,7 @@ def _reference_multigrid(system):
     inverse on the first level of at most DENSE_LIMIT rows."""
     A = system.matrix
     dofmap = system.dofmap
-    rows = (np.arange(A.shape[0]) if system.skeleton is None
-            else system.skeleton)
+    rows = system.skeleton
     fixed = np.searchsorted(rows, system.constrained)
     cycle = object.__new__(solver_mod.Multigrid)
     cycle.levels = []
@@ -491,7 +490,7 @@ def _reference_multigrid(system):
 
 
 def _oracle_system(name, p, n):
-    """The field-only system of the Galerkin oracle."""
+    """The condensed field system of the Galerkin oracle."""
     case = manufactured_case(name)
     systems = []
     solve = verify_mod.solve_spd
@@ -623,23 +622,24 @@ class TestMultigrid:
 
     @pytest.mark.parametrize("name", ["pot-trig", "conc-trig"])
     def test_oracle_matches_the_csr_reference(self, name):
-        # a field-only system: its rows are the full field lattice
+        # a field system condensed like DPG's: its rows are the field
+        # lattice nodes on element edges, 33^2 - 16^2
         system = _oracle_system(name, 2, 16)
-        assert system.skeleton is None
+        assert system.rhs.size == system.skeleton.size == 833
         _assert_same_hierarchy(system)
 
     def test_patch_blocks_are_inverted_per_class(self, monkeypatch):
         # 5 position classes per direction on conc-trig, whose element
         # matrices are shared by their groups
         counts = []
-        inverses = solver_mod._block_inverses
+        inverses = solver_mod.spd_inverses
 
         def counting(blocks, what):
             if what == "vertex patch":
                 counts.append(len(blocks))
             return inverses(blocks, what)
 
-        monkeypatch.setattr(solver_mod, "_block_inverses", counting)
+        monkeypatch.setattr(solver_mod, "spd_inverses", counting)
         cycle = solver_mod.Multigrid(_case_system("conc-trig", 2, 32))
         assert len(counts) == sum(level.P is not None for level in cycle.levels)
         assert max(counts) <= 25
@@ -777,6 +777,20 @@ class TestGroupedOperator:
         assert np.allclose(system.operator.diagonal(), A.diagonal(),
                            rtol=1e-14, atol=0.0)
         assert abs(A - _dense(system.operator)).max() <= 1e-14 * abs(A).max()
+
+    def test_by_class_without_an_element_alone_in_its_class(self):
+        # the oracle's merged groups: every class holds two elements, so
+        # there is no stack of lone elements
+        rng = np.random.default_rng(9)
+        rows, cols = rng.integers(0, 6, (2, 4, 3))
+        classes, mats = np.array([0, 1, 0, 1]), rng.standard_normal((2, 3, 3))
+        op = solver_mod.ElementOperator.by_class((6, 6), rows, cols, classes, mats)
+        assert [count for count, _ in op.runs] == [2, 2]
+        want = np.zeros((6, 6))
+        for e in range(4):
+            np.add.at(want, (rows[e][:, None], cols[e]), mats[classes[e]])
+        x = rng.standard_normal(6)
+        assert np.linalg.norm(op @ x - want @ x) <= 1e-14 * np.linalg.norm(want @ x)
 
     @pytest.mark.parametrize("name", ["pot-trig", "conc-trig"])
     def test_export_is_the_scatter_of_the_blocks(self, name):
@@ -941,10 +955,11 @@ class TestCondensation:
             warnings.simplefilter("error", RuntimeWarning)
             for blocks in (np.array(block), np.array([block])):
                 with pytest.raises(SolverError, match="not SPD.*infs or NaNs"):
-                    solver_mod._block_inverses(blocks, "local block")
+                    solver_mod.spd_inverses(blocks, "local block")
             A = solver_mod.ElementOperator((2, 2), np.arange(2), np.arange(2),
                                            [(1, np.array(block))])
-            with pytest.raises(SolverError, match="not SPD.*infs or NaNs"):
+            with pytest.raises(SolverError, match="not SPD / no convergence: "
+                               "factored level, layer 0: .*infs or NaNs"):
                 solver_mod.LayerCholesky(A, np.zeros(2, dtype=np.intp))
 
 

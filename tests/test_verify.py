@@ -1,8 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from dpgfem.dpg import coefficient_loads, geometry_kernels
 from dpgfem.fespace import (
     SpaceLayout,
     build_dofmap,
@@ -13,7 +17,7 @@ from dpgfem.manufactured import manufactured_case
 from dpgfem.mesh import Rectangle, build_rect_mesh, classify_boundary
 from dpgfem.problems import ConcentrationProblem, PotentialProblem, ProblemValidationError
 from dpgfem.quadrature import gauss_1d, tensor_quad
-from dpgfem.solver import active_facets, solve_dpg
+from dpgfem.solver import active_facets, dirichlet_field_dofs, solve_dpg
 import dpgfem.verify as verify_mod
 from dpgfem.verify import (
     INFSUP_DOF_CAP,
@@ -260,7 +264,58 @@ class TestErrorNorms:
             math.hypot(norms.e_field, norms.e_flux))
 
 
+def _full_lattice_galerkin(mesh, problem, layout) -> np.ndarray:
+    """The oracle's field-only Galerkin system over the full field lattice,
+    summed by scipy from the field mass and stiffness matrices and the
+    `coefficient_loads`, restricted to the non-Dirichlet dofs and solved by
+    spsolve: no condensation, no elimination and no CG."""
+    geom = geometry_kernels(layout, mesh.dx, mesh.dy)
+    dofmap = build_dofmap(mesh, layout, np.empty(0, dtype=np.int64))
+    w = geom.wvol[:, None]
+    mass = (geom.field_val * w).T @ geom.field_val
+    stiff = ((geom.field_gx * w).T @ geom.field_gx
+             + (geom.field_gy * w).T @ geom.field_gy)
+    if problem.kind == "concentration":
+        S = mass + problem.dt * problem.D * stiff
+    else:
+        S = problem.kappa * stiff
+    n = dofmap.n_field
+    A, b = sp.csr_matrix((n, n)), np.zeros(n)
+    for group in dofmap.element_groups():
+        load, robin, _ = coefficient_loads(
+            mesh, group, problem, geom, geom.field_val, geom.field_edge,
+            (geom.field_gx, geom.field_gy))
+        dofs = dofmap.elem_field[group.elems]
+        S_e = np.broadcast_to(S if robin is None else S + robin,
+                              (len(dofs),) + S.shape)
+        rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+        A = A + sp.coo_matrix((S_e.ravel(), (rows.ravel(), cols.ravel())),
+                              shape=(n, n)).tocsr()
+        np.add.at(b, dofs, load)
+    free = np.setdiff1d(np.arange(n), dirichlet_field_dofs(mesh, dofmap))
+    x = np.zeros(n)
+    x[free] = spla.spsolve(A[free][:, free].tocsc(), b[free])
+    return x
+
+
 class TestClassicalGalerkin:
+    @pytest.mark.parametrize("name, p, beta", [
+        *[(name, p, None) for name in ("pot-trig", "conc-trig") for p in (1, 2, 3)],
+        ("pot-trig", 2, "1 + 1e3*x"),       # stacked Robin element matrices
+    ])
+    def test_matches_the_full_lattice_reference(self, name, p, beta):
+        # the oracle condenses the interior lattice nodes like DPG's
+        # skeleton system; the reference shares none of that path
+        case = manufactured_case(name)
+        mesh = case_mesh(case, 8)
+        problem = (case.problem if beta is None
+                   else dataclasses.replace(case.problem, beta=beta))
+        layout = SpaceLayout(p=p)
+        want = _full_lattice_galerkin(mesh, problem, layout)
+        got = classical_galerkin_solve(mesh, problem, layout)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
     @pytest.mark.parametrize("name", ["conc-poly2", "pot-poly2"])
     def test_exact_reproduction_of_quadratic_cases(self, name):
         case = manufactured_case(name)
