@@ -1,4 +1,4 @@
-"""Global assembly, essential boundary conditions, SPD solve, extraction.
+"""Global assembly, SPD solve, extraction.
 
 Local/skeleton split. The flux unknowns are element-local (broken L2)
 and the interior nodes of an element's field lattice (1 <= ix, iy <= p-1)
@@ -9,13 +9,13 @@ r_L over the skeleton unknowns G (the field nodes on element edges and
 the traces), with one Cholesky-based inverse of S_LL per group (per
 element where Robin terms stack S). `GlobalSystem.skeleton` maps the
 global rows to the full numbering; `recover_local` sets u_L = S_LL^-1 r_L
-- S_LL^-1 S_LG u_G after the solve.
+- S_LL^-1 S_LG u_G after the solve. The field dofs on Dirichlet facets
+(potential problem) lie in the trial space's zero trace: they have no row
+in any system or multigrid level, and an element reads them as 0.
 
 Assembly. The condensed matrices stay ElementBlocks and are never summed:
 `ElementOperator` applies them group by group (gather, one GEMM per
 shared matrix or one batched product per stack, one bincount back).
-Dirichlet field dofs (potential problem), never local, are eliminated
-symmetrically by a mask: zero rows and columns, unit diagonal, zero load.
 `GlobalSystem.matrix` exports the same matrix as a canonical CSR matrix
 on request; no solve reads it.
 
@@ -33,14 +33,13 @@ coarse level's rows are the coarse mesh's skeleton dofs. Elements are
 congruent, so an element matrix depends only on its group and, on Robin
 edges, on beta: a shared group matrix is a class, and so is each element
 of a stacked group; a 2 x 2 block of elements takes its class from its
-elements' and its Dirichlet rows. Per class of coarse elements, P
+elements' and its absent rows. Per class of coarse elements, P
 interpolates along the coarse edges and extends A-harmonically,
 -A_II^-1 A_IE, inside, and the coarse element matrix is sum_e P_e^T S_e
 P_e (element-by-element Galerkin coarsening). A, P and P^T of every
 level apply per class; a fine row takes its P row from the one coarse
-element that owns it, and Dirichlet rows are zero in P. The first level
-with at most DENSE_LIMIT rows is factored and ends the hierarchy; a large
-odd mesh ends it smoothed only.
+element that owns it. The first level with at most DENSE_LIMIT rows is
+factored and ends the hierarchy; a large odd mesh ends it smoothed only.
 
 Smoother. Additive Schwarz over vertex patches, the rows strictly inside
 a vertex's elements (a facet's traces sit at its midpoint); a patch
@@ -94,8 +93,9 @@ DAMPING = 0.4
 @dataclass
 class ElementBlock:
     """One element group: its elements elems (n,), their rows dofs (n x m)
-    of the global matrix, and their element matrices before the Dirichlet
-    elimination, (m x m) shared by the group or stacked (n x m x m); and
+    of the global matrix (the row count for a Dirichlet dof, which has
+    none), and their element matrices over all m dofs, (m x m) shared by
+    the group or stacked (n x m x m); and
     the back-substitution u_L = y - X u_G: the local unknowns' full dofs
     (n x n_L), X = S_LL^-1 S_LG, shared or stacked, and y = S_LL^-1 r_L
     (n x n_L)."""
@@ -111,42 +111,32 @@ class ElementBlock:
 @dataclass
 class GlobalSystem:
     """The linear system handed to `solve_spd`, built by
-    `condensed_system`: the ElementBlocks summed over the rows `skeleton`,
-    with the Dirichlet rows eliminated.
+    `condensed_system`: the ElementBlocks summed over the rows `skeleton`.
 
-    constrained: Dirichlet field dofs in the full numbering.
     kind: the problem kind the system was assembled from ("concentration"
         or "potential"); a concentration step starts CG on the diagonal.
     elements: one ElementBlock per element group.
-    skeleton: full dof of each row (ascending).
+    skeleton: full dof of each row (ascending); a Dirichlet dof has none.
     """
 
     rhs: np.ndarray
     dofmap: DofMap
-    constrained: np.ndarray
     kind: str
     elements: list
     skeleton: np.ndarray
-
-    @cached_property
-    def fixed(self) -> np.ndarray:
-        """The rows of the constrained dofs."""
-        return np.searchsorted(self.skeleton, self.constrained)
 
     @cached_property
     def operator(self) -> ElementOperator:
         """The matrix applied ElementBlock by ElementBlock (the solves' A)."""
         rows = np.concatenate([b.dofs.ravel() for b in self.elements])
         return ElementOperator((self.rhs.size,) * 2, rows, rows,
-                               [(len(b.dofs), b.matrix) for b in self.elements],
-                               self.fixed)
+                               [(len(b.dofs), b.matrix) for b in self.elements])
 
     @cached_property
     def matrix(self):
         """The matrix as a canonical CSR matrix, built on first access: an
         export for inspection and direct solvers; no solve reads it."""
-        return eliminate_dofs(scatter([(b.dofs, b.matrix) for b in self.elements],
-                                      self.rhs.size), self.fixed)
+        return scatter([(b.dofs, b.matrix) for b in self.elements], self.rhs.size)
 
 
 @dataclass
@@ -196,23 +186,6 @@ def dirichlet_field_dofs(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     return np.unique(dofmap.elem_field[elems[:, None], edge_dofs[edges]])
 
 
-def eliminate_dofs(matrix, constrained: np.ndarray):
-    """Symmetric elimination of the constrained rows of a sparse matrix, in
-    place for a CSR one: rows and columns zeroed, unit diagonal (which must
-    be stored), stored zeros dropped. Returns the canonical CSR matrix."""
-    matrix = matrix.tocsr()
-    matrix.sum_duplicates()
-    if constrained.size:
-        fixed = np.zeros(matrix.shape[0], dtype=bool)
-        fixed[constrained] = True
-        hit = np.flatnonzero(np.repeat(fixed, np.diff(matrix.indptr))
-                             | fixed[matrix.indices])
-        row = np.searchsorted(matrix.indptr, hit, side="right") - 1
-        matrix.data[hit] = np.where(row == matrix.indices[hit], 1.0, 0.0)
-        matrix.eliminate_zeros()
-    return matrix
-
-
 def scatter(blocks, n: int):
     """CSR matrix over n rows summed from element blocks, (dofs, matrix)
     pairs shaped like an ElementBlock's; a dof n stands for none. The
@@ -241,15 +214,11 @@ class ElementOperator:
     element. Runs (count, M) hold a matrix shared by `count` elements or a
     stack of one per element; rows and cols index each element's output
     and input entries, flat, run by run (the row or column count stands
-    for none). The rows `fixed` of a square operator are eliminated: zero
-    rows and columns, unit diagonal."""
+    for none)."""
 
-    def __init__(self, shape: tuple, rows: np.ndarray, cols: np.ndarray,
-                 runs: list, fixed: np.ndarray = np.empty(0, dtype=np.int64)):
-        self.shape, self.runs, self.fixed = shape, runs, fixed
+    def __init__(self, shape: tuple, rows: np.ndarray, cols: np.ndarray, runs: list):
+        self.shape, self.runs = shape, runs
         self.rows, self.cols = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
-        self.keep = np.ones(shape[1] + 1)
-        self.keep[fixed] = 0.0
         self.parts, at_r, at_c = [], 0, 0       # (count, M, output, input slice)
         for count, M in runs:
             b, a = M.shape[-2:]
@@ -259,8 +228,7 @@ class ElementOperator:
 
     @classmethod
     def by_class(cls, shape: tuple, rows: np.ndarray, cols: np.ndarray,
-                 classes: np.ndarray, mats: np.ndarray,
-                 fixed: np.ndarray = np.empty(0, dtype=np.int64)) -> ElementOperator:
+                 classes: np.ndarray, mats: np.ndarray) -> ElementOperator:
         """Elements with rows and cols (n x b, n x a) and the matrices
         mats[classes]: one run per class of several elements, then one stack
         for the elements alone in their class."""
@@ -272,16 +240,15 @@ class ElementOperator:
         runs = [(counts[c], mats[c]) for c in shared]
         if alone.size:
             runs.append((alone.size, mats[classes[alone]]))
-        return cls(shape, rows[order].ravel(), cols[order].ravel(), runs, fixed)
+        return cls(shape, rows[order].ravel(), cols[order].ravel(), runs)
 
     @cached_property
     def T(self) -> ElementOperator:
         return ElementOperator(self.shape[::-1], self.cols, self.rows,
-                               [(c, np.swapaxes(M, -1, -2)) for c, M in self.runs],
-                               self.fixed)
+                               [(c, np.swapaxes(M, -1, -2)) for c, M in self.runs])
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        g = (np.append(x, 0.0) * self.keep)[self.cols]
+        g = np.append(x, 0.0)[self.cols]
         out = np.empty(self.rows.size)
         for count, M, r, c in self.parts:
             X, Y = g[c].reshape(count, -1), out[r].reshape(count, -1)
@@ -290,9 +257,7 @@ class ElementOperator:
             else:
                 np.matmul(M, X[:, :, None], out=Y[:, :, None])
         n = self.shape[0]
-        y = np.bincount(self.rows, out, n + 1)[:n]
-        y[self.fixed] = x[self.fixed]
-        return y
+        return np.bincount(self.rows, out, n + 1)[:n]
 
     def diagonal(self) -> np.ndarray:
         """Diagonal of a square operator whose rows and cols agree."""
@@ -300,9 +265,7 @@ class ElementOperator:
         d = np.concatenate([np.broadcast_to(np.diagonal(M, 0, -2, -1),
                                             (count, M.shape[-1])).ravel()
                             for count, M, _, _ in self.parts])
-        diag = np.bincount(self.rows, d, n + 1)[:n]
-        diag[self.fixed] = 1.0
-        return diag
+        return np.bincount(self.rows, d, n + 1)[:n]
 
 
 def mesh_layers(mesh: Mesh, elems: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -354,8 +317,6 @@ class LayerCholesky:
         # the blocks [D_i B_i], s_i x (s_i + s_i+1), row-major one after another
         width = sizes + np.append(sizes[1:], 0)
         start = np.append(0, np.cumsum(sizes * width))
-        keep = np.ones(n + 1, dtype=bool)
-        keep[A.fixed] = keep[n] = False
         # a nonpositive or tiny diagonal leaves inf or NaN, which cholesky reports
         with np.errstate(all="ignore"):
             self.d = 1.0 / np.sqrt(A.diagonal())
@@ -365,13 +326,11 @@ class LayerCholesky:
                 R = A.rows[r].reshape(count, -1, 1)
                 C = A.cols[c].reshape(count, 1, -1)
                 at, up = layer[R], layer[C] - layer[R]       # up: 0 in D, 1 in B
-                ok = keep[R] & keep[C] & (up >= 0)
+                ok = (R < n) & (C < n) & (up >= 0)
                 index.append((start[at] + local[R] * width[at] + up * sizes[at]
                               + local[C])[ok])
                 vals.append((M * (d[R] * d[C]))[ok])
         blocks = np.bincount(np.concatenate(index), np.concatenate(vals), start[-1])
-        at = layer[A.fixed]
-        blocks[start[at] + local[A.fixed] * (width[at] + 1)] = 1.0
         self.inv, self.upper = [], []
         C = np.empty((0, sizes[0]))
         for i, s in enumerate(sizes):
@@ -400,12 +359,22 @@ class LayerCholesky:
 
 def skeleton_dofs(dofmap: DofMap) -> np.ndarray:
     """Full dofs that stay in the global system, ascending: the field
-    lattice nodes on element edges, then every trace dof."""
+    lattice nodes on element edges, off the Dirichlet facets, then every
+    trace dof."""
     p = dofmap.layout.p
     nxp, nyp = dofmap.field_lattice_shape()
     inside = (np.arange(nyp) % p != 0)[:, None] & (np.arange(nxp) % p != 0)
-    return np.concatenate([np.flatnonzero(~inside.ravel()),
+    return np.concatenate([np.setdiff1d(np.flatnonzero(~inside.ravel()),
+                                        dirichlet_field_dofs(dofmap.mesh, dofmap)),
                            np.arange(dofmap.trace_offset, dofmap.n_total)])
+
+
+def _row_lookup(rows: np.ndarray, n_total: int) -> np.ndarray:
+    """Row of each of n_total full dofs, given the full dof of each row:
+    rows.size for a dof with no row and for the index -1."""
+    lookup = np.full(n_total + 1, rows.size, dtype=np.int32)
+    lookup[rows] = np.arange(rows.size)
+    return lookup
 
 
 @lru_cache(maxsize=32)
@@ -452,21 +421,19 @@ def condensed_system(dofmap: DofMap, kind: str, systems) -> GlobalSystem:
     """The skeleton system of a problem of `kind` from element systems
     (elems, trial dofs, S, r) like an ElementGroup's, S shared by the
     elements or stacked: each one's local columns eliminated by
-    `_condense_group`, and the field dofs on the mesh's Dirichlet facets
-    (none on a concentration mesh) too."""
+    `_condense_group`. The field dofs on the mesh's Dirichlet facets (none
+    on a concentration mesh) have no row, and their loads are dropped."""
     skeleton = skeleton_dofs(dofmap)
-    rhs = np.zeros(skeleton.size)
+    row = _row_lookup(skeleton, dofmap.n_total)
+    rhs = np.zeros(skeleton.size + 1)
     elements = []
     for elems, trial, S, r in systems:
         L, G = _local_columns(dofmap.layout, r.shape[1])
         S_c, r_c, X, y = _condense_group(S, r, L, G)
-        dofs = np.searchsorted(skeleton, trial[:, G]).astype(np.int32)
+        dofs = row[trial[:, G]]
         elements.append(ElementBlock(elems, dofs, S_c, trial[:, L], X, y))
         np.add.at(rhs, dofs, r_c)
-    system = GlobalSystem(rhs, dofmap, dirichlet_field_dofs(dofmap.mesh, dofmap), kind,
-                          elements, skeleton)
-    rhs[system.fixed] = 0.0
-    return system
+    return GlobalSystem(rhs[:-1], dofmap, kind, elements, skeleton)
 
 
 def assemble(mesh: Mesh, dofmap: DofMap, problem) -> GlobalSystem:
@@ -477,9 +444,11 @@ def assemble(mesh: Mesh, dofmap: DofMap, problem) -> GlobalSystem:
 
 
 def recover_local(system: GlobalSystem, x: np.ndarray) -> np.ndarray:
-    """Full coefficient vector from the skeleton solution x."""
+    """Full coefficient vector from the skeleton solution x; the Dirichlet
+    field dofs, which have no row, are 0."""
     coeffs = np.zeros(system.dofmap.n_total)
     coeffs[system.skeleton] = x
+    x = np.append(x, 0.0)
     # huge data can overflow here; the error below reports it. The layout
     # of u_G (column-major) sets matmul's summation order, bit for bit
     with np.errstate(over="ignore", invalid="ignore"):
@@ -507,14 +476,14 @@ class _Grid:
     """Element data of a multigrid level, whose elements share their slots
     at element-local sites (u, v, mode) in half-lattice units: a field node
     (ix, iy) at (2 ix, 2 iy), mode -1, an edge's traces at its midpoint.
-    elem_rows: each slot's row (rows.size if absent); mats[elem_class]: the
-    element matrices; off: the Dirichlet rows and the index rows.size."""
+    elem_rows: each slot's row, rows.size if absent (a trace slot on a facet
+    without traces, or a Dirichlet dof); mats[elem_class]: the element
+    matrices."""
 
     dofmap: DofMap
     rows: np.ndarray
     sites: np.ndarray
     elem_rows: np.ndarray
-    off: np.ndarray
     layout: tuple                           # _block_layout of the sites
     elem_class: np.ndarray | None = None
     mats: np.ndarray | None = None
@@ -532,8 +501,7 @@ def _slot_sites(p: int, traces: bool) -> np.ndarray:
     return np.vstack([sites, np.column_stack([mid, np.tile(np.arange(p), 4)])])
 
 
-def _grid(dofmap: DofMap, rows: np.ndarray, sites: np.ndarray,
-          constrained: np.ndarray) -> _Grid:
+def _grid(dofmap: DofMap, rows: np.ndarray, sites: np.ndarray) -> _Grid:
     p, mesh = dofmap.layout.p, dofmap.mesh
     u, v, mode = sites.T
     t = mode >= 0
@@ -542,10 +510,7 @@ def _grid(dofmap: DofMap, rows: np.ndarray, sites: np.ndarray,
     edge = (u == 2 * p) + 2 * (v == 0) + 3 * (v == 2 * p)    # left, right, ...
     slot = dofmap.facet_slot[mesh.elem_facets[:, edge[t]]]
     full[:, t] = np.where(slot >= 0, dofmap.trace_offset + slot * p + mode[t], -1)
-    elem_rows = np.where(full >= 0, np.searchsorted(rows, full), rows.size)
-    off = np.zeros(rows.size + 1, dtype=bool)
-    off[np.searchsorted(rows, constrained)] = off[-1] = True
-    return _Grid(dofmap, rows, sites, elem_rows.astype(np.int32), off,
+    return _Grid(dofmap, rows, sites, _row_lookup(rows, dofmap.n_total)[full],
                  _block_layout(p, tuple(map(tuple, sites.tolist()))))
 
 
@@ -554,16 +519,19 @@ def _fine_grid(system: GlobalSystem) -> _Grid:
     and per element of a stacked one, or no classes when the level is
     factored (at most DENSE_LIMIT rows)."""
     dofmap = system.dofmap
-    grid = _grid(dofmap, system.skeleton, _slot_sites(dofmap.layout.p, dofmap.n_trace > 0),
-                 system.constrained)
+    grid = _grid(dofmap, system.skeleton, _slot_sites(dofmap.layout.p, dofmap.n_trace > 0))
     if system.rhs.size <= DENSE_LIMIT:
         return grid
-    m = len(grid.sites)
+    m, n = len(grid.sites), system.rhs.size
     grid.elem_class = np.empty(dofmap.mesh.n_elems, dtype=np.int64)
     mats = []
     for block in system.elements:
-        # the slot of each block column, read off the group's first element
-        pos = np.argmax(grid.elem_rows[block.elems[0]] == block.dofs[0][:, None], 1)
+        # the slot of each block column: the field columns come first, in
+        # the sites' lattice order; a trace column, which always has a row,
+        # finds its slot by that row on the group's first element
+        d = block.dofs[0]
+        pos = np.where(d < n, np.argmax(grid.elem_rows[block.elems[0]] == d[:, None], 1),
+                       np.arange(d.size))
         M = np.zeros(block.matrix.shape[:-2] + (m, m))
         M[..., pos[:, None], pos] = block.matrix
         grid.elem_class[block.elems] = len(mats) + (
@@ -631,8 +599,9 @@ def _vertex_blocks(grid: _Grid):
     """The 2 x 2 block of elements around each mesh vertex, partly outside
     the mesh at its ends. Returns each block's rows (rows.size if absent)
     and element classes (-1 if absent), the class of each block, by those
-    and by the off flags of its rows, and the inverse of each class's inner
-    block (the patch of the vertex), off rows replaced by identity ones."""
+    and by which of its rows are absent, and the inverse of each class's
+    inner block (the patch of the vertex), absent rows replaced by identity
+    ones."""
     mesh, n = grid.dofmap.mesh, grid.rows.size
     sites, pos, inner = grid.layout[:3]
     j, i = np.divmod(np.arange((mesh.nx + 1) * (mesh.ny + 1)), mesh.nx + 1)
@@ -644,8 +613,8 @@ def _vertex_blocks(grid: _Grid):
         rows[q][b[:, None], pos[q]] = grid.elem_rows[jj[b] * mesh.nx + ii[b]]
         cls[b, q] = grid.elem_class[jj[b] * mesh.nx + ii[b]]
     rows = rows.min(axis=0)                 # a site shared by two elements
-    first, vclass = _classes(cls, grid.off[rows])
-    keep = ~grid.off[rows[first][:, inner]]
+    first, vclass = _classes(cls, rows == n)
+    keep = rows[first][:, inner] < n
     A_II = np.where(keep[:, :, None] & keep[:, None, :],
                     _summed(grid, cls[first], pos, inner), 0.0)
     A_II[:, np.arange(inner.size), np.arange(inner.size)] += ~keep
@@ -658,7 +627,7 @@ def _coarsen(grid: _Grid, rows: np.ndarray, cls: np.ndarray, vclass: np.ndarray,
     `_vertex_blocks`: a coarse element K is the block around the vertex at
     its centre. Within K, P interpolates along K's edges and extends A-
     harmonically, -A_II^-1 A_IE, to the fine rows inside K, which couple
-    only within K's four elements; off rows and columns of P are zero. K's
+    only within K's four elements; absent rows and columns of P are zero. K's
     element matrix sum_{e in K} P_e^T S_e P_e is formed once per class."""
     dofmap, mesh, n = grid.dofmap, grid.dofmap.mesh, grid.rows.size
     p, (sites, pos, inner, c_sites, W) = dofmap.layout.p, grid.layout
@@ -671,14 +640,13 @@ def _coarsen(grid: _Grid, rows: np.ndarray, cls: np.ndarray, vclass: np.ndarray,
         np.column_stack([corner, corner + 1, corner, corner + mesh.nx]), np.arange(4)]
     coarse = DofMap(replace(c_mesh, facet_tags=mesh.facet_tags[half]), dofmap.layout,
                     np.flatnonzero(dofmap.facet_slot[half] >= 0))
-    c_grid = _grid(coarse, skeleton_dofs(coarse), c_sites,
-                   dirichlet_field_dofs(coarse.mesh, coarse))
+    c_grid = _grid(coarse, skeleton_dofs(coarse), c_sites)
     v = (2 * J + 1) * (mesh.nx + 1) + 2 * I + 1
-    c_off = c_grid.off[c_grid.elem_rows]
-    first, c_grid.elem_class = _classes(vclass[v, None], c_off)
+    c_on = c_grid.elem_rows < c_grid.rows.size
+    first, c_grid.elem_class = _classes(vclass[v, None], ~c_on)
     rows = rows[v]
     A = _summed(grid, cls[v[first]], pos, np.arange(len(sites)))
-    P = W * ~grid.off[rows[first]][:, :, None] * ~c_off[first][:, None, :]
+    P = W * (rows[first] < n)[:, :, None] * c_on[first][:, None, :]
     P[:, inner] = -inverses[vclass[v[first]]] @ (A[:, inner] @ P)
     S = np.swapaxes(P, -1, -2) @ A @ P
     c_grid.mats = 0.5 * (S + np.swapaxes(S, -1, -2))
@@ -730,8 +698,7 @@ class Multigrid:
             level.P, grid = _coarsen(grid, rows, cls, vclass, inverses)
             n = grid.rows.size
             A = ElementOperator.by_class((n, n), grid.elem_rows, grid.elem_rows,
-                                         grid.elem_class, grid.mats,
-                                         np.flatnonzero(grid.off[:n]))
+                                         grid.elem_class, grid.mats)
 
     @property
     def sizes(self) -> list:

@@ -12,7 +12,7 @@ from dpgfem.dpg import ProblemKernels, coefficient_loads, condense_local, geomet
 from dpgfem.fespace import SpaceLayout, build_dofmap, tabulate_facet_basis
 from dpgfem.manufactured import ManufacturedCase, manufactured_case
 from dpgfem.mesh import FacetTag, Mesh, build_rect_mesh, classify_boundary
-from dpgfem.problems import sample
+from dpgfem.problems import sample, validate_problem
 from dpgfem.quadrature import gauss_1d
 from dpgfem.solver import (
     active_facets,
@@ -351,6 +351,7 @@ def infsup_constant(mesh: Mesh, problem, layout: SpaceLayout) -> float:
     """Discrete inf-sup constant: sqrt of the smallest eigenvalue of the
     DPG matrix against the trial-space Gram, both over the full trial
     space (no local elimination) restricted to the free dofs."""
+    validate_problem(problem, mesh)
     dofmap = build_dofmap(mesh, layout, active_facets(mesh, problem))
     if dofmap.n_total > INFSUP_DOF_CAP:
         raise ValueError(f"size cap exceeded: {dofmap.n_total} trial dofs "

@@ -122,7 +122,7 @@ class TestSolveCommand:
         assert code == 0
         solver = json.loads(out)["solver"]
         assert solver["method"] == "pcg"
-        assert solver["levels"][0] == 1825
+        assert solver["levels"] == [1792, 448]
         on_disk = json.loads((outdir / "report.json").read_text())
         assert on_disk["solver"]["levels"] == solver["levels"]
 
@@ -244,6 +244,27 @@ class TestInfsupCommand:
         err = json.loads(out)["error"]
         assert err["code"] == "config"
         assert "size cap" in err["message"]
+
+
+    @pytest.mark.parametrize("problem, coefficients, text", [
+        ("potential", {"kappa": 0.0}, "kappa must be positive"),
+        ("potential", {"kappa": -1.0}, "kappa must be positive"),
+        ("concentration", {"D": -1.0, "dt": 0.1}, "D must be positive"),
+    ])
+    def test_invalid_problem_is_the_validation_error_of_solve(
+            self, tmp_path, capsys, problem, coefficients, text):
+        errors = []
+        for command, extra in (("solve", {"mesh": {"nx": 2, "ny": 2}}),
+                               ("infsup", {"levels": 1, "base_n": 2})):
+            cfg = write_config(tmp_path, {"problem": problem,
+                                          "coefficients": coefficients, **extra})
+            code, out = run_cli(capsys, [command, "--config", cfg,
+                                         "--outdir", str(tmp_path / command)])
+            assert code == 1
+            errors.append(json.loads(out)["error"])
+        assert errors[1] == errors[0]
+        assert errors[0]["code"] == "validation"
+        assert text in errors[0]["message"]
 
 
 class TestErrorHandling:

@@ -1,12 +1,13 @@
-"""Whole `solve` configs of both problem kinds, drawn at random.
+"""Whole `solve` and `infsup` configs of both problem kinds, drawn at random.
 
 Every run must end in a report of strict JSON (no NaN or Infinity) or in a
 structured error whose code is not `internal`, and a rerun must write a
-byte-identical `report.json`. Meshes run from 1 x 1 to 20 x 20 at
+byte-identical `report.json`. `solve` meshes run from 1 x 1 to 20 x 20 at
 p = 1..3, odd and even, so potential systems cross DENSE_LIMIT into the
 multigrid path, including hierarchies whose coarsest level is smoothed
-only. Coefficients are numbers or strings of the README grammar, some of
-which divide by zero or overflow.
+only. `infsup` runs 1 or 2 levels from a 1 x 1 or 2 x 2 mesh at p = 1, 2,
+within INFSUP_DOF_CAP. Coefficients are numbers or strings of the README
+grammar, some of which divide by zero or overflow.
 """
 
 import contextlib
@@ -40,25 +41,30 @@ POTENTIAL = st.fixed_dictionaries(
     {}, optional={"kappa": st.sampled_from(POSITIVE + [0.0, -1.0]),
                   "beta": DATA, "Sx": DATA, "Sy": DATA, "I": DATA, "R": DATA})
 
-CONFIGS = st.one_of(
+PROBLEMS = st.one_of(
     st.tuples(st.just("concentration"), CONCENTRATION),
     st.tuples(st.just("potential"), POTENTIAL),
-).flatmap(lambda kind_coeff: st.fixed_dictionaries({
-    "problem": st.just(kind_coeff[0]),
-    "coefficients": st.just(kind_coeff[1]),
-    "mesh": st.fixed_dictionaries({"nx": st.integers(1, 20),
-                                   "ny": st.integers(1, 20)}),
-    "discretization": st.fixed_dictionaries({"p": st.integers(1, 3)}),
-}))
+)
+SIZES = {
+    "solve": {"mesh": st.fixed_dictionaries({"nx": st.integers(1, 20),
+                                             "ny": st.integers(1, 20)}),
+              "discretization": st.fixed_dictionaries({"p": st.integers(1, 3)})},
+    "infsup": {"levels": st.integers(1, 2), "base_n": st.integers(1, 2),
+               "discretization": st.fixed_dictionaries({"p": st.integers(1, 2)})},
+}
+RUNS = st.tuples(st.sampled_from(sorted(SIZES)), PROBLEMS).flatmap(
+    lambda run: st.tuples(st.just(run[0]), st.fixed_dictionaries({
+        "problem": st.just(run[1][0]), "coefficients": st.just(run[1][1]),
+        **SIZES[run[0]]})))
 
 
-def _solve(cfg: dict, root: Path, name: str):
+def _run(command: str, cfg: dict, root: Path, name: str):
     path = root / f"{name}.json"
     path.write_text(json.dumps(cfg))
     outdir = root / name
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = main(["solve", "--config", str(path), "--outdir", str(outdir)])
+        code = main([command, "--config", str(path), "--outdir", str(outdir)])
     report = outdir / "report.json"
     return code, stdout.getvalue(), report.read_bytes() if report.exists() else None
 
@@ -73,14 +79,20 @@ def _potential(nx, ny, p, **coefficients):
 
 
 @settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow])
-@given(CONFIGS)
+@given(RUNS)
 # a V-cycle from the first iteration; an odd mesh smoothed only
-@example(_potential(16, 16, 2, beta="1 + x/2", Sx="sin(pi*x)*cos(pi*y)"))
-@example(_potential(19, 17, 2, I="abs(x - 0.5)"))
-def test_solve_config_ends_in_report_or_structured_error(cfg):
+@example(("solve", _potential(16, 16, 2, beta="1 + x/2", Sx="sin(pi*x)*cos(pi*y)")))
+@example(("solve", _potential(19, 17, 2, I="abs(x - 0.5)")))
+# kappa <= 0: the inf-sup run validates its problem as solve does
+@example(("infsup", {"problem": "potential", "coefficients": {"kappa": 0.0},
+                     "levels": 1, "base_n": 2}))
+@example(("infsup", {"problem": "potential", "coefficients": {"kappa": -1.0},
+                     "levels": 1, "base_n": 2}))
+def test_config_ends_in_report_or_structured_error(run):
+    command, cfg = run
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        code, out, report = _solve(cfg, root, "first")
+        code, out, report = _run(command, cfg, root, "first")
         if code == 0:
             assert report is not None
             assert (json.loads(out, parse_constant=_reject_constant)
@@ -89,4 +101,4 @@ def test_solve_config_ends_in_report_or_structured_error(cfg):
             assert report is None
             assert json.loads(out)["error"]["code"] in (
                 "config", "validation", "solver")
-        assert _solve(cfg, root, "rerun") == (code, out, report)
+        assert _run(command, cfg, root, "rerun") == (code, out, report)

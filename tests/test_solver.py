@@ -29,7 +29,6 @@ from dpgfem.solver import (
     active_facets,
     assemble,
     dirichlet_field_dofs,
-    eliminate_dofs,
     extract_solution,
     solve_dpg,
     solve_spd,
@@ -96,7 +95,7 @@ class TestGroupedAssembly:
         assert diff <= 1e-13 * sp.linalg.norm(single.matrix)
         assert (np.linalg.norm(grouped.rhs - single.rhs)
                 <= 1e-13 * np.linalg.norm(single.rhs))
-        assert np.array_equal(grouped.constrained, single.constrained)
+        assert np.array_equal(grouped.skeleton, single.skeleton)
 
 
 class TestActiveFacets:
@@ -397,10 +396,9 @@ def _ref_coarsen(dofmap: DofMap) -> DofMap:
 
 
 def _ref_prolongation(A: sp.csr_matrix, fine: DofMap, rows: np.ndarray,
-                      fixed: np.ndarray, coarse: DofMap, c_rows: np.ndarray,
-                      c_fixed: np.ndarray) -> sp.csr_matrix:
-    """P from the coarse rows c_rows to the fine rows; `fixed`, `c_fixed`
-    are the Dirichlet rows of each level, whose P rows/columns are zero."""
+                      coarse: DofMap, c_rows: np.ndarray) -> sp.csr_matrix:
+    """P from the coarse rows c_rows to the fine rows; a coarse Dirichlet
+    dof has no row, so its weights are dropped."""
     p = fine.layout.p
     U, V, mode = _ref_sites(fine, rows)
     E = 4 * p                                   # coarse element width
@@ -433,10 +431,11 @@ def _ref_prolongation(A: sp.csr_matrix, fine: DofMap, rows: np.ndarray,
               + np.arange(p))
 
     r_idx = np.concatenate([np.repeat(f, p + 1), np.repeat(t, p)])
-    c_idx = np.searchsorted(c_rows, np.concatenate([dofs_f.ravel(),
-                                                    dofs_t.ravel()]))
+    c_at = np.full(coarse.n_total, c_rows.size)
+    c_at[c_rows] = np.arange(c_rows.size)
+    c_idx = c_at[np.concatenate([dofs_f.ravel(), dofs_t.ravel()])]
     w = np.concatenate([W_f.ravel(), W_t.ravel()])
-    keep = (w != 0.0) & ~np.isin(r_idx, fixed) & ~np.isin(c_idx, c_fixed)
+    keep = (w != 0.0) & (c_idx < c_rows.size)
     P_E = sp.csr_matrix((w[keep], (r_idx[keep], c_idx[keep])),
                         shape=(rows.size, c_rows.size))
 
@@ -462,7 +461,6 @@ def _reference_multigrid(system):
     A = system.matrix
     dofmap = system.dofmap
     rows = system.skeleton
-    fixed = np.searchsorted(rows, system.constrained)
     cycle = object.__new__(solver_mod.Multigrid)
     cycle.levels = []
     while True:
@@ -478,14 +476,11 @@ def _reference_multigrid(system):
             break
         coarse = _ref_coarsen(dofmap)
         c_rows = solver_mod.skeleton_dofs(coarse)
-        c_fixed = np.searchsorted(c_rows, dirichlet_field_dofs(coarse.mesh, coarse))
-        level.P = _ref_prolongation(A, dofmap, rows, fixed, coarse, c_rows, c_fixed)
+        level.P = _ref_prolongation(A, dofmap, rows, coarse, c_rows)
         A_c = level.P.T.tocsr() @ (A @ level.P)
-        unit = np.zeros(c_rows.size)
-        unit[c_fixed] = 1.0
-        A = (0.5 * (A_c + A_c.T) + sp.diags(unit)).tocsr()
+        A = (0.5 * (A_c + A_c.T)).tocsr()
         A.sum_duplicates()
-        dofmap, rows, fixed = coarse, c_rows, c_fixed
+        dofmap, rows = coarse, c_rows
     return cycle
 
 
@@ -512,9 +507,9 @@ def _csr(op):
                                       op.cols[c].reshape(count, 1, -1), M)
         keep = (R < n) & (C < m)
         rows.append(R[keep]), cols.append(C[keep]), vals.append(V[keep])
-    return eliminate_dofs(sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                                np.concatenate(cols))),
-                                        shape=op.shape), op.fixed)
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                 np.concatenate(cols))),
+                         shape=op.shape).tocsr()
 
 
 def _dense(op):
@@ -527,8 +522,6 @@ def _dense(op):
         vals.append(np.broadcast_to(M, (count,) + M.shape[-2:]).ravel())
     A = np.bincount(np.concatenate(index), np.concatenate(vals),
                     (n + 1) ** 2).reshape(n + 1, n + 1)[:n, :n]
-    A[op.fixed] = A[:, op.fixed] = 0.0
-    A[op.fixed, op.fixed] = 1.0
     return A
 
 
@@ -623,9 +616,11 @@ class TestMultigrid:
     @pytest.mark.parametrize("name", ["pot-trig", "conc-trig"])
     def test_oracle_matches_the_csr_reference(self, name):
         # a field system condensed like DPG's: its rows are the field
-        # lattice nodes on element edges, 33^2 - 16^2
+        # lattice nodes on element edges, 33^2 - 16^2, less pot-trig's 33
+        # Dirichlet nodes
         system = _oracle_system(name, 2, 16)
-        assert system.rhs.size == system.skeleton.size == 833
+        rows = {"pot-trig": 800, "conc-trig": 833}[name]
+        assert system.rhs.size == system.skeleton.size == rows
         _assert_same_hierarchy(system)
 
     def test_patch_blocks_are_inverted_per_class(self, monkeypatch):
@@ -661,8 +656,8 @@ class TestMultigrid:
         assert info.levels
         assert _direct_gap(system, x) <= 1e-8
 
-    @pytest.mark.parametrize("n, levels", [(16, [1825, 465]),
-                                           (40, [11281, 2841, 721])])
+    @pytest.mark.parametrize("n, levels", [(16, [1792, 448]),
+                                           (40, [11200, 2800, 700])])
     def test_potential_starts_on_the_vcycle(self, n, levels):
         # the first level of at most DENSE_LIMIT rows (8^2, 10^2) is factored
         system = _case_system("pot-trig", 2, n)
@@ -723,41 +718,46 @@ class TestAssemble:
         scale = np.abs(system.matrix.toarray()).max()
         assert np.abs(asym).max() <= 1e-12 * scale
 
-    def test_dirichlet_rows_replaced_by_identity(self):
-        # at p = 2 the skeleton numbering drops the interior lattice nodes,
-        # so the full-numbering Dirichlet dofs must go through the map
-        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2),
-                                 POT_PARTITION, "potential")
-        problem = _pot_problem(S=("x", "0"))
-        dofmap = build_dofmap(mesh, SpaceLayout(p=2),
-                              active_facets(mesh, problem))
+    @pytest.mark.parametrize("beta", [None, "1 + 1e3*x"])     # the case's, a steep one
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_dirichlet_dofs_have_no_row(self, monkeypatch, p, n, beta):
+        case = manufactured_case("pot-trig")
+        problem = (case.problem if beta is None
+                   else dataclasses.replace(case.problem, beta=beta))
+        mesh = case_mesh(case, n)
+        dofmap = build_dofmap(mesh, SpaceLayout(p=p), active_facets(mesh, problem))
         system = assemble(mesh, dofmap, problem)
-        A = system.matrix.toarray()
-        rows = np.searchsorted(system.skeleton, system.constrained)
-        assert np.array_equal(system.skeleton[rows], system.constrained)
-        assert not np.array_equal(rows, system.constrained)
-        for dof in rows:
-            row = A[dof].copy()
-            row[dof] -= 1.0
-            assert np.all(row == 0.0)
-            assert system.rhs[dof] == 0.0
+        dirichlet = dirichlet_field_dofs(mesh, dofmap)
+        assert dirichlet.size == n * p + 1
+        assert not np.isin(system.skeleton, dirichlet).any()
 
+        # the form that kept them: rows for every field node on element
+        # edges, eliminated as identity rows; its free block is the export
+        on = (np.arange(n * p + 1)[:, None] % p == 0) | (np.arange(n * p + 1) % p == 0)
+        full = np.concatenate([np.flatnonzero(on),
+                               np.arange(dofmap.trace_offset, dofmap.n_total)])
+        blocks = []
+        for group, block in zip(dofmap.element_groups(), system.elements):
+            _, G = solver_mod._local_columns(dofmap.layout, group.dofs.shape[1])
+            blocks.append((np.searchsorted(full, group.dofs[:, G]), block.matrix))
+        free = np.flatnonzero(~np.isin(full, dirichlet))
+        want = solver_mod.scatter(blocks, full.size)[free][:, free]
+        assert abs(system.matrix - want).max() <= 1e-12 * abs(want).max()
 
-    def test_dirichlet_elimination_matches_the_product_form(self):
-        # zeroing rows and columns in place keeps every stored value of the
-        # symmetric product P A P + diag(1 - keep) with the 0/1 diagonal P
-        system = _case_system("pot-trig", 3, 8)
-        n = system.matrix.shape[0]
-        raw = solver_mod.scatter([(b.dofs, b.matrix) for b in system.elements], n)
-        keep = np.ones(n)
-        keep[np.searchsorted(system.skeleton, system.constrained)] = 0.0
-        P = sp.diags(keep)
-        want = (P @ raw @ P + sp.diags(1.0 - keep)).tocsr()
-        want.sort_indices()
-        got = system.matrix
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
+        # no level of the hierarchy has a row for one either
+        grids, grid = [], solver_mod._grid
+        monkeypatch.setattr(solver_mod, "_grid",
+                            lambda *args: grids.append(grid(*args)) or grids[-1])
+        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 1)
+        sizes = solver_mod.Multigrid(system).sizes
+        assert [g.rows.size for g in grids] == sizes
+        for g in grids:
+            assert not np.isin(g.rows, dirichlet_field_dofs(g.dofmap.mesh, g.dofmap)).any()
+        monkeypatch.undo()
+
+        coeffs = solver_mod.recover_local(system, solve_spd(system)[0])
+        assert np.all(coeffs[dirichlet] == 0.0)
 
 
 class TestGroupedOperator:
@@ -794,14 +794,15 @@ class TestGroupedOperator:
 
     @pytest.mark.parametrize("name", ["pot-trig", "conc-trig"])
     def test_export_is_the_scatter_of_the_blocks(self, name):
+        # every entry of the blocks with a row and a column, summed by scipy
+        # in the same order; the export is canonical with int32 indices
         for system in (_case_system(name, 2, 8), _oracle_system(name, 2, 8)):
-            n = system.rhs.size
-            want = eliminate_dofs(solver_mod.scatter(
-                [(b.dofs, b.matrix) for b in system.elements], n), system.fixed)
+            want = _csr(system.operator)
             got = system.matrix
+            assert got.has_canonical_format
             for attr in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got, attr), getattr(want, attr))
-                assert getattr(got, attr).dtype == getattr(want, attr).dtype
+            assert got.indices.dtype == got.indptr.dtype == np.int32
 
     @pytest.mark.parametrize("name, p, n", [("pot-trig", 1, 4),      # dense
                                             ("conc-trig", 1, 4),     # diagonal
@@ -857,13 +858,14 @@ class TestLayerCholesky:
                                        solver_mod._fine_grid(system).elem_rows, n)
         assert np.unique(layer).size == max(nx, ny)
         for b in system.elements:
-            own = b.elems % nx if nx > ny else b.elems // nx
-            layers = layer[b.dofs]
-            assert np.all(layers.min(axis=1) >= own)
-            assert np.all(layers.max(axis=1) <= own + 1)
+            own = (b.elems % nx if nx > ny else b.elems // nx)[:, None]
+            layers = np.append(layer, -1)[b.dofs]       # -1: a Dirichlet dof
+            assert np.all((layers >= own) | (b.dofs == n))
+            assert np.all(layers <= own + 1)
 
     def test_coarse_level_is_solved_exactly(self):
-        # 20^2 -> 10^2: the factored level holds Dirichlet and Robin rows
+        # 20^2 -> 10^2: the factored level holds Robin rows, and its
+        # elements hold Dirichlet dofs without rows
         cycle = solver_mod.Multigrid(_case_system("pot-trig", 2, 20))
         coarsest = cycle.levels[-1]
         assert len(cycle.levels) == 2
@@ -875,12 +877,12 @@ class TestLayerCholesky:
                     <= 1e-10 * np.linalg.norm(want))
 
     def test_one_layer_is_one_dense_factor(self):
-        # two elements share row 1; row 3 is eliminated
+        # two elements share row 1; the second one's middle dof has no row
         M = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
-        rows = np.array([0, 1, 2, 1, 3, 4])
-        A = solver_mod.ElementOperator((5, 5), rows, rows, [(2, M)], np.array([3]))
-        x = solver_mod.LayerCholesky(A, np.zeros(5, dtype=np.intp))(np.arange(1.0, 6.0))
-        want = np.linalg.solve(_dense(A), np.arange(1.0, 6.0))
+        rows = np.array([0, 1, 2, 1, 4, 3])
+        A = solver_mod.ElementOperator((4, 4), rows, rows, [(2, M)])
+        x = solver_mod.LayerCholesky(A, np.zeros(4, dtype=np.intp))(np.arange(1.0, 5.0))
+        want = np.linalg.solve(_dense(A), np.arange(1.0, 5.0))
         assert np.allclose(x, want, rtol=1e-14, atol=0.0)
 
 
@@ -901,12 +903,10 @@ def _uncondensed_solve(mesh, problem, layout):
     matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dofmap.n_total,) * 2)
-    constrained = np.empty(0, dtype=np.int64)
-    if problem.kind == "potential":
-        constrained = dirichlet_field_dofs(mesh, dofmap)
-    rhs[constrained] = 0.0
-    matrix = eliminate_dofs(matrix, constrained)
-    return spla.spsolve(matrix.tocsc(), rhs), dofmap
+    free = np.setdiff1d(np.arange(dofmap.n_total), dirichlet_field_dofs(mesh, dofmap))
+    x = np.zeros(dofmap.n_total)
+    x[free] = spla.spsolve(matrix.tocsr()[free][:, free].tocsc(), rhs[free])
+    return x, dofmap
 
 
 class TestCondensation:
@@ -932,8 +932,9 @@ class TestCondensation:
         mesh = case_mesh(case, 4)
         _, _, system = solve_dpg(mesh, case.problem, SpaceLayout(p=p))
         n_local = 2 * p * p + (p - 1) ** 2
+        n_dirichlet = dirichlet_field_dofs(mesh, system.dofmap).size
         assert system.matrix.shape[0] == (system.dofmap.n_total
-                                          - mesh.n_elems * n_local)
+                                          - mesh.n_elems * n_local - n_dirichlet)
         assert system.skeleton.shape[0] == system.matrix.shape[0]
 
     @pytest.mark.parametrize("S", [
@@ -1011,8 +1012,9 @@ class TestSolveDpg:
         case = manufactured_case("pot-trig")
         mesh = case_mesh(case, 4)
         solution, _, system = solve_dpg(mesh, case.problem, SpaceLayout(p=2))
-        assert system.constrained.size > 0
-        assert np.all(solution.field[system.constrained] == 0.0)
+        dirichlet = dirichlet_field_dofs(mesh, system.dofmap)
+        assert dirichlet.size > 0
+        assert np.all(solution.field[dirichlet] == 0.0)
 
     def test_load_linearity(self):
         mesh = build_rect_mesh(UNIT, 4, 4)
