@@ -214,7 +214,7 @@ class ElementOperator:
     element. Runs (count, M) hold a matrix shared by `count` elements or a
     stack of one per element; rows and cols index each element's output
     and input entries, flat, run by run (the row or column count stands
-    for none)."""
+    for none, such as a Dirichlet dof: its column reads 0)."""
 
     def __init__(self, shape: tuple, rows: np.ndarray, cols: np.ndarray, runs: list):
         self.shape, self.runs = shape, runs
