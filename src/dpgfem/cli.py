@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from dpgfem.fespace import SpaceLayout, build_dofmap
 from dpgfem.manufactured import manufactured_case
 from dpgfem.mesh import (
+    SIDES,
     BoundaryPartition,
     InvalidPartitionError,
     Rectangle,
@@ -135,18 +137,15 @@ def layout_from_config(cfg: dict) -> SpaceLayout:
 
 def tol_from_config(cfg: dict) -> float:
     tol = cfg.get("solver_tol", 1e-10)
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
+    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not tol > 0:
         raise CliError("config", "'solver_tol' must be a positive number")
     return float(tol)
 
 
 def partition_from_config(cfg: dict, kind: str) -> BoundaryPartition:
-    defaults = ({"left": "neumann", "right": "neumann",
-                 "bottom": "neumann", "top": "neumann"}
-                if kind == "concentration" else
-                {"left": "dirichlet", "right": "neumann",
-                 "bottom": "robin", "top": "robin"})
-    block = {**defaults, **_block(cfg, "boundary")}
+    defaults = (("neumann",) * 4 if kind == "concentration"
+                else ("dirichlet", "neumann", "robin", "robin"))
+    block = {**dict(zip(SIDES, defaults)), **_block(cfg, "boundary")}
     return BoundaryPartition.from_names(block)
 
 
@@ -216,8 +215,7 @@ def problem_from_config(cfg: dict):
                                    S=(coeff.get("Sx", 0.0),
                                       coeff.get("Sy", 0.0)),
                                    I=coeff.get("I", 0.0),
-                                   R=coeff.get("R", 0.0),
-                                   partition=partition)
+                                   R=coeff.get("R", 0.0))
     else:
         raise CliError("config", "'problem' must be 'concentration' or "
                        "'potential' unless 'manufactured' names a case")
@@ -229,8 +227,7 @@ def cmd_solve(cfg: dict, outdir: Path) -> dict:
     nx, ny = mesh_size_from_config(cfg)
     layout = layout_from_config(cfg)
     _check_size(nx, ny, layout.p)
-    mesh = classify_boundary(build_rect_mesh(domain, nx, ny), partition,
-                             problem.kind)
+    mesh = classify_boundary(build_rect_mesh(domain, nx, ny), partition)
     solution, info, system = solve_dpg(mesh, problem, layout,
                                        tol=tol_from_config(cfg))
     dofmap = system.dofmap
@@ -270,15 +267,18 @@ def cmd_convergence(cfg: dict, outdir: Path) -> dict:
     layout = layout_from_config(cfg)
     levels = _positive_int(cfg, "levels", 4)
     base_n = _positive_int(cfg, "base_n", 8)
+    with_oracle = cfg.get("with_oracle", False)
+    if not isinstance(with_oracle, bool):
+        raise CliError("config", "'with_oracle' must be true or false")
     # finest mesh base_n * 2^(levels-1); capping the shift bounds the work
     finest = base_n << min(levels - 1, 64)
     _check_size(finest, finest, layout.p)
     report = eoc_study(case, layout.p, levels, delta_p=layout.delta_p,
                        base_n=base_n, tol=tol_from_config(cfg),
-                       with_oracle=bool(cfg.get("with_oracle", False)))
+                       with_oracle=with_oracle)
     out = report.to_json_dict()
     out["command"] = "convergence"
-    if cfg.get("with_oracle", False):
+    if with_oracle:
         out["oracle_e_field"] = [r.oracle_e_field for r in report.rows]
     write_eoc_csv(outdir / "eoc.csv", report)
     write_report_json(outdir / "report.json", out)
@@ -295,9 +295,8 @@ def cmd_infsup(cfg: dict, outdir: Path) -> dict:
     rows = []
     for lvl in range(levels):
         n = base_n * 2 ** lvl
-        mesh = classify_boundary(build_rect_mesh(domain, n, n), partition,
-                                 problem.kind)
-        dofmap = build_dofmap(mesh, layout, active_facets(mesh, problem))
+        mesh = classify_boundary(build_rect_mesh(domain, n, n), partition)
+        dofmap = build_dofmap(mesh, layout, active_facets(mesh))
         alpha = infsup_constant(mesh, problem, layout)
         rows.append((lvl, n, dofmap.n_total, alpha))
     report = {
@@ -319,15 +318,20 @@ def cmd_bv(cfg: dict, outdir: Path) -> dict:
     missing = [k for k in BV_REQUIRED if k not in block]
     if missing:
         raise CliError("config", f"bv block missing keys: {', '.join(missing)}")
-    for key in BV_REQUIRED + ("t_plus",):
-        if key in block and (not isinstance(block[key], (int, float))
-                             or isinstance(block[key], bool)):
+    numbers = {key: v for key, v in block.items()
+               if not (key == "phi_open" and isinstance(v, str))}
+    for key, v in numbers.items():
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise CliError("config", f"bv key {key!r} must be a number")
     params = ButlerVolmerParams(k_bv=block["k_bv"], F=block["F"],
                                 R_gas=block["R_gas"], T=block["T"],
                                 c_smax=block["c_smax"],
                                 t_plus=block.get("t_plus", 0.5),
                                 phi_open=block.get("phi_open", 0.0))
+    # a NaN in `params` failed its checks above; none may reach the report
+    for key, v in numbers.items():
+        if not math.isfinite(v):
+            raise CliError("config", f"bv key {key!r} must be finite")
     I_c = exchange_current(params, block["c_e"], block["c_s"])
     beta, R_load = robin_coefficients(params, block["c_e"], block["c_s"],
                                       block["phi_e"])
@@ -360,10 +364,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         _emit_error(exc.code, exc.message)
         return 2 if exc.code == "usage" else 1
-    except ProblemValidationError as exc:
-        _emit_error("validation", str(exc))
-        return 1
-    except InvalidPartitionError as exc:
+    except (ProblemValidationError, InvalidPartitionError) as exc:
         _emit_error("validation", str(exc))
         return 1
     except SolverError as exc:

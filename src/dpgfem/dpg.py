@@ -139,9 +139,7 @@ class GeometryKernels:
         self.gram_inv = spd_inverses(self.gram, f"geometry Gram (dx = {dx:g}, dy = {dy:g})")
 
         self.edge_t01 = 0.5 * (self.edge_t + 1.0)
-        lengths = (self.dy, self.dy, self.dx, self.dx)
-        self.edge_len = lengths
-        self.edge_w = [0.5 * L * line_w for L in lengths]
+        self.edge_w = [0.5 * L * line_w for L in (self.dy, self.dy, self.dx, self.dx)]
         # sign-free trace pairing int_f mu_b r_e per local edge
         self.trace_tmpl = [
             (self.enr_edge[k] * self.edge_w[k][:, None]).T @ self.trace_val

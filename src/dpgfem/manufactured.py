@@ -35,7 +35,6 @@ POTENTIAL_PARTITION = BoundaryPartition(
 @dataclass(frozen=True, eq=False)
 class ManufacturedCase:
     name: str
-    kind: str
     domain: Rectangle
     partition: BoundaryPartition
     problem: object
@@ -74,7 +73,7 @@ def _conc_poly2() -> ManufacturedCase:
         return fx * nx + fy * ny
 
     return ManufacturedCase(
-        "conc-poly2", "concentration", UNIT_SQUARE, ALL_NEUMANN,
+        "conc-poly2", UNIT_SQUARE, ALL_NEUMANN,
         ConcentrationProblem(D=D, dt=dt, c_prev=c_prev, J=bflux),
         c, grad, flux, flux_div, poly_degree=2)
 
@@ -105,7 +104,7 @@ def _conc_trig() -> ManufacturedCase:
         return fx * nx + fy * ny
 
     return ManufacturedCase(
-        "conc-trig", "concentration", UNIT_SQUARE, ALL_NEUMANN,
+        "conc-trig", UNIT_SQUARE, ALL_NEUMANN,
         ConcentrationProblem(D=D, dt=dt, c_prev=c_prev, J=bflux),
         c, grad, flux, flux_div, poly_degree=None)
 
@@ -143,9 +142,9 @@ def _pot_poly2() -> ManufacturedCase:
         return fx * nx + fy * ny - beta(x, y) * phi(x, y)
 
     return ManufacturedCase(
-        "pot-poly2", "potential", UNIT_SQUARE, POTENTIAL_PARTITION,
+        "pot-poly2", UNIT_SQUARE, POTENTIAL_PARTITION,
         PotentialProblem(kappa=kappa, beta=beta, S=(source_x, source_y),
-                         I=neumann, R=robin, partition=POTENTIAL_PARTITION),
+                         I=neumann, R=robin),
         phi, grad, flux, flux_div, poly_degree=2)
 
 
@@ -185,9 +184,9 @@ def _pot_trig() -> ManufacturedCase:
         return fx * nx + fy * ny - beta(x, y) * phi(x, y)
 
     return ManufacturedCase(
-        "pot-trig", "potential", UNIT_SQUARE, POTENTIAL_PARTITION,
+        "pot-trig", UNIT_SQUARE, POTENTIAL_PARTITION,
         PotentialProblem(kappa=kappa, beta=beta, S=(source_x, source_y),
-                         I=neumann, R=robin, partition=POTENTIAL_PARTITION),
+                         I=neumann, R=robin),
         phi, grad, flux, flux_div, poly_degree=None)
 
 

@@ -61,10 +61,11 @@ class Rectangle:
 class BoundaryPartition:
     """Boundary tag per side of the rectangle.
 
-    Sides carry exactly one tag each; a partition is valid for the
-    concentration problem when every side is Neumann, and for the
-    potential problem when the Neumann and Robin parts are both
-    non-empty (the Dirichlet part may be empty).
+    Sides carry exactly one tag each. `classify_boundary` copies the tags
+    onto the boundary facets, and the mesh keeps no other record of them;
+    `problems.validate_problem` checks those facet tags against the
+    problem (concentration: every side Neumann; potential: non-empty
+    Neumann and Robin parts, the Dirichlet part may be empty).
     """
 
     left: FacetTag = FacetTag.NEUMANN
@@ -86,27 +87,6 @@ class BoundaryPartition:
             tags[side] = _TAG_FROM_NAME[key]
         return cls(**tags)
 
-    def side_tags(self) -> dict:
-        return {"left": self.left, "right": self.right,
-                "bottom": self.bottom, "top": self.top}
-
-    def validate_for(self, problem_kind: str) -> None:
-        tags = list(self.side_tags().values())
-        if problem_kind == "concentration":
-            if any(t != FacetTag.NEUMANN for t in tags):
-                raise InvalidPartitionError(
-                    "invalid partition: concentration problem requires Neumann data "
-                    "on every side"
-                )
-        elif problem_kind == "potential":
-            if FacetTag.NEUMANN not in tags or FacetTag.ROBIN not in tags:
-                raise InvalidPartitionError(
-                    "invalid partition: potential problem requires non-empty Neumann "
-                    "and Robin boundary parts"
-                )
-        else:
-            raise ValueError(f"unknown problem kind {problem_kind!r}")
-
 
 @dataclass(eq=False)
 class Mesh:
@@ -123,8 +103,6 @@ class Mesh:
     facet_tags: np.ndarray        # (n_facets,) FacetTag values
     elem_facets: np.ndarray       # (n_elems, 4) facet id per local edge L,R,B,T
     elem_facet_signs: np.ndarray  # (n_elems, 4) +1 if global normal is outward
-    partition: BoundaryPartition | None = None
-    problem_kind: str | None = None
 
     @property
     def n_elems(self) -> int:
@@ -210,10 +188,8 @@ def build_rect_mesh(domain: Rectangle, nx: int, ny: int) -> Mesh:
                 facet_elems, facet_tags, elem_facets, elem_facet_signs)
 
 
-def classify_boundary(mesh: Mesh, partition: BoundaryPartition,
-                      problem_kind: str) -> Mesh:
-    """New mesh with boundary facets tagged per side, validated for the problem."""
-    partition.validate_for(problem_kind)
+def classify_boundary(mesh: Mesh, partition: BoundaryPartition) -> Mesh:
+    """New mesh with boundary facets tagged per side of the partition."""
     tags = mesh.facet_tags.copy()
     bnd = mesh.boundary_facets()
     n = mesh.facet_normals[bnd]
@@ -222,5 +198,5 @@ def classify_boundary(mesh: Mesh, partition: BoundaryPartition,
                           partition.top)
     return Mesh(mesh.domain, mesh.nx, mesh.ny, mesh.vertices, mesh.elem_verts,
                 mesh.facet_verts, mesh.facet_normals, mesh.facet_elems, tags,
-                mesh.elem_facets, mesh.elem_facet_signs, partition, problem_kind)
+                mesh.elem_facets, mesh.elem_facet_signs)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dpgfem import expr as expr_mod
-from dpgfem.mesh import BoundaryPartition, FacetTag, Mesh
+from dpgfem.mesh import FacetTag, Mesh
 from dpgfem.quadrature import gauss_1d
 
 
@@ -105,7 +105,6 @@ class PotentialProblem:
     S: tuple
     I: object
     R: object
-    partition: BoundaryPartition
 
     kind = "potential"
 

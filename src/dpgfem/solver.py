@@ -161,18 +161,15 @@ class Solution:
     eta: float
 
 
-def active_facets(mesh: Mesh, problem) -> np.ndarray:
-    """Facets carrying trace unknowns.
+def active_facets(mesh: Mesh) -> np.ndarray:
+    """Facets carrying trace unknowns: the interior and Dirichlet facets.
 
-    Concentration: interior facets (the flux datum J sits in the load).
-    Potential: interior plus Dirichlet facets; Neumann/Robin data sit in
-    the load, so those facets carry none.
+    Neumann and Robin data sit in the load, so those facets carry none;
+    a valid concentration mesh, whose flux J is Neumann data, has no
+    Dirichlet facets.
     """
-    interior = mesh.interior_facets()
-    if problem.kind == "concentration":
-        return interior
-    dirichlet = mesh.facets_with_tag(FacetTag.DIRICHLET)
-    return np.sort(np.concatenate([interior, dirichlet]))
+    return np.flatnonzero(np.isin(mesh.facet_tags,
+                                  (FacetTag.INTERIOR, FacetTag.DIRICHLET)))
 
 
 def dirichlet_field_dofs(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
@@ -838,7 +835,7 @@ def solve_dpg(mesh: Mesh, problem, layout: SpaceLayout, tol: float = 1e-10):
     Returns (Solution, SolveInfo, GlobalSystem).
     """
     validate_problem(problem, mesh)
-    dofmap = build_dofmap(mesh, layout, active_facets(mesh, problem))
+    dofmap = build_dofmap(mesh, layout, active_facets(mesh))
     system = assemble(mesh, dofmap, problem)
     x, info = solve_spd(system, tol)
     coeffs = recover_local(system, x)

@@ -285,8 +285,7 @@ class EocReport:
 
 
 def case_mesh(case: ManufacturedCase, n: int) -> Mesh:
-    mesh = build_rect_mesh(case.domain, n, n)
-    return classify_boundary(mesh, case.partition, case.kind)
+    return classify_boundary(build_rect_mesh(case.domain, n, n), case.partition)
 
 
 def eoc_study(case, p: int, levels: int, delta_p: int = 1, base_n: int = 8,
@@ -352,7 +351,7 @@ def infsup_constant(mesh: Mesh, problem, layout: SpaceLayout) -> float:
     DPG matrix against the trial-space Gram, both over the full trial
     space (no local elimination) restricted to the free dofs."""
     validate_problem(problem, mesh)
-    dofmap = build_dofmap(mesh, layout, active_facets(mesh, problem))
+    dofmap = build_dofmap(mesh, layout, active_facets(mesh))
     if dofmap.n_total > INFSUP_DOF_CAP:
         raise ValueError(f"size cap exceeded: {dofmap.n_total} trial dofs "
                          f"(limit {INFSUP_DOF_CAP}) for the dense eigensolve")

@@ -109,16 +109,14 @@ def test_criterion_3_spd_without_dirichlet():
     problem and for the potential problem with an empty Dirichlet part."""
     conc_mesh = build_rect_mesh(UNIT, 2, 2)
     conc = ConcentrationProblem(D=1.0, dt=1.0, c_prev=0.0, J=0.0)
-    pot_mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2),
-                                 NO_DIRICHLET_PARTITION, "potential")
-    pot = PotentialProblem(kappa=1.0, beta=1.0, S=(0.0, 0.0), I=0.0, R=0.0,
-                           partition=NO_DIRICHLET_PARTITION)
+    pot_mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2), NO_DIRICHLET_PARTITION)
+    pot = PotentialProblem(kappa=1.0, beta=1.0, S=(0.0, 0.0), I=0.0, R=0.0)
     layout = SpaceLayout(p=1)
     for label, mesh, problem in (("concentration pure-Neumann", conc_mesh,
                                   conc),
                                  ("potential without Dirichlet", pot_mesh,
                                   pot)):
-        dofmap = build_dofmap(mesh, layout, active_facets(mesh, problem))
+        dofmap = build_dofmap(mesh, layout, active_facets(mesh))
         system = assemble(mesh, dofmap, problem)
         eigs = scipy.linalg.eigvalsh(system.matrix.toarray())
         norm = float(np.max(np.abs(eigs)))
@@ -133,8 +131,7 @@ def test_criterion_4_infsup_trend():
     positive and drop by less than 20% per refinement for both model
     problems."""
     conc = ConcentrationProblem(D=0.5, dt=0.5, c_prev=0.0, J=0.0)
-    pot = PotentialProblem(kappa=1.0, beta=1.0, S=(0.0, 0.0), I=0.0, R=0.0,
-                           partition=REFERENCE_PARTITION)
+    pot = PotentialProblem(kappa=1.0, beta=1.0, S=(0.0, 0.0), I=0.0, R=0.0)
     layout = SpaceLayout(p=1)
     for label, problem, kind in (("concentration", conc, "concentration"),
                                  ("potential", pot, "potential")):
@@ -142,7 +139,7 @@ def test_criterion_4_infsup_trend():
         for n in (1, 2, 4):
             mesh = build_rect_mesh(UNIT, n, n)
             if kind == "potential":
-                mesh = classify_boundary(mesh, REFERENCE_PARTITION, kind)
+                mesh = classify_boundary(mesh, REFERENCE_PARTITION)
             alphas.append(infsup_constant(mesh, problem, layout))
         ratios = [b / a for a, b in zip(alphas, alphas[1:])]
         print(f"criterion 4: {label}: alphas "
@@ -206,12 +203,10 @@ def test_criterion_7_linearity_and_robin_limit():
                                     J="x - y")
     conc_two = ConcentrationProblem(D=0.5, dt=0.25, c_prev="2*(x^2*y + 1)",
                                     J="2*(x - y)")
-    pot_mesh = classify_boundary(build_rect_mesh(UNIT, 4, 4),
-                                 REFERENCE_PARTITION, "potential")
-    pot_one = PotentialProblem(kappa=2.0, beta=1.5, S=(0.3, -0.2), I="x",
-                               R="y - 2", partition=REFERENCE_PARTITION)
+    pot_mesh = classify_boundary(build_rect_mesh(UNIT, 4, 4), REFERENCE_PARTITION)
+    pot_one = PotentialProblem(kappa=2.0, beta=1.5, S=(0.3, -0.2), I="x", R="y - 2")
     pot_two = PotentialProblem(kappa=2.0, beta=1.5, S=(0.6, -0.4), I="2*x",
-                               R="2*(y - 2)", partition=REFERENCE_PARTITION)
+                               R="2*(y - 2)")
     layout = SpaceLayout(p=2)
     for label, mesh, one, two in (("concentration", conc_mesh, conc_one,
                                    conc_two),
@@ -224,10 +219,8 @@ def test_criterion_7_linearity_and_robin_limit():
               f"{rel:.2e} (need <= 1e-9)")
         assert rel <= 1e-9, (label, rel)
 
-    mesh = classify_boundary(build_rect_mesh(UNIT, 8, 8),
-                             NO_DIRICHLET_PARTITION, "potential")
-    problem = PotentialProblem(kappa=1.0, beta=1e6, S=(0.0, 0.0), I=1.0,
-                               R=0.0, partition=NO_DIRICHLET_PARTITION)
+    mesh = classify_boundary(build_rect_mesh(UNIT, 8, 8), NO_DIRICHLET_PARTITION)
+    problem = PotentialProblem(kappa=1.0, beta=1e6, S=(0.0, 0.0), I=1.0, R=0.0)
     solution, _, system = solve_dpg(mesh, problem, SpaceLayout(p=2))
     boundary = field_boundary_l2(mesh, system.dofmap, solution.field,
                                  FacetTag.ROBIN)

@@ -69,6 +69,40 @@ class TestBvCommand:
             "code": "config",
             "message": "syntax error at position 0: unknown identifier 'high'"}
 
+    @pytest.mark.parametrize("key, value", [
+        ("c_e", float("nan")), ("phi_e", float("nan")), ("phi_open", float("nan")),
+        ("c_s", float("nan")), ("phi_e", float("-inf")), ("k_bv", float("inf")),
+        ("c_smax", float("inf")),
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, key,
+                                               value):
+        cfg = write_config(tmp_path, {"bv": dict(BV_CONFIG["bv"], **{key: value})})
+        code, out = run_cli(capsys, ["bv", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "config", "message": f"bv key {key!r} must be finite"}
+
+    @pytest.mark.parametrize("key, text", [("k_bv", "k_bv must be positive"),
+                                           ("t_plus", "t_plus must lie in [0, 1]")])
+    def test_nan_constant_is_validation_error(self, tmp_path, capsys, key, text):
+        cfg = write_config(tmp_path, {"bv": dict(BV_CONFIG["bv"],
+                                                 **{key: float("nan")})})
+        code, out = run_cli(capsys, ["bv", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert json.loads(out)["error"] == {"code": "validation", "message": text}
+
+    @pytest.mark.parametrize("value", [[0.25], {"x": 0.25}, None, True])
+    def test_open_circuit_potential_of_wrong_json_type(self, tmp_path, capsys,
+                                                       value):
+        cfg = write_config(tmp_path, {"bv": dict(BV_CONFIG["bv"], phi_open=value)})
+        code, out = run_cli(capsys, ["bv", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "config", "message": "bv key 'phi_open' must be a number"}
+
 
 class TestSolveCommand:
     def test_manufactured_quadratic_potential(self, tmp_path, capsys):
@@ -209,6 +243,27 @@ class TestConvergenceCommand:
         assert "limit 2,000,000" in err["message"]
 
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [False]])
+    def test_with_oracle_must_be_a_boolean(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {"manufactured": "conc-poly2", "levels": 1,
+                                      "base_n": 1, "with_oracle": value})
+        code, out = run_cli(capsys, ["convergence", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "config", "message": "'with_oracle' must be true or false"}
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_with_oracle_boolean(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {"manufactured": "conc-poly2", "levels": 1,
+                                      "base_n": 1, "with_oracle": value})
+        code, out = run_cli(capsys, ["convergence", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 0
+        assert ("oracle_e_field" in json.loads(out)) is value
+
+
 class TestInfsupCommand:
     def test_concentration_levels(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -265,6 +320,24 @@ class TestInfsupCommand:
         assert errors[1] == errors[0]
         assert errors[0]["code"] == "validation"
         assert text in errors[0]["message"]
+
+
+    def test_invalid_coefficient_and_partition_are_both_listed(self, tmp_path,
+                                                               capsys):
+        # kappa < 0, and the top and bottom sides Neumann leave no Robin part
+        for command, extra in (("solve", {"mesh": {"nx": 2, "ny": 2}}),
+                               ("infsup", {"levels": 1, "base_n": 2})):
+            cfg = write_config(tmp_path, {
+                "problem": "potential", "coefficients": {"kappa": -1.0},
+                "boundary": {"bottom": "neumann", "top": "neumann"}, **extra})
+            code, out = run_cli(capsys, [command, "--config", cfg,
+                                         "--outdir", str(tmp_path / command)])
+            assert code == 1
+            assert json.loads(out)["error"] == {
+                "code": "validation",
+                "message": "kappa must be positive; invalid partition: potential "
+                           "problem requires non-empty Neumann and Robin boundary "
+                           "parts"}
 
 
 class TestErrorHandling:
@@ -462,6 +535,16 @@ class TestErrorHandling:
         err = json.loads(out)["error"]
         assert err["code"] == "solver"
         assert "geometry Gram" in err["message"]
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-10, "1e-10", True])
+    def test_solver_tol_must_be_positive(self, tmp_path, capsys, tol):
+        cfg = write_config(tmp_path, {"manufactured": "pot-trig",
+                                      "mesh": {"nx": 2, "ny": 2}, "solver_tol": tol})
+        code, out = run_cli(capsys, ["solve", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "config", "message": "'solver_tol' must be a positive number"}
 
     def test_unreachable_solver_tol_is_solver_error(self, tmp_path, capsys):
         # CG's updated residual underflows below 1e-300; the true one stalls

@@ -7,7 +7,9 @@ p = 1..3, odd and even, so potential systems cross DENSE_LIMIT into the
 multigrid path, including hierarchies whose coarsest level is smoothed
 only. `infsup` runs 1 or 2 levels from a 1 x 1 or 2 x 2 mesh at p = 1, 2,
 within INFSUP_DOF_CAP. Coefficients are numbers or strings of the README
-grammar, some of which divide by zero or overflow.
+grammar, some of which divide by zero or overflow. An optional `boundary`
+map tags any of the four sides Dirichlet, Neumann or Robin, so partitions
+invalid for the problem kind are drawn too.
 """
 
 import contextlib
@@ -41,6 +43,10 @@ POTENTIAL = st.fixed_dictionaries(
     {}, optional={"kappa": st.sampled_from(POSITIVE + [0.0, -1.0]),
                   "beta": DATA, "Sx": DATA, "Sy": DATA, "I": DATA, "R": DATA})
 
+BOUNDARY = st.fixed_dictionaries({}, optional={
+    side: st.sampled_from(["dirichlet", "neumann", "robin"])
+    for side in ("left", "right", "bottom", "top")})
+
 PROBLEMS = st.one_of(
     st.tuples(st.just("concentration"), CONCENTRATION),
     st.tuples(st.just("potential"), POTENTIAL),
@@ -55,7 +61,7 @@ SIZES = {
 RUNS = st.tuples(st.sampled_from(sorted(SIZES)), PROBLEMS).flatmap(
     lambda run: st.tuples(st.just(run[0]), st.fixed_dictionaries({
         "problem": st.just(run[1][0]), "coefficients": st.just(run[1][1]),
-        **SIZES[run[0]]})))
+        **SIZES[run[0]]}, optional={"boundary": BOUNDARY})))
 
 
 def _run(command: str, cfg: dict, root: Path, name: str):
@@ -87,6 +93,13 @@ def _potential(nx, ny, p, **coefficients):
 @example(("infsup", {"problem": "potential", "coefficients": {"kappa": 0.0},
                      "levels": 1, "base_n": 2}))
 @example(("infsup", {"problem": "potential", "coefficients": {"kappa": -1.0},
+                     "levels": 1, "base_n": 2}))
+# a partition invalid for the kind: a Dirichlet side on the concentration
+# problem; no Robin part together with kappa < 0, both violations listed
+@example(("solve", {"problem": "concentration", "coefficients": {"D": 0.5, "dt": 0.1},
+                    "boundary": {"left": "dirichlet"}, "mesh": {"nx": 2, "ny": 2}}))
+@example(("infsup", {"problem": "potential", "coefficients": {"kappa": -1.0},
+                     "boundary": {"bottom": "neumann", "top": "neumann"},
                      "levels": 1, "base_n": 2}))
 def test_config_ends_in_report_or_structured_error(run):
     command, cfg = run

@@ -40,8 +40,7 @@ POT_PARTITION = BoundaryPartition.from_names(
 
 
 def _pot_problem(**overrides):
-    base = dict(kappa=1.0, beta=1.0, S=(0.0, 0.0), I=0.0, R=0.0,
-                partition=POT_PARTITION)
+    base = dict(kappa=1.0, beta=1.0, S=(0.0, 0.0), I=0.0, R=0.0)
     base.update(overrides)
     return PotentialProblem(**base)
 
@@ -120,8 +119,7 @@ class TestTrialTestCoupling:
         assert B.shape == (9, 4 + 2 + 4)  # field, flux, one trace per edge
 
     def test_interior_potential_element_decouples_field(self):
-        mesh = classify_boundary(build_rect_mesh(UNIT, 3, 3),
-                                 POT_PARTITION, "potential")
+        mesh = classify_boundary(build_rect_mesh(UNIT, 3, 3), POT_PARTITION)
         B, load = local_trial_test(mesh, 4, _pot_problem(), SpaceLayout(p=1),
                                    mesh.interior_facets())
         # the field enters the broken form only through the Robin boundary
@@ -178,16 +176,14 @@ class TestFosls:
         assert fosls_indicator(ls, u) > 0.1
 
     def test_zero_source_means_zero_least_squares_load(self):
-        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2),
-                                 POT_PARTITION, "potential")
+        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2), POT_PARTITION)
         A, f, ls = local_fosls(mesh, 0, _pot_problem(), SpaceLayout(p=2))
         assert np.all(f == 0.0)
         assert ls.res_shift is None
         assert fosls_indicator(ls, np.zeros(A.shape[0])) == 0.0
 
     def test_source_shifts_least_squares_load(self):
-        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2),
-                                 POT_PARTITION, "potential")
+        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2), POT_PARTITION)
         problem = _pot_problem(S=(1.0, 0.0))
         A, f, ls = local_fosls(mesh, 0, problem, SpaceLayout(p=1))
         assert np.any(f != 0.0)
@@ -259,7 +255,6 @@ class _ReferenceGeometry:
         self.edge_t = line.points
         self.edge_t01 = 0.5 * (line.points + 1.0)
         lengths = (self.dy, self.dy, self.dx, self.dx)
-        self.edge_len = lengths
         self.edge_w = [0.5 * L * line.weights for L in lengths]
         self.enr_edge, self.field_edge = [], []
         for k in range(4):
@@ -367,8 +362,7 @@ class TestErrorIndicator:
         assert eta_riesz + eta_fosls == pytest.approx(want, rel=1e-12)
 
     def test_source_shift_enters_first_order_residual(self):
-        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2),
-                                 POT_PARTITION, "potential")
+        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2), POT_PARTITION)
         problem = _pot_problem(S=(1.0, 0.0))
         ls = element_system(mesh, 0, problem, SpaceLayout(p=1),
                             mesh.interior_facets())

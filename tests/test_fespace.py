@@ -261,8 +261,7 @@ class TestElementGroups:
         # interior and Dirichlet facets as for the potential problem
         partition = BoundaryPartition(FacetTag.DIRICHLET, FacetTag.NEUMANN,
                                       FacetTag.ROBIN, FacetTag.ROBIN)
-        mesh = classify_boundary(build_rect_mesh(UNIT, 4, 3), partition,
-                                 "potential")
+        mesh = classify_boundary(build_rect_mesh(UNIT, 4, 3), partition)
         active = np.concatenate([mesh.interior_facets(),
                                  mesh.facets_with_tag(FacetTag.DIRICHLET)])
         dofmap = build_dofmap(mesh, SpaceLayout(p=p), active)
@@ -296,11 +295,10 @@ class TestElementGroups:
         mesh = build_rect_mesh(Rectangle(-0.5, 1.0, 0.0, 2.0), nx, ny)
         if partition is None:
             # the concentration problem: Neumann sides, interior traces
-            mesh = classify_boundary(mesh, BoundaryPartition(), "concentration")
+            mesh = classify_boundary(mesh, BoundaryPartition())
             active = mesh.interior_facets()
         else:
-            mesh = classify_boundary(mesh, BoundaryPartition(*partition),
-                                     "potential")
+            mesh = classify_boundary(mesh, BoundaryPartition(*partition))
             active = np.concatenate([mesh.interior_facets(),
                                      mesh.facets_with_tag(FacetTag.DIRICHLET)])
         dofmap = build_dofmap(mesh, SpaceLayout(p=p), active)

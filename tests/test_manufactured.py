@@ -24,7 +24,7 @@ def strong_form_residual(case, x: float, y: float) -> float:
     prob = case.problem
     fx, fy = case.exact_flux(x, y)
     gx, gy = case.exact_grad(x, y)
-    if case.kind == "concentration":
+    if case.problem.kind == "concentration":
         balance = (case.exact_field(x, y) + prob.dt * case.exact_flux_div(x, y)
                    - prob.c_prev(x, y))
         rx = fx / prob.D + gx
@@ -204,15 +204,15 @@ class TestBoundaryData:
                 -x * (1 - x), abs=1e-14)
 
     def test_partitions(self):
-        for name in ("conc-poly2", "conc-trig"):
-            tags = manufactured_case(name).partition.side_tags()
-            assert all(t == FacetTag.NEUMANN for t in tags.values())
-        for name in ("pot-poly2", "pot-trig"):
-            tags = manufactured_case(name).partition.side_tags()
-            assert tags["left"] == FacetTag.DIRICHLET
-            assert tags["right"] == FacetTag.NEUMANN
-            assert tags["bottom"] == FacetTag.ROBIN
-            assert tags["top"] == FacetTag.ROBIN
+        for name, tags in (
+                ("conc-poly2", (FacetTag.NEUMANN,) * 4),
+                ("conc-trig", (FacetTag.NEUMANN,) * 4),
+                ("pot-poly2", (FacetTag.DIRICHLET, FacetTag.NEUMANN,
+                               FacetTag.ROBIN, FacetTag.ROBIN)),
+                ("pot-trig", (FacetTag.DIRICHLET, FacetTag.NEUMANN,
+                              FacetTag.ROBIN, FacetTag.ROBIN))):
+            part = manufactured_case(name).partition
+            assert (part.left, part.right, part.bottom, part.top) == tags
 
     @pytest.mark.parametrize("name", ["pot-poly2", "pot-trig"])
     def test_dirichlet_side_is_homogeneous(self, name):
@@ -244,7 +244,7 @@ class TestArrayEvaluation:
             fns = [(case.exact_field, volume), (case.exact_grad, volume),
                    (case.exact_flux, volume), (case.exact_flux_div, volume),
                    (case.exact_normal_flux, boundary)]
-            if case.kind == "concentration":
+            if case.problem.kind == "concentration":
                 fns += [(prob.c_prev, volume), (prob.J, boundary)]
             else:
                 fns += [(prob.beta, volume), (prob.S[0], volume),

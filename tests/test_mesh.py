@@ -48,12 +48,11 @@ def facet_geometry(mesh, f: int):
     return facet_length(mesh, f), mesh.facet_normals[f].copy(), elems, tuple(signs)
 
 
-def refine_uniform(mesh):
-    """Halve every element; boundary tags are inherited from the parent sides."""
-    fine = build_rect_mesh(mesh.domain, 2 * mesh.nx, 2 * mesh.ny)
-    if mesh.partition is not None:
-        fine = classify_boundary(fine, mesh.partition, mesh.problem_kind)
-    return fine
+def refine_uniform(mesh, partition):
+    """Halve every element and tag the boundary facets by `partition`: a
+    mesh records its partition only in its facet tags."""
+    return classify_boundary(build_rect_mesh(mesh.domain, 2 * mesh.nx, 2 * mesh.ny),
+                             partition)
 
 
 class TestRectangle:
@@ -162,58 +161,33 @@ class TestFacetGeometry:
 
 class TestRefineUniform:
     def test_one_to_four_elements(self):
-        fine = refine_uniform(build_rect_mesh(UNIT, 1, 1))
+        fine = refine_uniform(build_rect_mesh(UNIT, 1, 1), BoundaryPartition())
         assert fine.n_elems == 4
 
     def test_two_by_two_interior_count(self):
-        fine = refine_uniform(build_rect_mesh(UNIT, 2, 2))
+        fine = refine_uniform(build_rect_mesh(UNIT, 2, 2), BoundaryPartition())
         assert fine.n_elems == 16
         assert fine.interior_facets().size == 24
 
     def test_halves_mesh_size(self):
         coarse = build_rect_mesh(Rectangle(0.0, 2.0, 0.0, 1.0), 4, 2)
-        fine = refine_uniform(coarse)
+        fine = refine_uniform(coarse, BoundaryPartition())
         assert fine.dx == pytest.approx(coarse.dx / 2)
         assert fine.dy == pytest.approx(coarse.dy / 2)
         assert fine.h_max == pytest.approx(coarse.h_max / 2)
 
 
+# the partition rule of each problem is checked on the classified mesh's
+# facet tags, by problems.validate_problem (tests/test_problems.py)
 class TestBoundaryPartition:
-    def test_default_all_neumann_valid_for_concentration(self):
+    def test_default_all_neumann(self):
         part = BoundaryPartition()
-        part.validate_for("concentration")
-        tags = part.side_tags()
-        assert all(tag == FacetTag.NEUMANN for tag in tags.values())
+        assert (part.left, part.right, part.bottom, part.top) == (FacetTag.NEUMANN,) * 4
 
-    def test_reference_potential_partition_valid(self):
-        part = BoundaryPartition.from_names(
-            {"left": "dirichlet", "right": "neumann",
-             "bottom": "robin", "top": "robin"})
-        part.validate_for("potential")
-
-    def test_all_dirichlet_invalid_for_potential(self):
-        part = BoundaryPartition.from_names(
-            {"left": "dirichlet", "right": "dirichlet",
-             "bottom": "dirichlet", "top": "dirichlet"})
-        with pytest.raises(InvalidPartitionError, match="invalid partition"):
-            part.validate_for("potential")
-
-    def test_potential_requires_robin_and_neumann(self):
-        no_robin = BoundaryPartition.from_names(
-            {"left": "dirichlet", "right": "neumann",
-             "bottom": "neumann", "top": "neumann"})
-        with pytest.raises(InvalidPartitionError):
-            no_robin.validate_for("potential")
-        no_neumann = BoundaryPartition.from_names(
-            {"left": "dirichlet", "right": "robin",
-             "bottom": "robin", "top": "robin"})
-        with pytest.raises(InvalidPartitionError):
-            no_neumann.validate_for("potential")
-
-    def test_concentration_must_be_all_neumann(self):
-        part = BoundaryPartition.from_names({"left": "dirichlet"})
-        with pytest.raises(InvalidPartitionError):
-            part.validate_for("concentration")
+    def test_from_names_tags_named_sides_only(self):
+        part = BoundaryPartition.from_names({"left": "dirichlet", "bottom": "Robin"})
+        assert (part.left, part.right, part.bottom, part.top) == (
+            FacetTag.DIRICHLET, FacetTag.NEUMANN, FacetTag.ROBIN, FacetTag.NEUMANN)
 
     def test_unknown_side_or_tag_rejected(self):
         with pytest.raises(InvalidPartitionError):
@@ -228,7 +202,7 @@ class TestClassifyBoundary:
             {"left": "dirichlet", "right": "neumann",
              "bottom": "robin", "top": "robin"})
         for mesh in meshes():
-            tagged = classify_boundary(mesh, part, "potential")
+            tagged = classify_boundary(mesh, part)
             for f in tagged.boundary_facets():
                 mid = facet_endpoints(tagged, f).mean(axis=0)
                 if mid[0] == pytest.approx(0.0):
@@ -247,22 +221,17 @@ class TestClassifyBoundary:
         part = BoundaryPartition.from_names(
             {"left": "dirichlet", "right": "neumann",
              "bottom": "robin", "top": "robin"})
-        tagged = classify_boundary(mesh, part, "potential")
+        tagged = classify_boundary(mesh, part)
         assert tagged.facets_with_tag(FacetTag.DIRICHLET).size == 2
         assert tagged.facets_with_tag(FacetTag.NEUMANN).size == 2
         assert tagged.facets_with_tag(FacetTag.ROBIN).size == 4
         assert tagged.facets_with_tag(FacetTag.INTERIOR).size == 4
-
-    def test_validates_partition_for_problem(self):
-        mesh = build_rect_mesh(UNIT, 2, 2)
-        with pytest.raises(InvalidPartitionError):
-            classify_boundary(mesh, BoundaryPartition(), "potential")
 
     def test_refinement_inherits_tags(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         part = BoundaryPartition.from_names(
             {"left": "dirichlet", "right": "neumann",
              "bottom": "robin", "top": "robin"})
-        fine = refine_uniform(classify_boundary(mesh, part, "potential"))
+        fine = refine_uniform(classify_boundary(mesh, part), part)
         assert fine.facets_with_tag(FacetTag.DIRICHLET).size == 4
         assert fine.facets_with_tag(FacetTag.ROBIN).size == 8

@@ -63,7 +63,7 @@ def _solved_case(name, n=2, p=2):
     mesh = case_mesh(case, n)
     layout = SpaceLayout(p=p)
     solution, _, _ = solve_dpg(mesh, case.problem, layout)
-    dofmap = build_dofmap(mesh, layout, active_facets(mesh, case.problem))
+    dofmap = build_dofmap(mesh, layout, active_facets(mesh))
     return case, mesh, dofmap, solution
 
 

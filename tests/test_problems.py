@@ -140,18 +140,15 @@ class TestValidateProblem:
             validate_problem(problem, mesh)
 
     def test_non_positive_robin_coefficient_rejected(self):
-        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2),
-                                 POT_PARTITION, "potential")
-        problem = PotentialProblem(kappa=1.0, beta="x-10", S=(0.0, 0.0),
-                                   I=0.0, R=0.0, partition=POT_PARTITION)
+        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2), POT_PARTITION)
+        problem = PotentialProblem(kappa=1.0, beta="x-10", S=(0.0, 0.0), I=0.0, R=0.0)
         with pytest.raises(ProblemValidationError,
                            match="beta not positive on Gamma_R"):
             validate_problem(problem, mesh)
 
     def test_potential_on_unclassified_mesh_lists_every_violation(self):
         mesh = build_rect_mesh(UNIT, 2, 2)      # every side Neumann, no Robin
-        problem = PotentialProblem(kappa=-1.0, beta="x-10", S=(0.0, 0.0),
-                                   I=0.0, R=0.0, partition=POT_PARTITION)
+        problem = PotentialProblem(kappa=-1.0, beta="x-10", S=(0.0, 0.0), I=0.0, R=0.0)
         with pytest.raises(ProblemValidationError) as err:
             validate_problem(problem, mesh)
         assert err.value.violations == [
@@ -159,17 +156,45 @@ class TestValidateProblem:
             "invalid partition: potential problem requires non-empty Neumann "
             "and Robin boundary parts"]
 
+    @pytest.mark.parametrize("kind, sides, valid", [
+        ("concentration", {}, True),
+        ("concentration", {"left": "dirichlet"}, False),
+        ("concentration", {"top": "robin"}, False),
+        ("potential", {"left": "dirichlet", "bottom": "robin", "top": "robin"}, True),
+        ("potential", {"bottom": "robin"}, True),
+        ("potential", {}, False),
+        ("potential", dict.fromkeys(("left", "right", "bottom", "top"), "dirichlet"),
+         False),
+        ("potential", {"left": "dirichlet"}, False),
+        ("potential", {"left": "dirichlet", "right": "robin", "bottom": "robin",
+                       "top": "robin"}, False),
+    ])
+    def test_partition_rule_on_the_facet_tags(self, kind, sides, valid):
+        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2),
+                                 BoundaryPartition.from_names(sides))
+        problem = (ConcentrationProblem(D=0.5, dt=0.5, c_prev=0.0, J=0.0)
+                   if kind == "concentration" else
+                   PotentialProblem(kappa=1.0, beta=1.0, S=(0.0, 0.0), I=0.0, R=0.0))
+        if valid:
+            assert validate_problem(problem, mesh) is problem
+            return
+        with pytest.raises(ProblemValidationError) as err:
+            validate_problem(problem, mesh)
+        rule = ("Neumann data on every side" if kind == "concentration" else
+                "non-empty Neumann and Robin boundary parts")
+        assert err.value.violations == [f"invalid partition: {kind} problem requires "
+                                        + rule]
+
     def test_beta_sampled_at_gauss_points_of_each_robin_facet(self):
         mesh = classify_boundary(build_rect_mesh(Rectangle(0.0, 1.0, 0.0, 2.0), 3, 2),
-                                 POT_PARTITION, "potential")
+                                 POT_PARTITION)
         seen = []
 
         def beta(x, y):
             seen.append(np.stack([x, y], axis=-1))
             return 1.0
 
-        problem = PotentialProblem(kappa=1.0, beta=beta, S=(0.0, 0.0),
-                                   I=0.0, R=0.0, partition=POT_PARTITION)
+        problem = PotentialProblem(kappa=1.0, beta=beta, S=(0.0, 0.0), I=0.0, R=0.0)
         validate_problem(problem, mesh)
         t = 0.5 * (gauss_1d(4).points + 1.0)
         expected = [a + s * (b - a)

@@ -46,9 +46,8 @@ NO_DIRICHLET_PARTITION = BoundaryPartition.from_names(
      "bottom": "robin", "top": "robin"})
 
 
-def _pot_problem(partition=POT_PARTITION, **overrides):
-    base = dict(kappa=1.0, beta=1.0, S=(0.0, 0.0), I=0.0, R=0.0,
-                partition=partition)
+def _pot_problem(**overrides):
+    base = dict(kappa=1.0, beta=1.0, S=(0.0, 0.0), I=0.0, R=0.0)
     base.update(overrides)
     return PotentialProblem(**base)
 
@@ -80,8 +79,7 @@ class TestGroupedAssembly:
     def test_matches_one_element_groups(self, monkeypatch, name, p):
         case = manufactured_case(name)
         mesh = case_mesh(case, 4)
-        dofmap = build_dofmap(mesh, SpaceLayout(p=p),
-                              active_facets(mesh, case.problem))
+        dofmap = build_dofmap(mesh, SpaceLayout(p=p), active_facets(mesh))
         grouped = assemble(mesh, dofmap, case.problem)
         groups = dofmap.element_groups()
         assert len(groups) == 9
@@ -101,29 +99,23 @@ class TestGroupedAssembly:
 class TestActiveFacets:
     def test_concentration_uses_interior_only(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
-        problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
-        assert active_facets(mesh, problem).size == 4
+        assert active_facets(mesh).size == 4
 
     def test_potential_adds_dirichlet_facets(self):
-        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2),
-                                 POT_PARTITION, "potential")
-        assert active_facets(mesh, _pot_problem()).size == 6
+        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2), POT_PARTITION)
+        assert active_facets(mesh).size == 6
 
     def test_single_element_without_dirichlet_has_none(self):
-        mesh = classify_boundary(build_rect_mesh(UNIT, 1, 1),
-                                 NO_DIRICHLET_PARTITION, "potential")
-        problem = _pot_problem(partition=NO_DIRICHLET_PARTITION)
-        assert active_facets(mesh, problem).size == 0
+        mesh = classify_boundary(build_rect_mesh(UNIT, 1, 1), NO_DIRICHLET_PARTITION)
+        assert active_facets(mesh).size == 0
 
 
 class TestDirichletFieldDofs:
     def test_left_side_lattice_column(self):
-        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2),
-                                 POT_PARTITION, "potential")
+        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2), POT_PARTITION)
         for p in (1, 2):
             layout = SpaceLayout(p=p)
-            dofmap = build_dofmap(mesh, layout,
-                                  active_facets(mesh, _pot_problem()))
+            dofmap = build_dofmap(mesh, layout, active_facets(mesh))
             dofs = dirichlet_field_dofs(mesh, dofmap)
             nxp = 2 * p + 1
             assert dofs.size == nxp  # full x=0 lattice column
@@ -133,19 +125,16 @@ class TestDirichletFieldDofs:
         part = BoundaryPartition.from_names(
             {"left": "robin", "right": "dirichlet",
              "bottom": "neumann", "top": "dirichlet"})
-        mesh = classify_boundary(build_rect_mesh(UNIT, 3, 2), part, "potential")
+        mesh = classify_boundary(build_rect_mesh(UNIT, 3, 2), part)
         for p in (1, 2, 3):
-            dofmap = build_dofmap(mesh, SpaceLayout(p=p),
-                                  active_facets(mesh, _pot_problem(part)))
+            dofmap = build_dofmap(mesh, SpaceLayout(p=p), active_facets(mesh))
             lattice = np.arange(dofmap.n_field).reshape(2 * p + 1, 3 * p + 1)
             assert np.array_equal(dirichlet_field_dofs(mesh, dofmap),
                                   np.union1d(lattice[:, -1], lattice[-1]))
 
     def test_empty_without_dirichlet_facets(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
-        problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
-        dofmap = build_dofmap(mesh, SpaceLayout(p=1),
-                              active_facets(mesh, problem))
+        dofmap = build_dofmap(mesh, SpaceLayout(p=1), active_facets(mesh))
         assert dirichlet_field_dofs(mesh, dofmap).size == 0
 
 
@@ -243,8 +232,7 @@ class TestSolveSpd:
     def test_diagonal_phase_matches_the_factored_level(self, monkeypatch):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="x*y", J=0.0)
-        dofmap = build_dofmap(mesh, SpaceLayout(p=1),
-                              active_facets(mesh, problem))
+        dofmap = build_dofmap(mesh, SpaceLayout(p=1), active_facets(mesh))
         system = assemble(mesh, dofmap, problem)
         iterative, info_i = solve_spd(system, tol=1e-12)
         assert info_i.method == "pcg" and info_i.levels == []
@@ -276,10 +264,8 @@ class TestSolveSpd:
 
 def _case_system(name, p, nx, ny=None):
     case = manufactured_case(name)
-    mesh = classify_boundary(build_rect_mesh(case.domain, nx, ny or nx),
-                             case.partition, case.kind)
-    dofmap = build_dofmap(mesh, SpaceLayout(p=p),
-                          active_facets(mesh, case.problem))
+    mesh = classify_boundary(build_rect_mesh(case.domain, nx, ny or nx), case.partition)
+    dofmap = build_dofmap(mesh, SpaceLayout(p=p), active_facets(mesh))
     return assemble(mesh, dofmap, case.problem)
 
 
@@ -708,11 +694,9 @@ class TestMultigrid:
 
 class TestAssemble:
     def test_matrix_symmetric(self):
-        mesh = classify_boundary(build_rect_mesh(UNIT, 3, 3),
-                                 POT_PARTITION, "potential")
+        mesh = classify_boundary(build_rect_mesh(UNIT, 3, 3), POT_PARTITION)
         problem = _pot_problem(S=("x", "y"), I=1.0, R="x")
-        dofmap = build_dofmap(mesh, SpaceLayout(p=2),
-                              active_facets(mesh, problem))
+        dofmap = build_dofmap(mesh, SpaceLayout(p=2), active_facets(mesh))
         system = assemble(mesh, dofmap, problem)
         asym = (system.matrix - system.matrix.T).toarray()
         scale = np.abs(system.matrix.toarray()).max()
@@ -726,7 +710,7 @@ class TestAssemble:
         problem = (case.problem if beta is None
                    else dataclasses.replace(case.problem, beta=beta))
         mesh = case_mesh(case, n)
-        dofmap = build_dofmap(mesh, SpaceLayout(p=p), active_facets(mesh, problem))
+        dofmap = build_dofmap(mesh, SpaceLayout(p=p), active_facets(mesh))
         system = assemble(mesh, dofmap, problem)
         dirichlet = dirichlet_field_dofs(mesh, dofmap)
         assert dirichlet.size == n * p + 1
@@ -839,10 +823,9 @@ class TestGroupedOperator:
 class TestLayerCholesky:
     def test_robin_stacked_potential(self):
         # a heavy, varying beta stacks the Robin groups' element matrices
-        mesh = classify_boundary(build_rect_mesh(UNIT, 8, 6), POT_PARTITION,
-                                 "potential")
+        mesh = classify_boundary(build_rect_mesh(UNIT, 8, 6), POT_PARTITION)
         problem = _pot_problem(beta="1 + 1e6*x", S=("x", "y"), I=1.0, R="x")
-        dofmap = build_dofmap(mesh, SpaceLayout(p=2), active_facets(mesh, problem))
+        dofmap = build_dofmap(mesh, SpaceLayout(p=2), active_facets(mesh))
         system = assemble(mesh, dofmap, problem)
         assert any(b.matrix.ndim == 3 for b in system.elements)
         x, info = solve_spd(system)
@@ -888,7 +871,7 @@ class TestLayerCholesky:
 
 def _uncondensed_solve(mesh, problem, layout):
     """Direct solve of the full system summed from the group blocks."""
-    dofmap = build_dofmap(mesh, layout, active_facets(mesh, problem))
+    dofmap = build_dofmap(mesh, layout, active_facets(mesh))
     kernels = ProblemKernels(geometry_kernels(layout, mesh.dx, mesh.dy),
                              problem)
     rows, cols, vals = [], [], []
@@ -1001,8 +984,7 @@ class TestSolveDpg:
         case = manufactured_case(name)
         mesh = case_mesh(case, 2)
         solution, _, _ = solve_dpg(mesh, case.problem, SpaceLayout(p=2))
-        dofmap = build_dofmap(mesh, SpaceLayout(p=2),
-                              active_facets(mesh, case.problem))
+        dofmap = build_dofmap(mesh, SpaceLayout(p=2), active_facets(mesh))
         norms = error_norms(mesh, dofmap, solution, case)
         assert norms.e_field <= 1e-9 * norms.norm_field
         assert norms.e_flux <= 1e-9 * norms.norm_flux
@@ -1052,9 +1034,7 @@ class TestSolveDpg:
 class TestExtractSolution:
     def test_rejects_mismatched_sizes(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
-        problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
-        dofmap = build_dofmap(mesh, SpaceLayout(p=1),
-                              active_facets(mesh, problem))
+        dofmap = build_dofmap(mesh, SpaceLayout(p=1), active_facets(mesh))
         with pytest.raises(ValueError):
             extract_solution(np.zeros(dofmap.n_total + 1), dofmap,
                              np.zeros((4, 2)))
@@ -1064,9 +1044,7 @@ class TestExtractSolution:
 
     def test_block_sizes(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
-        problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
-        dofmap = build_dofmap(mesh, SpaceLayout(p=1),
-                              active_facets(mesh, problem))
+        dofmap = build_dofmap(mesh, SpaceLayout(p=1), active_facets(mesh))
         solution = extract_solution(np.arange(dofmap.n_total, dtype=float),
                                     dofmap, np.zeros((4, 2)))
         assert solution.field.size == dofmap.n_field

@@ -253,8 +253,7 @@ class TestErrorNorms:
         mesh = case_mesh(case, 2)
         layout = SpaceLayout(p=2)
         solution, _, _ = solve_dpg(mesh, case.problem, layout)
-        dofmap = build_dofmap(mesh, layout,
-                              active_facets(mesh, case.problem))
+        dofmap = build_dofmap(mesh, layout, active_facets(mesh))
         norms = error_norms(mesh, dofmap, solution, case)
         scale = norms.norm_field + norms.norm_flux + norms.norm_trace
         assert norms.e_field <= 1e-8 * scale
@@ -344,11 +343,9 @@ class TestClassicalGalerkin:
         # positive at validate_problem's 4 Gauss points per facet, negative
         # at the facet midpoint, a point of the p = 1 rule
         partition = manufactured_case("pot-trig").partition
-        mesh = classify_boundary(build_rect_mesh(UNIT, 1, 1), partition,
-                                 "potential")
+        mesh = classify_boundary(build_rect_mesh(UNIT, 1, 1), partition)
         problem = PotentialProblem(kappa=1.0, beta="1000*(x-0.5)^2 - 0.01",
-                                   S=(0.0, 0.0), I=0.0, R=0.0,
-                                   partition=partition)
+                                   S=(0.0, 0.0), I=0.0, R=0.0)
         with pytest.raises(ProblemValidationError, match="beta not positive"):
             classical_galerkin_solve(mesh, problem, SpaceLayout(p=1))
 
@@ -449,10 +446,8 @@ class TestInfsup:
             .BoundaryPartition.from_names(
                 {"left": "neumann", "right": "neumann",
                  "bottom": "robin", "top": "robin"})
-        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2),
-                                 partition, "potential")
-        problem = PotentialProblem(kappa=1.0, beta=1.0, S=(0.0, 0.0),
-                                   I=0.0, R=0.0, partition=partition)
+        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2), partition)
+        problem = PotentialProblem(kappa=1.0, beta=1.0, S=(0.0, 0.0), I=0.0, R=0.0)
         alpha = infsup_constant(mesh, problem, SpaceLayout(p=1))
         assert alpha > 0.0
 
@@ -475,7 +470,7 @@ class TestInfsup:
         case = manufactured_case(name)
         mesh = case_mesh(case, n)
         layout = SpaceLayout(p=p)
-        dofmap = build_dofmap(mesh, layout, active_facets(mesh, case.problem))
+        dofmap = build_dofmap(mesh, layout, active_facets(mesh))
         M, A = verify_mod._dense_trial_forms(mesh, dofmap, case.problem)
         free = np.setdiff1d(np.arange(dofmap.n_total),
                             verify_mod.dirichlet_field_dofs(mesh, dofmap))
@@ -493,9 +488,7 @@ class TestInfsup:
 
     def test_trial_gram_is_spd(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
-        problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
-        dofmap = build_dofmap(mesh, SpaceLayout(p=1),
-                              active_facets(mesh, problem))
+        dofmap = build_dofmap(mesh, SpaceLayout(p=1), active_facets(mesh))
         M = trial_gram_dense(mesh, dofmap)
         assert M.shape == (dofmap.n_total, dofmap.n_total)
         assert np.allclose(M, M.T, atol=1e-12)
