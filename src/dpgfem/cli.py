@@ -75,13 +75,20 @@ def load_config(path: str) -> dict:
     except OSError as exc:
         raise CliError("config", f"cannot read config: {exc}") from None
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise CliError("config", f"config is not valid JSON: {exc.msg} "
                        f"(line {exc.lineno}, column {exc.colno})") from None
     if not isinstance(cfg, dict):
         raise CliError("config", "config root must be a JSON object")
     return cfg
+
+
+def _json_int(text: str) -> int:
+    """Every config number becomes a float; one beyond their range is an error."""
+    if math.isinf(float(text)):
+        raise CliError("config", f"integer of {len(text)} characters is beyond the float range")
+    return int(text)
 
 
 _PROBLEM_KEYS = {"manufactured", "problem", "coefficients", "boundary", "mesh",
@@ -167,7 +174,8 @@ def _check_size(nx: int, ny: int, p: int) -> None:
     facets = nx * (ny + 1) + ny * (nx + 1)
     dofs = (nx * p + 1) * (ny * p + 1) + 2 * p * p * nx * ny + p * facets
     if dofs > MAX_DOFS:
-        raise CliError("config", f"problem too large: about {float(dofs):.3g} "
+        e = len(str(dofs)) - 1              # beyond the float range at nx = 1e200
+        raise CliError("config", f"problem too large: about {dofs / 10 ** e:.3g}e+{e:02d} "
                        f"trial dofs on a {nx} x {ny} mesh at p = {p} "
                        f"(limit {MAX_DOFS:,})")
 
@@ -237,7 +245,7 @@ def cmd_solve(cfg: dict, outdir: Path) -> dict:
         "mesh": {"nx": nx, "ny": ny, "h": mesh.h_max},
         "discretization": {"p": layout.p, "delta_p": layout.delta_p},
         "dofs": {"field": dofmap.n_field,
-                 "flux": dofmap.trace_offset - dofmap.flux_offset,
+                 "flux": dofmap.n_flux,
                  "trace": dofmap.n_total - dofmap.trace_offset,
                  "total": dofmap.n_total},
         "solver": {"method": info.method, "iterations": info.iterations,
@@ -299,15 +307,16 @@ def cmd_infsup(cfg: dict, outdir: Path) -> dict:
         dofmap = build_dofmap(mesh, layout, active_facets(mesh))
         alpha = infsup_constant(mesh, problem, layout)
         rows.append((lvl, n, dofmap.n_total, alpha))
+    ratios = [b[3] / a[3] if a[3] > 0 else None for a, b in zip(rows, rows[1:])]
     report = {
         "command": "infsup",
         "problem": problem.kind,
         "p": layout.p,
         "levels": [{"level": lvl, "n": n, "dofs": d, "alpha": a}
                    for lvl, n, d, a in rows],
-        "ratios": [rows[i][3] / rows[i - 1][3] for i in range(1, len(rows))],
+        "ratios": ratios,
     }
-    write_infsup_csv(outdir / "infsup.csv", rows)
+    write_infsup_csv(outdir / "infsup.csv", rows, ratios)
     write_report_json(outdir / "report.json", report)
     return report
 
@@ -336,6 +345,9 @@ def cmd_bv(cfg: dict, outdir: Path) -> dict:
     beta, R_load = robin_coefficients(params, block["c_e"], block["c_s"],
                                       block["phi_e"])
     report = {"command": "bv", "I_c": I_c, "beta": beta, "R_load": R_load}
+    for key in ("I_c", "beta", "R_load"):
+        if not math.isfinite(report[key]):
+            raise CliError("config", f"bv result {key!r} is not finite")
     write_report_json(outdir / "report.json", report)
     return report
 
@@ -354,7 +366,7 @@ def run(argv) -> int:
     except OSError as exc:
         raise CliError("config", f"cannot create outdir: {exc}") from None
     report = COMMANDS[args.command](cfg, outdir)
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
     return 0
 
 

@@ -72,8 +72,8 @@ class LocalSystem:
     coefficients enter: loads always, and B in groups with Robin edges,
     where beta varies from element to element.
 
-    gram: enriched Gram of the problem's test norm (n_enr x n_enr), SPD,
-        and gram_inv, its inverse.
+    gram_inv: inverse of the enriched Gram of the problem's test norm
+        (n_enr x n_enr), SPD.
     coupling: B, trial-to-enriched-test, (n_enr x n_trial) when shared by
         the group, else stacked per element (n x n_enr x n_trial).
     load: l per element (n x n_enr).
@@ -88,7 +88,6 @@ class LocalSystem:
         None when the source vanishes.
     """
 
-    gram: np.ndarray
     gram_inv: np.ndarray
     coupling: np.ndarray
     load: np.ndarray
@@ -108,9 +107,9 @@ class GeometryKernels:
     the problem's test norm is built by test_gram(eps). n_quad Gauss points
     per direction: by default p + delta_p + 1, exact for the enriched Gram;
     the verify error measures ask for p + delta_p + 2. vol_ref, enr_val,
-    field_val, flux_val, edge_t, enr_edge, field_edge and trace_val are the
-    `reference_tables` of (layout, n_quad): shared by every geometry of the
-    pair, and read-only.
+    field_val, flux_val, line_w (the edge rule's weights on [-1, 1]),
+    enr_edge, field_edge and trace_val are the `reference_tables` of
+    (layout, n_quad): shared by every geometry of the pair, and read-only.
     """
 
     def __init__(self, layout: SpaceLayout, dx: float, dy: float,
@@ -118,18 +117,16 @@ class GeometryKernels:
         self.layout = layout
         self.dx, self.dy = float(dx), float(dy)
         (self.vol_ref, vol_w, self.enr_val, eg, self.field_val, fg, self.flux_val,
-         self.edge_t, line_w, self.enr_edge, self.field_edge, self.trace_val) = \
+         edge_t, self.line_w, self.enr_edge, self.field_edge, self.trace_val) = \
             reference_tables(layout, n_quad or layout.default_quad_points)
 
-        self.jac = 0.25 * self.dx * self.dy
-        self.wvol = vol_w * self.jac
-        self.scale_x = 2.0 / self.dx
-        self.scale_y = 2.0 / self.dy
+        self.wvol = vol_w * (0.25 * self.dx * self.dy)
+        sx, sy = 2.0 / self.dx, 2.0 / self.dy
 
-        self.enr_gx = self.scale_x * eg[:, :, 0]
-        self.enr_gy = self.scale_y * eg[:, :, 1]
-        self.field_gx = self.scale_x * fg[:, :, 0]
-        self.field_gy = self.scale_y * fg[:, :, 1]
+        self.enr_gx = sx * eg[:, :, 0]
+        self.enr_gy = sy * eg[:, :, 1]
+        self.field_gx = sx * fg[:, :, 0]
+        self.field_gy = sy * fg[:, :, 1]
 
         w = self.wvol[:, None]
         self.enr_mass = (self.enr_val * w).T @ self.enr_val
@@ -138,8 +135,8 @@ class GeometryKernels:
         self.gram = self.test_gram(1.0)
         self.gram_inv = spd_inverses(self.gram, f"geometry Gram (dx = {dx:g}, dy = {dy:g})")
 
-        self.edge_t01 = 0.5 * (self.edge_t + 1.0)
-        self.edge_w = [0.5 * L * line_w for L in (self.dy, self.dy, self.dx, self.dx)]
+        self.edge_t01 = 0.5 * (edge_t + 1.0)
+        self.edge_w = [0.5 * L * self.line_w for L in (self.dy, self.dy, self.dx, self.dx)]
         # sign-free trace pairing int_f mu_b r_e per local edge
         self.trace_tmpl = [
             (self.enr_edge[k] * self.edge_w[k][:, None]).T @ self.trace_val
@@ -191,16 +188,13 @@ class ProblemKernels:
         w = geom.wvol[:, None]
 
         if problem.kind == "concentration":
-            ainv = 1.0 / problem.D
+            self.coef_inv = 1.0 / problem.D
             self.trace_factor = problem.dt
-            flux_scale = -problem.dt
             self.eps = problem.dt * problem.D
         else:
-            ainv = 1.0 / problem.kappa
+            self.coef_inv = 1.0 / problem.kappa
             self.trace_factor = 1.0
-            flux_scale = -1.0
             self.eps = 1.0
-        self.coef_inv = ainv
         self.gram = geom.test_gram(self.eps)
         # at eps >> 1 the mass term falls below the seminorm's rounding
         self.gram_inv = geom.gram_inv if self.eps == 1.0 else spd_inverses(
@@ -214,8 +208,8 @@ class ProblemKernels:
         Py = np.zeros((nq, self.n_ff))
         Px[:, :self.n_field] = geom.field_gx
         Py[:, :self.n_field] = geom.field_gy
-        Px[:, self.n_field:self.n_field + self.n_fs] = ainv * geom.flux_val
-        Py[:, self.n_field + self.n_fs:] = ainv * geom.flux_val
+        Px[:, self.n_field:self.n_field + self.n_fs] = self.coef_inv * geom.flux_val
+        Py[:, self.n_field + self.n_fs:] = self.coef_inv * geom.flux_val
         self.res_x, self.res_y = Px, Py
         rw = self.res_weights[:, None]
         # an overflowing 1/kappa or 1/(dt D) leaves inf and NaN here, which
@@ -227,9 +221,9 @@ class ProblemKernels:
         if problem.kind == "concentration":
             bvol[:, :self.n_field] = (geom.enr_val * w).T @ geom.field_val
         bvol[:, self.n_field:self.n_field + self.n_fs] = \
-            flux_scale * (geom.enr_gx * w).T @ geom.flux_val
+            -self.trace_factor * (geom.enr_gx * w).T @ geom.flux_val
         bvol[:, self.n_field + self.n_fs:] = \
-            flux_scale * (geom.enr_gy * w).T @ geom.flux_val
+            -self.trace_factor * (geom.enr_gy * w).T @ geom.flux_val
         self.coupling_tmpl = bvol
 
     def local_system(self, mesh: Mesh, group: ElementGroup) -> LocalSystem:
@@ -261,7 +255,7 @@ class ProblemKernels:
             B = np.repeat(B[None], n, axis=0)
             B[:, :, :self.n_field] += robin
 
-        return LocalSystem(self.gram, self.gram_inv, B, load, A, f, self.res_x,
+        return LocalSystem(self.gram_inv, B, load, A, f, self.res_x,
                            self.res_y, self.res_weights, shift)
 
 

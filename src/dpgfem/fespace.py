@@ -146,10 +146,6 @@ class SpaceLayout:
         return 2 * self.p ** 2
 
     @property
-    def n_trace_facet(self) -> int:
-        return self.p
-
-    @property
     def enriched_degree(self) -> int:
         return self.p + self.delta_p
 
@@ -203,9 +199,8 @@ class DofMap:
         self.n_field = nxp * nyp
         self.n_flux = layout.n_flux_local * mesh.n_elems
         self.active_facets = np.sort(np.asarray(active_facets, dtype=np.int64))
-        self.n_trace = layout.n_trace_facet * self.active_facets.shape[0]
+        self.n_trace = p * self.active_facets.shape[0]
         self.n_total = self.n_field + self.n_flux + self.n_trace
-        self.flux_offset = self.n_field
         self.trace_offset = self.n_field + self.n_flux
 
         self.facet_slot = np.full(mesh.n_facets, -1, dtype=np.int64)
@@ -217,23 +212,22 @@ class DofMap:
         corner = (e // mesh.nx) * p * nxp + (e % mesh.nx) * p
         block = np.arange(p + 1)[:, None] * nxp + np.arange(p + 1)
         self.elem_field = corner[:, None] + block.ravel()
-        self._nxp = nxp
-        self._nyp = nyp
         self._groups = None
 
     def field_lattice_shape(self) -> tuple[int, int]:
-        return (self._nxp, self._nyp)
+        p = self.layout.p
+        return (self.mesh.nx * p + 1, self.mesh.ny * p + 1)
 
     def elem_flux_dofs(self, e: int) -> np.ndarray:
         n = self.layout.n_flux_local
-        return self.flux_offset + e * n + np.arange(n)
+        return self.n_field + e * n + np.arange(n)
 
     def facet_trace_dofs(self, f: int) -> np.ndarray:
         s = self.facet_slot[f]
         if s < 0:
             raise ValueError(f"facet {f} carries no trace dofs")
-        k = self.layout.n_trace_facet
-        return self.trace_offset + s * k + np.arange(k)
+        p = self.layout.p
+        return self.trace_offset + s * p + np.arange(p)
 
     def element_active_edges(self, e: int):
         """(local edge, facet id, sign) for each active facet of element e."""
@@ -284,7 +278,7 @@ class DofMap:
             boundary = tuple((k, FacetTag(t)) for k, t in enumerate(tags[e0].tolist())
                              if t != _INTERIOR)
             parts = [self.elem_field[elems],
-                     self.flux_offset + elems[:, None] * n_flux + np.arange(n_flux)]
+                     self.n_field + elems[:, None] * n_flux + np.arange(n_flux)]
             for k, _sign in edges:
                 parts.append(self.trace_offset + slots[elems, k][:, None] * p
                              + np.arange(p))

@@ -9,7 +9,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
@@ -196,7 +196,5 @@ def classify_boundary(mesh: Mesh, partition: BoundaryPartition) -> Mesh:
     tags[bnd] = np.select([n[:, 0] < -0.5, n[:, 0] > 0.5, n[:, 1] < -0.5],
                           [partition.left, partition.right, partition.bottom],
                           partition.top)
-    return Mesh(mesh.domain, mesh.nx, mesh.ny, mesh.vertices, mesh.elem_verts,
-                mesh.facet_verts, mesh.facet_normals, mesh.facet_elems, tags,
-                mesh.elem_facets, mesh.elem_facet_signs)
+    return replace(mesh, facet_tags=tags)
 

@@ -77,16 +77,15 @@ def write_eoc_csv(path, report) -> None:
     Path(path).write_text(report.to_csv_text(), newline="\n")
 
 
-def write_infsup_csv(path, rows) -> None:
-    """rows: sequence of (level, n, dofs, alpha)."""
+def write_infsup_csv(path, rows, ratios) -> None:
+    """rows: sequence of (level, n, dofs, alpha); ratios: alpha of each
+    row over that of the row before, None where there is none."""
     lines = ["level,n,dofs,alpha,ratio"]
-    prev = None
-    for level, n, dofs, alpha in rows:
-        ratio = "" if prev is None else repr(float(alpha / prev))
+    for (level, n, dofs, alpha), ratio in zip(rows, [None, *ratios]):
+        ratio = "" if ratio is None else repr(ratio)
         lines.append(f"{level},{n},{dofs},{float(alpha)!r},{ratio}")
-        prev = alpha
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def write_report_json(path, report: dict) -> None:
-    Path(path).write_text(json.dumps(report, indent=2) + "\n", newline="\n")
+    Path(path).write_text(json.dumps(report, indent=2, allow_nan=False) + "\n", newline="\n")

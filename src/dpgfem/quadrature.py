@@ -12,10 +12,6 @@ class QuadRule:
     points: np.ndarray
     weights: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
 
 def gauss_1d(n: int) -> QuadRule:
     """n-point Gauss-Legendre rule on [-1, 1], exact for degree 2n-1."""

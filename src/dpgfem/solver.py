@@ -265,16 +265,16 @@ class ElementOperator:
         return np.bincount(self.rows, d, n + 1)[:n]
 
 
-def mesh_layers(mesh: Mesh, elems: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """Layer of each of n rows, from elements elems and their rows (n_e x
+def mesh_layers(mesh: Mesh, rows: np.ndarray, n: int) -> np.ndarray:
+    """Layer of each of n rows, from the rows of every element (n_elems x
     m, n for none): the highest mesh row, elem // nx, among the elements
     that hold the row, or mesh column, elem % nx, when nx > ny, so that
     the layers are thin. An element holds rows of its own layer and the
     next one only, so rows sorted by layer make any matrix summed from
     element matrices block-tridiagonal."""
     layer = np.zeros(n + 1, dtype=np.intp)
-    at = elems % mesh.nx if mesh.nx > mesh.ny else elems // mesh.nx
-    np.maximum.at(layer, rows, at[:, None])
+    row, col = np.divmod(np.arange(mesh.n_elems), mesh.nx)
+    np.maximum.at(layer, rows, (col if mesh.nx > mesh.ny else row)[:, None])
     return layer[:n]
 
 
@@ -683,8 +683,7 @@ class Multigrid:
             self.levels.append(level)
             n, mesh = A.shape[0], grid.dofmap.mesh
             if n <= DENSE_LIMIT:
-                level.direct = LayerCholesky(
-                    A, mesh_layers(mesh, np.arange(mesh.n_elems), grid.elem_rows, n))
+                level.direct = LayerCholesky(A, mesh_layers(mesh, grid.elem_rows, n))
                 break
             rows, cls, vclass, inverses = _vertex_blocks(grid)
             patches = rows[:, grid.layout[2]]
@@ -823,7 +822,7 @@ def extract_solution(coeffs: np.ndarray, dofmap: DofMap,
     if indicators.shape[0] != dofmap.mesh.n_elems:
         raise ValueError("indicator array does not match element count")
     return Solution(coeffs[:dofmap.n_field].copy(),
-                    coeffs[dofmap.flux_offset:dofmap.trace_offset].copy(),
+                    coeffs[dofmap.n_field:dofmap.trace_offset].copy(),
                     coeffs[dofmap.trace_offset:].copy(), indicators,
                     float(np.sqrt(indicators.sum())))
 

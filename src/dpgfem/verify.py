@@ -8,12 +8,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpgfem.dpg import ProblemKernels, coefficient_loads, condense_local, geometry_kernels
-from dpgfem.fespace import SpaceLayout, build_dofmap, tabulate_facet_basis
+from dpgfem.dpg import (
+    ProblemKernels,
+    SolverError,
+    cholesky,
+    coefficient_loads,
+    condense_local,
+    geometry_kernels,
+)
+from dpgfem.fespace import SpaceLayout, build_dofmap
 from dpgfem.manufactured import ManufacturedCase, manufactured_case
-from dpgfem.mesh import FacetTag, Mesh, build_rect_mesh, classify_boundary
+from dpgfem.mesh import Mesh, build_rect_mesh, classify_boundary
 from dpgfem.problems import sample, validate_problem
-from dpgfem.quadrature import gauss_1d
 from dpgfem.solver import (
     active_facets,
     condensed_system,
@@ -35,24 +41,6 @@ def _error_kernels(mesh: Mesh, layout: SpaceLayout):
 def _field_values(geom, dofmap, coeffs: np.ndarray) -> np.ndarray:
     """Field values at the volume quadrature points, (n_elems, nq)."""
     return coeffs[dofmap.elem_field] @ geom.field_val.T
-
-
-def field_l2(mesh: Mesh, dofmap, coeffs: np.ndarray) -> float:
-    """L2 norm of a field-space function given by its coefficients."""
-    geom = _error_kernels(mesh, dofmap.layout)
-    vals = _field_values(geom, dofmap, coeffs)
-    return float(np.sqrt(np.sum((vals * vals) @ geom.wvol)))
-
-
-def field_boundary_l2(mesh: Mesh, dofmap, coeffs: np.ndarray, tag: FacetTag) -> float:
-    """L2 norm of the field's trace over all boundary facets with a tag."""
-    geom = _error_kernels(mesh, dofmap.layout)
-    total = 0.0
-    for k in range(4):
-        on_tag = mesh.facet_tags[mesh.elem_facets[:, k]] == int(tag)
-        vals = coeffs[dofmap.elem_field[on_tag]] @ geom.field_edge[k].T
-        total += float(np.sum((vals * vals) @ geom.edge_w[k]))
-    return float(np.sqrt(total))
 
 
 def field_l2_error(mesh: Mesh, dofmap, coeffs: np.ndarray,
@@ -87,17 +75,16 @@ def project_trace(mesh: Mesh, layout: SpaceLayout, active: np.ndarray,
     normal_flux is evaluated against each facet's global unit normal, so the
     result is single-valued like the trace unknowns.
     """
-    line = gauss_1d(layout.default_quad_points + 1)
-    basis = tabulate_facet_basis(layout.p - 1, line.points)
+    geom = _error_kernels(mesh, layout)
+    basis, w = geom.trace_val, geom.line_w
     active = np.sort(np.asarray(active, dtype=np.int64))
     ends = mesh.vertices[mesh.facet_verts[active]]
-    t01 = 0.5 * (line.points + 1.0)
-    pts = ends[:, :1] + t01[None, :, None] * (ends[:, 1:] - ends[:, :1])
+    pts = ends[:, :1] + geom.edge_t01[None, :, None] * (ends[:, 1:] - ends[:, :1])
     vals = sample(normal_flux, pts, "exact normal flux",
                   mesh.facet_normals[active])
     # the facet length scales the mass matrix and the load alike
-    mass = (basis * line.weights[:, None]).T @ basis
-    out = np.linalg.solve(mass, ((vals * line.weights) @ basis).T)
+    mass = (basis * w[:, None]).T @ basis
+    out = np.linalg.solve(mass, ((vals * w) @ basis).T)
     return out.T.ravel()
 
 
@@ -133,10 +120,6 @@ class ErrorNorms:
     norm_field: float
     norm_flux: float
     norm_trace: float
-
-    @property
-    def e_combined(self) -> float:
-        return float(np.hypot(self.e_field, self.e_flux))
 
 
 def error_norms(mesh: Mesh, dofmap, solution, case: ManufacturedCase) -> ErrorNorms:
@@ -358,8 +341,14 @@ def infsup_constant(mesh: Mesh, problem, layout: SpaceLayout) -> float:
     M, A = _dense_trial_forms(mesh, dofmap, problem)
     free = np.setdiff1d(np.arange(dofmap.n_total),
                         dirichlet_field_dofs(mesh, dofmap))
+    A = A[np.ix_(free, free)]
+    if not np.isfinite(A).all():
+        raise SolverError("non-finite DPG matrix in the inf-sup eigensolve")
     # the pencil (A, M) reduced by M = L L^T to L^-1 A L^-T
-    L = np.linalg.cholesky(M[np.ix_(free, free)])
-    C = np.linalg.solve(L, np.linalg.solve(L, A[np.ix_(free, free)]).T)
-    vals = np.linalg.eigvalsh(0.5 * (C + C.T))
+    L = cholesky(M[np.ix_(free, free)], "trial Gram of the inf-sup eigensolve")
+    C = np.linalg.solve(L, np.linalg.solve(L, A).T)
+    try:
+        vals = np.linalg.eigvalsh(0.5 * (C + C.T))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"inf-sup eigensolve: {exc}") from None
     return float(np.sqrt(max(vals[0], 0.0)))

@@ -22,6 +22,10 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+# a 401-digit integer: valid JSON, beyond every float
+HUGE = 10 ** 400
+CONC = {"problem": "concentration", "coefficients": {"D": 0.5, "dt": 0.1},
+        "mesh": {"nx": 2, "ny": 2}}
 BV_CONFIG = {"bv": {"k_bv": 2.0, "F": 3.0, "R_gas": 2.0, "T": 6.0,
                     "c_smax": 5.0, "c_e": 4.0, "c_s": 1.0,
                     "phi_e": 0.5, "phi_open": 0.25}}
@@ -82,6 +86,24 @@ class TestBvCommand:
         assert code == 1
         assert json.loads(out)["error"] == {
             "code": "config", "message": f"bv key {key!r} must be finite"}
+
+    @pytest.mark.parametrize("constants, key", [
+        ({"k_bv": 1e300, "F": 1e300}, "I_c"),
+        ({"k_bv": 1.0, "F": 1e300}, "beta"),
+        ({"k_bv": 1.0, "F": 1e150, "phi_e": -1e10}, "R_load"),
+    ])
+    def test_non_finite_result_is_config_error(self, tmp_path, capsys,
+                                               constants, key):
+        # finite constants whose products overflow
+        block = {"k_bv": 1.0, "F": 1.0, "R_gas": 1, "T": 1, "c_smax": 2, "c_e": 1,
+                 "c_s": 1, "phi_e": 0, **constants}
+        outdir = tmp_path / "out"
+        cfg = write_config(tmp_path, {"bv": block})
+        code, out = run_cli(capsys, ["bv", "--config", cfg, "--outdir", str(outdir)])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "config", "message": f"bv result {key!r} is not finite"}
+        assert not (outdir / "report.json").exists()
 
     @pytest.mark.parametrize("key, text", [("k_bv", "k_bv must be positive"),
                                            ("t_plus", "t_plus must lie in [0, 1]")])
@@ -172,6 +194,22 @@ class TestSolveCommand:
         assert err["code"] == "config"
         assert "about 5e+10 trial dofs" in err["message"]
         assert "limit 2,000,000" in err["message"]
+
+    @pytest.mark.parametrize("command, cfg, text", [
+        ("solve", {"manufactured": "pot-trig", "mesh": {"nx": 10 ** 200, "ny": 10 ** 200}},
+         "about 5e+400 trial dofs"),
+        ("convergence", {"manufactured": "pot-trig", "levels": 1, "base_n": 10 ** 200},
+         "about 5e+400 trial dofs"),
+    ], ids=["solve", "convergence"])
+    def test_mesh_beyond_the_float_range_is_config_error(self, tmp_path, capsys,
+                                                         command, cfg, text):
+        # a float holds nx, but not the dof estimate
+        code, out = run_cli(capsys, [command, "--config", write_config(tmp_path, cfg),
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "config"
+        assert text in err["message"]
 
     def test_repeat_runs_bit_identical(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -284,6 +322,36 @@ class TestInfsupCommand:
         csv_lines = (outdir / "infsup.csv").read_text().strip().split("\n")
         assert csv_lines[0] == "level,n,dofs,alpha,ratio"
         assert len(csv_lines) == 3
+
+    @pytest.mark.parametrize("coefficients", [{"D": 1e150, "dt": 1e150},
+                                              {"D": 1e-300, "dt": 1e-10}])
+    def test_zero_constant_has_no_ratio(self, tmp_path, capsys, coefficients):
+        # alpha is 0.0 on both levels: the ratio is null, as an EOC over a
+        # zero error is
+        cfg = write_config(tmp_path, {"problem": "concentration",
+                                      "coefficients": coefficients,
+                                      "levels": 2, "base_n": 1})
+        outdir = tmp_path / "out"
+        code, out = run_cli(capsys, ["infsup", "--config", cfg,
+                                     "--outdir", str(outdir)])
+        assert code == 0
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert [lvl["alpha"] for lvl in report["levels"]] == [0.0, 0.0]
+        assert report["ratios"] == [None]
+        assert (outdir / "infsup.csv").read_text().split("\n")[2].endswith(",0.0,")
+
+    @pytest.mark.parametrize("coefficients", [{"kappa": 1e-300}, {"beta": 1e300}])
+    def test_numerical_breakdown_is_solver_error(self, tmp_path, capsys,
+                                                 coefficients):
+        # as `solve` on the same data: the DPG matrix is not finite
+        cfg = write_config(tmp_path, {"problem": "potential",
+                                      "coefficients": coefficients,
+                                      "levels": 2, "base_n": 1})
+        code, out = run_cli(capsys, ["infsup", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "solver", "message": "non-finite DPG matrix in the inf-sup eigensolve"}
 
     def test_size_cap_reported_as_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -535,6 +603,28 @@ class TestErrorHandling:
         err = json.loads(out)["error"]
         assert err["code"] == "solver"
         assert "geometry Gram" in err["message"]
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("solve", dict(CONC, mesh={"nx": HUGE})),
+        ("solve", dict(CONC, mesh={"x1": HUGE})),
+        ("solve", dict(CONC, coefficients={"D": HUGE, "dt": 0.1})),
+        ("solve", dict(CONC, coefficients={"D": 0.5, "dt": 0.1, "c_prev": HUGE})),
+        ("solve", {"problem": "potential", "coefficients": {"kappa": HUGE}}),
+        ("solve", {"problem": "potential", "solver_tol": HUGE}),
+        ("convergence", {"manufactured": "pot-trig", "base_n": HUGE}),
+        ("bv", {"bv": dict(BV_CONFIG["bv"], k_bv=HUGE)}),
+        ("bv", {"bv": dict(BV_CONFIG["bv"], phi_e=HUGE)}),
+        ("bv", {"bv": dict(BV_CONFIG["bv"], phi_open=HUGE)}),
+    ], ids=["nx", "x1", "D", "c_prev", "kappa", "solver_tol", "base_n", "k_bv",
+            "phi_e", "phi_open"])
+    def test_integer_beyond_the_float_range_is_config_error(self, tmp_path, capsys,
+                                                            command, cfg):
+        code, out = run_cli(capsys, [command, "--config", write_config(tmp_path, cfg),
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "config",
+            "message": "integer of 401 characters is beyond the float range"}
 
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-10, "1e-10", True])
     def test_solver_tol_must_be_positive(self, tmp_path, capsys, tol):

@@ -101,6 +101,10 @@ def _potential(nx, ny, p, **coefficients):
 @example(("infsup", {"problem": "potential", "coefficients": {"kappa": -1.0},
                      "boundary": {"bottom": "neumann", "top": "neumann"},
                      "levels": 1, "base_n": 2}))
+# alpha = 0 on both levels, so the ratio is null; an integer no float holds
+@example(("infsup", {"problem": "concentration", "coefficients": {"D": 1e150, "dt": 1e150},
+                     "levels": 2, "base_n": 1}))
+@example(("solve", {"problem": "potential", "mesh": {"nx": 10 ** 400, "ny": 2}}))
 def test_config_ends_in_report_or_structured_error(run):
     command, cfg = run
     with tempfile.TemporaryDirectory() as tmp:

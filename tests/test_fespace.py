@@ -42,7 +42,7 @@ def _reference_groups(dofmap):
         boundary = tuple((k, FacetTag(int(key[4 + k]))) for k in range(4)
                          if key[4 + k] != FacetTag.INTERIOR)
         parts = [dofmap.elem_field[elems],
-                 dofmap.flux_offset + elems[:, None] * n_flux + np.arange(n_flux)]
+                 dofmap.n_field + elems[:, None] * n_flux + np.arange(n_flux)]
         for k, _sign in edges:
             parts.append(dofmap.trace_offset + slots[elems, k][:, None] * p
                          + np.arange(p))
@@ -162,7 +162,6 @@ class TestSpaceLayout:
         layout = SpaceLayout(p=2, delta_p=1)
         assert layout.n_field_local == 9
         assert layout.n_flux_local == 8
-        assert layout.n_trace_facet == 2
         assert layout.enriched_degree == 3
         assert layout.n_enriched == 16
         assert layout.default_quad_points == 4
@@ -247,7 +246,7 @@ class TestDofMap:
         dofs = dofmap.element_dofs(0)
         n_active = len(dofmap.element_active_edges(0))
         assert dofs.shape[0] == (layout.n_field_local + layout.n_flux_local
-                                 + layout.n_trace_facet * n_active)
+                                 + layout.p * n_active)
         # block order: field lattice, element flux, traces by local edge
         assert np.array_equal(dofs[:9], dofmap.elem_field[0])
         assert np.array_equal(dofs[9:17], dofmap.elem_flux_dofs(0))

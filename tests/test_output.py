@@ -218,11 +218,14 @@ class TestCsvWriters:
 
     def test_infsup_layout(self, tmp_path):
         path = tmp_path / "infsup.csv"
-        write_infsup_csv(path, [(0, 1, 6, 0.5), (1, 2, 21, 0.4)])
+        write_infsup_csv(path, [(0, 1, 6, 0.5), (1, 2, 21, 0.4), (2, 4, 66, 0.0),
+                                (3, 8, 196, 0.0)], [0.8, 0.0, None])
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "level,n,dofs,alpha,ratio"
         assert lines[1] == "0,1,6,0.5,"
         assert lines[2] == "1,2,21,0.4,0.8"
+        # the ratios are written as given; none over a zero constant
+        assert lines[3:] == ["2,4,66,0.0,0.0", "3,8,196,0.0,"]
 
 
 class TestReportJson:

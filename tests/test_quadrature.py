@@ -51,7 +51,7 @@ class TestGauss1d:
 class TestTensorQuad:
     def test_one_point_rule(self):
         rule = tensor_quad(1)
-        assert rule.n == 1
+        assert rule.weights.shape == (1,)
         assert np.allclose(rule.points, [[0.0, 0.0]])
         assert rule.weights == pytest.approx([4.0])
 

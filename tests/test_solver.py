@@ -837,8 +837,7 @@ class TestLayerCholesky:
         # the layers come from the fine level's slots; the blocks' rows agree
         system = _case_system("pot-trig", 3, nx, ny)
         n, mesh = system.rhs.size, system.dofmap.mesh
-        layer = solver_mod.mesh_layers(mesh, np.arange(mesh.n_elems),
-                                       solver_mod._fine_grid(system).elem_rows, n)
+        layer = solver_mod.mesh_layers(mesh, solver_mod._fine_grid(system).elem_rows, n)
         assert np.unique(layer).size == max(nx, ny)
         for b in system.elements:
             own = (b.elems % nx if nx > ny else b.elems // nx)[:, None]
@@ -904,7 +903,7 @@ class TestCondensation:
         full, dofmap = _uncondensed_solve(mesh, case.problem, layout)
         for got, want in ((solution.field, full[:dofmap.n_field]),
                           (solution.flux,
-                           full[dofmap.flux_offset:dofmap.trace_offset]),
+                           full[dofmap.n_field:dofmap.trace_offset]),
                           (solution.trace, full[dofmap.trace_offset:])):
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
