@@ -200,7 +200,7 @@ def problem_from_config(cfg: dict):
     kind = cfg.get("problem")
     coeff = _block(cfg, "coefficients")
     domain = domain_from_config(cfg)
-    if kind in COEFFICIENT_KEYS:
+    if isinstance(kind, str) and kind in COEFFICIENT_KEYS:
         _check_keys(coeff, COEFFICIENT_KEYS[kind], f"{kind} 'coefficients'")
     for key, v in coeff.items():
         if isinstance(v, bool) or not isinstance(v, (int, float, str)):

@@ -32,8 +32,9 @@ with which sign), which carry boundary data (and of which kind), and on
 the coefficient values. An ElementGroup collects the elements that agree
 on the first two; the kernels build, condense and evaluate one group at
 a time, with the Gram, A_fosls and (outside Robin groups) B shared by
-all its elements and the coefficients sampled over the group's batched
-quadrature points. The interior, the four sides and the four corners
+all its elements. The coefficients are sampled once per mesh, at the
+quadrature points of all its elements, and each group integrates its
+slice of them. The interior, the four sides and the four corners
 give 9 groups on meshes of at least 3 x 3 elements.
 """
 
@@ -129,9 +130,12 @@ class GeometryKernels:
         self.field_gy = sy * fg[:, :, 1]
 
         w = self.wvol[:, None]
-        self.enr_mass = (self.enr_val * w).T @ self.enr_val
-        self.enr_stiff_x = (self.enr_gx * w).T @ self.enr_gx
-        self.enr_stiff_y = (self.enr_gy * w).T @ self.enr_gy
+        # an overflowing element area leaves inf and NaN here, which the
+        # Gram's Cholesky factorization reports; numpy stays quiet
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.enr_mass = (self.enr_val * w).T @ self.enr_val
+            self.enr_stiff_x = (self.enr_gx * w).T @ self.enr_gx
+            self.enr_stiff_y = (self.enr_gy * w).T @ self.enr_gy
         self.gram = self.test_gram(1.0)
         self.gram_inv = spd_inverses(self.gram, f"geometry Gram (dx = {dx:g}, dy = {dy:g})")
 
@@ -172,15 +176,15 @@ class SolverError(RuntimeError):
 
 
 class ProblemKernels:
-    """Adds the coefficient-dependent templates for one problem.
+    """Adds the coefficient-dependent templates for one problem on one
+    mesh, with its coefficients sampled once (`CoefficientSamples`).
 
     eps weights the test-norm seminorm and the least-squares block (see
     the module docstring); gram/gram_inv are the problem's test norm.
     """
 
-    def __init__(self, geom: GeometryKernels, problem):
+    def __init__(self, geom: GeometryKernels, problem, mesh: Mesh):
         self.geom = geom
-        self.problem = problem
         layout = geom.layout
         self.n_field = layout.n_field_local
         self.n_fs = layout.n_flux_scalar
@@ -225,8 +229,9 @@ class ProblemKernels:
         bvol[:, self.n_field + self.n_fs:] = \
             -self.trace_factor * (geom.enr_gy * w).T @ geom.flux_val
         self.coupling_tmpl = bvol
+        self.coefficients = CoefficientSamples(mesh, problem, geom)
 
-    def local_system(self, mesh: Mesh, group: ElementGroup) -> LocalSystem:
+    def local_system(self, group: ElementGroup) -> LocalSystem:
         """Build B, l, A_fosls, f_fosls for the elements of one group."""
         geom = self.geom
         layout = geom.layout
@@ -242,8 +247,8 @@ class ProblemKernels:
         A = np.zeros((n_trial, n_trial))
         A[:self.n_ff, :self.n_ff] = self.lsq_tmpl
         f = np.zeros((n, n_trial))
-        load, robin, source = coefficient_loads(mesh, group, self.problem, geom,
-                                                geom.enr_val, geom.enr_edge)
+        load, robin, source = self.coefficients.loads(group, geom.enr_val,
+                                                      geom.enr_edge)
         shift = None
         if source is not None and (np.any(source[0]) or np.any(source[1])):
             sx, sy = source
@@ -259,49 +264,94 @@ class ProblemKernels:
                            self.res_y, self.res_weights, shift)
 
 
-def coefficient_loads(mesh: Mesh, group: ElementGroup, problem,
-                      geom: GeometryKernels, test_val: np.ndarray, test_edge,
-                      test_grad=None):
-    """Loads and Robin terms of one group against a test basis: the enriched
-    basis for DPG, the field basis for the Galerkin oracle. test_val and
-    test_edge[k] tabulate it at the volume and edge-k quadrature points;
-    test_grad = (gx, gy), when given, adds -(S, grad v) to the load (DPG's
-    least-squares term carries S instead). beta must be positive.
+class CoefficientSamples:
+    """A problem's coefficients sampled once per mesh at the quadrature
+    points of geom, for `loads` to integrate one group at a time.
 
-    Returns load (n x m); robin, <beta u, v>_R for u in the field basis
-    (n x m x n_field), or None without Robin edges; and source, the sampled
-    (Sx, Sy) of a potential problem, else None.
+    volume: (c_prev,) of a concentration problem, else (Sx, Sy); each
+        (n_elems x nq), in element order.
+    edges: {(local edge k, FacetTag): (elems, data)} for every boundary
+        tag a local edge carries: elems are the ascending ids of the
+        elements whose edge k has that tag, and data the sampled values
+        on those edges, each (len(elems) x nq_edge): (J,) for a
+        concentration problem, (beta, R) on Robin, (I,) on Neumann and ()
+        on Dirichlet edges. beta must be positive.
     """
-    load = np.zeros((group.elems.shape[0], test_val.shape[1]))
-    robin = source = None
-    origin = mesh.element_origin(group.elems)
-    pts = geom.vol_points(origin)
-    if problem.kind == "concentration":
-        load += (geom.wvol * sample(problem.c_prev, pts, "c_prev")) @ test_val
-    else:
-        source = (sample(problem.S[0], pts, "Sx"), sample(problem.S[1], pts, "Sy"))
-        if test_grad is not None:
-            load -= ((geom.wvol * source[0]) @ test_grad[0]
-                     + (geom.wvol * source[1]) @ test_grad[1])
-    for k, tag in group.boundary:
-        epts = geom.edge_points(k, origin)
-        nrm = mesh.facet_normals[mesh.elem_facets[group.elems, k]]
-        w = geom.edge_w[k]
+
+    def __init__(self, mesh: Mesh, problem, geom: GeometryKernels):
+        self.problem = problem
+        self.geom = geom
+        origin = mesh.element_origin(np.arange(mesh.n_elems))
+        pts = geom.vol_points(origin)
         if problem.kind == "concentration":
-            load -= problem.dt * ((w * sample(problem.J, epts, "J", nrm))
-                                  @ test_edge[k])
-        elif tag == FacetTag.ROBIN:
-            beta = sample(problem.beta, epts, "beta")
-            if not np.all(beta > 0):
-                raise ProblemValidationError([
-                    "beta not positive on Gamma_R at the assembly's "
-                    f"quadrature points (min sampled value {beta.min():g})"])
-            term = (test_edge[k].T * (w * beta)[:, None, :]) @ geom.field_edge[k]
-            robin = term if robin is None else robin + term
-            load -= (w * sample(problem.R, epts, "R", nrm)) @ test_edge[k]
-        elif tag == FacetTag.NEUMANN:
-            load -= (w * sample(problem.I, epts, "I", nrm)) @ test_edge[k]
-    return load, robin, source
+            self.volume = (sample(problem.c_prev, pts, "c_prev"),)
+        else:
+            self.volume = (sample(problem.S[0], pts, "Sx"),
+                           sample(problem.S[1], pts, "Sy"))
+        self.edges = {}
+        betas = []
+        for k in range(4):
+            facets = mesh.elem_facets[:, k]
+            tags = mesh.facet_tags[facets]
+            for tag in (FacetTag.DIRICHLET, FacetTag.NEUMANN, FacetTag.ROBIN):
+                elems = np.flatnonzero(tags == tag)
+                if not elems.size:
+                    continue
+                epts = geom.edge_points(k, (origin[0][elems], origin[1][elems]))
+                nrm = mesh.facet_normals[facets[elems]]
+                if problem.kind == "concentration":
+                    data = (sample(problem.J, epts, "J", nrm),)
+                elif tag == FacetTag.ROBIN:
+                    betas.append(sample(problem.beta, epts, "beta"))
+                    data = (betas[-1], sample(problem.R, epts, "R", nrm))
+                elif tag == FacetTag.NEUMANN:
+                    data = (sample(problem.I, epts, "I", nrm),)
+                else:
+                    data = ()
+                self.edges[k, tag] = (elems, data)
+        if not all(np.all(beta > 0) for beta in betas):
+            raise ProblemValidationError([
+                "beta not positive on Gamma_R at the assembly's quadrature "
+                f"points (min sampled value {min(b.min() for b in betas):g})"])
+
+    def loads(self, group: ElementGroup, test_val: np.ndarray, test_edge,
+              test_grad=None):
+        """Loads and Robin terms of one group against a test basis: the
+        enriched basis for DPG, the field basis for the Galerkin oracle.
+        test_val and test_edge[k] tabulate it at the volume and edge-k
+        quadrature points; test_grad = (gx, gy), when given, adds
+        -(S, grad v) to the load (DPG's least-squares term carries S
+        instead).
+
+        Returns load (n x m); robin, <beta u, v>_R for u in the field
+        basis (n x m x n_field), or None without Robin edges; and source,
+        the group's (Sx, Sy) of a potential problem, else None.
+        """
+        problem, geom = self.problem, self.geom
+        load = np.zeros((group.elems.shape[0], test_val.shape[1]))
+        robin = source = None
+        if problem.kind == "concentration":
+            load += (geom.wvol * self.volume[0][group.elems]) @ test_val
+        else:
+            source = tuple(s[group.elems] for s in self.volume)
+            if test_grad is not None:
+                load -= ((geom.wvol * source[0]) @ test_grad[0]
+                         + (geom.wvol * source[1]) @ test_grad[1])
+        for k, tag in group.boundary:
+            elems, data = self.edges[k, tag]
+            rows = np.searchsorted(elems, group.elems)
+            data = [d[rows] for d in data]
+            w = geom.edge_w[k]
+            if problem.kind == "concentration":
+                load -= problem.dt * ((w * data[0]) @ test_edge[k])
+            elif tag == FacetTag.ROBIN:
+                beta, R = data
+                term = (test_edge[k].T * (w * beta)[:, None, :]) @ geom.field_edge[k]
+                robin = term if robin is None else robin + term
+                load -= (w * R) @ test_edge[k]
+            elif tag == FacetTag.NEUMANN:
+                load -= (w * data[0]) @ test_edge[k]
+        return load, robin, source
 
 
 @lru_cache(maxsize=32)

@@ -9,6 +9,7 @@ scalar space of degree p + delta_p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,21 +20,26 @@ MAX_DEGREE = 10
 _INTERIOR = int(FacetTag.INTERIOR)
 
 
+@lru_cache(maxsize=None)
 def gauss_lobatto_nodes(degree: int) -> np.ndarray:
     """Nodes in [-1, 1] of the degree-`degree` Lobatto family (degree+1 points).
 
-    Degree 0 degenerates to the single midpoint node.
+    Degree 0 degenerates to the single midpoint node. Computed once per
+    degree and shared, so the array is read-only.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if degree == 0:
-        return np.array([0.0])
-    if degree == 1:
-        return np.array([-1.0, 1.0])
-    coeffs = np.zeros(degree + 1)
-    coeffs[degree] = 1.0
-    interior = np.polynomial.legendre.legroots(np.polynomial.legendre.legder(coeffs))
-    return np.concatenate([[-1.0], np.sort(np.real(interior)), [1.0]])
+        nodes = np.array([0.0])
+    elif degree == 1:
+        nodes = np.array([-1.0, 1.0])
+    else:
+        coeffs = np.zeros(degree + 1)
+        coeffs[degree] = 1.0
+        interior = np.polynomial.legendre.legroots(np.polynomial.legendre.legder(coeffs))
+        nodes = np.concatenate([[-1.0], np.sort(np.real(interior)), [1.0]])
+    nodes.setflags(write=False)
+    return nodes
 
 
 def lagrange_1d(nodes: np.ndarray, x: np.ndarray, deriv: bool = False):
@@ -66,6 +72,23 @@ def lagrange_1d(nodes: np.ndarray, x: np.ndarray, deriv: bool = False):
     return vals, ders
 
 
+def _tensor(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """Products fx[:, ix] * fy[:, iy] of two (npts, n1) tables, column
+    iy*n1 + ix."""
+    return (fy[:, :, None] * fx[:, None, :]).reshape(fx.shape[0], -1)
+
+
+def _axis_tables(degree: int, points: np.ndarray, deriv: bool) -> list:
+    """`lagrange_1d` of the degree's Lobatto nodes at the x and at the y
+    coordinates of points (npts, 2), from one call on their distinct values:
+    [(vx, vy)], or with deriv [(vx, vy), (dx, dy)]."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    coords, where = np.unique(pts, return_inverse=True)
+    tables = lagrange_1d(gauss_lobatto_nodes(degree), coords, deriv)
+    where = where.reshape(pts.shape)
+    return [(t[where[:, 0]], t[where[:, 1]]) for t in (tables if deriv else (tables,))]
+
+
 def tabulate_h1_basis(p: int, points: np.ndarray):
     """Tensor Lagrange basis of degree p on [-1,1]^2 at reference points.
 
@@ -75,20 +98,8 @@ def tabulate_h1_basis(p: int, points: np.ndarray):
     """
     if not 1 <= p <= MAX_DEGREE:
         raise ValueError(f"field degree {p} outside supported range [1, {MAX_DEGREE}]")
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    nodes = gauss_lobatto_nodes(p)
-    vx, dx = lagrange_1d(nodes, pts[:, 0], deriv=True)
-    vy, dy = lagrange_1d(nodes, pts[:, 1], deriv=True)
-    npts, n1 = vx.shape
-    values = np.empty((npts, n1 * n1))
-    grads = np.empty((npts, n1 * n1, 2))
-    for iy in range(n1):
-        for ix in range(n1):
-            a = iy * n1 + ix
-            values[:, a] = vx[:, ix] * vy[:, iy]
-            grads[:, a, 0] = dx[:, ix] * vy[:, iy]
-            grads[:, a, 1] = vx[:, ix] * dy[:, iy]
-    return values, grads
+    (vx, vy), (dx, dy) = _axis_tables(p, points, deriv=True)
+    return _tensor(vx, vy), np.stack([_tensor(dx, vy), _tensor(vx, dy)], axis=-1)
 
 
 def tabulate_l2_basis(degree: int, points: np.ndarray) -> np.ndarray:
@@ -99,16 +110,8 @@ def tabulate_l2_basis(degree: int, points: np.ndarray) -> np.ndarray:
     """
     if not 0 <= degree <= MAX_DEGREE:
         raise ValueError(f"flux degree {degree} outside supported range [0, {MAX_DEGREE}]")
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    nodes = gauss_lobatto_nodes(degree)
-    vx = lagrange_1d(nodes, pts[:, 0])
-    vy = lagrange_1d(nodes, pts[:, 1])
-    n1 = nodes.shape[0]
-    values = np.empty((pts.shape[0], n1 * n1))
-    for iy in range(n1):
-        for ix in range(n1):
-            values[:, iy * n1 + ix] = vx[:, ix] * vy[:, iy]
-    return values
+    [(vx, vy)] = _axis_tables(degree, points, deriv=False)
+    return _tensor(vx, vy)
 
 
 def tabulate_facet_basis(degree: int, t: np.ndarray) -> np.ndarray:

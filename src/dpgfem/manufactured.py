@@ -201,8 +201,8 @@ CASE_NAMES = tuple(sorted(_CASES))
 
 
 def manufactured_case(name: str) -> ManufacturedCase:
-    try:
-        return _CASES[name]()
-    except KeyError:
+    # a tuple's membership test compares, so an unhashable name is unknown
+    if name not in CASE_NAMES:
         raise ValueError(f"unknown manufactured case {name!r}; "
-                         f"available: {', '.join(CASE_NAMES)}") from None
+                         f"available: {', '.join(CASE_NAMES)}")
+    return _CASES[name]()

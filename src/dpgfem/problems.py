@@ -242,6 +242,8 @@ def validate_problem(spec, mesh: Mesh):
     elif spec.kind == "potential":
         if not spec.kappa > 0:
             violations.append("kappa must be positive")
+        elif not math.isfinite(spec.kappa):
+            violations.append("kappa must be finite")
         robin = mesh.facets_with_tag(FacetTag.ROBIN)
         neumann = mesh.facets_with_tag(FacetTag.NEUMANN)
         if robin.size == 0 or neumann.size == 0:

@@ -434,9 +434,10 @@ def condensed_system(dofmap: DofMap, kind: str, systems) -> GlobalSystem:
 
 
 def assemble(mesh: Mesh, dofmap: DofMap, problem) -> GlobalSystem:
-    kernels = ProblemKernels(geometry_kernels(dofmap.layout, mesh.dx, mesh.dy), problem)
+    kernels = ProblemKernels(geometry_kernels(dofmap.layout, mesh.dx, mesh.dy),
+                             problem, mesh)
     return condensed_system(dofmap, problem.kind, (
-        (group.elems, group.dofs, *condense_local(kernels.local_system(mesh, group)))
+        (group.elems, group.dofs, *condense_local(kernels.local_system(group)))
         for group in dofmap.element_groups()))
 
 
@@ -798,13 +799,13 @@ def solve_spd(system: GlobalSystem, tol: float = 1e-10):
 def compute_indicators(mesh: Mesh, dofmap: DofMap, problem,
                        coeffs: np.ndarray) -> np.ndarray:
     geom = geometry_kernels(dofmap.layout, mesh.dx, mesh.dy)
-    kernels = ProblemKernels(geom, problem)
+    kernels = ProblemKernels(geom, problem, mesh)
     out = np.empty((mesh.n_elems, 2))
     # squared residuals of data beyond about 1e154 overflow; the error
     # below reports them, and numpy stays quiet
     with np.errstate(over="ignore", invalid="ignore"):
         for group in dofmap.element_groups():
-            out[group.elems] = error_indicator(kernels.local_system(mesh, group),
+            out[group.elems] = error_indicator(kernels.local_system(group),
                                                coeffs[group.dofs])
         total = out.sum()
     if not np.isfinite(total):

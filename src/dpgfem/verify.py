@@ -9,10 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from dpgfem.dpg import (
+    CoefficientSamples,
     ProblemKernels,
     SolverError,
     cholesky,
-    coefficient_loads,
     condense_local,
     geometry_kernels,
 )
@@ -148,10 +148,11 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
     Potential: (kappa grad phi, grad zeta) + <beta phi, zeta>_R =
     -(S, grad zeta) - <I, zeta>_N - <R, zeta>_R with phi = 0 on the
     Dirichlet part. An independent discretization used as an oracle; it
-    shares with DPG only the coefficient loads and `condensed_system`,
-    which eliminates the interior lattice nodes of each element: at once
-    for all elements without Robin edges, which share one matrix, and for
-    the stack of the others. Returns the field coefficients.
+    shares with DPG only the `CoefficientSamples`, sampled once here, and
+    `condensed_system`, which eliminates the interior lattice nodes of
+    each element: at once for all elements without Robin edges, which
+    share one matrix, and for the stack of the others. Returns the field
+    coefficients.
     """
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     dofmap = build_dofmap(mesh, layout, np.empty(0, dtype=np.int64))
@@ -164,10 +165,11 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
     else:
         S_shared = problem.kappa * stiff
 
+    coefficients = CoefficientSamples(mesh, problem, geom)
     parts = ([], [])                        # groups without, with Robin edges
     for group in dofmap.element_groups():
-        load, robin, _ = coefficient_loads(
-            mesh, group, problem, geom, geom.field_val, geom.field_edge,
+        load, robin, _ = coefficients.loads(
+            group, geom.field_val, geom.field_edge,
             (geom.field_gx, geom.field_gy))
         parts[robin is not None].append((group, S_shared if robin is None
                                          else S_shared + robin, load))
@@ -306,7 +308,7 @@ def _dense_trial_forms(mesh: Mesh, dofmap, problem=None):
     A = None
     if problem is not None:
         A = np.zeros((n, n))
-        kernels = ProblemKernels(geom, problem)
+        kernels = ProblemKernels(geom, problem, mesh)
     w = geom.wvol[:, None]
     field_gram = ((geom.field_val * w).T @ geom.field_val
                   + (geom.field_gx * w).T @ geom.field_gx
@@ -324,7 +326,7 @@ def _dense_trial_forms(mesh: Mesh, dofmap, problem=None):
         for dofs, block in blocks:
             np.add.at(M, (dofs[:, :, None], dofs[:, None, :]), block)
         if A is not None:
-            S, _ = condense_local(kernels.local_system(mesh, group))
+            S, _ = condense_local(kernels.local_system(group))
             np.add.at(A, (group.dofs[:, :, None], group.dofs[:, None, :]), S)
     return M, A
 

@@ -372,6 +372,9 @@ class TestInfsupCommand:
     @pytest.mark.parametrize("problem, coefficients, text", [
         ("potential", {"kappa": 0.0}, "kappa must be positive"),
         ("potential", {"kappa": -1.0}, "kappa must be positive"),
+        ("potential", {"kappa": float("nan")}, "kappa must be positive"),
+        # json.dumps writes the non-standard Infinity literal that json reads
+        ("potential", {"kappa": float("inf")}, "kappa must be finite"),
         ("concentration", {"D": -1.0, "dt": 0.1}, "D must be positive"),
     ])
     def test_invalid_problem_is_the_validation_error_of_solve(
@@ -450,6 +453,40 @@ class TestErrorHandling:
                                      "--outdir", str(tmp_path / "out")])
         assert code == 1
         assert json.loads(out)["error"]["code"] == "config"
+
+    @pytest.mark.parametrize("command, key, value", [
+        *[(command, "problem", value) for command in ("solve", "infsup")
+          for value in (["potential"], {"potential": 1})],
+        *[(command, "manufactured", value)
+          for command in ("solve", "convergence", "infsup")
+          for value in (["pot-trig"], {"pot-trig": 1})],
+    ])
+    def test_unhashable_problem_name_is_config_error(self, tmp_path, capsys,
+                                                     command, key, value):
+        cfg = write_config(tmp_path, {key: value})
+        code, out = run_cli(capsys, [command, "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "config"
+
+    @pytest.mark.parametrize("command", ["solve", "infsup"])
+    def test_overflowing_element_area_is_quiet_solver_error(self, tmp_path,
+                                                            capsys, command):
+        # the element area 2.5e399 overflows the enriched Gram
+        cfg = write_config(tmp_path, {
+            "problem": "potential",
+            "mesh": {"nx": 2, "ny": 2, "x1": 1e200, "y1": 1e200},
+            **({"levels": 1, "base_n": 2} if command == "infsup" else {}),
+        })
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", cfg,
+                         "--outdir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["error"]["code"] == "solver"
+        assert not caught
+        assert captured.err == ""
 
     def test_invalid_partition_is_validation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

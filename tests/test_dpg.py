@@ -7,6 +7,7 @@ import scipy.linalg
 
 from dpgfem.dpg import (
     _EDGE_REF,
+    CoefficientSamples,
     GeometryKernels,
     LocalSystem,
     ProblemKernels,
@@ -25,11 +26,16 @@ from dpgfem.fespace import (
 )
 from dpgfem.mesh import (
     BoundaryPartition,
+    FacetTag,
     Rectangle,
     build_rect_mesh,
     classify_boundary,
 )
-from dpgfem.problems import ConcentrationProblem, PotentialProblem
+from dpgfem.problems import (
+    ConcentrationProblem,
+    PotentialProblem,
+    ProblemValidationError,
+)
 from dpgfem.quadrature import gauss_1d, tensor_quad
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
@@ -53,13 +59,14 @@ def element_system(mesh, e, problem, layout, active_facets=()):
     one = dataclasses.replace(group, elems=group.elems[i:i + 1],
                               dofs=group.dofs[i:i + 1])
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
-    return ProblemKernels(geom, problem).local_system(mesh, one)
+    return ProblemKernels(geom, problem, mesh).local_system(one)
 
 
 def problem_gram(mesh, problem, layout):
     """Enriched Gram of the problem's test norm, which LocalSystem holds
     only as its inverse."""
-    return ProblemKernels(geometry_kernels(layout, mesh.dx, mesh.dy), problem).gram
+    return ProblemKernels(geometry_kernels(layout, mesh.dx, mesh.dy), problem,
+                          mesh).gram
 
 
 def local_trial_test(mesh, e, problem, layout, active_facets):
@@ -402,3 +409,65 @@ class TestErrorIndicator:
             eta_riesz, eta_fosls = error_indicator(ls, u)[0]
             assert eta_riesz >= 0.0
             assert eta_fosls >= 0.0
+
+
+class TestCoefficientSamples:
+    LAYOUT = SpaceLayout(p=2)
+
+    def test_group_loads_equal_sampling_the_group_alone(self):
+        # the per-mesh samples, sliced, are the values at the group's points
+        mesh = classify_boundary(build_rect_mesh(UNIT, 4, 3), POT_PARTITION)
+        problem = _pot_problem(beta=lambda x, y: 1 + x,
+                               S=(lambda x, y: np.sin(x) * y, "x - y"),
+                               I=lambda x, y: x * y, R=lambda x, y: np.cos(y))
+        geom = geometry_kernels(self.LAYOUT, mesh.dx, mesh.dy)
+        coefficients = CoefficientSamples(mesh, problem, geom)
+        dofmap = build_dofmap(mesh, self.LAYOUT, np.empty(0, dtype=np.int64))
+        for group in dofmap.element_groups():
+            load, robin, source = coefficients.loads(group, geom.enr_val,
+                                                     geom.enr_edge)
+            origin = mesh.element_origin(group.elems)
+            pts = geom.vol_points(origin)
+            assert np.allclose(source[0], np.sin(pts[..., 0]) * pts[..., 1],
+                               rtol=1e-15, atol=0.0)
+            want = np.zeros_like(load)
+            for k, tag in group.boundary:
+                epts = geom.edge_points(k, origin)
+                w = geom.edge_w[k]
+                if tag == FacetTag.ROBIN:
+                    want -= (w * np.cos(epts[..., 1])) @ geom.enr_edge[k]
+                elif tag == FacetTag.NEUMANN:
+                    want -= (w * epts[..., 0] * epts[..., 1]) @ geom.enr_edge[k]
+            assert np.allclose(load, want, rtol=1e-14, atol=1e-15)
+            assert (robin is None) == all(tag != FacetTag.ROBIN
+                                          for _, tag in group.boundary)
+
+    def test_non_finite_value_named_at_first_point_in_element_order(self):
+        mesh = build_rect_mesh(UNIT, 4, 4)
+        geom = geometry_kernels(self.LAYOUT, mesh.dx, mesh.dy)
+        def bad(x, y):
+            # a corner element and an interior one
+            return (((x > 0.75) & (y < 0.25))
+                    | ((x > 0.5) & (x < 0.75) & (y > 0.5) & (y < 0.75)))
+
+        problem = ConcentrationProblem(
+            D=0.5, dt=0.1, J=0.0,
+            c_prev=lambda x, y: np.where(bad(x, y), np.inf, 1.0))
+        pts = geom.vol_points(mesh.element_origin(np.arange(mesh.n_elems)))
+        flat = pts.reshape(-1, 2)
+        x, y = flat[np.argmax(bad(flat[:, 0], flat[:, 1]))]
+        assert x > 0.75 and y < 0.25            # element 3, before element 10
+        with pytest.raises(ProblemValidationError,
+                           match=rf"c_prev is not finite at \({x:g}, {y:g}\)"):
+            CoefficientSamples(mesh, problem, geom)
+
+    def test_robin_minimum_over_the_whole_mesh(self):
+        mesh = classify_boundary(build_rect_mesh(UNIT, 3, 3), POT_PARTITION)
+        geom = geometry_kernels(self.LAYOUT, mesh.dx, mesh.dy)
+        # negative on the bottom side, more negative on the top side
+        problem = _pot_problem(beta=lambda x, y: np.where(y > 0.5, -2.0, -1.0))
+        with pytest.raises(ProblemValidationError,
+                           match=r"at the assembly's quadrature points "
+                                 r"\(min sampled value -2\)"):
+            CoefficientSamples(mesh, problem, geom)
+

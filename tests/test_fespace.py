@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dpgfem.fespace import (
+    MAX_DEGREE,
     SpaceLayout,
     build_dofmap,
     gauss_lobatto_nodes,
@@ -48,6 +49,101 @@ def _reference_groups(dofmap):
                          + np.arange(p))
         groups.append((elems, edges, boundary, np.hstack(parts)))
     return groups
+
+
+def _reference_nodes(degree):
+    """gauss_lobatto_nodes as computed on every call before it was cached."""
+    if degree == 0:
+        return np.array([0.0])
+    if degree == 1:
+        return np.array([-1.0, 1.0])
+    coeffs = np.zeros(degree + 1)
+    coeffs[degree] = 1.0
+    interior = np.polynomial.legendre.legroots(np.polynomial.legendre.legder(coeffs))
+    return np.concatenate([[-1.0], np.sort(np.real(interior)), [1.0]])
+
+
+def _reference_lagrange_1d(nodes, x):
+    """The product-formula values and derivatives of lagrange_1d, one
+    point array per axis, as the tensor tabulations called it before they
+    evaluated the distinct coordinates of both axes at once."""
+    n = nodes.shape[0]
+    vals = np.ones((x.shape[0], n))
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                vals[:, i] *= (x - nodes[j]) / (nodes[i] - nodes[j])
+    ders = np.zeros((x.shape[0], n))
+    for i in range(n):
+        denom = np.prod([nodes[i] - nodes[j] for j in range(n) if j != i]) if n > 1 else 1.0
+        for k in range(n):
+            if k == i:
+                continue
+            term = np.ones_like(x)
+            for j in range(n):
+                if j != i and j != k:
+                    term *= x - nodes[j]
+            ders[:, i] += term / denom
+    return vals, ders
+
+
+def _reference_tensor_basis(degree, pts):
+    """(values, grads) of the degree's tensor Lagrange basis from the
+    column loop that tabulate_h1_basis and tabulate_l2_basis ran before
+    they formed the products with array operations."""
+    nodes = _reference_nodes(degree)
+    vx, dx = _reference_lagrange_1d(nodes, pts[:, 0])
+    vy, dy = _reference_lagrange_1d(nodes, pts[:, 1])
+    npts, n1 = vx.shape
+    values = np.empty((npts, n1 * n1))
+    grads = np.empty((npts, n1 * n1, 2))
+    for iy in range(n1):
+        for ix in range(n1):
+            a = iy * n1 + ix
+            values[:, a] = vx[:, ix] * vy[:, iy]
+            grads[:, a, 0] = dx[:, ix] * vy[:, iy]
+            grads[:, a, 1] = vx[:, ix] * dy[:, iy]
+    return values, grads
+
+
+def _point_sets():
+    """Gauss rules, Lobatto lattices, edge points at +-1 and random points,
+    with coordinates shared between the axes and within each axis."""
+    sets = [tensor_quad(n).points for n in range(1, MAX_DEGREE + 3)]
+    for q in (1, 2, 5, MAX_DEGREE):
+        nodes = gauss_lobatto_nodes(q)
+        sets.append(np.array([[x, y] for y in nodes for x in nodes]))
+    t = gauss_1d(4).points
+    sets += [np.column_stack([np.full_like(t, c), t]) for c in (-1.0, 1.0)]
+    sets.append(np.random.default_rng(7).uniform(-1.0, 1.0, size=(40, 2)))
+    return sets
+
+
+class TestFrozenTabulation:
+    """The tabulations reproduce the per-axis loop bit for bit."""
+
+    @pytest.mark.parametrize("p", range(1, MAX_DEGREE + 1))
+    def test_h1_basis_matches_column_loop(self, p):
+        for pts in _point_sets():
+            values, grads = tabulate_h1_basis(p, pts)
+            want_values, want_grads = _reference_tensor_basis(p, pts)
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(grads, want_grads)
+
+    @pytest.mark.parametrize("degree", range(0, MAX_DEGREE + 1))
+    def test_l2_basis_matches_column_loop(self, degree):
+        for pts in _point_sets():
+            assert np.array_equal(tabulate_l2_basis(degree, pts),
+                                  _reference_tensor_basis(degree, pts)[0])
+
+    @pytest.mark.parametrize("degree", range(0, MAX_DEGREE + 1))
+    def test_nodes_cached_read_only_and_shared(self, degree):
+        nodes = gauss_lobatto_nodes(degree)
+        assert np.array_equal(nodes, _reference_nodes(degree))
+        assert gauss_lobatto_nodes(degree) is nodes
+        assert not nodes.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.5
 
 
 class TestGaussLobattoNodes:

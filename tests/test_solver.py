@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import dpgfem.expr as expr_mod
 import dpgfem.solver as solver_mod
 import dpgfem.verify as verify_mod
 from dpgfem.dpg import ProblemKernels, condense_local, geometry_kernels
@@ -744,6 +745,53 @@ class TestAssemble:
         assert np.all(coeffs[dirichlet] == 0.0)
 
 
+class TestSamplingCounts:
+    """Each pass samples a volume coefficient once, on every element of the
+    mesh: assembly and the indicator pass of a DPG solve, and the Galerkin
+    oracle. The benchmark pins the expression count of these passes."""
+
+    MESH = (5, 4)
+    LAYOUT = SpaceLayout(p=2)
+
+    def _mesh(self):
+        return build_rect_mesh(UNIT, *self.MESH)
+
+    def test_compiled_expression_evaluations(self, monkeypatch):
+        evals = []
+        compile_expr = expr_mod.compile_expr
+
+        def counting(text):
+            fn = compile_expr(text)
+
+            def counted(x, y):
+                evals.append((x, y))
+                return fn(x, y)
+            return counted
+
+        monkeypatch.setattr(expr_mod, "compile_expr", counting)
+        problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="1 + x*y", J=0.0)
+        mesh = self._mesh()
+        solve_dpg(mesh, problem, self.LAYOUT)
+        nq = self.LAYOUT.default_quad_points ** 2
+        assert len(evals) == 2 * mesh.n_elems * nq
+
+    def test_plain_callable_called_once_per_pass(self):
+        calls = []
+
+        def c_prev(x, y):
+            calls.append(x.shape)
+            return 1.0 + x * y
+
+        problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=c_prev, J=0.0)
+        mesh = self._mesh()
+        nq = self.LAYOUT.default_quad_points ** 2
+        solve_dpg(mesh, problem, self.LAYOUT)
+        assert calls == [(mesh.n_elems, nq)] * 2
+        calls.clear()
+        classical_galerkin_solve(mesh, problem, self.LAYOUT)
+        assert calls == [(mesh.n_elems, nq)]
+
+
 class TestGroupedOperator:
     # the solves apply the ElementBlocks; system.matrix is the CSR export
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -872,11 +920,11 @@ def _uncondensed_solve(mesh, problem, layout):
     """Direct solve of the full system summed from the group blocks."""
     dofmap = build_dofmap(mesh, layout, active_facets(mesh))
     kernels = ProblemKernels(geometry_kernels(layout, mesh.dx, mesh.dy),
-                             problem)
+                             problem, mesh)
     rows, cols, vals = [], [], []
     rhs = np.zeros(dofmap.n_total)
     for group in dofmap.element_groups():
-        S, r = condense_local(kernels.local_system(mesh, group))
+        S, r = condense_local(kernels.local_system(group))
         n_g, m = group.dofs.shape
         rows.append(np.repeat(group.dofs, m, axis=1).ravel())
         cols.append(np.tile(group.dofs, m).ravel())

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from dpgfem.dpg import coefficient_loads, geometry_kernels
+from dpgfem.dpg import CoefficientSamples, geometry_kernels
 from dpgfem.fespace import (
     SpaceLayout,
     build_dofmap,
@@ -263,7 +263,7 @@ class TestErrorNorms:
 def _full_lattice_galerkin(mesh, problem, layout) -> np.ndarray:
     """The oracle's field-only Galerkin system over the full field lattice,
     summed by scipy from the field mass and stiffness matrices and the
-    `coefficient_loads`, restricted to the non-Dirichlet dofs and solved by
+    `CoefficientSamples` loads, restricted to the non-Dirichlet dofs and solved by
     spsolve: no condensation, no elimination and no CG."""
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     dofmap = build_dofmap(mesh, layout, np.empty(0, dtype=np.int64))
@@ -277,9 +277,10 @@ def _full_lattice_galerkin(mesh, problem, layout) -> np.ndarray:
         S = problem.kappa * stiff
     n = dofmap.n_field
     A, b = sp.csr_matrix((n, n)), np.zeros(n)
+    coefficients = CoefficientSamples(mesh, problem, geom)
     for group in dofmap.element_groups():
-        load, robin, _ = coefficient_loads(
-            mesh, group, problem, geom, geom.field_val, geom.field_edge,
+        load, robin, _ = coefficients.loads(
+            group, geom.field_val, geom.field_edge,
             (geom.field_gx, geom.field_gy))
         dofs = dofmap.elem_field[group.elems]
         S_e = np.broadcast_to(S if robin is None else S + robin,
