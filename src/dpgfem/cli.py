@@ -100,9 +100,39 @@ CONFIG_KEYS = {
     "infsup": _PROBLEM_KEYS | {"levels", "base_n"},
     "bv": {"bv"},
 }
-COEFFICIENT_KEYS = {"concentration": {"D", "dt", "c_prev", "J"},
-                    "potential": {"kappa", "beta", "Sx", "Sy", "I", "R"}}
-BV_REQUIRED = ("k_bv", "F", "R_gas", "T", "c_smax", "c_e", "c_s", "phi_e")
+# The kinds of config values, each named by what its error says a value must
+# be, with its test of a JSON value. `type` is exact, so a boolean is not a
+# number; every number a kind accepts must also be finite (see read_value).
+POSITIVE_INT = "a positive integer"
+NUMBER = "a number"
+POSITIVE = "a positive number"
+DATA = "a number or an expression string"
+BOOLEAN = "true or false"
+_KIND_TESTS = {
+    POSITIVE_INT: lambda v: type(v) is int and v > 0,
+    NUMBER: lambda v: type(v) in (int, float),
+    POSITIVE: lambda v: type(v) in (int, float) and v > 0,
+    DATA: lambda v: type(v) in (int, float, str),
+    BOOLEAN: lambda v: type(v) is bool,
+}
+REQUIRED = None                     # the default of a key that has none
+# key -> (kind, default) of each config block; the coefficients block is
+# read through the table of its problem kind
+SCHEMA = {
+    "mesh": {"nx": (POSITIVE_INT, 8), "ny": (POSITIVE_INT, 8), "x0": (NUMBER, 0.0),
+             "x1": (NUMBER, 1.0), "y0": (NUMBER, 0.0), "y1": (NUMBER, 1.0)},
+    "discretization": {"p": (POSITIVE_INT, 1), "delta_p": (POSITIVE_INT, 1)},
+    # a time step has no neutral default, and D pairs with it in dt * D
+    "concentration": {"D": (NUMBER, REQUIRED), "dt": (NUMBER, REQUIRED),
+                      "c_prev": (DATA, 0.0), "J": (DATA, 0.0)},
+    "potential": {"kappa": (NUMBER, 1.0), "beta": (DATA, 1.0), "Sx": (DATA, 0.0),
+                  "Sy": (DATA, 0.0), "I": (DATA, 0.0), "R": (DATA, 0.0)},
+    "bv": {**dict.fromkeys(("k_bv", "F", "R_gas", "T", "c_smax", "c_e", "c_s",
+                            "phi_e"), (NUMBER, REQUIRED)),
+           "t_plus": (NUMBER, 0.5), "phi_open": (DATA, 0.0)},
+}
+# how an error names a key of a block
+_KEY_PREFIX = {"coefficients": "coefficient ", "bv": "bv key "}
 # configs whose trial dof estimate exceeds this are rejected before any
 # allocation (see _check_size)
 MAX_DOFS = 2_000_000
@@ -117,54 +147,31 @@ def _check_keys(block: dict, allowed, where: str) -> None:
                        + ", ".join(map(repr, sorted(allowed))) + ")")
 
 
-def _block(cfg: dict, key: str) -> dict:
-    block = cfg.get(key, {})
-    if not isinstance(block, dict):
-        raise CliError("config", f"{key!r} must be an object")
-    return block
-
-
-def _positive_int(block: dict, key: str, default: int) -> int:
+def read_value(block: dict, key: str, kind: str, default, prefix: str = ""):
+    """block[key], or the default, checked against its kind."""
     v = block.get(key, default)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise CliError("config", f"{key!r} must be a positive integer")
+    if not _KIND_TESTS[kind](v):
+        raise CliError("config", f"{prefix}{key!r} must be {kind}")
+    if type(v) is float and not math.isfinite(v):
+        raise CliError("config", f"{prefix}{key!r} must be finite")
     return v
 
 
-def layout_from_config(cfg: dict) -> SpaceLayout:
-    disc = _block(cfg, "discretization")
-    _check_keys(disc, {"p", "delta_p"}, "'discretization'")
-    p = _positive_int(disc, "p", 1)
-    delta_p = _positive_int(disc, "delta_p", 1)
-    try:
-        return SpaceLayout(p, delta_p)
-    except ValueError as exc:
-        raise CliError("config", str(exc)) from None
-
-
-def tol_from_config(cfg: dict) -> float:
-    tol = cfg.get("solver_tol", 1e-10)
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not tol > 0:
-        raise CliError("config", "'solver_tol' must be a positive number")
-    return float(tol)
-
-
-def partition_from_config(cfg: dict, kind: str) -> BoundaryPartition:
-    defaults = (("neumann",) * 4 if kind == "concentration"
-                else ("dirichlet", "neumann", "robin", "robin"))
-    block = {**dict(zip(SIDES, defaults)), **_block(cfg, "boundary")}
-    return BoundaryPartition.from_names(block)
-
-
-def _mesh_block(cfg: dict) -> dict:
-    block = _block(cfg, "mesh")
-    _check_keys(block, {"nx", "ny", "x0", "x1", "y0", "y1"}, "'mesh'")
-    return block
-
-
-def mesh_size_from_config(cfg: dict) -> tuple[int, int]:
-    block = _mesh_block(cfg)
-    return _positive_int(block, "nx", 8), _positive_int(block, "ny", 8)
+def read_block(cfg: dict, key: str, table: str | None = None) -> dict:
+    """Every key of SCHEMA[table or key], read from the object cfg[key]."""
+    block = cfg.get(key, {})
+    if not isinstance(block, dict):
+        raise CliError("config", f"{key!r} must be an object")
+    schema = SCHEMA[table or key]
+    where = f"{table} {key!r}" if table else repr(key)
+    _check_keys(block, schema, where)
+    missing = [k for k, (_, default) in schema.items()
+               if default is REQUIRED and k not in block]
+    if missing:
+        raise CliError("config", f"{where} missing key(s): "
+                       + ", ".join(map(repr, missing)))
+    return {k: read_value(block, k, kind, default, _KEY_PREFIX.get(key, ""))
+            for k, (kind, default) in schema.items()}
 
 
 def _check_size(nx: int, ny: int, p: int) -> None:
@@ -180,64 +187,43 @@ def _check_size(nx: int, ny: int, p: int) -> None:
                        f"(limit {MAX_DOFS:,})")
 
 
-def domain_from_config(cfg: dict) -> Rectangle:
-    block = _mesh_block(cfg)
-    vals = []
-    for key, default in (("x0", 0.0), ("x1", 1.0), ("y0", 0.0), ("y1", 1.0)):
-        v = block.get(key, default)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise CliError("config", f"{key!r} must be a number")
-        vals.append(float(v))
-    return Rectangle(*vals)
-
-
-def problem_from_config(cfg: dict):
-    """Returns (case_or_None, problem, domain, partition)."""
+def problem_from_config(cfg: dict, mesh: dict):
+    """Returns (case_or_None, problem, domain, partition); `mesh` is the
+    read mesh block, whose domain a manufactured case overrides."""
     name = cfg.get("manufactured")
     if name is not None:
         case = manufactured_case(name)
         return case, case.problem, case.domain, case.partition
     kind = cfg.get("problem")
-    coeff = _block(cfg, "coefficients")
-    domain = domain_from_config(cfg)
-    if isinstance(kind, str) and kind in COEFFICIENT_KEYS:
-        _check_keys(coeff, COEFFICIENT_KEYS[kind], f"{kind} 'coefficients'")
-    for key, v in coeff.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-            raise CliError("config", f"coefficient {key!r} must be a number "
-                           "or an expression string")
-    if kind == "concentration":
-        # a time step has no neutral default, and D pairs with it in dt * D
-        missing = [key for key in ("D", "dt") if key not in coeff]
-        if missing:
-            raise CliError("config", "concentration 'coefficients' missing "
-                           "key(s): " + ", ".join(map(repr, missing)))
-        partition = partition_from_config(cfg, kind)
-        problem = ConcentrationProblem(D=coeff["D"], dt=coeff["dt"],
-                                       c_prev=coeff.get("c_prev", 0.0),
-                                       J=coeff.get("J", 0.0))
-    elif kind == "potential":
-        partition = partition_from_config(cfg, kind)
-        problem = PotentialProblem(kappa=coeff.get("kappa", 1.0),
-                                   beta=coeff.get("beta", 1.0),
-                                   S=(coeff.get("Sx", 0.0),
-                                      coeff.get("Sy", 0.0)),
-                                   I=coeff.get("I", 0.0),
-                                   R=coeff.get("R", 0.0))
-    else:
+    if kind not in ("concentration", "potential"):
         raise CliError("config", "'problem' must be 'concentration' or "
                        "'potential' unless 'manufactured' names a case")
+    coeff = read_block(cfg, "coefficients", kind)
+    domain = Rectangle(*(float(mesh[k]) for k in ("x0", "x1", "y0", "y1")))
+    boundary = cfg.get("boundary", {})
+    if not isinstance(boundary, dict):
+        raise CliError("config", "'boundary' must be an object")
+    defaults = (("neumann",) * 4 if kind == "concentration"
+                else ("dirichlet", "neumann", "robin", "robin"))
+    partition = BoundaryPartition.from_names({**dict(zip(SIDES, defaults)), **boundary})
+    if kind == "concentration":
+        problem = ConcentrationProblem(**coeff)
+    else:
+        problem = PotentialProblem(kappa=coeff["kappa"], beta=coeff["beta"],
+                                   S=(coeff["Sx"], coeff["Sy"]), I=coeff["I"],
+                                   R=coeff["R"])
     return None, problem, domain, partition
 
 
 def cmd_solve(cfg: dict, outdir: Path) -> dict:
-    case, problem, domain, partition = problem_from_config(cfg)
-    nx, ny = mesh_size_from_config(cfg)
-    layout = layout_from_config(cfg)
+    mesh_cfg = read_block(cfg, "mesh")
+    case, problem, domain, partition = problem_from_config(cfg, mesh_cfg)
+    nx, ny = mesh_cfg["nx"], mesh_cfg["ny"]
+    layout = SpaceLayout(**read_block(cfg, "discretization"))
+    tol = read_value(cfg, "solver_tol", POSITIVE, 1e-10)
     _check_size(nx, ny, layout.p)
     mesh = classify_boundary(build_rect_mesh(domain, nx, ny), partition)
-    solution, info, system = solve_dpg(mesh, problem, layout,
-                                       tol=tol_from_config(cfg))
+    solution, info, system = solve_dpg(mesh, problem, layout, tol=tol)
     dofmap = system.dofmap
     report = {
         "command": "solve",
@@ -272,18 +258,16 @@ def cmd_convergence(cfg: dict, outdir: Path) -> dict:
     if name is None:
         raise CliError("config", "convergence requires a 'manufactured' case")
     case = manufactured_case(name)
-    layout = layout_from_config(cfg)
-    levels = _positive_int(cfg, "levels", 4)
-    base_n = _positive_int(cfg, "base_n", 8)
-    with_oracle = cfg.get("with_oracle", False)
-    if not isinstance(with_oracle, bool):
-        raise CliError("config", "'with_oracle' must be true or false")
+    layout = SpaceLayout(**read_block(cfg, "discretization"))
+    levels = read_value(cfg, "levels", POSITIVE_INT, 4)
+    base_n = read_value(cfg, "base_n", POSITIVE_INT, 8)
+    tol = read_value(cfg, "solver_tol", POSITIVE, 1e-10)
+    with_oracle = read_value(cfg, "with_oracle", BOOLEAN, False)
     # finest mesh base_n * 2^(levels-1); capping the shift bounds the work
     finest = base_n << min(levels - 1, 64)
     _check_size(finest, finest, layout.p)
     report = eoc_study(case, layout.p, levels, delta_p=layout.delta_p,
-                       base_n=base_n, tol=tol_from_config(cfg),
-                       with_oracle=with_oracle)
+                       base_n=base_n, tol=tol, with_oracle=with_oracle)
     out = report.to_json_dict()
     out["command"] = "convergence"
     if with_oracle:
@@ -294,10 +278,11 @@ def cmd_convergence(cfg: dict, outdir: Path) -> dict:
 
 
 def cmd_infsup(cfg: dict, outdir: Path) -> dict:
-    _case, problem, domain, partition = problem_from_config(cfg)
-    layout = layout_from_config(cfg)
-    levels = _positive_int(cfg, "levels", 3)
-    base_n = _positive_int(cfg, "base_n", 1)
+    mesh_cfg = read_block(cfg, "mesh")
+    _case, problem, domain, partition = problem_from_config(cfg, mesh_cfg)
+    layout = SpaceLayout(**read_block(cfg, "discretization"))
+    levels = read_value(cfg, "levels", POSITIVE_INT, 3)
+    base_n = read_value(cfg, "base_n", POSITIVE_INT, 1)
     finest = base_n << min(levels - 1, 64)
     _check_size(finest, finest, layout.p)
     rows = []
@@ -322,28 +307,11 @@ def cmd_infsup(cfg: dict, outdir: Path) -> dict:
 
 
 def cmd_bv(cfg: dict, outdir: Path) -> dict:
-    block = _block(cfg, "bv")
-    _check_keys(block, BV_REQUIRED + ("t_plus", "phi_open"), "'bv'")
-    missing = [k for k in BV_REQUIRED if k not in block]
-    if missing:
-        raise CliError("config", f"bv block missing keys: {', '.join(missing)}")
-    numbers = {key: v for key, v in block.items()
-               if not (key == "phi_open" and isinstance(v, str))}
-    for key, v in numbers.items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise CliError("config", f"bv key {key!r} must be a number")
-    params = ButlerVolmerParams(k_bv=block["k_bv"], F=block["F"],
-                                R_gas=block["R_gas"], T=block["T"],
-                                c_smax=block["c_smax"],
-                                t_plus=block.get("t_plus", 0.5),
-                                phi_open=block.get("phi_open", 0.0))
-    # a NaN in `params` failed its checks above; none may reach the report
-    for key, v in numbers.items():
-        if not math.isfinite(v):
-            raise CliError("config", f"bv key {key!r} must be finite")
-    I_c = exchange_current(params, block["c_e"], block["c_s"])
-    beta, R_load = robin_coefficients(params, block["c_e"], block["c_s"],
-                                      block["phi_e"])
+    bv = read_block(cfg, "bv")
+    c_e, c_s, phi_e = (bv.pop(key) for key in ("c_e", "c_s", "phi_e"))
+    params = ButlerVolmerParams(**bv)
+    I_c = exchange_current(params, c_e, c_s)
+    beta, R_load = robin_coefficients(params, c_e, c_s, phi_e)
     report = {"command": "bv", "I_c": I_c, "beta": beta, "R_load": R_load}
     for key in ("I_c", "beta", "R_load"):
         if not math.isfinite(report[key]):

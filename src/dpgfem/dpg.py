@@ -148,9 +148,11 @@ class GeometryKernels:
         ]
 
     def test_gram(self, eps: float) -> np.ndarray:
-        """Enriched Gram of the test norm ||v||^2 + eps ||grad v||^2."""
-        return (self.enr_mass + eps * self.enr_stiff_x
-                + eps * self.enr_stiff_y)
+        """Enriched Gram of the test norm ||v||^2 + eps ||grad v||^2; a sum
+        that overflows is reported by `spd_inverses`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.enr_mass + eps * self.enr_stiff_x
+                    + eps * self.enr_stiff_y)
 
     def vol_points(self, origin) -> np.ndarray:
         """Volume quadrature points of the elements with lower-left corners

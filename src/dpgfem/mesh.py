@@ -47,6 +47,9 @@ class Rectangle:
     def __post_init__(self):
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError("degenerate rectangle: need x1 > x0 and y1 > y0")
+        if not (self.width < np.inf and self.height < np.inf):
+            raise ValueError(f"rectangle too large: its width ({self.width:g}) and "
+                             f"height ({self.height:g}) must be finite")
 
     @property
     def width(self) -> float:

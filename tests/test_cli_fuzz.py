@@ -9,7 +9,9 @@ only. `infsup` runs 1 or 2 levels from a 1 x 1 or 2 x 2 mesh at p = 1, 2,
 within INFSUP_DOF_CAP. Coefficients are numbers or strings of the README
 grammar, some of which divide by zero or overflow. An optional `boundary`
 map tags any of the four sides Dirichlet, Neumann or Robin, so partitions
-invalid for the problem kind are drawn too.
+invalid for the problem kind are drawn too. Some of the configs then
+give one key, at the top level or in a block, a value of a wrong JSON type:
+a list, an object, null, a boolean, NaN, +-Infinity or a numeric string.
 """
 
 import contextlib
@@ -58,10 +60,30 @@ SIZES = {
     "infsup": {"levels": st.integers(1, 2), "base_n": st.integers(1, 2),
                "discretization": st.fixed_dictionaries({"p": st.integers(1, 2)})},
 }
+# values of a wrong JSON type for some key; a numeric string is one for D,
+# dt and kappa, which take numbers only
+WRONG = st.sampled_from([[1.0], {"x": 1.0}, None, True, False, float("nan"),
+                         float("inf"), float("-inf"), "0.5"])
+
+
+def _with_wrong_value(run):
+    """The run, or the run with one key of its config, at the top level or
+    in a block, set to a WRONG value."""
+    command, cfg = run
+    places = [(key,) for key in cfg] + [(key, sub) for key, block in cfg.items()
+                                        if isinstance(block, dict) for sub in block]
+
+    def put(place, value):
+        wrong = {key: dict(v) if isinstance(v, dict) else v for key, v in cfg.items()}
+        (wrong[place[0]] if len(place) == 2 else wrong)[place[-1]] = value
+        return command, wrong
+    return st.one_of(st.just(run), st.builds(put, st.sampled_from(places), WRONG))
+
+
 RUNS = st.tuples(st.sampled_from(sorted(SIZES)), PROBLEMS).flatmap(
     lambda run: st.tuples(st.just(run[0]), st.fixed_dictionaries({
         "problem": st.just(run[1][0]), "coefficients": st.just(run[1][1]),
-        **SIZES[run[0]]}, optional={"boundary": BOUNDARY})))
+        **SIZES[run[0]]}, optional={"boundary": BOUNDARY}))).flatmap(_with_wrong_value)
 
 
 def _run(command: str, cfg: dict, root: Path, name: str):
@@ -84,7 +106,9 @@ def _potential(nx, ny, p, **coefficients):
             "mesh": {"nx": nx, "ny": ny}, "discretization": {"p": p}}
 
 
-@settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow])
+# no deadline: a first run pays for tabulation and imports (865 ms for an
+# infsup run that replays in 33 ms)
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(RUNS)
 # a V-cycle from the first iteration; an odd mesh smoothed only
 @example(("solve", _potential(16, 16, 2, beta="1 + x/2", Sx="sin(pi*x)*cos(pi*y)")))
@@ -105,6 +129,20 @@ def _potential(nx, ny, p, **coefficients):
 @example(("infsup", {"problem": "concentration", "coefficients": {"D": 1e150, "dt": 1e150},
                      "levels": 2, "base_n": 1}))
 @example(("solve", {"problem": "potential", "mesh": {"nx": 10 ** 400, "ny": 2}}))
+# an infinite tolerance, a numeric string for a number-only coefficient, an
+# infinite domain bound, a domain whose width overflows, a test Gram whose
+# sum overflows
+@example(("solve", {"manufactured": "pot-trig", "mesh": {"nx": 2, "ny": 2},
+                    "solver_tol": float("inf")}))
+@example(("solve", _potential(2, 2, 1, kappa="2")))
+@example(("infsup", {"problem": "concentration", "coefficients": {"D": "0.5", "dt": 0.1},
+                     "levels": 1, "base_n": 2}))
+@example(("infsup", {"problem": "potential", "mesh": {"x1": float("inf")},
+                     "levels": 1, "base_n": 2}))
+@example(("solve", {"problem": "potential", "mesh": {"nx": 2, "ny": 2, "x0": -1e308,
+                                                      "x1": 1e308}}))
+@example(("solve", {"problem": "concentration", "coefficients": {"D": 0.5, "dt": 1e308},
+                    "mesh": {"nx": 2, "ny": 2}}))
 def test_config_ends_in_report_or_structured_error(run):
     command, cfg = run
     with tempfile.TemporaryDirectory() as tmp:

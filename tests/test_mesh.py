@@ -68,6 +68,13 @@ class TestRectangle:
         with pytest.raises(ValueError):
             Rectangle(0.0, 1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("bounds", [(-1e308, 1e308, 0.0, 1.0), (0.0, 1.0, -1e308, 1e308),
+                                        (0.0, float("inf"), 0.0, 1.0)])
+    def test_rejects_extent_beyond_the_float_range(self, bounds):
+        # finite bounds whose difference overflows, and an infinite bound
+        with pytest.raises(ValueError, match="rectangle too large"):
+            Rectangle(*bounds)
+
 
 class TestBuildRectMesh:
     def test_single_element_counts(self):

@@ -131,6 +131,14 @@ class TestButlerVolmerParams:
             ButlerVolmerParams(k_bv=2.0, F=3.0, R_gas=2.0, T=6.0,
                                c_smax=5.0, t_plus=1.5)
 
+    @pytest.mark.parametrize("key, text", [("k_bv", "k_bv must be positive"),
+                                           ("t_plus", "t_plus must lie in [0, 1]")])
+    def test_nan_constant_fails_its_check(self, key, text):
+        constants = {"k_bv": 2.0, "F": 3.0, "R_gas": 2.0, "T": 6.0, "c_smax": 5.0}
+        with pytest.raises(ProblemValidationError) as err:
+            ButlerVolmerParams(**{**constants, key: float("nan")})
+        assert err.value.violations == [text]
+
 
 class TestValidateProblem:
     def test_negative_diffusivity_rejected(self):
@@ -138,6 +146,15 @@ class TestValidateProblem:
         problem = ConcentrationProblem(D=-1.0, dt=0.5, c_prev=0.0, J=0.0)
         with pytest.raises(ProblemValidationError, match="D must be positive"):
             validate_problem(problem, mesh)
+
+    @pytest.mark.parametrize("kappa, text", [(float("nan"), "kappa must be positive"),
+                                             (float("inf"), "kappa must be finite")])
+    def test_non_finite_conductivity_rejected(self, kappa, text):
+        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2), POT_PARTITION)
+        problem = PotentialProblem(kappa=kappa, beta=1.0, S=(0.0, 0.0), I=0.0, R=0.0)
+        with pytest.raises(ProblemValidationError) as err:
+            validate_problem(problem, mesh)
+        assert err.value.violations == [text]
 
     def test_non_positive_robin_coefficient_rejected(self):
         mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2), POT_PARTITION)
