@@ -3,6 +3,8 @@
 Commands: solve, convergence, infsup, bv. Each reads a JSON config and
 writes its outputs under --outdir; the run report is also printed to
 stdout. Failures print {"error": {"code", "message"}} and exit nonzero.
+The messages of the Python warnings a command raises, if any, are listed
+under "warnings" in the report or beside the error.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from dpgfem.fespace import SpaceLayout, build_dofmap
@@ -249,7 +252,6 @@ def cmd_solve(cfg: dict, outdir: Path) -> dict:
                                  "trace": norms.norm_trace}
     write_vtk(outdir / "fields.vtk", mesh, dofmap, solution, problem.kind)
     write_indicators_csv(outdir / "indicators.csv", solution)
-    write_report_json(outdir / "report.json", report)
     return report
 
 
@@ -273,7 +275,6 @@ def cmd_convergence(cfg: dict, outdir: Path) -> dict:
     if with_oracle:
         out["oracle_e_field"] = [r.oracle_e_field for r in report.rows]
     write_eoc_csv(outdir / "eoc.csv", report)
-    write_report_json(outdir / "report.json", out)
     return out
 
 
@@ -302,7 +303,6 @@ def cmd_infsup(cfg: dict, outdir: Path) -> dict:
         "ratios": ratios,
     }
     write_infsup_csv(outdir / "infsup.csv", rows, ratios)
-    write_report_json(outdir / "report.json", report)
     return report
 
 
@@ -316,7 +316,6 @@ def cmd_bv(cfg: dict, outdir: Path) -> dict:
     for key in ("I_c", "beta", "R_load"):
         if not math.isfinite(report[key]):
             raise CliError("config", f"bv result {key!r} is not finite")
-    write_report_json(outdir / "report.json", report)
     return report
 
 
@@ -325,41 +324,51 @@ COMMANDS = {"solve": cmd_solve, "convergence": cmd_convergence,
 
 
 def run(argv) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = load_config(args.config)
-    _check_keys(cfg, CONFIG_KEYS[args.command], f"{args.command!r} config")
-    outdir = Path(args.outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError("config", f"cannot create outdir: {exc}") from None
-    report = COMMANDS[args.command](cfg, outdir)
-    print(json.dumps(report, indent=2, allow_nan=False))
-    return 0
+    """Run one command, print its report or its error as one JSON object,
+    and return the exit code. Warnings are recorded, not shown."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            args = build_parser().parse_args(argv)
+            cfg = load_config(args.config)
+            _check_keys(cfg, CONFIG_KEYS[args.command], f"{args.command!r} config")
+            outdir = Path(args.outdir)
+            try:
+                outdir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise CliError("config", f"cannot create outdir: {exc}") from None
+            out = COMMANDS[args.command](cfg, outdir)
+            if caught:
+                out["warnings"] = _messages(caught)
+            write_report_json(outdir / "report.json", out)
+            status = 0
+        except CliError as exc:
+            out, status = _error(exc.code, exc.message), 2 if exc.code == "usage" else 1
+        except (ProblemValidationError, InvalidPartitionError) as exc:
+            out, status = _error("validation", str(exc)), 1
+        except SolverError as exc:
+            out, status = _error("solver", str(exc)), 1
+        except ValueError as exc:
+            out, status = _error("config", str(exc)), 1
+        except Exception as exc:  # pragma: no cover - last-resort guard
+            out, status = _error("internal", f"{type(exc).__name__}: {exc}"), 1
+        if status and caught:
+            out["warnings"] = _messages(caught)
+    print(json.dumps(out, indent=None if status else 2, allow_nan=False))
+    return status
+
+
+def _error(code: str, message: str) -> dict:
+    return {"error": {"code": code, "message": message}}
+
+
+def _messages(caught) -> list:
+    """The distinct messages of the recorded warnings, in order."""
+    return list(dict.fromkeys(str(w.message) for w in caught))
 
 
 def main(argv=None) -> int:
-    try:
-        return run(sys.argv[1:] if argv is None else argv)
-    except CliError as exc:
-        _emit_error(exc.code, exc.message)
-        return 2 if exc.code == "usage" else 1
-    except (ProblemValidationError, InvalidPartitionError) as exc:
-        _emit_error("validation", str(exc))
-        return 1
-    except SolverError as exc:
-        _emit_error("solver", str(exc))
-        return 1
-    except ValueError as exc:
-        _emit_error("config", str(exc))
-        return 1
-    except Exception as exc:  # pragma: no cover - last-resort guard
-        _emit_error("internal", f"{type(exc).__name__}: {exc}")
-        return 1
-
-
-def _emit_error(code: str, message: str) -> None:
-    print(json.dumps({"error": {"code": code, "message": message}}))
+    return run(sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

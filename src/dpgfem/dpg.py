@@ -32,10 +32,11 @@ with which sign), which carry boundary data (and of which kind), and on
 the coefficient values. An ElementGroup collects the elements that agree
 on the first two; the kernels build, condense and evaluate one group at
 a time, with the Gram, A_fosls and (outside Robin groups) B shared by
-all its elements. The coefficients are sampled once per mesh, at the
-quadrature points of all its elements, and each group integrates its
-slice of them. The interior, the four sides and the four corners
-give 9 groups on meshes of at least 3 x 3 elements.
+all its elements. The coefficients are sampled and integrated once per
+mesh, at the quadrature points of all its elements, and each group
+slices the loads and Robin terms of its elements. The interior, the four
+sides and the four corners give 9 groups on meshes of at least 3 x 3
+elements.
 """
 
 from __future__ import annotations
@@ -179,7 +180,9 @@ class SolverError(RuntimeError):
 
 class ProblemKernels:
     """Adds the coefficient-dependent templates for one problem on one
-    mesh, with its coefficients sampled once (`CoefficientSamples`).
+    mesh, with its loads and Robin term integrated once per mesh
+    (`coefficient_loads` against the enriched basis); `local_system`
+    slices them by the group's elements.
 
     eps weights the test-norm seminorm and the least-squares block (see
     the module docstring); gram/gram_inv are the problem's test norm.
@@ -231,7 +234,8 @@ class ProblemKernels:
         bvol[:, self.n_field + self.n_fs:] = \
             -self.trace_factor * (geom.enr_gy * w).T @ geom.flux_val
         self.coupling_tmpl = bvol
-        self.coefficients = CoefficientSamples(mesh, problem, geom)
+        self.load, (self.robin_rows, self.robin), self.source = \
+            coefficient_loads(mesh, problem, geom, geom.enr_val, geom.enr_edge)
 
     def local_system(self, group: ElementGroup) -> LocalSystem:
         """Build B, l, A_fosls, f_fosls for the elements of one group."""
@@ -249,111 +253,83 @@ class ProblemKernels:
         A = np.zeros((n_trial, n_trial))
         A[:self.n_ff, :self.n_ff] = self.lsq_tmpl
         f = np.zeros((n, n_trial))
-        load, robin, source = self.coefficients.loads(group, geom.enr_val,
-                                                      geom.enr_edge)
         shift = None
-        if source is not None and (np.any(source[0]) or np.any(source[1])):
-            sx, sy = source
-            rw = self.res_weights
-            f[:, :self.n_ff] = -self.coef_inv * ((rw * sx) @ self.res_x
-                                                 + (rw * sy) @ self.res_y)
-            shift = self.coef_inv * np.stack([sx, sy], axis=-1)
-        if robin is not None:
+        if self.source is not None:
+            sx, sy = (s[group.elems] for s in self.source)
+            if np.any(sx) or np.any(sy):
+                rw = self.res_weights
+                f[:, :self.n_ff] = -self.coef_inv * ((rw * sx) @ self.res_x
+                                                     + (rw * sy) @ self.res_y)
+                shift = self.coef_inv * np.stack([sx, sy], axis=-1)
+        rows = self.robin_rows[group.elems]
+        if rows[0] >= 0:
             B = np.repeat(B[None], n, axis=0)
-            B[:, :, :self.n_field] += robin
+            B[:, :, :self.n_field] += self.robin[rows]
 
-        return LocalSystem(self.gram_inv, B, load, A, f, self.res_x,
-                           self.res_y, self.res_weights, shift)
+        return LocalSystem(self.gram_inv, B, self.load[group.elems], A, f,
+                           self.res_x, self.res_y, self.res_weights, shift)
 
 
-class CoefficientSamples:
-    """A problem's coefficients sampled once per mesh at the quadrature
-    points of geom, for `loads` to integrate one group at a time.
+def coefficient_loads(mesh: Mesh, problem, geom: GeometryKernels,
+                      test_val: np.ndarray, test_edge, test_grad=None):
+    """A problem's loads and Robin term on every element of the mesh, each
+    coefficient sampled once at geom's quadrature points: the volume data
+    at the points of all elements in element order, then the data of each
+    boundary tag a local edge carries, by local edge. beta must be positive.
 
-    volume: (c_prev,) of a concentration problem, else (Sx, Sy); each
-        (n_elems x nq), in element order.
-    edges: {(local edge k, FacetTag): (elems, data)} for every boundary
-        tag a local edge carries: elems are the ascending ids of the
-        elements whose edge k has that tag, and data the sampled values
-        on those edges, each (len(elems) x nq_edge): (J,) for a
-        concentration problem, (beta, R) on Robin, (I,) on Neumann and ()
-        on Dirichlet edges. beta must be positive.
+    The test basis is the enriched one for DPG, the field one for the
+    Galerkin oracle: test_val and test_edge[k] tabulate it at the volume
+    and edge-k points; test_grad = (gx, gy), when given, adds -(S, grad v)
+    to the load (DPG's least-squares term carries S instead).
+
+    Returns load (n_elems x m); robin = (rows, term): term stacks <beta u,
+    v>_R, u in the field basis, over the elements with a Robin edge in
+    ascending order (n_R x m x n_field), and rows holds each element's row
+    of it, -1 without a Robin edge; and source, the sampled (Sx, Sy)
+    (n_elems x nq each) of a potential problem, else None.
     """
-
-    def __init__(self, mesh: Mesh, problem, geom: GeometryKernels):
-        self.problem = problem
-        self.geom = geom
-        origin = mesh.element_origin(np.arange(mesh.n_elems))
-        pts = geom.vol_points(origin)
-        if problem.kind == "concentration":
-            self.volume = (sample(problem.c_prev, pts, "c_prev"),)
-        else:
-            self.volume = (sample(problem.S[0], pts, "Sx"),
-                           sample(problem.S[1], pts, "Sy"))
-        self.edges = {}
-        betas = []
-        for k in range(4):
-            facets = mesh.elem_facets[:, k]
-            tags = mesh.facet_tags[facets]
-            for tag in (FacetTag.DIRICHLET, FacetTag.NEUMANN, FacetTag.ROBIN):
-                elems = np.flatnonzero(tags == tag)
-                if not elems.size:
-                    continue
-                epts = geom.edge_points(k, (origin[0][elems], origin[1][elems]))
-                nrm = mesh.facet_normals[facets[elems]]
-                if problem.kind == "concentration":
-                    data = (sample(problem.J, epts, "J", nrm),)
-                elif tag == FacetTag.ROBIN:
-                    betas.append(sample(problem.beta, epts, "beta"))
-                    data = (betas[-1], sample(problem.R, epts, "R", nrm))
-                elif tag == FacetTag.NEUMANN:
-                    data = (sample(problem.I, epts, "I", nrm),)
-                else:
-                    data = ()
-                self.edges[k, tag] = (elems, data)
-        if not all(np.all(beta > 0) for beta in betas):
-            raise ProblemValidationError([
-                "beta not positive on Gamma_R at the assembly's quadrature "
-                f"points (min sampled value {min(b.min() for b in betas):g})"])
-
-    def loads(self, group: ElementGroup, test_val: np.ndarray, test_edge,
-              test_grad=None):
-        """Loads and Robin terms of one group against a test basis: the
-        enriched basis for DPG, the field basis for the Galerkin oracle.
-        test_val and test_edge[k] tabulate it at the volume and edge-k
-        quadrature points; test_grad = (gx, gy), when given, adds
-        -(S, grad v) to the load (DPG's least-squares term carries S
-        instead).
-
-        Returns load (n x m); robin, <beta u, v>_R for u in the field
-        basis (n x m x n_field), or None without Robin edges; and source,
-        the group's (Sx, Sy) of a potential problem, else None.
-        """
-        problem, geom = self.problem, self.geom
-        load = np.zeros((group.elems.shape[0], test_val.shape[1]))
-        robin = source = None
-        if problem.kind == "concentration":
-            load += (geom.wvol * self.volume[0][group.elems]) @ test_val
-        else:
-            source = tuple(s[group.elems] for s in self.volume)
-            if test_grad is not None:
-                load -= ((geom.wvol * source[0]) @ test_grad[0]
-                         + (geom.wvol * source[1]) @ test_grad[1])
-        for k, tag in group.boundary:
-            elems, data = self.edges[k, tag]
-            rows = np.searchsorted(elems, group.elems)
-            data = [d[rows] for d in data]
-            w = geom.edge_w[k]
+    origin = mesh.element_origin(np.arange(mesh.n_elems))
+    pts = geom.vol_points(origin)
+    load = np.zeros((mesh.n_elems, test_val.shape[1]))
+    source = None
+    if problem.kind == "concentration":
+        load += (geom.wvol * sample(problem.c_prev, pts, "c_prev")) @ test_val
+    else:
+        source = (sample(problem.S[0], pts, "Sx"), sample(problem.S[1], pts, "Sy"))
+        if test_grad is not None:
+            load -= ((geom.wvol * source[0]) @ test_grad[0]
+                     + (geom.wvol * source[1]) @ test_grad[1])
+    tags = mesh.facet_tags[mesh.elem_facets]
+    has_robin = np.any(tags == FacetTag.ROBIN, axis=1)
+    rows = np.where(has_robin, np.cumsum(has_robin) - 1, -1)
+    term = np.zeros((np.count_nonzero(has_robin), test_val.shape[1],
+                     geom.field_edge[0].shape[1]))
+    betas = []
+    for k in range(4):
+        facets = mesh.elem_facets[:, k]
+        w = geom.edge_w[k]
+        for tag in (FacetTag.DIRICHLET, FacetTag.NEUMANN, FacetTag.ROBIN):
+            elems = np.flatnonzero(tags[:, k] == tag)
+            if not elems.size:
+                continue
+            epts = geom.edge_points(k, (origin[0][elems], origin[1][elems]))
+            nrm = mesh.facet_normals[facets[elems]]
             if problem.kind == "concentration":
-                load -= problem.dt * ((w * data[0]) @ test_edge[k])
+                J = sample(problem.J, epts, "J", nrm)
+                load[elems] -= problem.dt * ((w * J) @ test_edge[k])
             elif tag == FacetTag.ROBIN:
-                beta, R = data
-                term = (test_edge[k].T * (w * beta)[:, None, :]) @ geom.field_edge[k]
-                robin = term if robin is None else robin + term
-                load -= (w * R) @ test_edge[k]
+                betas.append(sample(problem.beta, epts, "beta"))
+                R = sample(problem.R, epts, "R", nrm)
+                term[rows[elems]] += ((test_edge[k].T * (w * betas[-1])[:, None, :])
+                                      @ geom.field_edge[k])
+                load[elems] -= (w * R) @ test_edge[k]
             elif tag == FacetTag.NEUMANN:
-                load -= (w * data[0]) @ test_edge[k]
-        return load, robin, source
+                load[elems] -= (w * sample(problem.I, epts, "I", nrm)) @ test_edge[k]
+    if not all(np.all(beta > 0) for beta in betas):
+        raise ProblemValidationError([
+            "beta not positive on Gamma_R at the assembly's quadrature "
+            f"points (min sampled value {min(b.min() for b in betas):g})"])
+    return load, (rows, term), source
 
 
 @lru_cache(maxsize=32)

@@ -13,11 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from dpgfem.mesh import FacetTag
-
 MAX_DEGREE = 10
-
-_INTERIOR = int(FacetTag.INTERIOR)
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +168,6 @@ class ElementGroup:
 
     elems: ascending element ids, shape (n,).
     edges: (local edge, sign) of each trace-carrying edge, in local edge order.
-    boundary: (local edge, FacetTag) of each boundary edge.
     dofs: (n, n_trial) global dofs, each row in element_dofs order.
 
     A DofMap hands the same groups to every caller, so elems and dofs are
@@ -181,7 +176,6 @@ class ElementGroup:
 
     elems: np.ndarray
     edges: tuple
-    boundary: tuple
     dofs: np.ndarray
 
 
@@ -278,8 +272,6 @@ class DofMap:
         for g, e0 in enumerate(first.tolist()):
             elems = np.flatnonzero(inverse == g)
             edges = tuple((k, s) for k, s in enumerate(signs[e0].tolist()) if s)
-            boundary = tuple((k, FacetTag(t)) for k, t in enumerate(tags[e0].tolist())
-                             if t != _INTERIOR)
             parts = [self.elem_field[elems],
                      self.n_field + elems[:, None] * n_flux + np.arange(n_flux)]
             for k, _sign in edges:
@@ -288,7 +280,7 @@ class DofMap:
             dofs = np.hstack(parts)
             elems.setflags(write=False)
             dofs.setflags(write=False)
-            groups.append(ElementGroup(elems, edges, boundary, dofs))
+            groups.append(ElementGroup(elems, edges, dofs))
         return groups
 
 

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from dpgfem.dpg import (
-    CoefficientSamples,
     ProblemKernels,
     SolverError,
     cholesky,
+    coefficient_loads,
     condense_local,
     geometry_kernels,
 )
@@ -148,11 +148,11 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
     Potential: (kappa grad phi, grad zeta) + <beta phi, zeta>_R =
     -(S, grad zeta) - <I, zeta>_N - <R, zeta>_R with phi = 0 on the
     Dirichlet part. An independent discretization used as an oracle; it
-    shares with DPG only the `CoefficientSamples`, sampled once here, and
-    `condensed_system`, which eliminates the interior lattice nodes of
-    each element: at once for all elements without Robin edges, which
-    share one matrix, and for the stack of the others. Returns the field
-    coefficients.
+    shares with DPG only `coefficient_loads`, called once here against the
+    field basis, and `condensed_system`, which eliminates the interior
+    lattice nodes of each element: at once for all elements without a
+    Robin edge, which share one matrix, and for the stack of the others.
+    Returns the field coefficients.
     """
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     dofmap = build_dofmap(mesh, layout, np.empty(0, dtype=np.int64))
@@ -165,21 +165,13 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
     else:
         S_shared = problem.kappa * stiff
 
-    coefficients = CoefficientSamples(mesh, problem, geom)
-    parts = ([], [])                        # groups without, with Robin edges
-    for group in dofmap.element_groups():
-        load, robin, _ = coefficients.loads(
-            group, geom.field_val, geom.field_edge,
-            (geom.field_gx, geom.field_gy))
-        parts[robin is not None].append((group, S_shared if robin is None
-                                         else S_shared + robin, load))
-    systems = []
-    for part in filter(None, parts):
-        groups, mats, loads = zip(*part)
-        systems.append((np.concatenate([g.elems for g in groups]),
-                        np.vstack([g.dofs for g in groups]),
-                        mats[0] if mats[0].ndim == 2 else np.concatenate(mats),
-                        np.vstack(loads)))
+    load, (rows, robin), _ = coefficient_loads(
+        mesh, problem, geom, geom.field_val, geom.field_edge,
+        (geom.field_gx, geom.field_gy))
+    systems = [(elems, dofmap.elem_field[elems], S, load[elems])
+               for elems, S in ((np.flatnonzero(rows < 0), S_shared),
+                                (np.flatnonzero(rows >= 0), S_shared + robin))
+               if elems.size]
     system = condensed_system(dofmap, problem.kind, systems)
     x, _info = solve_spd(system, tol)
     return recover_local(system, x)[:dofmap.n_field]
@@ -297,18 +289,16 @@ def eoc_study(case, p: int, levels: int, delta_p: int = 1, base_n: int = 8,
     return EocReport(case.name, p, delta_p, rows)
 
 
-def _dense_trial_forms(mesh: Mesh, dofmap, problem=None):
+def _dense_trial_forms(mesh: Mesh, dofmap, problem):
     """(trial Gram, DPG matrix) over the full trial space, dense. The DPG
     matrix sums the `condense_local` blocks of each group before any local
-    elimination or boundary condition; it is None without a problem."""
+    elimination or boundary condition."""
     layout = dofmap.layout
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     n = dofmap.n_total
     M = np.zeros((n, n))
-    A = None
-    if problem is not None:
-        A = np.zeros((n, n))
-        kernels = ProblemKernels(geom, problem, mesh)
+    A = np.zeros((n, n))
+    kernels = ProblemKernels(geom, problem, mesh)
     w = geom.wvol[:, None]
     field_gram = ((geom.field_val * w).T @ geom.field_val
                   + (geom.field_gx * w).T @ geom.field_gx
@@ -325,9 +315,8 @@ def _dense_trial_forms(mesh: Mesh, dofmap, problem=None):
                            C.T @ geom.gram_inv @ C))
         for dofs, block in blocks:
             np.add.at(M, (dofs[:, :, None], dofs[:, None, :]), block)
-        if A is not None:
-            S, _ = condense_local(kernels.local_system(group))
-            np.add.at(A, (group.dofs[:, :, None], group.dofs[:, None, :]), S)
+        S, _ = condense_local(kernels.local_system(group))
+        np.add.at(A, (group.dofs[:, :, None], group.dofs[:, None, :]), S)
     return M, A
 
 

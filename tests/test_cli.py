@@ -25,6 +25,7 @@ def write_config(tmp_path, cfg, name="config.json"):
 # a 401-digit integer: valid JSON, beyond every float
 HUGE = 10 ** 400
 NAN, INF = float("nan"), float("inf")
+ADVISORY = "D or dt is not < 1; error bounds assume small values"
 CONC = {"problem": "concentration", "coefficients": {"D": 0.5, "dt": 0.1},
         "mesh": {"nx": 2, "ny": 2}}
 BV_CONFIG = {"bv": {"k_bv": 2.0, "F": 3.0, "R_gas": 2.0, "T": 6.0,
@@ -469,19 +470,41 @@ class TestErrorHandling:
     ], ids=["solve", "infsup", "test-gram-solve", "test-gram-infsup"])
     def test_overflowing_element_area_is_quiet_solver_error(self, tmp_path,
                                                             capsys, command, cfg):
-        cfg = write_config(tmp_path, {
+        expected = [ADVISORY] if "coefficients" in cfg else None
+        path = write_config(tmp_path, {
             **cfg, **({"levels": 1, "base_n": 2} if command == "infsup" else {})})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            # the advisory on D or dt >= 1, which pyproject.toml filters too
-            warnings.filterwarnings("ignore", "D or dt is not", UserWarning)
-            code = main([command, "--config", cfg,
+            code = main([command, "--config", path,
                          "--outdir", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert code == 1
-        assert json.loads(captured.out)["error"]["code"] == "solver"
+        out = json.loads(captured.out)
+        assert out["error"]["code"] == "solver"
+        # the advisory on D or dt >= 1 alone; no floating-point warning
+        assert out.get("warnings") == expected
         assert not caught
         assert captured.err == ""
+
+    @pytest.mark.parametrize("coefficients, status", [
+        ({"D": 2, "dt": 0.1}, 0),
+        ({"D": 0.5, "dt": 1e308}, 1),
+    ], ids=["D-2", "dt-1e308"])
+    def test_warning_is_listed_in_the_json_output(self, tmp_path, capsys,
+                                                  coefficients, status):
+        cfg = write_config(tmp_path, dict(CONC, coefficients=coefficients))
+        code = main(["solve", "--config", cfg, "--outdir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == status
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert out["warnings"] == [ADVISORY]
+        if status == 0:
+            report = (tmp_path / "out" / "report.json").read_text()
+            assert json.loads(report) == out
+        else:
+            assert set(out) == {"error", "warnings"}
+            assert out["error"]["code"] == "solver"
 
     def test_invalid_partition_is_validation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -555,8 +578,10 @@ class TestErrorHandling:
         err = json.loads(out)["error"]
         assert err["code"] == code
         assert text in err["message"]
-        # the structured error alone reports the problem
+        # the structured error alone reports the problem, beside the D/dt
+        # advisory of a large time step
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert json.loads(out).get("warnings") in (None, [ADVISORY])
 
     @pytest.mark.parametrize("problem, coefficients, nx, ny, p", [
         ("potential", {"I": 1e300}, 3, 2, 2),
@@ -580,6 +605,7 @@ class TestErrorHandling:
             code, out = run_cli(capsys, ["solve", "--config", cfg,
                                          "--outdir", str(tmp_path / "out")])
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "warnings" not in json.loads(out)
         if code == 0:
             for text in (out, (tmp_path / "out" / "report.json").read_text()):
                 json.loads(text, parse_constant=_reject_constant)
@@ -604,7 +630,10 @@ class TestErrorHandling:
             code, out = run_cli(capsys, ["solve", "--config", cfg,
                                          "--outdir", str(tmp_path / "out")])
         assert code == 1
-        assert json.loads(out)["error"]["code"] == "solver"
+        out = json.loads(out)
+        assert out["error"]["code"] == "solver"
+        # the D/dt advisory of the concentration case, and nothing else
+        assert out.get("warnings") in (None, [ADVISORY])
 
     def test_singular_test_gram_is_solver_error(self, tmp_path, capsys):
         # at eps = dt*D = 1e14 the mass term of the test Gram falls below
@@ -712,8 +741,8 @@ class TestErrorHandling:
                              "--outdir", str(tmp_path / command)])
             captured = capsys.readouterr()
             assert code == 1
-            assert json.loads(captured.out)["error"] == {"code": "config",
-                                                         "message": message}
+            assert json.loads(captured.out) == {"error": {"code": "config",
+                                                          "message": message}}
             assert not caught
             assert captured.err == ""
 
@@ -792,10 +821,11 @@ class TestErrorHandling:
         # pyproject.toml filters the D/dt advisory; record it regardless
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, _ = run_cli(capsys, ["solve", "--config", cfg,
-                                       "--outdir", str(tmp_path / "out")])
+            code, out = run_cli(capsys, ["solve", "--config", cfg,
+                                         "--outdir", str(tmp_path / "out")])
         assert code == 0
         assert not [w for w in caught if issubclass(w.category, UserWarning)]
+        assert "warnings" not in json.loads(out)
 
     def test_beta_checked_where_assembly_samples_it(self, tmp_path, capsys):
         # positive at the 4 Gauss points per facet of validate_problem,

@@ -7,11 +7,11 @@ import scipy.linalg
 
 from dpgfem.dpg import (
     _EDGE_REF,
-    CoefficientSamples,
     GeometryKernels,
     LocalSystem,
     ProblemKernels,
     SolverError,
+    coefficient_loads,
     condense_local,
     error_indicator,
     geometry_kernels,
@@ -411,36 +411,64 @@ class TestErrorIndicator:
             assert eta_fosls >= 0.0
 
 
-class TestCoefficientSamples:
+class TestCoefficientLoads:
     LAYOUT = SpaceLayout(p=2)
 
-    def test_group_loads_equal_sampling_the_group_alone(self):
-        # the per-mesh samples, sliced, are the values at the group's points
-        mesh = classify_boundary(build_rect_mesh(UNIT, 4, 3), POT_PARTITION)
-        problem = _pot_problem(beta=lambda x, y: 1 + x,
-                               S=(lambda x, y: np.sin(x) * y, "x - y"),
-                               I=lambda x, y: x * y, R=lambda x, y: np.cos(y))
+    @pytest.mark.parametrize("kind", ["potential", "concentration"])
+    def test_each_element_integrates_its_own_points(self, kind):
+        # the per-mesh loads and Robin terms, element by element, against
+        # integrals of the data sampled at that element's points alone
+        if kind == "potential":
+            mesh = classify_boundary(build_rect_mesh(UNIT, 4, 3), POT_PARTITION)
+            problem = _pot_problem(beta=lambda x, y: 1 + x,
+                                   S=(lambda x, y: np.sin(x) * y, "x - y"),
+                                   I=lambda x, y: x * y, R=lambda x, y: np.cos(y))
+        else:
+            mesh = build_rect_mesh(UNIT, 4, 3)
+            problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="1 + x*y^2",
+                                           J="x + 2*y")
         geom = geometry_kernels(self.LAYOUT, mesh.dx, mesh.dy)
-        coefficients = CoefficientSamples(mesh, problem, geom)
-        dofmap = build_dofmap(mesh, self.LAYOUT, np.empty(0, dtype=np.int64))
-        for group in dofmap.element_groups():
-            load, robin, source = coefficients.loads(group, geom.enr_val,
-                                                     geom.enr_edge)
-            origin = mesh.element_origin(group.elems)
-            pts = geom.vol_points(origin)
-            assert np.allclose(source[0], np.sin(pts[..., 0]) * pts[..., 1],
-                               rtol=1e-15, atol=0.0)
-            want = np.zeros_like(load)
-            for k, tag in group.boundary:
-                epts = geom.edge_points(k, origin)
-                w = geom.edge_w[k]
-                if tag == FacetTag.ROBIN:
-                    want -= (w * np.cos(epts[..., 1])) @ geom.enr_edge[k]
-                elif tag == FacetTag.NEUMANN:
-                    want -= (w * epts[..., 0] * epts[..., 1]) @ geom.enr_edge[k]
-            assert np.allclose(load, want, rtol=1e-14, atol=1e-15)
-            assert (robin is None) == all(tag != FacetTag.ROBIN
-                                          for _, tag in group.boundary)
+        load, (rows, robin), source = coefficient_loads(
+            mesh, problem, geom, geom.enr_val, geom.enr_edge,
+            (geom.enr_gx, geom.enr_gy))
+        tags = mesh.facet_tags[mesh.elem_facets]
+        with_robin = np.flatnonzero(np.any(tags == FacetTag.ROBIN, axis=1))
+        assert np.array_equal(np.flatnonzero(rows >= 0), with_robin)
+        assert np.array_equal(rows[with_robin], np.arange(with_robin.size))
+        assert np.all(rows[rows < 0] == -1)
+        assert robin.shape == (with_robin.size, self.LAYOUT.n_enriched,
+                               self.LAYOUT.n_field_local)
+        assert (source is None) == (kind == "concentration")
+        if kind == "potential":
+            assert with_robin.size == 8
+        for e in range(mesh.n_elems):
+            origin = mesh.element_origin(e)
+            x, y = geom.vol_points(origin).T
+            if kind == "potential":
+                sx, sy = np.sin(x) * y, x - y
+                assert np.allclose(source[0][e], sx, rtol=1e-15, atol=0.0)
+                assert np.allclose(source[1][e], sy, rtol=1e-15, atol=0.0)
+                want = -((geom.wvol * sx) @ geom.enr_gx
+                         + (geom.wvol * sy) @ geom.enr_gy)
+            else:
+                want = (geom.wvol * (1 + x * y ** 2)) @ geom.enr_val
+            want_robin = np.zeros(robin.shape[1:])
+            for k in range(4):
+                if tags[e, k] == FacetTag.INTERIOR:
+                    continue
+                ex, ey = geom.edge_points(k, origin).T
+                w, v = geom.edge_w[k], geom.enr_edge[k]
+                if kind == "concentration":
+                    want -= problem.dt * ((w * (ex + 2 * ey)) @ v)
+                elif tags[e, k] == FacetTag.ROBIN:
+                    want -= (w * np.cos(ey)) @ v
+                    want_robin += (v.T * (w * (1 + ex))) @ geom.field_edge[k]
+                elif tags[e, k] == FacetTag.NEUMANN:
+                    want -= (w * ex * ey) @ v
+            assert np.allclose(load[e], want, rtol=1e-13, atol=1e-15)
+            if rows[e] >= 0:
+                assert np.allclose(robin[rows[e]], want_robin,
+                                   rtol=1e-13, atol=1e-15)
 
     def test_non_finite_value_named_at_first_point_in_element_order(self):
         mesh = build_rect_mesh(UNIT, 4, 4)
@@ -459,7 +487,7 @@ class TestCoefficientSamples:
         assert x > 0.75 and y < 0.25            # element 3, before element 10
         with pytest.raises(ProblemValidationError,
                            match=rf"c_prev is not finite at \({x:g}, {y:g}\)"):
-            CoefficientSamples(mesh, problem, geom)
+            coefficient_loads(mesh, problem, geom, geom.enr_val, geom.enr_edge)
 
     def test_robin_minimum_over_the_whole_mesh(self):
         mesh = classify_boundary(build_rect_mesh(UNIT, 3, 3), POT_PARTITION)
@@ -469,5 +497,5 @@ class TestCoefficientSamples:
         with pytest.raises(ProblemValidationError,
                            match=r"at the assembly's quadrature points "
                                  r"\(min sampled value -2\)"):
-            CoefficientSamples(mesh, problem, geom)
+            coefficient_loads(mesh, problem, geom, geom.enr_val, geom.enr_edge)
 

@@ -28,8 +28,8 @@ RNG = np.random.default_rng(20240817)
 
 def _reference_groups(dofmap):
     """The partition as np.unique over the float key rows built it before
-    element_groups encoded each key as one integer: (elems, edges,
-    boundary, dofs) per group, in key order."""
+    element_groups encoded each key as one integer: (elems, edges, dofs)
+    per group, in key order."""
     mesh, p = dofmap.mesh, dofmap.layout.p
     slots = dofmap.facet_slot[mesh.elem_facets]
     signs = np.where(slots >= 0, mesh.elem_facet_signs, 0.0)
@@ -40,14 +40,12 @@ def _reference_groups(dofmap):
     for g, key in enumerate(uniq):
         elems = np.flatnonzero(inverse.ravel() == g)
         edges = tuple((k, float(key[k])) for k in range(4) if key[k] != 0)
-        boundary = tuple((k, FacetTag(int(key[4 + k]))) for k in range(4)
-                         if key[4 + k] != FacetTag.INTERIOR)
         parts = [dofmap.elem_field[elems],
                  dofmap.n_field + elems[:, None] * n_flux + np.arange(n_flux)]
         for k, _sign in edges:
             parts.append(dofmap.trace_offset + slots[elems, k][:, None] * p
                          + np.arange(p))
-        groups.append((elems, edges, boundary, np.hstack(parts)))
+        groups.append((elems, edges, np.hstack(parts)))
     return groups
 
 
@@ -370,10 +368,8 @@ class TestElementGroups:
                 assert np.array_equal(row, dofmap.element_dofs(e))
                 edges = dofmap.element_active_edges(e)
                 assert g.edges == tuple((k, sign) for k, _f, sign in edges)
-                tags = {k: FacetTag(mesh.facet_tags[mesh.elem_facets[e, k]])
-                        for k in range(4)}
-                assert g.boundary == tuple(
-                    (k, t) for k, t in tags.items() if t != FacetTag.INTERIOR)
+            tags = mesh.facet_tags[mesh.elem_facets[g.elems]]
+            assert np.all(tags == tags[0])
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("nx, ny, partition", [
@@ -400,12 +396,12 @@ class TestElementGroups:
         groups = dofmap.element_groups()
         reference = _reference_groups(dofmap)
         assert len(groups) == len(reference)
-        for g, (elems, edges, boundary, dofs) in zip(groups, reference):
+        for g, (elems, edges, dofs) in zip(groups, reference):
             assert np.array_equal(g.elems, elems)
             assert g.edges == edges
             assert all(type(sign) is float for _k, sign in g.edges)
-            assert g.boundary == boundary
-            assert all(type(tag) is FacetTag for _k, tag in g.boundary)
+            tags = mesh.facet_tags[mesh.elem_facets[g.elems]]
+            assert np.all(tags == tags[0])
             assert g.dofs.dtype == dofs.dtype
             assert np.array_equal(g.dofs, dofs)
 

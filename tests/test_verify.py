@@ -6,8 +6,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from dpgfem.dpg import CoefficientSamples, geometry_kernels
+from dpgfem.dpg import coefficient_loads, geometry_kernels
 from dpgfem.fespace import (
+    DofMap,
     SpaceLayout,
     build_dofmap,
     tabulate_facet_basis,
@@ -39,8 +40,10 @@ RNG = np.random.default_rng(31415)
 
 def trial_gram_dense(mesh, dofmap) -> np.ndarray:
     """Dense trial-space Gram: H1 for the field, L2 for the flux, and the
-    skeleton dual norm for the traces, as the inf-sup constants use it."""
-    return verify_mod._dense_trial_forms(mesh, dofmap)[0]
+    skeleton dual norm for the traces, as the inf-sup constants use it;
+    it does not depend on the problem passed along."""
+    problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
+    return verify_mod._dense_trial_forms(mesh, dofmap, problem)[0]
 
 
 def _interior_dofmap(mesh, layout):
@@ -263,8 +266,8 @@ class TestErrorNorms:
 def _full_lattice_galerkin(mesh, problem, layout) -> np.ndarray:
     """The oracle's field-only Galerkin system over the full field lattice,
     summed by scipy from the field mass and stiffness matrices and the
-    `CoefficientSamples` loads, restricted to the non-Dirichlet dofs and solved by
-    spsolve: no condensation, no elimination and no CG."""
+    `coefficient_loads` of each element, restricted to the non-Dirichlet
+    dofs and solved by spsolve: no condensation, no elimination and no CG."""
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     dofmap = build_dofmap(mesh, layout, np.empty(0, dtype=np.int64))
     w = geom.wvol[:, None]
@@ -276,19 +279,17 @@ def _full_lattice_galerkin(mesh, problem, layout) -> np.ndarray:
     else:
         S = problem.kappa * stiff
     n = dofmap.n_field
-    A, b = sp.csr_matrix((n, n)), np.zeros(n)
-    coefficients = CoefficientSamples(mesh, problem, geom)
-    for group in dofmap.element_groups():
-        load, robin, _ = coefficients.loads(
-            group, geom.field_val, geom.field_edge,
-            (geom.field_gx, geom.field_gy))
-        dofs = dofmap.elem_field[group.elems]
-        S_e = np.broadcast_to(S if robin is None else S + robin,
-                              (len(dofs),) + S.shape)
-        rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
-        A = A + sp.coo_matrix((S_e.ravel(), (rows.ravel(), cols.ravel())),
-                              shape=(n, n)).tocsr()
-        np.add.at(b, dofs, load)
+    load, (robin_rows, robin), _ = coefficient_loads(
+        mesh, problem, geom, geom.field_val, geom.field_edge,
+        (geom.field_gx, geom.field_gy))
+    S_e = np.repeat(S[None], mesh.n_elems, axis=0)
+    S_e[robin_rows >= 0] += robin
+    dofs = dofmap.elem_field
+    rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+    A = sp.coo_matrix((S_e.ravel(), (rows.ravel(), cols.ravel())),
+                      shape=(n, n)).tocsr()
+    b = np.zeros(n)
+    np.add.at(b, dofs, load)
     free = np.setdiff1d(np.arange(n), dirichlet_field_dofs(mesh, dofmap))
     x = np.zeros(n)
     x[free] = spla.spsolve(A[free][:, free].tocsc(), b[free])
@@ -411,6 +412,21 @@ class TestEocStudy:
         assert all("runtime" not in r for r in data["levels"])
         assert data["eoc_combined"][0] is None
         assert isinstance(data["eoc_combined"][1], float)
+
+    def test_oracle_partitions_no_mesh(self, monkeypatch):
+        # each level partitions the DPG dof map alone; the oracle's
+        # trace-free map needs no element groups
+        partitions = []
+        partition = DofMap._partition
+
+        def counted_partition(self):
+            partitions.append(self)
+            return partition(self)
+
+        monkeypatch.setattr(DofMap, "_partition", counted_partition)
+        eoc_study("pot-trig", p=2, levels=3, base_n=2, with_oracle=True)
+        assert len(partitions) == 3
+        assert all(dofmap.n_trace > 0 for dofmap in partitions)
 
     def test_accepts_case_object_and_oracle(self):
         case = manufactured_case("pot-trig")
