@@ -10,6 +10,7 @@ under "warnings" in the report or beside the error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -57,7 +58,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliError("usage", message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so every call of `run` shares it."""
     parser = _Parser(prog="dpgfem", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (

@@ -21,9 +21,12 @@ Past the bound, parsing raises ExprSyntaxError.
 
 `compile_expr` parses a string once and compiles its tree into one
 Python function of straight-line code, which evaluates the nodes in the
-order of a post-order walk and applies the same domain checks, raising
-ExprDomainError with the node's position. Trees are immutable and the
-compiled functions reentrant.
+order of a post-order walk and applies the domain checks, raising
+ExprDomainError with the node's position. Subtrees free of x and y are
+folded to their values at compile time, and the checks of /, sin, cos, ln
+and sqrt are inlined as comparisons; values and errors are those of the
+unfolded, checked evaluation. Trees are immutable and the compiled
+functions reentrant.
 """
 
 from __future__ import annotations
@@ -307,57 +310,77 @@ def _sqrt(a: float, pos: int) -> float:
     return math.sqrt(a)
 
 
-def _abs(a: float, pos: int) -> float:
-    return abs(a)
+_HELPERS = {"_float": float, "_abs": abs, "_msin": math.sin, "_mcos": math.cos,
+            "_mlog": math.log, "_msqrt": math.sqrt, "_div": _div, "_pow": _pow,
+            "_sin": _sin, "_cos": _cos, "_exp": _exp, "_ln": _ln, "_sqrt": _sqrt}
 
-
-_HELPERS = {"_float": float, "_div": _div, "_pow": _pow, "_sin": _sin,
-            "_cos": _cos, "_exp": _exp, "_ln": _ln, "_sqrt": _sqrt, "_abs": _abs}
+# The code of each operation on the names {a} and {b}. A domain check is
+# inlined as a conditional whose failing branch calls the checked helper,
+# which raises; ^ and exp keep their helper, whose failure set is no
+# comparison.
+_BINARY = {"+": "{a} + {b}", "-": "{a} - {b}", "*": "{a} * {b}",
+           "/": "{a} / {b} if {b} != 0.0 else _div({a}, {b}, {pos:d})",
+           "^": "_pow({a}, {b}, {pos:d})"}
+_CALLS = {"sin": "_msin({a}) if {a} - {a} == 0.0 else _sin({a}, {pos:d})",
+          "cos": "_mcos({a}) if {a} - {a} == 0.0 else _cos({a}, {pos:d})",
+          "exp": "_exp({a}, {pos:d})",
+          "ln": "_mlog({a}) if {a} > 0.0 else _ln({a}, {pos:d})",
+          "sqrt": "_msqrt({a}) if {a} >= 0.0 else _sqrt({a}, {pos:d})",
+          "abs": "_abs({a})"}
 
 
 def _compile(tree: Node):
     """def f(x, y) evaluating `tree`: one assignment per node, in post-order.
 
-    The source holds only temporaries, literal names c0, c1, ..., the
-    operators + - *, helper names and integer positions; literal values
-    are bound in the function's namespace, so no text of the expression
-    reaches `exec`. x and y are converted with float() where the first
-    node reading them is evaluated.
+    A node whose arguments are all constants is folded: its code is
+    evaluated once, here, and its value bound like a literal. A node that
+    raises ExprDomainError is not folded, so it raises at the first point,
+    as it would unfolded. The source holds only temporaries, constant names
+    c0, c1, ..., the operators + - * / and comparisons, helper names and
+    integer positions; constant values are bound in the function's
+    namespace, so no text of the expression reaches `exec`. x and y are
+    converted with float() where the first node reading them is evaluated.
     """
-    consts: dict = {}
+    namespace: dict = {"__builtins__": {}, **_HELPERS}
+    consts: set = set()
     lines: list = []
     converted: set = set()
 
+    def constant(value) -> str:
+        name = f"c{len(consts)}"
+        consts.add(name)
+        namespace[name] = value
+        return name
+
     def emit(node: Node) -> str:
         if isinstance(node, Num):
-            name = f"c{len(consts)}"
-            consts[name] = node.value
-            return name
+            return constant(node.value)
         if isinstance(node, Var):
             name = "x" if node.name == "x" else "y"
             if name not in converted:
                 converted.add(name)
                 lines.append(f"{name} = _float({name})")
             return name
-        if isinstance(node, Neg):
-            value = f"-{emit(node.arg)}"
-        elif isinstance(node, BinOp):
-            a, b = emit(node.left), emit(node.right)
-            if node.op in ("+", "-", "*"):
-                value = f"{a} {node.op} {b}"
-            else:
-                helper = "_div" if node.op == "/" else "_pow"
-                value = f"{helper}({a}, {b}, {node.pos:d})"
+        if isinstance(node, BinOp):
+            children = (node.left, node.right)
+            code = _BINARY.get(node.op, _BINARY["^"])
         else:
-            helper = f"_{node.func}" if node.func in FUNCTIONS else "_abs"
-            value = f"{helper}({emit(node.arg)}, {node.pos:d})"
+            children = (node.arg,)
+            code = ("-{a}" if isinstance(node, Neg)
+                    else _CALLS.get(node.func, _CALLS["abs"]))
+        args = [emit(child) for child in children]
+        value = code.format(a=args[0], b=args[-1], pos=node.pos)
+        if consts.issuperset(args):
+            try:
+                return constant(eval(value, namespace))
+            except ExprDomainError:
+                pass
         name = f"t{len(lines)}"
         lines.append(f"{name} = {value}")
         return name
 
     result = emit(tree)
     source = "".join(f"    {line}\n" for line in lines)
-    namespace = {"__builtins__": {}, **_HELPERS, **consts}
     exec(f"def f(x, y):\n{source}    return {result}\n", namespace)
     return namespace["f"]
 

@@ -43,12 +43,13 @@ class ProblemValidationError(ValueError):
 
 def _pointwise_expr(text: str):
     """Array callable (x, y) for an expression string; the compiled
-    expression evaluates one point at a time, in C order."""
+    expression is mapped over the points as Python floats, one call per
+    point, in C order, so the first bad point raises first."""
     f = expr_mod.compile_expr(text)
 
     def fn(x, y):
         x, y = np.broadcast_arrays(x, y)
-        vals = [f(a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+        vals = list(map(f, x.ravel().tolist(), y.ravel().tolist()))
         return np.array(vals, dtype=float).reshape(x.shape)
     return fn
 

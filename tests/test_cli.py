@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -896,3 +900,42 @@ class TestErrorHandling:
         err = json.loads(out)["error"]
         assert err["code"] == "config"
         assert "'quad_order'" in err["message"]
+
+
+class TestOneProcess:
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def _outputs(self, outdir):
+        return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        # the parser is built once per process; calls that share it, with
+        # other commands and configs, print and write what fresh ones do
+        conc = write_config(tmp_path, dict(
+            CONC, coefficients={"D": 0.5, "dt": 0.1,
+                                "c_prev": "2*(1 + pi^2)*cos(pi*x)", "J": 0.0}))
+        bv = write_config(tmp_path, BV_CONFIG, "bv.json")
+        out = tmp_path / "out"
+        calls = [["solve", "--config", conc, "--outdir", str(out)],
+                 ["bv", "--config", bv, "--outdir", str(out)],
+                 ["solve", "--outdir", str(out)],
+                 ["frobnicate"],
+                 ["convergence", "--config", conc, "--outdir", str(out)]]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(self.SRC), os.environ.get("PYTHONPATH")])))
+        fresh = []
+        for argv in calls:
+            out.mkdir(exist_ok=True)
+            run = subprocess.run([sys.executable, "-m", "dpgfem.cli", *argv],
+                                 capture_output=True, text=True, env=env,
+                                 timeout=120)
+            fresh.append((run.returncode, run.stdout, self._outputs(out)))
+            for path in out.iterdir():
+                path.unlink()
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 1]
+        for argv, want in zip(calls, fresh):
+            out.mkdir(exist_ok=True)
+            code, stdout = run_cli(capsys, argv)
+            assert (code, stdout, self._outputs(out)) == want
+            for path in out.iterdir():
+                path.unlink()

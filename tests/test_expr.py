@@ -286,11 +286,21 @@ LITERALS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, math.pi,
     min_value=-1e3, max_value=1e3, allow_nan=False)
 POS = st.integers(0, 500)
 LEAVES = st.builds(Num, LITERALS, POS) | st.builds(Var, st.sampled_from("xy"), POS)
-TREES = st.recursive(LEAVES, lambda sub: st.one_of(
-    st.builds(Neg, sub, POS),
-    st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub, POS),
-    st.builds(Call, st.sampled_from(FUNCTIONS), sub, POS),
-), max_leaves=12)
+
+
+def trees(leaves):
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Neg, sub, POS),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub, POS),
+        st.builds(Call, st.sampled_from(FUNCTIONS), sub, POS),
+    ), max_leaves=12)
+
+
+TREES = trees(LEAVES)
+# one leaf in eight reads x or y, so most subtrees are constant and folded
+MOSTLY_CONSTANT_TREES = trees(st.integers(0, 7).flatmap(
+    lambda k: st.builds(Var, st.sampled_from("xy"), POS) if k == 0
+    else st.builds(Num, LITERALS, POS)))
 POINTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308]) | st.floats()
 
 
@@ -309,3 +319,37 @@ class TestDifferential:
         tree = parse(text)
         assert _outcome(compile_expr(text), x, y) == _outcome(
             reference_evaluate, tree, x, y)
+
+    @given(MOSTLY_CONSTANT_TREES, POINTS, POINTS)
+    def test_folded_tree_matches_tree_walker(self, tree, x, y):
+        assert _outcome(evaluate, tree, x, y) == _outcome(reference_evaluate,
+                                                          tree, x, y)
+
+
+class TestFolding:
+    def test_division_by_zero_compiles_and_raises_at_the_slash(self):
+        fn = compile_expr("1/0")
+        with pytest.raises(ExprDomainError, match="division by zero") as err:
+            fn(0.5, 0.5)
+        assert err.value.pos == 1
+
+    def test_constant_ln_argument_raises_at_the_ln(self):
+        fn = compile_expr("x*ln(0-2)")
+        with pytest.raises(ExprDomainError,
+                           match="ln of a non-positive value") as err:
+            fn(0.5, 0.5)
+        assert err.value.pos == 2
+
+    def test_nan_made_inside_a_sin_argument_still_raises(self):
+        fn = compile_expr("sin(1e308*10 - 1e308*10)^0")
+        with pytest.raises(ExprDomainError, match="sin of a non-finite value") as err:
+            fn(0.5, 0.5)
+        assert err.value.pos == 0
+
+    def test_folded_power_tower_is_bit_equal(self):
+        fn = compile_expr("2^3^2*x")
+        # the constant tower is evaluated once, at compile time
+        assert "_pow" not in fn.__code__.co_names
+        tree = parse("2^3^2*x")
+        for x in (0.3, -1.7, 1e300):
+            assert _outcome(fn, x, 0.0) == _outcome(reference_evaluate, tree, x, 0.0)

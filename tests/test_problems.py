@@ -301,6 +301,46 @@ class TestSample:
         sample(problem.J, self.POINTS, "J", np.ones((5, 2)))
         assert len(j_calls) == 1
 
+    def test_expression_called_once_per_point_in_c_order(self, monkeypatch):
+        # record the compiled function's calls, as perfbench's tracer counts
+        # them: one per point, in C order, up to the first error
+        from dpgfem import expr
+
+        calls = []
+        compile_expr = expr.compile_expr
+
+        def recording_compile(text):
+            fn = compile_expr(text)
+
+            def recorded(x, y):
+                calls.append((x, y))
+                return fn(x, y)
+            return recorded
+
+        monkeypatch.setattr(expr, "compile_expr", recording_compile)
+        pts = np.array([[(0.0, 0.1), (0.0, 0.2), (0.25, 0.3)],
+                        [(0.5, 0.4), (0.0, 0.5), (0.75, 0.6)]])
+        order = [tuple(p) for p in pts.reshape(-1, 2).tolist()]
+        problem = ConcentrationProblem(D=0.5, dt=0.1,
+                                       c_prev="2*(1 + pi^2)*x - y", J=0.0)
+        sample(problem.c_prev, pts, "c_prev")
+        assert calls == order
+        calls.clear()
+        # overflow is not a domain error: every point is evaluated, and the
+        # first non-finite one in C order is named
+        problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="1e300*x*1e300",
+                                       J=0.0)
+        with pytest.raises(ProblemValidationError,
+                           match=r"c_prev is not finite at \(0\.25, 0\.3\)"):
+            sample(problem.c_prev, pts, "c_prev")
+        assert calls == order
+        calls.clear()
+        # a domain error stops at the first bad point in C order
+        problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="1/(x - 0.5)", J=0.0)
+        with pytest.raises(expr.ExprDomainError, match="division by zero"):
+            sample(problem.c_prev, pts, "c_prev")
+        assert calls == order[:4]
+
     def test_non_finite_expression_names_first_point(self):
         pts = np.array([[(0.0, 0.1), (0.0, 0.2), (0.25, 0.3)],
                         [(0.5, 0.4), (0.0, 0.5), (0.75, 0.6)]])
