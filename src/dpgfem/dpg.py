@@ -21,22 +21,21 @@ ProblemKernels.gram is the problem's test norm; GeometryKernels.gram is
 the unweighted H1 Gram, kept for trial-side measures (skeleton dual
 norms, inf-sup constants) so they do not depend on the problem data.
 
-Local trial dof order: field (p+1)^2, flux x-modes p^2, flux y-modes p^2,
-then p trace dofs per incident active facet in local edge order
-(left, right, bottom, top). Trace columns already include the facet sign
-(+1 when the facet's global normal is outward for the element).
+Local trial dof order, the same on every element: field (p+1)^2, flux
+x-modes p^2, flux y-modes p^2, then p trace dofs per local edge (left,
+right, bottom, top). Trace columns include the facet sign (+1 when the
+facet's global normal is outward for the element); an edge without
+traces has absent dofs, which read 0, and an interior element's sign.
 
-Groups. Elements of a uniform mesh are congruent, so the condensed
-element system depends only on which local edges carry traces (and
-with which sign), which carry boundary data (and of which kind), and on
-the coefficient values. An ElementGroup collects the elements that agree
-on the first two; the kernels build, condense and evaluate one group at
-a time, with the Gram, A_fosls and (outside Robin groups) B shared by
-all its elements. The coefficients are sampled and integrated once per
-mesh, at the quadrature points of all its elements, and each group
-slices the loads and Robin terms of its elements. The interior, the four
-sides and the four corners give 9 groups on meshes of at least 3 x 3
-elements.
+Groups. Elements of a uniform mesh are congruent, so the element system
+depends only on the trace signs, on Robin beta and on the loads. An
+ElementGroup holds the elements without a Robin edge that agree on the
+signs, or every element with a Robin edge, with B stacked per element;
+the kernels build, condense and evaluate one group at a time, with the
+Gram, A_fosls and (outside the Robin stack) B shared by its elements.
+The coefficients are sampled and integrated once per mesh, and each
+group slices the loads and Robin terms of its elements. A concentration
+mesh is one group; pot-trig (Dirichlet left, Robin bottom and top) 3.
 """
 
 from __future__ import annotations
@@ -68,11 +67,12 @@ _EDGE_REF = (
 
 @dataclass
 class LocalSystem:
-    """Element matrices of the condensed DPG scheme for one ElementGroup.
+    """Element matrices of the condensed DPG scheme for one ElementGroup,
+    over n_trial = n_field + n_flux + 4 p columns.
 
     The n elements of a group share every matrix except where the
-    coefficients enter: loads always, and B in groups with Robin edges,
-    where beta varies from element to element.
+    coefficients enter: loads always, and B in the Robin stack, where beta
+    and the trace signs vary from element to element.
 
     gram_inv: inverse of the enriched Gram of the problem's test norm
         (n_enr x n_enr), SPD.
@@ -224,7 +224,7 @@ class ProblemKernels:
         # an overflowing 1/kappa or 1/(dt D) leaves inf and NaN here, which
         # assembly's non-finite-system check reports; numpy stays quiet
         with np.errstate(all="ignore"):
-            self.lsq_tmpl = (Px * rw).T @ Px + (Py * rw).T @ Py
+            self.lsq_tmpl = np.pad((Px * rw).T @ Px + (Py * rw).T @ Py, (0, 4 * layout.p))
 
         bvol = np.zeros((layout.n_enriched, self.n_ff))
         if problem.kind == "concentration":
@@ -234,25 +234,24 @@ class ProblemKernels:
         bvol[:, self.n_field + self.n_fs:] = \
             -self.trace_factor * (geom.enr_gy * w).T @ geom.flux_val
         self.coupling_tmpl = bvol
+        # the trace columns of all four local edges, before their signs
+        self.trace_tmpl = self.trace_factor * np.hstack(geom.trace_tmpl)
         self.load, (self.robin_rows, self.robin), self.source = \
             coefficient_loads(mesh, problem, geom, geom.enr_val, geom.enr_edge)
 
     def local_system(self, group: ElementGroup) -> LocalSystem:
         """Build B, l, A_fosls, f_fosls for the elements of one group."""
-        geom = self.geom
-        layout = geom.layout
-        p = layout.p
         n = group.elems.shape[0]
-        n_trial = self.n_ff + p * len(group.edges)
-        B = np.zeros((layout.n_enriched, n_trial))
-        B[:, :self.n_ff] = self.coupling_tmpl
-        for i, (k, sign) in enumerate(group.edges):
-            col = self.n_ff + i * p
-            B[:, col:col + p] = (self.trace_factor * sign) * geom.trace_tmpl[k]
-
-        A = np.zeros((n_trial, n_trial))
-        A[:self.n_ff, :self.n_ff] = self.lsq_tmpl
-        f = np.zeros((n, n_trial))
+        rows = self.robin_rows[group.elems]
+        stacked = rows[0] >= 0          # the Robin stack: one B per element
+        signs = np.repeat(group.signs if stacked else group.signs[:1],
+                          self.geom.layout.p, axis=1)
+        B = np.concatenate([np.broadcast_to(self.coupling_tmpl,
+                                            (len(signs),) + self.coupling_tmpl.shape),
+                            self.trace_tmpl * signs[:, None, :]], axis=2)
+        if stacked:
+            B[:, :, :self.n_field] += self.robin[rows]
+        f = np.zeros((n, self.lsq_tmpl.shape[0]))
         shift = None
         if self.source is not None:
             sx, sy = (s[group.elems] for s in self.source)
@@ -261,13 +260,9 @@ class ProblemKernels:
                 f[:, :self.n_ff] = -self.coef_inv * ((rw * sx) @ self.res_x
                                                      + (rw * sy) @ self.res_y)
                 shift = self.coef_inv * np.stack([sx, sy], axis=-1)
-        rows = self.robin_rows[group.elems]
-        if rows[0] >= 0:
-            B = np.repeat(B[None], n, axis=0)
-            B[:, :, :self.n_field] += self.robin[rows]
 
-        return LocalSystem(self.gram_inv, B, self.load[group.elems], A, f,
-                           self.res_x, self.res_y, self.res_weights, shift)
+        return LocalSystem(self.gram_inv, B if stacked else B[0], self.load[group.elems],
+                           self.lsq_tmpl, f, self.res_x, self.res_y, self.res_weights, shift)
 
 
 def coefficient_loads(mesh: Mesh, problem, geom: GeometryKernels,
@@ -400,8 +395,11 @@ def condense_local(ls: LocalSystem):
     """
     B = ls.coupling
     with np.errstate(over="ignore", invalid="ignore"):
-        S = ls.lsq_matrix + np.swapaxes(B, -1, -2) @ (ls.gram_inv @ B)
-        S = 0.5 * (S + np.swapaxes(S, -1, -2))
+        # in place where it can: a Robin stack holds n of each matrix
+        S = np.swapaxes(B, -1, -2) @ (ls.gram_inv @ B)
+        S += ls.lsq_matrix
+        S = S + np.swapaxes(S, -1, -2)
+        S *= 0.5
         y = ls.load @ ls.gram_inv
         rhs = ls.lsq_load + (y[:, None, :] @ B)[:, 0]
     return S, rhs

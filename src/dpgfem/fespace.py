@@ -13,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from dpgfem.mesh import FacetTag
+
 MAX_DEGREE = 10
 
 
@@ -160,22 +162,25 @@ class SpaceLayout:
 
 @dataclass(frozen=True, eq=False)
 class ElementGroup:
-    """Elements that share the sign of each trace-carrying local edge and
-    the tag of each boundary edge.
+    """Elements whose element systems are built together: those without a
+    Robin edge that share the trace sign of each local edge, or all the
+    elements with a Robin edge, as one stack.
 
-    On a uniform mesh all elements are congruent, so the element matrices
-    of a group differ only through the coefficient values sampled on it.
+    Every element has the same local trial layout: field, flux, then p
+    trace columns on each of the four local edges. An edge without traces
+    keeps its columns, with absent dofs (-1) and the sign an interior
+    element has there (-1 left and bottom, +1 right and top).
 
     elems: ascending element ids, shape (n,).
-    edges: (local edge, sign) of each trace-carrying edge, in local edge order.
-    dofs: (n, n_trial) global dofs, each row in element_dofs order.
+    signs: (n, 4) sign (int8) of each local edge's trace columns.
+    dofs: (n, n_field + n_flux + 4 p) global dofs, -1 where absent.
 
-    A DofMap hands the same groups to every caller, so elems and dofs are
-    read-only arrays.
+    A DofMap hands the same groups to every caller, so the arrays are
+    read-only.
     """
 
     elems: np.ndarray
-    edges: tuple
+    signs: np.ndarray
     dofs: np.ndarray
 
 
@@ -236,7 +241,7 @@ class DofMap:
         return out
 
     def element_dofs(self, e: int) -> np.ndarray:
-        """Global dofs in local trial order: field, flux, traces by local edge."""
+        """Global dofs: field, flux, traces of the active edges by local edge."""
         parts = [self.elem_field[e], self.elem_flux_dofs(e)]
         for _, f, _ in self.element_active_edges(e):
             parts.append(self.facet_trace_dofs(f))
@@ -245,9 +250,12 @@ class DofMap:
     def element_groups(self) -> list:
         """Partition of the elements into ElementGroups, ordered by key.
 
-        The key of an element is the sign of each local edge (0 on an edge
-        without traces), then the tag of each local edge. The partition is
-        built on the first call; later calls return the same groups.
+        The key of an element without a Robin edge is the sign of each
+        local edge; the elements with a Robin edge come last, in one group.
+        That gives at most the interior, Dirichlet left and bottom sides
+        and their corner (right and top sides have the interior's signs),
+        and the Robin stack. The partition is built on the first call;
+        later calls return the same groups.
         """
         if self._groups is None:
             self._groups = self._partition()
@@ -256,31 +264,23 @@ class DofMap:
     def _partition(self) -> list:
         mesh, p = self.mesh, self.layout.p
         slots = self.facet_slot[mesh.elem_facets]
-        signs = np.where(slots >= 0, mesh.elem_facet_signs, 0.0)
-        tags = mesh.facet_tags[mesh.elem_facets]
-        # mixed radix, first column most significant: the codes sort as
-        # the keys do lexicographically
-        code = np.zeros(mesh.n_elems, dtype=np.int64)
-        for k in range(4):
-            code = code * 3 + (signs[:, k] + 1).astype(np.int64)
-        for k in range(4):
-            code = code * 4 + tags[:, k]
-        _, first, inverse = np.unique(code, return_index=True,
-                                      return_inverse=True)
+        signs = np.where(slots >= 0, mesh.elem_facet_signs, (-1, 1, -1, 1)).astype(np.int8)
+        # first edge most significant, so the codes sort as the sign rows do
+        code = (signs > 0) @ (8, 4, 2, 1)
+        code[np.any(mesh.facet_tags[mesh.elem_facets] == FacetTag.ROBIN, axis=1)] = 16
         n_flux = self.layout.n_flux_local
+        trace = np.where(slots[:, :, None] >= 0, self.trace_offset + slots[:, :, None] * p
+                         + np.arange(p), -1).reshape(mesh.n_elems, -1)
         groups = []
-        for g, e0 in enumerate(first.tolist()):
-            elems = np.flatnonzero(inverse == g)
-            edges = tuple((k, s) for k, s in enumerate(signs[e0].tolist()) if s)
-            parts = [self.elem_field[elems],
-                     self.n_field + elems[:, None] * n_flux + np.arange(n_flux)]
-            for k, _sign in edges:
-                parts.append(self.trace_offset + slots[elems, k][:, None] * p
-                             + np.arange(p))
-            dofs = np.hstack(parts)
-            elems.setflags(write=False)
-            dofs.setflags(write=False)
-            groups.append(ElementGroup(elems, edges, dofs))
+        for c in np.unique(code).tolist():
+            elems = np.flatnonzero(code == c)
+            parts = (elems, signs[elems],
+                     np.hstack([self.elem_field[elems],
+                                self.n_field + elems[:, None] * n_flux + np.arange(n_flux),
+                                trace[elems]]))
+            for a in parts:
+                a.setflags(write=False)
+            groups.append(ElementGroup(*parts))
         return groups
 
 

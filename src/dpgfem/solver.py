@@ -29,14 +29,14 @@ mesh) make a block-tridiagonal matrix, factored block by block and never
 formed whole. A small system is one factored level, solved in one step.
 
 Hierarchy (`Multigrid`). The mesh is halved while nx and ny are even; a
-coarse level's rows are the coarse mesh's skeleton dofs. Elements are
-congruent, so an element matrix depends only on its group and, on Robin
-edges, on beta: a shared group matrix is a class, and so is each element
-of a stacked group; a 2 x 2 block of elements takes its class from its
-elements' and its absent rows. Per class of coarse elements, P
-interpolates along the coarse edges and extends A-harmonically,
--A_II^-1 A_IE, inside, and the coarse element matrix is sum_e P_e^T S_e
-P_e (element-by-element Galerkin coarsening). A, P and P^T of every
+coarse level's rows are the coarse mesh's skeleton dofs. An element
+matrix's columns are its slots, some absent (no row), so a shared group
+matrix is a class, and so is each element of the Robin stack; a 2 x 2
+block of elements takes its class from its elements' and its absent
+rows. Per class of coarse elements, P interpolates along the coarse
+edges and extends A-harmonically, -A_II^-1 A_IE, inside, and the coarse
+element matrix is sum_e P_e^T S_e P_e (element-by-element Galerkin
+coarsening). A, P and P^T of every
 level apply per class; a fine row takes its P row from the one coarse
 element that owns it. The first level with at most DENSE_LIMIT rows is
 factored and ends the hierarchy; a large odd mesh ends it smoothed only.
@@ -88,14 +88,15 @@ from dpgfem.problems import validate_problem
 DENSE_LIMIT = 1000
 JACOBI_ITERATIONS = 300
 DAMPING = 0.4
+SCATTER_CHUNK = 2**14                   # triplets per step of `scatter`
 
 
 @dataclass
 class ElementBlock:
     """One element group: its elements elems (n,), their rows dofs (n x m)
-    of the global matrix (the row count for a Dirichlet dof, which has
-    none), and their element matrices over all m dofs, (m x m) shared by
-    the group or stacked (n x m x m); and
+    of the global matrix (the row count for a Dirichlet or absent dof,
+    which has none), and their element matrices over all m dofs, (m x m)
+    shared by the group or stacked (n x m x m); and
     the back-substitution u_L = y - X u_G: the local unknowns' full dofs
     (n x n_L), X = S_LL^-1 S_LG, shared or stacked, and y = S_LL^-1 r_L
     (n x n_L)."""
@@ -186,23 +187,28 @@ def dirichlet_field_dofs(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
 def scatter(blocks, n: int):
     """CSR matrix over n rows summed from element blocks, (dofs, matrix)
     pairs shaped like an ElementBlock's; a dof n stands for none. The
-    triplets are written in place, one array each, to bound the peak."""
+    present triplets are written in place, one array each, filtered from
+    about SCATTER_CHUNK at a time to bound the peak."""
     from scipy.sparse import coo_matrix
 
-    size = sum(dofs.size * dofs.shape[1] for dofs, _ in blocks)
+    size = sum(int(np.square(np.count_nonzero(dofs < n, axis=1)).sum())
+               for dofs, _ in blocks)
     idx = np.int32 if n < 2**31 else np.int64            # the CSR index type
     vals, rows, cols = np.empty(size), np.empty(size, idx), np.empty(size, idx)
     at = 0
     for dofs, S in blocks:
-        shape = dofs.shape + dofs.shape[1:]
-        part = slice(at, at + np.prod(shape))
-        rows[part].reshape(shape)[...] = dofs[:, :, None]
-        cols[part].reshape(shape)[...] = dofs[:, None, :]
-        vals[part].reshape(shape)[...] = S
-        at = part.stop
-    if any(dofs.max(initial=0) >= n for dofs, _ in blocks):
-        keep = (rows < n) & (cols < n)
-        vals, rows, cols = vals[keep], rows[keep], cols[keep]
+        step = max(1, SCATTER_CHUNK // dofs.shape[1] ** 2)
+        for i in range(0, len(dofs), step):
+            d = dofs[i:i + step]
+            shape = d.shape + d.shape[1:]
+            r, c, v = np.empty(shape, idx), np.empty(shape, idx), np.empty(shape)
+            r[...], c[...] = d[:, :, None], d[:, None, :]
+            v[...] = S if S.ndim == 2 else S[i:i + step]
+            keep = (r < n) & (c < n)
+            part = slice(at, at + np.count_nonzero(keep))
+            rows[part], cols[part], vals[part] = r[keep], c[keep], v[keep]
+            at = part.stop
+            del r, c, v, keep           # freed before the next chunk and the CSR
     return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -406,11 +412,12 @@ def _condense_group(S: np.ndarray, r: np.ndarray, L: np.ndarray, G: np.ndarray):
     S_GG = S[..., G[:, None], G]
     inv = spd_inverses(S[..., L[:, None], L], "local block")
     X = inv @ S_LG
-    y = r[:, L] @ inv if S.ndim == 2 else (inv @ r[:, L, None])[:, :, 0]
     S_GL = np.swapaxes(S_LG, -1, -2)
     S_c = S_GG - S_GL @ X
     S_c = 0.5 * (S_c + np.swapaxes(S_c, -1, -2))
-    r_c = r[:, G] - (y[:, None, :] @ S_LG)[:, 0]
+    # a shared S gives one GEMM each for the whole group
+    y = r[:, L] @ inv if S.ndim == 2 else (inv @ r[:, L, None])[:, :, 0]
+    r_c = r[:, G] - (y @ S_LG if S.ndim == 2 else (y[:, None, :] @ S_LG)[:, 0])
     return S_c, r_c, X, y
 
 
@@ -419,7 +426,8 @@ def condensed_system(dofmap: DofMap, kind: str, systems) -> GlobalSystem:
     (elems, trial dofs, S, r) like an ElementGroup's, S shared by the
     elements or stacked: each one's local columns eliminated by
     `_condense_group`. The field dofs on the mesh's Dirichlet facets (none
-    on a concentration mesh) have no row, and their loads are dropped."""
+    on a concentration mesh) and absent trial dofs (-1) have no row, and
+    their loads are dropped."""
     skeleton = skeleton_dofs(dofmap)
     row = _row_lookup(skeleton, dofmap.n_total)
     rhs = np.zeros(skeleton.size + 1)
@@ -447,12 +455,12 @@ def recover_local(system: GlobalSystem, x: np.ndarray) -> np.ndarray:
     coeffs = np.zeros(system.dofmap.n_total)
     coeffs[system.skeleton] = x
     x = np.append(x, 0.0)
-    # huge data can overflow here; the error below reports it. The layout
-    # of u_G (column-major) sets matmul's summation order, bit for bit
+    # huge data can overflow here; the error below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for b in system.elements:
-            u_G = x[np.asfortranarray(b.dofs)]
-            coeffs[b.local] = b.y - (b.X @ u_G[:, :, None])[:, :, 0]
+            u_G = x[b.dofs]
+            coeffs[b.local] = (b.y - u_G @ b.X.T if b.X.ndim == 2
+                               else b.y - (b.X @ u_G[:, :, None])[:, :, 0])
     if not np.isfinite(coeffs).all():
         raise SolverError("non-finite solution: the local unknowns overflow")
     return coeffs
@@ -515,27 +523,19 @@ def _grid(dofmap: DofMap, rows: np.ndarray, sites: np.ndarray) -> _Grid:
 def _fine_grid(system: GlobalSystem) -> _Grid:
     """The level of the system itself: one class per shared group matrix
     and per element of a stacked one, or no classes when the level is
-    factored (at most DENSE_LIMIT rows)."""
-    dofmap = system.dofmap
-    grid = _grid(dofmap, system.skeleton, _slot_sites(dofmap.layout.p, dofmap.n_trace > 0))
+    factored (at most DENSE_LIMIT rows). A block's columns are its slots,
+    in `_slot_sites` order."""
+    dofmap, blocks = system.dofmap, system.elements
+    p = dofmap.layout.p
+    grid = _grid(dofmap, system.skeleton, _slot_sites(p, blocks[0].dofs.shape[1] > 4 * p))
     if system.rhs.size <= DENSE_LIMIT:
         return grid
-    m, n = len(grid.sites), system.rhs.size
+    m = len(grid.sites)
+    mats = [b.matrix.reshape(-1, m, m) for b in blocks]
     grid.elem_class = np.empty(dofmap.mesh.n_elems, dtype=np.int64)
-    mats = []
-    for block in system.elements:
-        # the slot of each block column: the field columns come first, in
-        # the sites' lattice order; a trace column, which always has a row,
-        # finds its slot by that row on the group's first element
-        d = block.dofs[0]
-        pos = np.where(d < n, np.argmax(grid.elem_rows[block.elems[0]] == d[:, None], 1),
-                       np.arange(d.size))
-        M = np.zeros(block.matrix.shape[:-2] + (m, m))
-        M[..., pos[:, None], pos] = block.matrix
-        grid.elem_class[block.elems] = len(mats) + (
-            np.arange(block.elems.size) if M.ndim == 3 else 0)
-        mats.extend(M.reshape(-1, m, m))
-    grid.mats = np.array(mats)
+    for b, at, M in zip(blocks, np.cumsum([0] + [len(M) for M in mats]), mats):
+        grid.elem_class[b.elems] = at + np.arange(b.elems.size) % len(M)
+    grid.mats = np.concatenate(mats)
     return grid
 
 
@@ -805,8 +805,9 @@ def compute_indicators(mesh: Mesh, dofmap: DofMap, problem,
     # below reports them, and numpy stays quiet
     with np.errstate(over="ignore", invalid="ignore"):
         for group in dofmap.element_groups():
-            out[group.elems] = error_indicator(kernels.local_system(group),
-                                               coeffs[group.dofs])
+            u = coeffs[group.dofs]
+            u[group.dofs < 0] = 0.0             # an absent dof reads 0
+            out[group.elems] = error_indicator(kernels.local_system(group), u)
         total = out.sum()
     if not np.isfinite(total):
         raise SolverError("non-finite error indicators: the squared residuals "

@@ -292,32 +292,33 @@ def eoc_study(case, p: int, levels: int, delta_p: int = 1, base_n: int = 8,
 def _dense_trial_forms(mesh: Mesh, dofmap, problem):
     """(trial Gram, DPG matrix) over the full trial space, dense. The DPG
     matrix sums the `condense_local` blocks of each group before any local
-    elimination or boundary condition."""
+    elimination or boundary condition; absent trace columns are dropped."""
     layout = dofmap.layout
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     n = dofmap.n_total
-    M = np.zeros((n, n))
-    A = np.zeros((n, n))
+    # an absent dof (-1) lands in the last row and column, cut off below
+    M = np.zeros((n + 1, n + 1))
+    A = np.zeros((n + 1, n + 1))
     kernels = ProblemKernels(geom, problem, mesh)
     w = geom.wvol[:, None]
     field_gram = ((geom.field_val * w).T @ geom.field_val
                   + (geom.field_gx * w).T @ geom.field_gx
                   + (geom.field_gy * w).T @ geom.field_gy)
     flux_gram = (geom.flux_val * w).T @ geom.flux_val
+    C = np.hstack(geom.trace_tmpl)
+    trace_gram = C.T @ geom.gram_inv @ C
     nf, ns = layout.n_field_local, layout.n_flux_scalar
     for group in dofmap.element_groups():
-        blocks = [(group.dofs[:, :nf], field_gram),
-                  (group.dofs[:, nf:nf + ns], flux_gram),
-                  (group.dofs[:, nf + ns:nf + 2 * ns], flux_gram)]
-        if group.edges:
-            C = np.hstack([sign * geom.trace_tmpl[k] for k, sign in group.edges])
-            blocks.append((group.dofs[:, -C.shape[1]:],
-                           C.T @ geom.gram_inv @ C))
-        for dofs, block in blocks:
+        s = np.repeat(group.signs, layout.p, axis=1)
+        for dofs, block in ((group.dofs[:, :nf], field_gram),
+                            (group.dofs[:, nf:nf + ns], flux_gram),
+                            (group.dofs[:, nf + ns:nf + 2 * ns], flux_gram),
+                            (group.dofs[:, nf + 2 * ns:],
+                             trace_gram * s[:, :, None] * s[:, None, :])):
             np.add.at(M, (dofs[:, :, None], dofs[:, None, :]), block)
         S, _ = condense_local(kernels.local_system(group))
         np.add.at(A, (group.dofs[:, :, None], group.dofs[:, None, :]), S)
-    return M, A
+    return M[:n, :n], A[:n, :n]
 
 
 def infsup_constant(mesh: Mesh, problem, layout: SpaceLayout) -> float:

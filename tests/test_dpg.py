@@ -57,7 +57,7 @@ def element_system(mesh, e, problem, layout, active_facets=()):
     group = next(g for g in dofmap.element_groups() if e in g.elems)
     i = int(np.flatnonzero(group.elems == e)[0])
     one = dataclasses.replace(group, elems=group.elems[i:i + 1],
-                              dofs=group.dofs[i:i + 1])
+                              signs=group.signs[i:i + 1], dofs=group.dofs[i:i + 1])
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     return ProblemKernels(geom, problem, mesh).local_system(one)
 
@@ -106,11 +106,13 @@ class TestLocalGram:
                                                     rel=1e-13)
 
     def test_shared_across_congruent_elements(self):
-        # element 0 (a corner) and 4 (interior) lie in different groups
-        mesh = build_rect_mesh(UNIT, 3, 3)
+        # element 0 (a Robin corner) and 4 (interior) lie in different
+        # groups; a concentration mesh is one group
+        mesh = classify_boundary(build_rect_mesh(UNIT, 3, 3), POT_PARTITION)
         layout = SpaceLayout(p=2)
-        problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
-        active = mesh.interior_facets()
+        problem = _pot_problem()
+        active = np.concatenate([mesh.interior_facets(),
+                                 mesh.facets_with_tag(FacetTag.DIRICHLET)])
         G0 = element_system(mesh, 0, problem, layout, active).gram_inv
         G4 = element_system(mesh, 4, problem, layout, active).gram_inv
         assert np.array_equal(G0, G4)
@@ -150,9 +152,10 @@ class TestTrialTestCoupling:
         B1, _ = local_trial_test(mesh, 1, problem, layout, active)
         ones = np.ones(B0.shape[0])
         # pairing of the trace mode with the constant test function equals
-        # +/- its facet integral depending on the element side
-        assert ones @ B0[:, 6] == pytest.approx(-(ones @ B1[:, 6]), rel=1e-13)
-        assert abs(ones @ B0[:, 6]) > 1e-3
+        # +/- its facet integral depending on the element side: the facet
+        # is element 0's right edge (column 6 + 1) and element 1's left (6)
+        assert ones @ B0[:, 7] == pytest.approx(-(ones @ B1[:, 6]), rel=1e-13)
+        assert abs(ones @ B0[:, 7]) > 1e-3
 
     def test_neumann_data_enters_concentration_load(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
@@ -174,7 +177,8 @@ class TestFosls:
         mesh = build_rect_mesh(UNIT, 1, 1)
         problem = ConcentrationProblem(D=1.0, dt=1.0, c_prev=0.0, J=0.0)
         A, f, ls = local_fosls(mesh, 0, problem, SpaceLayout(p=1))
-        u = np.array([0.0, 1.0, 0.0, 1.0, -1.0, 0.0])  # field lattice, flux
+        # field lattice, flux, then the absent traces of the four edges
+        u = np.array([0.0, 1.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         assert u @ A @ u - 2.0 * f @ u == pytest.approx(0.0, abs=1e-14)
         assert fosls_indicator(ls, u) == pytest.approx(0.0, abs=1e-14)
         assert np.all(f == 0.0) and ls.res_shift is None
@@ -183,7 +187,8 @@ class TestFosls:
         mesh = build_rect_mesh(UNIT, 1, 1)
         problem = ConcentrationProblem(D=1.0, dt=1.0, c_prev=0.0, J=0.0)
         A, f, ls = local_fosls(mesh, 0, problem, SpaceLayout(p=1))
-        u = np.array([0.0, 1.0, 0.0, 1.0, +1.0, 0.0])  # flux with wrong sign
+        # flux with wrong sign; zeros at the absent traces
+        u = np.array([0.0, 1.0, 0.0, 1.0, +1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         assert ls.res_shift is None
         assert u @ A @ u - 2.0 * f @ u > 0.1
         assert fosls_indicator(ls, u) > 0.1

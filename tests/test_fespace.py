@@ -26,26 +26,40 @@ UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 RNG = np.random.default_rng(20240817)
 
 
+def _padded_dofs(dofmap, e):
+    """element_dofs of element e with p absent dofs (-1) on each local edge
+    without traces: field, flux, then p trace dofs per local edge."""
+    p = dofmap.layout.p
+    active = {k: f for k, f, _sign in dofmap.element_active_edges(e)}
+    parts = [dofmap.elem_field[e], dofmap.elem_flux_dofs(e)]
+    for k in range(4):
+        parts.append(dofmap.facet_trace_dofs(active[k]) if k in active
+                     else np.full(p, -1))
+    return np.concatenate(parts)
+
+
 def _reference_groups(dofmap):
-    """The partition as np.unique over the float key rows built it before
-    element_groups encoded each key as one integer: (elems, edges, dofs)
-    per group, in key order."""
-    mesh, p = dofmap.mesh, dofmap.layout.p
-    slots = dofmap.facet_slot[mesh.elem_facets]
-    signs = np.where(slots >= 0, mesh.elem_facet_signs, 0.0)
-    keys = np.column_stack([signs, mesh.facet_tags[mesh.elem_facets]])
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    n_flux = dofmap.layout.n_flux_local
+    """The padded partition, element by element: the key of an element is
+    its trace sign on each local edge (an interior element's sign where
+    the edge has no traces), or "robin" for every element with a Robin
+    edge, which sorts last. (elems, signs, dofs) per group, in key order."""
+    mesh = dofmap.mesh
+    keys = []
+    for e in range(mesh.n_elems):
+        signs = [-1.0, 1.0, -1.0, 1.0]
+        for k, _f, sign in dofmap.element_active_edges(e):
+            signs[k] = sign
+        robin = FacetTag.ROBIN in mesh.facet_tags[mesh.elem_facets[e]]
+        keys.append((1, ()) if robin else (0, tuple(signs)))
     groups = []
-    for g, key in enumerate(uniq):
-        elems = np.flatnonzero(inverse.ravel() == g)
-        edges = tuple((k, float(key[k])) for k in range(4) if key[k] != 0)
-        parts = [dofmap.elem_field[elems],
-                 dofmap.n_field + elems[:, None] * n_flux + np.arange(n_flux)]
-        for k, _sign in edges:
-            parts.append(dofmap.trace_offset + slots[elems, k][:, None] * p
-                         + np.arange(p))
-        groups.append((elems, edges, np.hstack(parts)))
+    for key in sorted(set(keys)):
+        elems = np.array([e for e in range(mesh.n_elems) if keys[e] == key])
+        signs = np.array([[-1.0, 1.0, -1.0, 1.0]] * elems.size)
+        for i, e in enumerate(elems):
+            for k, _f, sign in dofmap.element_active_edges(e):
+                signs[i, k] = sign
+        groups.append((elems, signs,
+                       np.array([_padded_dofs(dofmap, e) for e in elems])))
     return groups
 
 
@@ -359,17 +373,28 @@ class TestElementGroups:
                                  mesh.facets_with_tag(FacetTag.DIRICHLET)])
         dofmap = build_dofmap(mesh, SpaceLayout(p=p), active)
         groups = dofmap.element_groups()
-        assert len(groups) == 9
-        elems = np.concatenate([g.elems for g in groups])
-        assert np.array_equal(np.sort(elems), np.arange(mesh.n_elems))
+        # the interior with the Neumann side, the Dirichlet side, and the
+        # bottom and top rows stacked as the Robin group
+        assert [g.elems.tolist() for g in groups] == [[5, 6, 7], [4],
+                                                      [0, 1, 2, 3, 8, 9, 10, 11]]
         for g in groups:
-            assert np.all(np.diff(g.elems) > 0)
+            assert g.dofs.shape == (g.elems.size, (p + 1) ** 2 + 2 * p * p + 4 * p)
             for row, e in zip(g.dofs, g.elems):
-                assert np.array_equal(row, dofmap.element_dofs(e))
-                edges = dofmap.element_active_edges(e)
-                assert g.edges == tuple((k, sign) for k, _f, sign in edges)
-            tags = mesh.facet_tags[mesh.elem_facets[g.elems]]
-            assert np.all(tags == tags[0])
+                assert np.array_equal(row, _padded_dofs(dofmap, e))
+        assert np.array_equal(groups[0].signs, np.tile([-1.0, 1.0, -1.0, 1.0], (3, 1)))
+        assert np.array_equal(groups[1].signs, [[1.0, 1.0, -1.0, 1.0]])
+        # the Robin stack holds both corner signs on the Dirichlet side
+        assert np.array_equal(np.unique(groups[2].signs[:, 0]), [-1.0, 1.0])
+
+    def test_concentration_mesh_is_one_group(self):
+        for nx, ny in ((3, 3), (5, 4), (1, 6)):
+            mesh = classify_boundary(build_rect_mesh(UNIT, nx, ny), BoundaryPartition())
+            dofmap = build_dofmap(mesh, SpaceLayout(p=2), mesh.interior_facets())
+            [group] = dofmap.element_groups()
+            assert np.array_equal(group.elems, np.arange(nx * ny))
+            assert np.all(group.signs == [-1.0, 1.0, -1.0, 1.0])
+            # boundary edges keep their columns, with absent dofs
+            assert np.count_nonzero(group.dofs == -1) == 2 * 2 * (nx + ny)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("nx, ny, partition", [
@@ -377,12 +402,13 @@ class TestElementGroups:
         (3, 5, (FacetTag.ROBIN, FacetTag.DIRICHLET, FacetTag.NEUMANN, FacetTag.DIRICHLET)),
         (1, 1, (FacetTag.DIRICHLET, FacetTag.ROBIN, FacetTag.NEUMANN, FacetTag.ROBIN)),
         (5, 1, (FacetTag.NEUMANN, FacetTag.NEUMANN, FacetTag.ROBIN, FacetTag.NEUMANN)),
+        (4, 4, (FacetTag.DIRICHLET, FacetTag.DIRICHLET, FacetTag.NEUMANN, FacetTag.NEUMANN)),
         (1, 1, None),
         (1, 4, None),
         (6, 2, None),
         (4, 4, None),
     ])
-    def test_matches_the_float_key_partition(self, p, nx, ny, partition):
+    def test_matches_the_element_by_element_partition(self, p, nx, ny, partition):
         mesh = build_rect_mesh(Rectangle(-0.5, 1.0, 0.0, 2.0), nx, ny)
         if partition is None:
             # the concentration problem: Neumann sides, interior traces
@@ -395,14 +421,14 @@ class TestElementGroups:
         dofmap = build_dofmap(mesh, SpaceLayout(p=p), active)
         groups = dofmap.element_groups()
         reference = _reference_groups(dofmap)
-        assert len(groups) == len(reference)
-        for g, (elems, edges, dofs) in zip(groups, reference):
+        # at most the interior, Dirichlet left and bottom sides, their
+        # corner, and the Robin stack: a right or top boundary facet has
+        # the interior element's sign
+        assert len(groups) == len(reference) <= 5
+        for g, (elems, signs, dofs) in zip(groups, reference):
             assert np.array_equal(g.elems, elems)
-            assert g.edges == edges
-            assert all(type(sign) is float for _k, sign in g.edges)
-            tags = mesh.facet_tags[mesh.elem_facets[g.elems]]
-            assert np.all(tags == tags[0])
-            assert g.dofs.dtype == dofs.dtype
+            assert g.signs.dtype == np.int8 and np.array_equal(g.signs, signs)
+            assert g.dofs.dtype == np.int64
             assert np.array_equal(g.dofs, dofs)
 
     def test_groups_are_built_once_and_read_only(self):
@@ -415,6 +441,8 @@ class TestElementGroups:
             group.dofs[0, 0] = -1
         with pytest.raises(ValueError):
             group.elems[0] = -1
+        with pytest.raises(ValueError):
+            group.signs[0, 0] = 0
         # a caller may reorder or drop groups in its own list
         first.pop()
         assert len(dofmap.element_groups()) == len(second)

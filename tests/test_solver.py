@@ -9,7 +9,12 @@ import scipy.sparse.linalg as spla
 import dpgfem.expr as expr_mod
 import dpgfem.solver as solver_mod
 import dpgfem.verify as verify_mod
-from dpgfem.dpg import ProblemKernels, condense_local, geometry_kernels
+from dpgfem.dpg import (
+    ProblemKernels,
+    condense_local,
+    error_indicator,
+    geometry_kernels,
+)
 from dpgfem.fespace import (
     DofMap,
     SpaceLayout,
@@ -65,27 +70,32 @@ def _tampered(system, change):
 
 def _indefinite(system):
     """Give the largest group the pair A_ij = A_ji = 2 sqrt(A_ii A_jj)
-    between its first two rows; the diagonal stays positive."""
+    between its first two rows, taken on its first element that has both;
+    the diagonal stays positive."""
     diag = system.matrix.diagonal()
 
     def change(S, block):
-        i, j = block.dofs[0, :2]
+        e = np.flatnonzero(np.all(block.dofs[:, :2] < diag.size, axis=1))[0]
+        i, j = block.dofs[e, :2]
         S[..., 0, 1] = S[..., 1, 0] = 2.0 * np.sqrt(diag[i] * diag[j])
 
     return _tampered(system, change)
 
 
 class TestGroupedAssembly:
-    @pytest.mark.parametrize("name, p", [("pot-trig", 2), ("conc-trig", 1)])
-    def test_matches_one_element_groups(self, monkeypatch, name, p):
+    # pot-trig: the interior, the Dirichlet side and the Robin stack
+    @pytest.mark.parametrize("name, p, n_groups", [("pot-trig", 2, 3),
+                                                   ("conc-trig", 1, 1)])
+    def test_matches_one_element_groups(self, monkeypatch, name, p, n_groups):
         case = manufactured_case(name)
         mesh = case_mesh(case, 4)
         dofmap = build_dofmap(mesh, SpaceLayout(p=p), active_facets(mesh))
         grouped = assemble(mesh, dofmap, case.problem)
         groups = dofmap.element_groups()
-        assert len(groups) == 9
+        assert len(groups) == n_groups
         single_groups = [
-            dataclasses.replace(g, elems=g.elems[i:i + 1], dofs=g.dofs[i:i + 1])
+            dataclasses.replace(g, elems=g.elems[i:i + 1], signs=g.signs[i:i + 1],
+                                dofs=g.dofs[i:i + 1])
             for g in groups for i in range(len(g.elems))]
         monkeypatch.setattr(DofMap, "element_groups", lambda self: single_groups)
         single = assemble(mesh, dofmap, case.problem)
@@ -95,6 +105,57 @@ class TestGroupedAssembly:
         assert (np.linalg.norm(grouped.rhs - single.rhs)
                 <= 1e-13 * np.linalg.norm(single.rhs))
         assert np.array_equal(grouped.skeleton, single.skeleton)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_indicators_read_absent_traces_as_zero(self, p):
+        # Dirichlet left, Neumann right, Robin bottom and top: the Neumann
+        # and Robin edges keep trace columns without dofs
+        case = manufactured_case("pot-trig")
+        mesh = case_mesh(case, 4)
+        layout = SpaceLayout(p=p)
+        solution, _, system = solve_dpg(mesh, case.problem, layout)
+        dofmap = system.dofmap
+        coeffs = np.concatenate([solution.field, solution.flux, solution.trace])
+        # reading coeffs[-1] for an absent dof would pick up this value
+        assert coeffs[-1] != 0.0
+        kernels = ProblemKernels(geometry_kernels(layout, mesh.dx, mesh.dy),
+                                 case.problem, mesh)
+        want = np.empty((mesh.n_elems, 2))
+        absent = 0
+        for g in dofmap.element_groups():
+            for i, e in enumerate(g.elems):
+                one = dataclasses.replace(g, elems=g.elems[i:i + 1],
+                                          signs=g.signs[i:i + 1], dofs=g.dofs[i:i + 1])
+                u = np.where(one.dofs >= 0, coeffs[one.dofs], 0.0)
+                want[e] = error_indicator(kernels.local_system(one), u)[0]
+                absent += int(np.count_nonzero(one.dofs < 0))
+        assert absent == 12 * p                 # 4 Neumann and 8 Robin edges
+        got = solver_mod.compute_indicators(mesh, dofmap, case.problem, coeffs)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(got, solution.indicators)
+
+    # p = 2 elements have 256 triplets: one element per step, three, 64
+    @pytest.mark.parametrize("chunk", [1, 3 * 256, 2**14])
+    def test_matrix_is_the_dense_block_sum_without_absent_entries(self, monkeypatch,
+                                                                  chunk):
+        case = manufactured_case("pot-trig")
+        mesh = case_mesh(case, 4)
+        system = assemble(mesh, build_dofmap(mesh, SpaceLayout(p=2), active_facets(mesh)),
+                          case.problem)
+        n = system.rhs.size
+        want = np.zeros((n + 1, n + 1))
+        for b in system.elements:
+            # every block has absent rows: a Dirichlet field dof or a
+            # trace column on a Neumann or Robin edge
+            assert np.any(b.dofs == n)
+            np.add.at(want, (b.dofs[:, :, None], b.dofs[:, None, :]),
+                      np.broadcast_to(b.matrix, b.dofs.shape + b.dofs.shape[1:]))
+        monkeypatch.setattr(solver_mod, "SCATTER_CHUNK", chunk)
+        got = solver_mod.scatter([(b.dofs, b.matrix) for b in system.elements], n)
+        assert got.has_canonical_format
+        assert np.allclose(got.toarray(), want[:n, :n], rtol=1e-14,
+                           atol=1e-14 * np.abs(want).max())
+        assert (system.matrix != got).nnz == 0
 
 
 class TestActiveFacets:
@@ -725,7 +786,10 @@ class TestAssemble:
         blocks = []
         for group, block in zip(dofmap.element_groups(), system.elements):
             _, G = solver_mod._local_columns(dofmap.layout, group.dofs.shape[1])
-            blocks.append((np.searchsorted(full, group.dofs[:, G]), block.matrix))
+            # an absent trace dof (-1) stands for none, like the row count
+            d = group.dofs[:, G]
+            blocks.append((np.where(d < 0, full.size, np.searchsorted(full, d)),
+                           block.matrix))
         free = np.flatnonzero(~np.isin(full, dirichlet))
         want = solver_mod.scatter(blocks, full.size)[free][:, free]
         assert abs(system.matrix - want).max() <= 1e-12 * abs(want).max()
@@ -917,22 +981,26 @@ class TestLayerCholesky:
 
 
 def _uncondensed_solve(mesh, problem, layout):
-    """Direct solve of the full system summed from the group blocks."""
+    """Direct solve of the full system summed from the group blocks; an
+    absent trace dof (-1) goes to an extra last row and column, which no
+    free dof reaches."""
     dofmap = build_dofmap(mesh, layout, active_facets(mesh))
     kernels = ProblemKernels(geometry_kernels(layout, mesh.dx, mesh.dy),
                              problem, mesh)
+    n = dofmap.n_total
     rows, cols, vals = [], [], []
-    rhs = np.zeros(dofmap.n_total)
+    rhs = np.zeros(n + 1)
     for group in dofmap.element_groups():
         S, r = condense_local(kernels.local_system(group))
-        n_g, m = group.dofs.shape
-        rows.append(np.repeat(group.dofs, m, axis=1).ravel())
-        cols.append(np.tile(group.dofs, m).ravel())
+        dofs = np.where(group.dofs < 0, n, group.dofs)
+        n_g, m = dofs.shape
+        rows.append(np.repeat(dofs, m, axis=1).ravel())
+        cols.append(np.tile(dofs, m).ravel())
         vals.append(np.broadcast_to(S, (n_g, m, m)).ravel())
-        np.add.at(rhs, group.dofs, r)
+        np.add.at(rhs, dofs, r)
     matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dofmap.n_total,) * 2)
+        shape=(n + 1,) * 2)
     free = np.setdiff1d(np.arange(dofmap.n_total), dirichlet_field_dofs(mesh, dofmap))
     x = np.zeros(dofmap.n_total)
     x[free] = spla.spsolve(matrix.tocsr()[free][:, free].tocsc(), rhs[free])
