@@ -125,10 +125,10 @@ def _tokenize(text: str) -> list[Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c.isdecimal() or (c == "." and i + 1 < n and text[i + 1].isdecimal()):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j].isdecimal() or (text[j] == "." and not seen_dot)):
                 seen_dot = seen_dot or text[j] == "."
                 j += 1
             # exponent part of a float literal
@@ -136,8 +136,8 @@ def _tokenize(text: str) -> list[Token]:
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
+                if k < n and text[k].isdecimal():
+                    while k < n and text[k].isdecimal():
                         k += 1
                     j = k
             out.append(Token("num", text[i:j], i))

@@ -1,18 +1,21 @@
 """Built-in manufactured solutions with hand-derived fluxes and data.
 
-Each case carries independent closures for the field, its gradient, the
-flux, and the flux divergence; boundary and volume data are derived from
-those closures, so the catalog entries solve their BVPs exactly. The
-gradient/flux pairs are written out by hand (not composed from each
-other), which lets tests cross-check the algebra pointwise. The closures
-use numpy, so each takes coordinate arrays as well as scalars and works
-elementwise; a constant part is returned as a scalar, for the caller to
-broadcast (as problems.sample does).
+Each case writes out by hand closures for the field, its gradient, the
+flux and (concentration) the flux divergence; the gradient/flux pairs are
+not composed from each other, which lets tests cross-check the algebra
+pointwise. One constructor per problem kind derives the problem data from
+them, so the catalog entries solve their BVPs exactly: c_prev = c + dt
+div j and J = j.n for the concentration step; I = i.n, R = i.n - beta phi
+and div i = 0 for the potential problem. The closures use numpy, so each
+takes coordinate arrays as well as scalars and works elementwise; a
+constant part is returned as a scalar, for the caller to broadcast (as
+problems.sample does).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,13 +49,38 @@ class ManufacturedCase:
     poly_degree: int | None        # None for non-polynomial fields
 
     def exact_normal_flux(self, x, y, nx, ny):
-        fx, fy = self.exact_flux(x, y)
-        return fx * nx + fy * ny
+        return _normal_flux(self.exact_flux, x, y, nx, ny)
+
+
+def _normal_flux(flux, x, y, nx, ny):
+    fx, fy = flux(x, y)
+    return fx * nx + fy * ny
+
+
+def _concentration_case(name, D, dt, c, grad, flux, flux_div,
+                        poly_degree) -> ManufacturedCase:
+    def c_prev(x, y):
+        return c(x, y) + dt * flux_div(x, y)
+
+    return ManufacturedCase(
+        name, UNIT_SQUARE, ALL_NEUMANN,
+        ConcentrationProblem(D=D, dt=dt, c_prev=c_prev, J=partial(_normal_flux, flux)),
+        c, grad, flux, flux_div, poly_degree)
+
+
+def _potential_case(name, kappa, beta, S, phi, grad, flux,
+                    poly_degree) -> ManufacturedCase:
+    def robin(x, y, nx, ny):
+        return _normal_flux(flux, x, y, nx, ny) - beta(x, y) * phi(x, y)
+
+    return ManufacturedCase(
+        name, UNIT_SQUARE, POTENTIAL_PARTITION,
+        PotentialProblem(kappa=kappa, beta=beta, S=S, I=partial(_normal_flux, flux),
+                         R=robin),
+        phi, grad, flux, lambda x, y: 0.0, poly_degree)
 
 
 def _conc_poly2() -> ManufacturedCase:
-    D, dt = 1.0, 1.0
-
     def c(x, y):
         return x * x
 
@@ -65,17 +93,8 @@ def _conc_poly2() -> ManufacturedCase:
     def flux_div(x, y):
         return -2.0
 
-    def c_prev(x, y):
-        return c(x, y) + dt * flux_div(x, y)
-
-    def bflux(x, y, nx, ny):
-        fx, fy = flux(x, y)
-        return fx * nx + fy * ny
-
-    return ManufacturedCase(
-        "conc-poly2", UNIT_SQUARE, ALL_NEUMANN,
-        ConcentrationProblem(D=D, dt=dt, c_prev=c_prev, J=bflux),
-        c, grad, flux, flux_div, poly_degree=2)
+    return _concentration_case("conc-poly2", 1.0, 1.0, c, grad, flux, flux_div,
+                               poly_degree=2)
 
 
 def _conc_trig() -> ManufacturedCase:
@@ -96,22 +115,11 @@ def _conc_trig() -> ManufacturedCase:
     def flux_div(x, y):
         return 2.0 * D * pi * pi * np.cos(pi * x) * np.cos(pi * y)
 
-    def c_prev(x, y):
-        return c(x, y) + dt * flux_div(x, y)
-
-    def bflux(x, y, nx, ny):
-        fx, fy = flux(x, y)
-        return fx * nx + fy * ny
-
-    return ManufacturedCase(
-        "conc-trig", UNIT_SQUARE, ALL_NEUMANN,
-        ConcentrationProblem(D=D, dt=dt, c_prev=c_prev, J=bflux),
-        c, grad, flux, flux_div, poly_degree=None)
+    return _concentration_case("conc-trig", D, dt, c, grad, flux, flux_div,
+                               poly_degree=None)
 
 
 def _pot_poly2() -> ManufacturedCase:
-    kappa = 1.0
-
     def phi(x, y):
         return x * (1.0 - x)
 
@@ -127,29 +135,14 @@ def _pot_poly2() -> ManufacturedCase:
     def flux(x, y):
         return (-1.0, 0.0)
 
-    def flux_div(x, y):
-        return 0.0
-
     def beta(x, y):
         return 1.0
 
-    def neumann(x, y, nx, ny):
-        fx, fy = flux(x, y)
-        return fx * nx + fy * ny
-
-    def robin(x, y, nx, ny):
-        fx, fy = flux(x, y)
-        return fx * nx + fy * ny - beta(x, y) * phi(x, y)
-
-    return ManufacturedCase(
-        "pot-poly2", UNIT_SQUARE, POTENTIAL_PARTITION,
-        PotentialProblem(kappa=kappa, beta=beta, S=(source_x, source_y),
-                         I=neumann, R=robin),
-        phi, grad, flux, flux_div, poly_degree=2)
+    return _potential_case("pot-poly2", 1.0, beta, (source_x, source_y),
+                           phi, grad, flux, poly_degree=2)
 
 
 def _pot_trig() -> ManufacturedCase:
-    kappa = 1.0
     pi = np.pi
 
     def phi(x, y):
@@ -169,25 +162,11 @@ def _pot_trig() -> ManufacturedCase:
         return (0.25 * pi * np.cos(pi * x) * np.sin(0.5 * pi * y),
                 -0.5 * pi * np.sin(pi * x) * np.cos(0.5 * pi * y))
 
-    def flux_div(x, y):
-        return 0.0
-
     def beta(x, y):
         return 1.0 + 0.5 * x
 
-    def neumann(x, y, nx, ny):
-        fx, fy = flux(x, y)
-        return fx * nx + fy * ny
-
-    def robin(x, y, nx, ny):
-        fx, fy = flux(x, y)
-        return fx * nx + fy * ny - beta(x, y) * phi(x, y)
-
-    return ManufacturedCase(
-        "pot-trig", UNIT_SQUARE, POTENTIAL_PARTITION,
-        PotentialProblem(kappa=kappa, beta=beta, S=(source_x, source_y),
-                         I=neumann, R=robin),
-        phi, grad, flux, flux_div, poly_degree=None)
+    return _potential_case("pot-trig", 1.0, beta, (source_x, source_y),
+                           phi, grad, flux, poly_degree=None)
 
 
 _CASES = {

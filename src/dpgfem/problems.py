@@ -32,7 +32,6 @@ import numpy as np
 
 from dpgfem import expr as expr_mod
 from dpgfem.mesh import FacetTag, Mesh
-from dpgfem.quadrature import gauss_1d
 
 
 class ProblemValidationError(ValueError):
@@ -64,9 +63,6 @@ def _as_volume_fn(v):
 
 
 def _as_boundary_fn(v):
-    if isinstance(v, str):
-        f = _pointwise_expr(v)
-        return lambda x, y, nx, ny: f(x, y)
     if callable(v):
         try:
             n_params = len(inspect.signature(v).parameters)
@@ -74,9 +70,8 @@ def _as_boundary_fn(v):
             n_params = 4
         if n_params >= 4:
             return v
-        return lambda x, y, nx, ny: v(x, y)
-    c = float(v)
-    return lambda x, y, nx, ny: c
+    f = _as_volume_fn(v)
+    return lambda x, y, nx, ny: f(x, y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,16 +139,9 @@ class ButlerVolmerParams:
             violations.append("t_plus must lie in [0, 1]")
         if violations:
             raise ProblemValidationError(violations)
-        raw = self.phi_open
-        if isinstance(raw, str):
-            f = expr_mod.compile_expr(raw)
-            fn = lambda soc: f(soc, 0.0)
-        elif callable(raw):
-            fn = raw
-        else:
-            c = float(raw)
-            fn = lambda soc: c
-        object.__setattr__(self, "phi_open", fn)
+        if not callable(self.phi_open):
+            f = _as_volume_fn(self.phi_open)
+            object.__setattr__(self, "phi_open", lambda soc: float(f(soc, 0.0)))
 
 
 def state_of_charge(c_s: float, c_smax: float) -> float:
@@ -219,8 +207,10 @@ def sample(fn, points: np.ndarray, name: str, normals=None) -> np.ndarray:
 
 
 def validate_problem(spec, mesh: Mesh):
-    """Check every model assumption; raises listing all violations at once
-    (a non-finite beta sampled on Gamma_R raises on its own, from `sample`).
+    """Check the scalar coefficients and the facet-tag partition; raises
+    listing all violations at once. beta > 0 on Gamma_R is checked where
+    assembly samples beta, at its own quadrature points
+    (`dpg.coefficient_loads`), so beta is never called here.
 
     Smallness of D and dt is advisory only and reported as a warning.
     """
@@ -245,20 +235,10 @@ def validate_problem(spec, mesh: Mesh):
             violations.append("kappa must be positive")
         elif not math.isfinite(spec.kappa):
             violations.append("kappa must be finite")
-        robin = mesh.facets_with_tag(FacetTag.ROBIN)
-        neumann = mesh.facets_with_tag(FacetTag.NEUMANN)
-        if robin.size == 0 or neumann.size == 0:
+        if not (mesh.facets_with_tag(FacetTag.ROBIN).size
+                and mesh.facets_with_tag(FacetTag.NEUMANN).size):
             violations.append("invalid partition: potential problem requires "
                               "non-empty Neumann and Robin boundary parts")
-        if robin.size:
-            # 4 Gauss points on each Robin facet, (n_robin, 4, 2)
-            ends = mesh.vertices[mesh.facet_verts[robin]]
-            t = 0.5 * (gauss_1d(4).points + 1.0)
-            pts = ends[:, :1] + t[:, None] * (ends[:, 1:] - ends[:, :1])
-            beta_min = sample(spec.beta, pts, "beta").min()
-            if not beta_min > 0:
-                violations.append("beta not positive on Gamma_R "
-                                  f"(min sampled value {beta_min:g})")
     else:
         violations.append(f"unknown problem kind {spec.kind!r}")
     if violations:

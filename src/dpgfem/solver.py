@@ -396,6 +396,18 @@ def _local_columns(layout: SpaceLayout, n_trial: int):
     return columns
 
 
+def _check_finite(blocks, what: str):
+    """Raise SolverError naming the lowest-numbered element whose matrix or
+    load rows, among blocks (elems, S shared or stacked, loads n x m), hold
+    an inf or NaN entry: a property of the data, not of the grouping."""
+    bad = np.concatenate([elems[~(np.isfinite(S).all(axis=(-2, -1))
+                                  & np.isfinite(loads).all(axis=1))]
+                          for elems, S, loads in blocks])
+    if bad.size:
+        raise SolverError(f"non-finite system: element {bad.min()} has inf or "
+                          f"NaN entries in its {what}")
+
+
 def _condense_group(S: np.ndarray, r: np.ndarray, L: np.ndarray, G: np.ndarray):
     """Eliminate the local columns L of a group's element systems.
 
@@ -403,11 +415,6 @@ def _condense_group(S: np.ndarray, r: np.ndarray, L: np.ndarray, G: np.ndarray):
     condensed loads (n x n_G), and X = S_LL^-1 S_LG and y = S_LL^-1 r_L
     for the back-substitution.
     """
-    bad_s = int(np.count_nonzero(~np.isfinite(S)))
-    bad_r = int(np.count_nonzero(~np.isfinite(r)))
-    if bad_s or bad_r:
-        raise SolverError(f"non-finite system: {bad_s} element-matrix and "
-                          f"{bad_r} element-load entries are inf or NaN")
     S_LG = S[..., L[:, None], G]
     S_GG = S[..., G[:, None], G]
     inv = spd_inverses(S[..., L[:, None], L], "local block")
@@ -431,7 +438,8 @@ def condensed_system(dofmap: DofMap, kind: str, systems) -> GlobalSystem:
     skeleton = skeleton_dofs(dofmap)
     row = _row_lookup(skeleton, dofmap.n_total)
     rhs = np.zeros(skeleton.size + 1)
-    elements = []
+    elements, systems = [], list(systems)
+    _check_finite([(elems, S, r) for elems, _, S, r in systems], "matrix or load")
     for elems, trial, S, r in systems:
         L, G = _local_columns(dofmap.layout, r.shape[1])
         S_c, r_c, X, y = _condense_group(S, r, L, G)
@@ -736,12 +744,9 @@ def solve_spd(system: GlobalSystem, tol: float = 1e-10):
     entries raises SolverError, as does a solution that overflows.
     """
     A, n = system.operator, system.rhs.size
-    bad_a = sum(int(np.count_nonzero(~np.isfinite(blk.matrix)))
-                for blk in system.elements)
-    bad_b = int(np.count_nonzero(~np.isfinite(system.rhs)))
-    if bad_a or bad_b:
-        raise SolverError(f"non-finite system: {bad_a} matrix and {bad_b} "
-                          "right-hand-side entries are inf or NaN")
+    rhs = np.append(system.rhs, 0.0)
+    _check_finite([(blk.elems, blk.matrix, rhs[blk.dofs]) for blk in system.elements],
+                  "matrix or right-hand-side rows")
     bmax = float(np.abs(system.rhs).max(initial=0.0))
     if bmax == 0.0:
         return np.zeros(n), SolveInfo("trivial", 0, 0.0)

@@ -832,8 +832,8 @@ class TestErrorHandling:
         assert "warnings" not in json.loads(out)
 
     def test_beta_checked_where_assembly_samples_it(self, tmp_path, capsys):
-        # positive at the 4 Gauss points per facet of validate_problem,
-        # -0.01 at the facet midpoint, a point of the p = 1 assembly rule
+        # negative only near the facet midpoint, a node of the 3-point rule
+        # on which p = 1 assembles
         cfg = write_config(tmp_path, {
             "problem": "potential",
             "mesh": {"nx": 1, "ny": 1},

@@ -22,6 +22,9 @@ from dpgfem.expr import (
 )
 
 
+DIGITS = "".join(c for c in map(chr, range(0x110000)) if c.isdigit())
+
+
 # -- frozen reference: the canonical printer, which only these checks use
 
 def unparse(node) -> str:
@@ -113,6 +116,27 @@ class TestErrors:
     def test_unknown_variable_rejected(self):
         with pytest.raises(ExprSyntaxError):
             parse("z + 1")
+
+    @pytest.mark.parametrize("text, pos", [("2²", 1), ("①", 0), ("x*₇", 2),
+                                           ("1.5²", 3)])
+    def test_non_decimal_digit_is_syntax_error(self, text, pos):
+        # str.isdigit accepts these, float() does not
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
+            parse(text)
+        assert err.value.pos == pos
+
+    def test_decimal_digits_of_any_script_parse(self):
+        assert ev("٣*x", 2.0) == 6.0
+
+    # any text, and text of the characters str.isdigit accepts (decimal
+    # digits of every script, superscripts, circled digits, ...) among the
+    # other characters of a number
+    @given(st.text() | st.text(st.sampled_from(DIGITS + ".eE+-*/() x")))
+    def test_parse_fails_only_with_syntax_error(self, text):
+        try:
+            parse(text)
+        except ExprSyntaxError:
+            pass
 
 
 class TestRoundTrip:

@@ -257,3 +257,59 @@ class TestArrayEvaluation:
                            (on_array if isinstance(on_array, tuple) else (on_array,))]
                     want = on_scalar if isinstance(on_scalar, tuple) else (on_scalar,)
                     assert got == list(want), (name, fn, idx)
+
+
+# -- frozen reference: the problem data as each case wrote it out by hand
+# before the constructors derived it from the exact field and flux
+
+_PI = np.pi
+FROZEN_DATA = {
+    "conc-poly2": {
+        "c_prev": lambda x, y: x * x + 1.0 * -2.0,
+        "J": lambda x, y, nx, ny: -2.0 * x * nx + 0.0 * ny,
+    },
+    "conc-trig": {
+        "c_prev": lambda x, y: (np.cos(_PI * x) * np.cos(_PI * y)
+                                + 0.1 * (2.0 * 0.5 * _PI * _PI * np.cos(_PI * x)
+                                         * np.cos(_PI * y))),
+        "J": lambda x, y, nx, ny: (0.5 * _PI * np.sin(_PI * x) * np.cos(_PI * y) * nx
+                                   + 0.5 * _PI * np.cos(_PI * x) * np.sin(_PI * y) * ny),
+    },
+    "pot-poly2": {
+        "I": lambda x, y, nx, ny: -1.0 * nx + 0.0 * ny,
+        "R": lambda x, y, nx, ny: -1.0 * nx + 0.0 * ny - 1.0 * (x * (1.0 - x)),
+    },
+    "pot-trig": {
+        "I": lambda x, y, nx, ny: (
+            0.25 * _PI * np.cos(_PI * x) * np.sin(0.5 * _PI * y) * nx
+            + -0.5 * _PI * np.sin(_PI * x) * np.cos(0.5 * _PI * y) * ny),
+        "R": lambda x, y, nx, ny: (
+            0.25 * _PI * np.cos(_PI * x) * np.sin(0.5 * _PI * y) * nx
+            + -0.5 * _PI * np.sin(_PI * x) * np.cos(0.5 * _PI * y) * ny
+            - (1.0 + 0.5 * x) * (np.sin(_PI * x) * np.sin(0.5 * _PI * y))),
+    },
+}
+
+
+class TestDerivedData:
+    # a 9 x 9 grid of the unit square, each point with each outward normal
+    X, Y = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9))
+    NORMALS = [(0.0, -1.0), (0.0, 1.0), (-1.0, 0.0), (1.0, 0.0)]
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_equals_the_hand_written_data_bit_for_bit(self, name):
+        case = manufactured_case(name)
+        shape = self.X.shape
+        for key, frozen in FROZEN_DATA[name].items():
+            derived = getattr(case.problem, key)
+            if key == "c_prev":
+                assert np.array_equal(np.broadcast_to(derived(self.X, self.Y), shape),
+                                      frozen(self.X, self.Y)), key
+                continue
+            for nx, ny in self.NORMALS:
+                want = np.broadcast_to(frozen(self.X, self.Y, nx, ny), shape)
+                assert np.array_equal(np.broadcast_to(
+                    derived(self.X, self.Y, nx, ny), shape), want), (key, nx, ny)
+                if key in ("J", "I"):
+                    assert np.array_equal(np.broadcast_to(
+                        case.exact_normal_flux(self.X, self.Y, nx, ny), shape), want)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dpgfem.fespace import SpaceLayout
 from dpgfem.mesh import (
     BoundaryPartition,
     FacetTag,
@@ -25,7 +26,8 @@ from dpgfem.problems import (
     state_of_charge,
     validate_problem,
 )
-from dpgfem.quadrature import gauss_1d
+from dpgfem.solver import solve_dpg
+from dpgfem.verify import infsup_constant
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 
@@ -157,11 +159,42 @@ class TestValidateProblem:
         assert err.value.violations == [text]
 
     def test_non_positive_robin_coefficient_rejected(self):
+        # beta > 0 is checked where assembly samples beta, which both the
+        # DPG solve and the inf-sup eigensolve reach
         mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2), POT_PARTITION)
         problem = PotentialProblem(kappa=1.0, beta="x-10", S=(0.0, 0.0), I=0.0, R=0.0)
-        with pytest.raises(ProblemValidationError,
-                           match="beta not positive on Gamma_R"):
-            validate_problem(problem, mesh)
+        for run in (solve_dpg, infsup_constant):
+            with pytest.raises(ProblemValidationError,
+                               match="beta not positive on Gamma_R"):
+                run(mesh, problem, SpaceLayout(p=1))
+
+    # the first node of the 4-point Gauss rule on [0, 1]; beta is negative
+    # only within about 0.003 of it
+    FIRST_NODE_BETA = "1000*(x-0.06943184420297371)^2 - 0.01"
+
+    def test_beta_checked_at_the_assembly_rule_only(self):
+        # p = 1 assembles on the 3-point rule, which never samples the
+        # negative part; p = 2 assembles on the 4-point rule, which does
+        mesh = classify_boundary(build_rect_mesh(UNIT, 1, 1), POT_PARTITION)
+        problem = PotentialProblem(kappa=1.0, beta=self.FIRST_NODE_BETA,
+                                   S=(0.0, 0.0), I=1.0, R=0.0)
+        solution, _, _ = solve_dpg(mesh, problem, SpaceLayout(p=1))
+        assert np.isfinite(solution.field).all() and np.any(solution.field)
+        assert infsup_constant(mesh, problem, SpaceLayout(p=1)) == pytest.approx(
+            0.5688, abs=5e-5)
+        for run in (solve_dpg, infsup_constant):
+            with pytest.raises(ProblemValidationError,
+                               match="beta not positive on Gamma_R"):
+                run(mesh, problem, SpaceLayout(p=2))
+
+    def test_beta_is_never_called(self):
+        mesh = classify_boundary(build_rect_mesh(UNIT, 3, 2), POT_PARTITION)
+
+        def beta(x, y):
+            raise AssertionError("validate_problem sampled beta")
+
+        problem = PotentialProblem(kappa=1.0, beta=beta, S=(0.0, 0.0), I=0.0, R=0.0)
+        assert validate_problem(problem, mesh) is problem
 
     def test_potential_on_unclassified_mesh_lists_every_violation(self):
         mesh = build_rect_mesh(UNIT, 2, 2)      # every side Neumann, no Robin
@@ -201,26 +234,6 @@ class TestValidateProblem:
                 "non-empty Neumann and Robin boundary parts")
         assert err.value.violations == [f"invalid partition: {kind} problem requires "
                                         + rule]
-
-    def test_beta_sampled_at_gauss_points_of_each_robin_facet(self):
-        mesh = classify_boundary(build_rect_mesh(Rectangle(0.0, 1.0, 0.0, 2.0), 3, 2),
-                                 POT_PARTITION)
-        seen = []
-
-        def beta(x, y):
-            seen.append(np.stack([x, y], axis=-1))
-            return 1.0
-
-        problem = PotentialProblem(kappa=1.0, beta=beta, S=(0.0, 0.0), I=0.0, R=0.0)
-        validate_problem(problem, mesh)
-        t = 0.5 * (gauss_1d(4).points + 1.0)
-        expected = [a + s * (b - a)
-                    for a, b in mesh.vertices[mesh.facet_verts[
-                        mesh.facets_with_tag(FacetTag.ROBIN)]]
-                    for s in t]
-        points = np.concatenate([a.reshape(-1, 2) for a in seen])
-        assert points.shape == (2 * 3 * 4, 2)
-        assert np.allclose(points, expected, rtol=0.0, atol=1e-15)
 
     def test_reference_cases_pass(self):
         from dpgfem.manufactured import CASE_NAMES, manufactured_case

@@ -106,6 +106,34 @@ class TestGroupedAssembly:
                 <= 1e-13 * np.linalg.norm(single.rhs))
         assert np.array_equal(grouped.skeleton, single.skeleton)
 
+    # element 2 (Neumann side) has an infinite load; element 1's condensed
+    # load overflows when the right-hand side sums it
+    @pytest.mark.parametrize("data, message", [
+        ({"I": 1e308}, "element 2 has inf or NaN entries in its matrix or load"),
+        ({"S": ("1e308*x", 0.0)},
+         "element 1 has inf or NaN entries in its matrix or right-hand-side rows"),
+    ], ids=["element-load", "right-hand-side"])
+    def test_non_finite_system_names_the_same_element(self, monkeypatch, data,
+                                                      message):
+        mesh = classify_boundary(build_rect_mesh(UNIT, 3, 2), POT_PARTITION)
+        problem = _pot_problem(**data)
+        grouped = DofMap.element_groups
+
+        def single_groups(dofmap):
+            return [dataclasses.replace(g, elems=g.elems[i:i + 1],
+                                        signs=g.signs[i:i + 1], dofs=g.dofs[i:i + 1])
+                    for g in grouped(dofmap) for i in range(len(g.elems))]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SolverError) as on_groups:
+                solve_dpg(mesh, problem, SpaceLayout(p=2))
+            monkeypatch.setattr(DofMap, "element_groups", single_groups)
+            with pytest.raises(SolverError) as on_elements:
+                solve_dpg(mesh, problem, SpaceLayout(p=2))
+        assert str(on_groups.value) == str(on_elements.value) == (
+            "non-finite system: " + message)
+
     @pytest.mark.parametrize("p", [1, 2])
     def test_indicators_read_absent_traces_as_zero(self, p):
         # Dirichlet left, Neumann right, Robin bottom and top: the Neumann

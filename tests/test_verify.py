@@ -339,8 +339,8 @@ class TestClassicalGalerkin:
         assert np.all(coeffs[left_column] == 0.0)
 
     def test_beta_checked_where_the_oracle_samples_it(self):
-        # positive at validate_problem's 4 Gauss points per facet, negative
-        # at the facet midpoint, a point of the p = 1 rule
+        # negative only near the facet midpoint, a node of the 3-point rule
+        # on which the oracle integrates at p = 1
         partition = manufactured_case("pot-trig").partition
         mesh = classify_boundary(build_rect_mesh(UNIT, 1, 1), partition)
         problem = PotentialProblem(kappa=1.0, beta="1000*(x-0.5)^2 - 0.01",
