@@ -209,8 +209,8 @@ def sample(fn, points: np.ndarray, name: str, normals=None) -> np.ndarray:
 def validate_problem(spec, mesh: Mesh):
     """Check the scalar coefficients and the facet-tag partition; raises
     listing all violations at once. beta > 0 on Gamma_R is checked where
-    assembly samples beta, at its own quadrature points
-    (`dpg.coefficient_loads`), so beta is never called here.
+    assembly samples beta (`dpg.coefficient_loads`), so beta is never
+    called here.
 
     Smallness of D and dt is advisory only and reported as a warning.
     """

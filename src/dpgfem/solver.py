@@ -397,12 +397,11 @@ def _local_columns(layout: SpaceLayout, n_trial: int):
 
 
 def _check_finite(blocks, what: str):
-    """Raise SolverError naming the lowest-numbered element whose matrix or
-    load rows, among blocks (elems, S shared or stacked, loads n x m), hold
-    an inf or NaN entry: a property of the data, not of the grouping."""
-    bad = np.concatenate([elems[~(np.isfinite(S).all(axis=(-2, -1))
-                                  & np.isfinite(loads).all(axis=1))]
-                          for elems, S, loads in blocks])
+    """Raise SolverError naming the lowest-numbered element with an inf or
+    NaN entry in its matrix or load, among blocks (elems, S shared or
+    stacked, finite_load per element): the same for any grouping."""
+    bad = np.concatenate([elems[~(np.isfinite(S).all(axis=(-2, -1)) & finite_load)]
+                          for elems, S, finite_load in blocks])
     if bad.size:
         raise SolverError(f"non-finite system: element {bad.min()} has inf or "
                           f"NaN entries in its {what}")
@@ -439,7 +438,8 @@ def condensed_system(dofmap: DofMap, kind: str, systems) -> GlobalSystem:
     row = _row_lookup(skeleton, dofmap.n_total)
     rhs = np.zeros(skeleton.size + 1)
     elements, systems = [], list(systems)
-    _check_finite([(elems, S, r) for elems, _, S, r in systems], "matrix or load")
+    _check_finite([(elems, S, np.isfinite(r).all(axis=1)) for elems, _, S, r in systems],
+                  "matrix or load")
     for elems, trial, S, r in systems:
         L, G = _local_columns(dofmap.layout, r.shape[1])
         S_c, r_c, X, y = _condense_group(S, r, L, G)
@@ -744,9 +744,9 @@ def solve_spd(system: GlobalSystem, tol: float = 1e-10):
     entries raises SolverError, as does a solution that overflows.
     """
     A, n = system.operator, system.rhs.size
-    rhs = np.append(system.rhs, 0.0)
-    _check_finite([(blk.elems, blk.matrix, rhs[blk.dofs]) for blk in system.elements],
-                  "matrix or right-hand-side rows")
+    finite = np.append(np.isfinite(system.rhs), True)
+    _check_finite([(blk.elems, blk.matrix, finite[blk.dofs].all(axis=1))
+                   for blk in system.elements], "matrix or right-hand-side rows")
     bmax = float(np.abs(system.rhs).max(initial=0.0))
     if bmax == 0.0:
         return np.zeros(n), SolveInfo("trivial", 0, 0.0)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dpgfem.fespace import SpaceLayout
 from dpgfem.mesh import (
     BoundaryPartition,
-    FacetTag,
     Rectangle,
     build_rect_mesh,
     classify_boundary,
