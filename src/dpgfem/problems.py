@@ -153,8 +153,7 @@ def state_of_charge(c_s: float, c_smax: float) -> float:
 def exchange_current(params: ButlerVolmerParams, c_e: float, c_s: float) -> float:
     if c_e < 0.0:
         raise ValueError("electrolyte concentration must be nonnegative")
-    if not 0.0 <= c_s <= params.c_smax:
-        raise ValueError(f"concentration {c_s} outside [0, {params.c_smax}]")
+    state_of_charge(c_s, params.c_smax)      # raises outside [0, c_smax]
     return (params.k_bv * params.F * math.sqrt(c_e)
             * math.sqrt(params.c_smax - c_s) * math.sqrt(c_s))
 

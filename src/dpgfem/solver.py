@@ -396,12 +396,9 @@ def _local_columns(layout: SpaceLayout, n_trial: int):
     return columns
 
 
-def _check_finite(blocks, what: str):
-    """Raise SolverError naming the lowest-numbered element with an inf or
-    NaN entry in its matrix or load, among blocks (elems, S shared or
-    stacked, finite_load per element): the same for any grouping."""
-    bad = np.concatenate([elems[~(np.isfinite(S).all(axis=(-2, -1)) & finite_load)]
-                          for elems, S, finite_load in blocks])
+def _raise_non_finite(bad: list, what: str):
+    """SolverError naming the lowest-numbered element in the arrays bad."""
+    bad = np.concatenate(bad)
     if bad.size:
         raise SolverError(f"non-finite system: element {bad.min()} has inf or "
                           f"NaN entries in its {what}")
@@ -437,15 +434,18 @@ def condensed_system(dofmap: DofMap, kind: str, systems) -> GlobalSystem:
     skeleton = skeleton_dofs(dofmap)
     row = _row_lookup(skeleton, dofmap.n_total)
     rhs = np.zeros(skeleton.size + 1)
-    elements, systems = [], list(systems)
-    _check_finite([(elems, S, np.isfinite(r).all(axis=1)) for elems, _, S, r in systems],
-                  "matrix or load")
+    elements, bad = [], []
     for elems, trial, S, r in systems:
+        bad.append(elems[~(np.isfinite(S).all(axis=(-2, -1))
+                           & np.isfinite(r).all(axis=1))])
+        if any(b.size for b in bad):        # after a bad group, only check
+            continue
         L, G = _local_columns(dofmap.layout, r.shape[1])
         S_c, r_c, X, y = _condense_group(S, r, L, G)
         dofs = row[trial[:, G]]
         elements.append(ElementBlock(elems, dofs, S_c, trial[:, L], X, y))
         np.add.at(rhs, dofs, r_c)
+    _raise_non_finite(bad, "matrix or load")
     return GlobalSystem(rhs[:-1], dofmap, kind, elements, skeleton)
 
 
@@ -745,8 +745,9 @@ def solve_spd(system: GlobalSystem, tol: float = 1e-10):
     """
     A, n = system.operator, system.rhs.size
     finite = np.append(np.isfinite(system.rhs), True)
-    _check_finite([(blk.elems, blk.matrix, finite[blk.dofs].all(axis=1))
-                   for blk in system.elements], "matrix or right-hand-side rows")
+    _raise_non_finite([b.elems[~(np.isfinite(b.matrix).all(axis=(-2, -1))
+                                 & finite[b.dofs].all(axis=1))]
+                       for b in system.elements], "matrix or right-hand-side rows")
     bmax = float(np.abs(system.rhs).max(initial=0.0))
     if bmax == 0.0:
         return np.zeros(n), SolveInfo("trivial", 0, 0.0)
