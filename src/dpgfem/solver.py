@@ -438,7 +438,7 @@ def condensed_system(dofmap: DofMap, kind: str, systems) -> GlobalSystem:
     for elems, trial, S, r in systems:
         bad.append(elems[~(np.isfinite(S).all(axis=(-2, -1))
                            & np.isfinite(r).all(axis=1))])
-        if any(b.size for b in bad):        # after a bad group, only check
+        if any(b.size for b in bad):        # check the rest, condense no more
             continue
         L, G = _local_columns(dofmap.layout, r.shape[1])
         S_c, r_c, X, y = _condense_group(S, r, L, G)
