@@ -257,9 +257,12 @@ class ProblemKernels:
             sx, sy = (s[group.elems] for s in self.source)
             if np.any(sx) or np.any(sy):
                 rw = self.res_weights
-                f[:, :self.n_ff] = -self.coef_inv * ((rw * sx) @ self.res_x
-                                                     + (rw * sy) @ self.res_y)
-                shift = self.coef_inv * np.stack([sx, sy], axis=-1)
+                # a huge source over a tiny coefficient leaves inf and NaN
+                # here, which assembly reports; numpy stays quiet
+                with np.errstate(over="ignore", invalid="ignore"):
+                    f[:, :self.n_ff] = -self.coef_inv * ((rw * sx) @ self.res_x
+                                                         + (rw * sy) @ self.res_y)
+                    shift = self.coef_inv * np.stack([sx, sy], axis=-1)
 
         return LocalSystem(self.gram_inv, B if stacked else B[0], self.load[group.elems],
                            self.lsq_tmpl, f, self.res_x, self.res_y, self.res_weights, shift)

@@ -7,17 +7,18 @@ unknowns L group by group: from the element system S u = r of
 `condense_local` it forms S_GG - S_GL S_LL^-1 S_LG and r_G - S_GL S_LL^-1
 r_L over the skeleton unknowns G (the field nodes on element edges and
 the traces), with one Cholesky-based inverse of S_LL per group (per
-element where Robin terms stack S). `GlobalSystem.skeleton` maps the
-global rows to the full numbering; `recover_local` sets u_L = S_LL^-1 r_L
+element where Robin terms stack S). `recover_local` sets u_L = S_LL^-1 r_L
 - S_LL^-1 S_LG u_G after the solve. The field dofs on Dirichlet facets
 (potential problem) lie in the trial space's zero trace: they have no row
 in any system or multigrid level, and an element reads them as 0.
 
-Assembly. The condensed matrices stay ElementBlocks and are never summed:
-`ElementOperator` applies them group by group (gather, one GEMM per
-shared matrix or one batched product per stack, one bincount back).
-`GlobalSystem.matrix` exports the same matrix as a canonical CSR matrix
-on request; no solve reads it.
+Assembly. The condensed system is its `Multigrid`'s fine level, a `_Grid`
+of element rows and class matrices (a class per shared group matrix and
+per element of the Robin stack), never summed: `ElementOperator` applies
+it class by class (gather, one GEMM per shared matrix or one batched
+product per stack, one bincount back), as it applies every coarser level
+and the back-substitution's X. `scatter` exports an ElementOperator as a
+canonical CSR matrix, `GlobalSystem.matrix` on request; no solve reads it.
 
 Linear solve. `solve_spd` runs CG preconditioned by a `Multigrid`
 V(1,1)-cycle, whose iteration count stays flat under refinement; a
@@ -92,52 +93,40 @@ SCATTER_CHUNK = 2**14                   # triplets per step of `scatter`
 
 
 @dataclass
-class ElementBlock:
-    """One element group: its elements elems (n,), their rows dofs (n x m)
-    of the global matrix (the row count for a Dirichlet or absent dof,
-    which has none), and their element matrices over all m dofs, (m x m)
-    shared by the group or stacked (n x m x m); and
-    the back-substitution u_L = y - X u_G: the local unknowns' full dofs
-    (n x n_L), X = S_LL^-1 S_LG, shared or stacked, and y = S_LL^-1 r_L
-    (n x n_L)."""
-
-    elems: np.ndarray
-    dofs: np.ndarray
-    matrix: np.ndarray
-    local: np.ndarray
-    X: np.ndarray
-    y: np.ndarray
-
-
-@dataclass
 class GlobalSystem:
     """The linear system handed to `solve_spd`, built by
-    `condensed_system`: the ElementBlocks summed over the rows `skeleton`.
+    `condensed_system`: the element matrices of `grid` summed over its rows.
 
     kind: the problem kind the system was assembled from ("concentration"
         or "potential"); a concentration step starts CG on the diagonal.
-    elements: one ElementBlock per element group.
-    skeleton: full dof of each row (ascending); a Dirichlet dof has none.
+    grid: the fine level of the system's `Multigrid` (a `_Grid`): its rows
+        are the full dofs `skeleton` of the rows (ascending; a Dirichlet
+        dof has none), its class matrices the condensed element matrices.
+    local, y, X: the back-substitution u_L = y - X u_G, with each element's
+        local unknowns' full dofs and y = S_LL^-1 r_L (n_elems x n_L), and
+        X = S_LL^-1 S_LG per class of the grid (n_classes x n_L x m).
     """
 
     rhs: np.ndarray
-    dofmap: DofMap
     kind: str
-    elements: list
-    skeleton: np.ndarray
+    grid: _Grid
+    local: np.ndarray
+    y: np.ndarray
+    X: np.ndarray
+
+    dofmap = property(lambda self: self.grid.dofmap)
+    skeleton = property(lambda self: self.grid.rows)
 
     @cached_property
     def operator(self) -> ElementOperator:
-        """The matrix applied ElementBlock by ElementBlock (the solves' A)."""
-        rows = np.concatenate([b.dofs.ravel() for b in self.elements])
-        return ElementOperator((self.rhs.size,) * 2, rows, rows,
-                               [(len(b.dofs), b.matrix) for b in self.elements])
+        """The grid's matrix (the solves' A)."""
+        return self.grid.operator()
 
     @cached_property
     def matrix(self):
         """The matrix as a canonical CSR matrix, built on first access: an
         export for inspection and direct solvers; no solve reads it."""
-        return scatter([(b.dofs, b.matrix) for b in self.elements], self.rhs.size)
+        return scatter(self.operator)
 
 
 @dataclass
@@ -184,32 +173,45 @@ def dirichlet_field_dofs(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     return np.unique(dofmap.elem_field[elems[:, None], edge_dofs[edges]])
 
 
-def scatter(blocks, n: int):
-    """CSR matrix over n rows summed from element blocks, (dofs, matrix)
-    pairs shaped like an ElementBlock's; a dof n stands for none. The
-    present triplets are written in place, one array each, filtered from
-    about SCATTER_CHUNK at a time to bound the peak."""
+def scatter(op: ElementOperator):
+    """The matrix of an ElementOperator as a CSR matrix. The present
+    triplets are written in place, one array each, filtered from about
+    SCATTER_CHUNK at a time to bound the peak."""
     from scipy.sparse import coo_matrix
 
-    size = sum(int(np.square(np.count_nonzero(dofs < n, axis=1)).sum())
-               for dofs, _ in blocks)
-    idx = np.int32 if n < 2**31 else np.int64            # the CSR index type
+    n, m = op.shape
+    parts = [(count, M, op.rows[r].reshape(count, -1), op.cols[c].reshape(count, -1))
+             for count, M, r, c in op.parts]
+    size = sum(int(np.count_nonzero(R < n, axis=1) @ np.count_nonzero(C < m, axis=1))
+               for _, _, R, C in parts)
+    idx = np.int32 if max(n, m) < 2**31 else np.int64      # the CSR index type
     vals, rows, cols = np.empty(size), np.empty(size, idx), np.empty(size, idx)
     at = 0
-    for dofs, S in blocks:
-        step = max(1, SCATTER_CHUNK // dofs.shape[1] ** 2)
-        for i in range(0, len(dofs), step):
-            d = dofs[i:i + step]
-            shape = d.shape + d.shape[1:]
+    for count, M, R, C in parts:
+        b, a = M.shape[-2:]
+        step = max(1, SCATTER_CHUNK // (b * a))
+        for i in range(0, count, step):
+            shape = (min(step, count - i), b, a)
             r, c, v = np.empty(shape, idx), np.empty(shape, idx), np.empty(shape)
-            r[...], c[...] = d[:, :, None], d[:, None, :]
-            v[...] = S if S.ndim == 2 else S[i:i + step]
-            keep = (r < n) & (c < n)
+            r[...], c[...] = R[i:i + step, :, None], C[i:i + step, None, :]
+            v[...] = M if M.ndim == 2 else M[i:i + step]
+            keep = (r < n) & (c < m)
             part = slice(at, at + np.count_nonzero(keep))
             rows[part], cols[part], vals[part] = r[keep], c[keep], v[keep]
             at = part.stop
             del r, c, v, keep           # freed before the next chunk and the CSR
-    return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return coo_matrix((vals, (rows, cols)), shape=op.shape).tocsr()
+
+
+def _class_runs(classes: np.ndarray):
+    """Elements of the given classes in run order, and each run's (count,
+    class): one run per class of several elements, then one stack, (count,
+    classes), of the elements alone in their class."""
+    counts = np.bincount(classes)
+    order = np.argsort(np.where(counts[classes] > 1, classes, counts.size), kind="stable")
+    alone = order[np.count_nonzero(counts[classes] > 1):]
+    runs = [(counts[c], c) for c in np.flatnonzero(counts > 1)]
+    return order, runs + [(alone.size, classes[alone])] * bool(alone.size)
 
 
 class ElementOperator:
@@ -217,11 +219,13 @@ class ElementOperator:
     element. Runs (count, M) hold a matrix shared by `count` elements or a
     stack of one per element; rows and cols index each element's output
     and input entries, flat, run by run (the row or column count stands
-    for none, such as a Dirichlet dof: its column reads 0)."""
+    for none, such as a Dirichlet dof: its column reads 0). Equal rows and
+    cols are held once."""
 
     def __init__(self, shape: tuple, rows: np.ndarray, cols: np.ndarray, runs: list):
         self.shape, self.runs = shape, runs
-        self.rows, self.cols = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
+        self.rows = np.asarray(rows, np.intp)
+        self.cols = self.rows if cols is rows else np.asarray(cols, np.intp)
         self.parts, at_r, at_c = [], 0, 0       # (count, M, output, input slice)
         for count, M in runs:
             b, a = M.shape[-2:]
@@ -233,17 +237,11 @@ class ElementOperator:
     def by_class(cls, shape: tuple, rows: np.ndarray, cols: np.ndarray,
                  classes: np.ndarray, mats: np.ndarray) -> ElementOperator:
         """Elements with rows and cols (n x b, n x a) and the matrices
-        mats[classes]: one run per class of several elements, then one stack
-        for the elements alone in their class."""
-        counts = np.bincount(classes)
-        shared = np.flatnonzero(counts > 1)
-        order = np.argsort(np.where(counts[classes] > 1, classes, counts.size),
-                           kind="stable")
-        alone = order[counts[shared].sum():]
-        runs = [(counts[c], mats[c]) for c in shared]
-        if alone.size:
-            runs.append((alone.size, mats[classes[alone]]))
-        return cls(shape, rows[order].ravel(), cols[order].ravel(), runs)
+        mats[classes], in the runs of `_class_runs`."""
+        order, runs = _class_runs(classes)
+        out = rows[order].ravel()
+        return cls(shape, out, out if cols is rows else cols[order].ravel(),
+                   [(count, mats[c]) for count, c in runs])
 
     @cached_property
     def T(self) -> ElementOperator:
@@ -260,7 +258,8 @@ class ElementOperator:
             else:
                 np.matmul(M, X[:, :, None], out=Y[:, :, None])
         n = self.shape[0]
-        return np.bincount(self.rows, out, n + 1)[:n]
+        # astype: without rows, bincount counts in integers
+        return np.bincount(self.rows, out, n + 1)[:n].astype(float, copy=False)
 
     def diagonal(self) -> np.ndarray:
         """Diagonal of a square operator whose rows and cols agree."""
@@ -366,10 +365,12 @@ def skeleton_dofs(dofmap: DofMap) -> np.ndarray:
     trace dof."""
     p = dofmap.layout.p
     nxp, nyp = dofmap.field_lattice_shape()
-    inside = (np.arange(nyp) % p != 0)[:, None] & (np.arange(nxp) % p != 0)
-    return np.concatenate([np.setdiff1d(np.flatnonzero(~inside.ravel()),
-                                        dirichlet_field_dofs(dofmap.mesh, dofmap)),
-                           np.arange(dofmap.trace_offset, dofmap.n_total)])
+    keep = np.zeros(dofmap.n_total, dtype=bool)
+    keep[:dofmap.n_field] = ((np.arange(nyp) % p == 0)[:, None]
+                             | (np.arange(nxp) % p == 0)).ravel()
+    keep[dirichlet_field_dofs(dofmap.mesh, dofmap)] = False
+    keep[dofmap.trace_offset:] = True
+    return np.flatnonzero(keep)
 
 
 def _row_lookup(rows: np.ndarray, n_total: int) -> np.ndarray:
@@ -430,11 +431,10 @@ def condensed_system(dofmap: DofMap, kind: str, systems) -> GlobalSystem:
     elements or stacked: each one's local columns eliminated by
     `_condense_group`. The field dofs on the mesh's Dirichlet facets (none
     on a concentration mesh) and absent trial dofs (-1) have no row, and
-    their loads are dropped."""
-    skeleton = skeleton_dofs(dofmap)
-    row = _row_lookup(skeleton, dofmap.n_total)
-    rhs = np.zeros(skeleton.size + 1)
-    elements, bad = [], []
+    their loads are dropped. The fine grid's slots are the columns G, its
+    classes each shared S and each element of a stacked one."""
+    n, p = dofmap.mesh.n_elems, dofmap.layout.p
+    bad, mats, Xs, grid = [], [], [], None
     for elems, trial, S, r in systems:
         bad.append(elems[~(np.isfinite(S).all(axis=(-2, -1))
                            & np.isfinite(r).all(axis=1))])
@@ -442,11 +442,20 @@ def condensed_system(dofmap: DofMap, kind: str, systems) -> GlobalSystem:
             continue
         L, G = _local_columns(dofmap.layout, r.shape[1])
         S_c, r_c, X, y = _condense_group(S, r, L, G)
-        dofs = row[trial[:, G]]
-        elements.append(ElementBlock(elems, dofs, S_c, trial[:, L], X, y))
-        np.add.at(rhs, dofs, r_c)
+        if grid is None:                    # slots at the sites of the columns G
+            grid = _grid(dofmap, skeleton_dofs(dofmap), _slot_sites(p, G.size > 4 * p))
+            grid.elem_class, rhs = np.empty(n, dtype=np.int64), np.zeros(grid.rows.size + 1)
+            local, ys = np.empty((n, L.size), dtype=np.int64), np.empty((n, L.size))
+        if S_c.ndim == 2:
+            S_c, X = S_c[None], X[None]
+        grid.elem_class[elems] = sum(map(len, mats)) + np.arange(elems.size) % len(S_c)
+        mats.append(S_c)
+        Xs.append(X)
+        local[elems], ys[elems] = trial[:, L], y
+        np.add.at(rhs, grid.elem_rows[elems], r_c)
     _raise_non_finite(bad, "matrix or load")
-    return GlobalSystem(rhs[:-1], dofmap, kind, elements, skeleton)
+    grid.mats = np.concatenate(mats)
+    return GlobalSystem(rhs[:-1], kind, grid, local, ys, np.concatenate(Xs))
 
 
 def assemble(mesh: Mesh, dofmap: DofMap, problem) -> GlobalSystem:
@@ -458,17 +467,18 @@ def assemble(mesh: Mesh, dofmap: DofMap, problem) -> GlobalSystem:
 
 
 def recover_local(system: GlobalSystem, x: np.ndarray) -> np.ndarray:
-    """Full coefficient vector from the skeleton solution x; the Dirichlet
-    field dofs, which have no row, are 0."""
-    coeffs = np.zeros(system.dofmap.n_total)
-    coeffs[system.skeleton] = x
-    x = np.append(x, 0.0)
+    """Full coefficient vector from the skeleton solution x: u_L = y - X u_G,
+    X applied over the runs of `system.operator`, whose columns it shares;
+    the Dirichlet field dofs, which have no row, are 0."""
+    A, grid = system.operator, system.grid
+    order, runs = _class_runs(grid.elem_class)
+    back = ElementOperator((grid.dofmap.n_total, A.shape[1]), system.local[order].ravel(),
+                           A.cols, [(count, system.X[c]) for count, c in runs])
     # huge data can overflow here; the error below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in system.elements:
-            u_G = x[b.dofs]
-            coeffs[b.local] = (b.y - u_G @ b.X.T if b.X.ndim == 2
-                               else b.y - (b.X @ u_G[:, :, None])[:, :, 0])
+        coeffs = back @ x                   # X u_G on the local dofs, else 0
+        coeffs[system.local] = system.y - coeffs[system.local]
+    coeffs[grid.rows] = x
     if not np.isfinite(coeffs).all():
         raise SolverError("non-finite solution: the local unknowns overflow")
     return coeffs
@@ -502,6 +512,12 @@ class _Grid:
     elem_class: np.ndarray | None = None
     mats: np.ndarray | None = None
 
+    def operator(self) -> ElementOperator:
+        """The level's matrix, applied class by class."""
+        n = self.rows.size
+        return ElementOperator.by_class((n, n), self.elem_rows, self.elem_rows,
+                                        self.elem_class, self.mats)
+
 
 def _slot_sites(p: int, traces: bool) -> np.ndarray:
     """Sites of an element's lattice nodes on its edges, and with traces
@@ -526,25 +542,6 @@ def _grid(dofmap: DofMap, rows: np.ndarray, sites: np.ndarray) -> _Grid:
     full[:, t] = np.where(slot >= 0, dofmap.trace_offset + slot * p + mode[t], -1)
     return _Grid(dofmap, rows, sites, _row_lookup(rows, dofmap.n_total)[full],
                  _block_layout(p, tuple(map(tuple, sites.tolist()))))
-
-
-def _fine_grid(system: GlobalSystem) -> _Grid:
-    """The level of the system itself: one class per shared group matrix
-    and per element of a stacked one, or no classes when the level is
-    factored (at most DENSE_LIMIT rows). A block's columns are its slots,
-    in `_slot_sites` order."""
-    dofmap, blocks = system.dofmap, system.elements
-    p = dofmap.layout.p
-    grid = _grid(dofmap, system.skeleton, _slot_sites(p, blocks[0].dofs.shape[1] > 4 * p))
-    if system.rhs.size <= DENSE_LIMIT:
-        return grid
-    m = len(grid.sites)
-    mats = [b.matrix.reshape(-1, m, m) for b in blocks]
-    grid.elem_class = np.empty(dofmap.mesh.n_elems, dtype=np.int64)
-    for b, at, M in zip(blocks, np.cumsum([0] + [len(M) for M in mats]), mats):
-        grid.elem_class[b.elems] = at + np.arange(b.elems.size) % len(M)
-    grid.mats = np.concatenate(mats)
-    return grid
 
 
 def _edge_weights(p: int, fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
@@ -684,8 +681,7 @@ class Multigrid:
     count of each level."""
 
     def __init__(self, system: GlobalSystem):
-        grid = _fine_grid(system)
-        A = system.operator
+        grid, A = system.grid, system.operator
         self.levels = []
         while True:
             level = _Level(A)
@@ -701,9 +697,7 @@ class Multigrid:
             if mesh.nx % 2 or mesh.ny % 2:
                 break
             level.P, grid = _coarsen(grid, rows, cls, vclass, inverses)
-            n = grid.rows.size
-            A = ElementOperator.by_class((n, n), grid.elem_rows, grid.elem_rows,
-                                         grid.elem_class, grid.mats)
+            A = grid.operator()
 
     @property
     def sizes(self) -> list:
@@ -743,11 +737,11 @@ def solve_spd(system: GlobalSystem, tol: float = 1e-10):
     overflows. Returns (coefficients, SolveInfo). A system with inf or NaN
     entries raises SolverError, as does a solution that overflows.
     """
-    A, n = system.operator, system.rhs.size
+    A, n, grid = system.operator, system.rhs.size, system.grid
     finite = np.append(np.isfinite(system.rhs), True)
-    _raise_non_finite([b.elems[~(np.isfinite(b.matrix).all(axis=(-2, -1))
-                                 & finite[b.dofs].all(axis=1))]
-                       for b in system.elements], "matrix or right-hand-side rows")
+    ok = (np.isfinite(grid.mats).all(axis=(1, 2))[grid.elem_class]
+          & finite[grid.elem_rows].all(axis=1))
+    _raise_non_finite([np.flatnonzero(~ok)], "matrix or right-hand-side rows")
     bmax = float(np.abs(system.rhs).max(initial=0.0))
     if bmax == 0.0:
         return np.zeros(n), SolveInfo("trivial", 0, 0.0)

@@ -639,6 +639,23 @@ class TestErrorHandling:
         # the D/dt advisory of the concentration case, and nothing else
         assert out.get("warnings") in (None, [ADVISORY])
 
+    def test_huge_source_over_tiny_kappa_is_a_quiet_solver_error(self, tmp_path,
+                                                                 capsys):
+        # the least-squares source shift S / kappa overflows in the element
+        # kernels (Dirichlet left, Neumann right, Robin bottom and top)
+        cfg = write_config(tmp_path, {
+            "problem": "potential",
+            "mesh": {"nx": 3, "ny": 2},
+            "discretization": {"p": 2},
+            "coefficients": {"kappa": 1e-300, "Sx": "1e300*x"},
+        })
+        code, out = run_cli(capsys, ["solve", "--config", cfg,
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert json.loads(out) == {"error": {
+            "code": "solver", "message": "non-finite system: element 0 has inf or "
+                                         "NaN entries in its matrix or load"}}
+
     def test_singular_test_gram_is_solver_error(self, tmp_path, capsys):
         # at eps = dt*D = 1e14 the mass term of the test Gram falls below
         # rounding, and its Cholesky factorization breaks down

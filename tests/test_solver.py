@@ -59,24 +59,27 @@ def _pot_problem(**overrides):
 
 
 def _tampered(system, change):
-    """The system with change(S, block) applied to a copy of the element
-    matrices S of its largest ElementBlock."""
-    block = max(system.elements, key=lambda b: b.elems.size)
-    S = block.matrix.copy()
-    change(S, block)
-    block.matrix = S
+    """The system with change(S, rows) applied to the element matrix S of
+    the grid's class with the most elements, whose rows are rows, in a copy
+    of the class matrices; the operator, built on first use, reads it."""
+    grid = system.grid
+    assert "operator" not in vars(system)
+    c = np.bincount(grid.elem_class).argmax()
+    mats = grid.mats.copy()
+    change(mats[c], grid.elem_rows[grid.elem_class == c])
+    grid.mats = mats
     return system
 
 
 def _indefinite(system):
-    """Give the largest group the pair A_ij = A_ji = 2 sqrt(A_ii A_jj)
+    """Give the largest class the pair A_ij = A_ji = 2 sqrt(A_ii A_jj)
     between its first two rows, taken on its first element that has both;
     the diagonal stays positive."""
-    diag = system.matrix.diagonal()
+    diag = dataclasses.replace(system).operator.diagonal()
 
-    def change(S, block):
-        e = np.flatnonzero(np.all(block.dofs[:, :2] < diag.size, axis=1))[0]
-        i, j = block.dofs[e, :2]
+    def change(S, rows):
+        e = np.flatnonzero(np.all(rows[:, :2] < diag.size, axis=1))[0]
+        i, j = rows[e, :2]
         S[..., 0, 1] = S[..., 1, 0] = 2.0 * np.sqrt(diag[i] * diag[j])
 
     return _tampered(system, change)
@@ -170,16 +173,17 @@ class TestGroupedAssembly:
         mesh = case_mesh(case, 4)
         system = assemble(mesh, build_dofmap(mesh, SpaceLayout(p=2), active_facets(mesh)),
                           case.problem)
-        n = system.rhs.size
+        n, grid = system.rhs.size, system.grid
         want = np.zeros((n + 1, n + 1))
-        for b in system.elements:
-            # every block has absent rows: a Dirichlet field dof or a
+        for c, S in enumerate(grid.mats):
+            # every class has absent rows: a Dirichlet field dof or a
             # trace column on a Neumann or Robin edge
-            assert np.any(b.dofs == n)
-            np.add.at(want, (b.dofs[:, :, None], b.dofs[:, None, :]),
-                      np.broadcast_to(b.matrix, b.dofs.shape + b.dofs.shape[1:]))
+            rows = grid.elem_rows[grid.elem_class == c]
+            assert np.any(rows == n)
+            np.add.at(want, (rows[:, :, None], rows[:, None, :]),
+                      np.broadcast_to(S, rows.shape + rows.shape[1:]))
         monkeypatch.setattr(solver_mod, "SCATTER_CHUNK", chunk)
-        got = solver_mod.scatter([(b.dofs, b.matrix) for b in system.elements], n)
+        got = solver_mod.scatter(system.operator)
         assert got.has_canonical_format
         assert np.allclose(got.toarray(), want[:n, :n], rtol=1e-14,
                            atol=1e-14 * np.abs(want).max())
@@ -547,7 +551,8 @@ def _reference_multigrid(system):
             break
         patches = _ref_patches(dofmap, rows)
         inverses = _ref_block_inverses(A, patches, "vertex patch")
-        level.smoother = solver_mod.scatter([(patches, inverses)], A.shape[0])
+        level.smoother = solver_mod.scatter(solver_mod.ElementOperator(
+            A.shape, patches.ravel(), patches.ravel(), [(len(patches), inverses)]))
         if dofmap.mesh.nx % 2 or dofmap.mesh.ny % 2:
             break
         coarse = _ref_coarsen(dofmap)
@@ -811,19 +816,22 @@ class TestAssemble:
         on = (np.arange(n * p + 1)[:, None] % p == 0) | (np.arange(n * p + 1) % p == 0)
         full = np.concatenate([np.flatnonzero(on),
                                np.arange(dofmap.trace_offset, dofmap.n_total)])
-        blocks = []
-        for group, block in zip(dofmap.element_groups(), system.elements):
+        rows, mats, grid = [], [], system.grid
+        for group in dofmap.element_groups():
             _, G = solver_mod._local_columns(dofmap.layout, group.dofs.shape[1])
             # an absent trace dof (-1) stands for none, like the row count
             d = group.dofs[:, G]
-            blocks.append((np.where(d < 0, full.size, np.searchsorted(full, d)),
-                           block.matrix))
+            rows.append(np.where(d < 0, full.size, np.searchsorted(full, d)))
+            mats.append(grid.mats[grid.elem_class[group.elems]])
+        rows = np.concatenate(rows).ravel()
         free = np.flatnonzero(~np.isin(full, dirichlet))
-        want = solver_mod.scatter(blocks, full.size)[free][:, free]
+        want = solver_mod.scatter(solver_mod.ElementOperator(
+            (full.size,) * 2, rows, rows, [(mesh.n_elems, np.concatenate(mats))]))
+        want = want[free][:, free]
         assert abs(system.matrix - want).max() <= 1e-12 * abs(want).max()
 
         # no level of the hierarchy has a row for one either
-        grids, grid = [], solver_mod._grid
+        grids, grid = [system.grid], solver_mod._grid
         monkeypatch.setattr(solver_mod, "_grid",
                             lambda *args: grids.append(grid(*args)) or grids[-1])
         monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 1)
@@ -885,7 +893,7 @@ class TestSamplingCounts:
 
 
 class TestGroupedOperator:
-    # the solves apply the ElementBlocks; system.matrix is the CSR export
+    # the solves apply the element matrices by class; system.matrix is the CSR export
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("name", ["conc-poly2", "conc-trig", "pot-poly2",
                                       "pot-trig"])
@@ -918,7 +926,7 @@ class TestGroupedOperator:
 
     @pytest.mark.parametrize("name", ["pot-trig", "conc-trig"])
     def test_export_is_the_scatter_of_the_blocks(self, name):
-        # every entry of the blocks with a row and a column, summed by scipy
+        # every entry of the class matrices with a row and a column, summed by scipy
         # in the same order; the export is canonical with int32 indices
         for system in (_case_system(name, 2, 8), _oracle_system(name, 2, 8)):
             want = _csr(system.operator)
@@ -967,22 +975,25 @@ class TestLayerCholesky:
         problem = _pot_problem(beta="1 + 1e6*x", S=("x", "y"), I=1.0, R="x")
         dofmap = build_dofmap(mesh, SpaceLayout(p=2), active_facets(mesh))
         system = assemble(mesh, dofmap, problem)
-        assert any(b.matrix.ndim == 3 for b in system.elements)
+        assert any(M.ndim == 3 for _, M in system.operator.runs)
         x, info = solve_spd(system)
         assert info.method == "dense"
         assert _direct_gap(system, x) <= 1e-10
 
     @pytest.mark.parametrize("nx, ny", [(6, 6), (7, 3), (3, 7), (12, 3), (3, 12)])
     def test_elements_hold_rows_of_two_consecutive_layers(self, nx, ny):
-        # the layers come from the fine level's slots; the blocks' rows agree
+        # the layers come from the fine level's slots; the groups' rows agree
         system = _case_system("pot-trig", 3, nx, ny)
-        n, mesh = system.rhs.size, system.dofmap.mesh
-        layer = solver_mod.mesh_layers(mesh, solver_mod._fine_grid(system).elem_rows, n)
+        n, dofmap = system.rhs.size, system.dofmap
+        layer = solver_mod.mesh_layers(dofmap.mesh, system.grid.elem_rows, n)
         assert np.unique(layer).size == max(nx, ny)
-        for b in system.elements:
-            own = (b.elems % nx if nx > ny else b.elems // nx)[:, None]
-            layers = np.append(layer, -1)[b.dofs]       # -1: a Dirichlet dof
-            assert np.all((layers >= own) | (b.dofs == n))
+        row = solver_mod._row_lookup(system.skeleton, dofmap.n_total)
+        for g in dofmap.element_groups():
+            _, G = solver_mod._local_columns(dofmap.layout, g.dofs.shape[1])
+            dofs = row[g.dofs[:, G]]
+            own = (g.elems % nx if nx > ny else g.elems // nx)[:, None]
+            layers = np.append(layer, -1)[dofs]         # -1: a Dirichlet dof
+            assert np.all((layers >= own) | (dofs == n))
             assert np.all(layers <= own + 1)
 
     def test_coarse_level_is_solved_exactly(self):
@@ -1035,7 +1046,60 @@ def _uncondensed_solve(mesh, problem, layout):
     return x, dofmap
 
 
+def _ref_recover_local(system, systems, x):
+    """Frozen reference: the back-substitution u_L = y - X u_G group by
+    group, X and y from `_condense_group` of each element system given to
+    `condensed_system`, shared or stacked."""
+    dofmap = system.dofmap
+    row = solver_mod._row_lookup(system.skeleton, dofmap.n_total)
+    coeffs = np.zeros(dofmap.n_total)
+    coeffs[system.skeleton] = x
+    x = np.append(x, 0.0)
+    for _elems, trial, S, r in systems:
+        L, G = solver_mod._local_columns(dofmap.layout, r.shape[1])
+        _, _, X, y = solver_mod._condense_group(S, r, L, G)
+        u_G = x[row[trial[:, G]]]
+        coeffs[trial[:, L]] = (y - u_G @ X.T if X.ndim == 2
+                               else y - (X @ u_G[:, :, None])[:, :, 0])
+    return coeffs
+
+
 class TestCondensation:
+    @pytest.mark.parametrize("name, p, oracle", [
+        ("pot-trig", 2, False),     # with a steep beta: a stacked Robin X
+        ("conc-trig", 3, False),
+        ("pot-trig", 1, True),      # the Galerkin oracle: no local unknowns
+    ])
+    def test_recover_local_matches_the_per_group_reference(self, monkeypatch,
+                                                           name, p, oracle):
+        case = manufactured_case(name)
+        problem = (dataclasses.replace(case.problem, beta="1 + 1e6*x")
+                   if name == "pot-trig" and not oracle else case.problem)
+        mesh = case_mesh(case, 8)
+        module = verify_mod if oracle else solver_mod
+        condense, recorded = module.condensed_system, []
+
+        def recording(dofmap, kind, systems):
+            recorded.append(list(systems))
+            recorded.append(condense(dofmap, kind, recorded[-1]))
+            return recorded[-1]
+
+        monkeypatch.setattr(module, "condensed_system", recording)
+        if oracle:
+            classical_galerkin_solve(mesh, problem, SpaceLayout(p=p))
+        else:
+            assemble(mesh, build_dofmap(mesh, SpaceLayout(p=p), active_facets(mesh)),
+                     problem)
+        systems, system = recorded
+        assert system.local.shape[1] == (0 if oracle else 2 * p * p + (p - 1) ** 2)
+        if name == "pot-trig":
+            assert any(M.ndim == 3 for _, M in system.operator.runs)
+        x = solve_spd(system)[0]
+        got = solver_mod.recover_local(system, x)
+        want = _ref_recover_local(system, systems, x)
+        assert got.dtype == np.float64
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
     # pot-trig has Dirichlet, Neumann and (stacked-B) Robin groups
     @pytest.mark.parametrize("name", ["pot-trig", "conc-trig"])
     @pytest.mark.parametrize("p", [1, 2, 3])
