@@ -23,19 +23,20 @@ norms, inf-sup constants) so they do not depend on the problem data.
 
 Local trial dof order, the same on every element: field (p+1)^2, flux
 x-modes p^2, flux y-modes p^2, then p trace dofs per local edge (left,
-right, bottom, top). Trace columns include the facet sign (+1 when the
-facet's global normal is outward for the element); an edge without
-traces has absent dofs, which read 0, and an interior element's sign.
+right, bottom, top). Trace columns include the edge's sign, -1 left and
+bottom, +1 right and top on every element (every facet normal points
+along +x or +y, see `mesh`); an edge without traces has absent dofs,
+which read 0.
 
-Groups. Elements of a uniform mesh are congruent, so the element system
-depends only on the trace signs, on Robin beta and on the loads. An
-ElementGroup holds the elements without a Robin edge that agree on the
-signs, or every element with a Robin edge, with B stacked per element;
-the kernels build, condense and evaluate one group at a time, with the
-Gram, A_fosls and (outside the Robin stack) B shared by its elements.
-The coefficients are sampled and integrated once per mesh, and each
-group slices the loads and Robin terms of its elements. A concentration
-mesh is one group; pot-trig (Dirichlet left, Robin bottom and top) 3.
+Groups. Elements of a uniform mesh are congruent and see the same trace
+signs, so the element system depends only on Robin beta and on the
+loads. An ElementGroup holds the elements without a Robin edge, or every
+element with a Robin edge, with B stacked per element; the kernels
+build, condense and evaluate one group at a time, with the Gram, A_fosls
+and (outside the Robin stack) B shared by its elements. The coefficients
+are sampled and integrated once per mesh, and each group slices the
+loads and Robin terms of its elements. A concentration mesh is one
+group; pot-trig (Dirichlet left, Robin bottom and top) 2.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dpgfem.fespace import (
     tabulate_h1_basis,
     tabulate_l2_basis,
 )
-from dpgfem.mesh import FacetTag, Mesh
+from dpgfem.mesh import OUTWARD, FacetTag, Mesh
 from dpgfem.problems import ProblemValidationError, sample
 from dpgfem.quadrature import gauss_1d, tensor_quad
 
@@ -72,7 +73,7 @@ class LocalSystem:
 
     The n elements of a group share every matrix except where the
     coefficients enter: loads always, and B in the Robin stack, where beta
-    and the trace signs vary from element to element.
+    varies from element to element.
 
     gram_inv: inverse of the enriched Gram of the problem's test norm
         (n_enr x n_enr), SPD.
@@ -142,10 +143,10 @@ class GeometryKernels:
 
         self.edge_t01 = 0.5 * (edge_t + 1.0)
         self.edge_w = [0.5 * L * self.line_w for L in (self.dy, self.dy, self.dx, self.dx)]
-        # sign-free trace pairing int_f mu_b r_e per local edge
+        # trace pairing int_f mu_b r_e per local edge, with the edge's sign
         self.trace_tmpl = [
-            (self.enr_edge[k] * self.edge_w[k][:, None]).T @ self.trace_val
-            for k in range(4)
+            OUTWARD[k].sum() * ((self.enr_edge[k] * self.edge_w[k][:, None]).T
+                                @ self.trace_val) for k in range(4)
         ]
 
     def test_gram(self, eps: float) -> np.ndarray:
@@ -226,16 +227,16 @@ class ProblemKernels:
         with np.errstate(all="ignore"):
             self.lsq_tmpl = np.pad((Px * rw).T @ Px + (Py * rw).T @ Py, (0, 4 * layout.p))
 
-        bvol = np.zeros((layout.n_enriched, self.n_ff))
+        # B over field, flux and the traces of all four local edges
+        B = np.zeros((layout.n_enriched, self.lsq_tmpl.shape[0]))
         if problem.kind == "concentration":
-            bvol[:, :self.n_field] = (geom.enr_val * w).T @ geom.field_val
-        bvol[:, self.n_field:self.n_field + self.n_fs] = \
+            B[:, :self.n_field] = (geom.enr_val * w).T @ geom.field_val
+        B[:, self.n_field:self.n_field + self.n_fs] = \
             -self.trace_factor * (geom.enr_gx * w).T @ geom.flux_val
-        bvol[:, self.n_field + self.n_fs:] = \
+        B[:, self.n_field + self.n_fs:self.n_ff] = \
             -self.trace_factor * (geom.enr_gy * w).T @ geom.flux_val
-        self.coupling_tmpl = bvol
-        # the trace columns of all four local edges, before their signs
-        self.trace_tmpl = self.trace_factor * np.hstack(geom.trace_tmpl)
+        B[:, self.n_ff:] = self.trace_factor * np.hstack(geom.trace_tmpl)
+        self.coupling = B
         self.load, (self.robin_rows, self.robin), self.source = \
             coefficient_loads(mesh, problem, geom, geom.enr_val, geom.enr_edge)
 
@@ -243,13 +244,9 @@ class ProblemKernels:
         """Build B, l, A_fosls, f_fosls for the elements of one group."""
         n = group.elems.shape[0]
         rows = self.robin_rows[group.elems]
-        stacked = rows[0] >= 0          # the Robin stack: one B per element
-        signs = np.repeat(group.signs if stacked else group.signs[:1],
-                          self.geom.layout.p, axis=1)
-        B = np.concatenate([np.broadcast_to(self.coupling_tmpl,
-                                            (len(signs),) + self.coupling_tmpl.shape),
-                            self.trace_tmpl * signs[:, None, :]], axis=2)
-        if stacked:
+        B = self.coupling
+        if rows[0] >= 0:                # the Robin stack: one B per element
+            B = np.repeat(B[None], n, axis=0)
             B[:, :, :self.n_field] += self.robin[rows]
         f = np.zeros((n, self.lsq_tmpl.shape[0]))
         shift = None
@@ -264,7 +261,7 @@ class ProblemKernels:
                                                          + (rw * sy) @ self.res_y)
                     shift = self.coef_inv * np.stack([sx, sy], axis=-1)
 
-        return LocalSystem(self.gram_inv, B if stacked else B[0], self.load[group.elems],
+        return LocalSystem(self.gram_inv, B, self.load[group.elems],
                            self.lsq_tmpl, f, self.res_x, self.res_y, self.res_weights, shift)
 
 
@@ -273,7 +270,8 @@ def coefficient_loads(mesh: Mesh, problem, geom: GeometryKernels,
     """A problem's loads and Robin term on every element of the mesh, each
     coefficient sampled once at geom's quadrature points: the volume data
     at the points of all elements in element order, then the data of each
-    boundary tag a local edge carries, by local edge. beta must be positive.
+    boundary tag a local edge carries, by local edge, with the edge's
+    outward normal OUTWARD[k]. beta must be positive.
 
     The test basis is the enriched one for DPG, the field one for the
     Galerkin oracle: test_val and test_edge[k] tabulate it at the volume
@@ -304,25 +302,23 @@ def coefficient_loads(mesh: Mesh, problem, geom: GeometryKernels,
                      geom.field_edge[0].shape[1]))
     betas = []
     for k in range(4):
-        facets = mesh.elem_facets[:, k]
         w = geom.edge_w[k]
         for tag in (FacetTag.DIRICHLET, FacetTag.NEUMANN, FacetTag.ROBIN):
             elems = np.flatnonzero(tags[:, k] == tag)
             if not elems.size:
                 continue
             epts = geom.edge_points(k, (origin[0][elems], origin[1][elems]))
-            nrm = mesh.facet_normals[facets[elems]]
             if problem.kind == "concentration":
-                J = sample(problem.J, epts, "J", nrm)
+                J = sample(problem.J, epts, "J", OUTWARD[k])
                 load[elems] -= problem.dt * ((w * J) @ test_edge[k])
             elif tag == FacetTag.ROBIN:
                 betas.append(sample(problem.beta, epts, "beta"))
-                R = sample(problem.R, epts, "R", nrm)
+                R = sample(problem.R, epts, "R", OUTWARD[k])
                 term[rows[elems]] += ((test_edge[k].T * (w * betas[-1])[:, None, :])
                                       @ geom.field_edge[k])
                 load[elems] -= (w * R) @ test_edge[k]
             elif tag == FacetTag.NEUMANN:
-                load[elems] -= (w * sample(problem.I, epts, "I", nrm)) @ test_edge[k]
+                load[elems] -= (w * sample(problem.I, epts, "I", OUTWARD[k])) @ test_edge[k]
     if not all(np.all(beta > 0) for beta in betas):
         raise ProblemValidationError([
             "beta not positive on Gamma_R at the assembly's quadrature "

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from dpgfem.mesh import FacetTag
+from dpgfem.mesh import OUTWARD, FacetTag
 
 MAX_DEGREE = 10
 
@@ -163,16 +163,14 @@ class SpaceLayout:
 @dataclass(frozen=True, eq=False)
 class ElementGroup:
     """Elements whose element systems are built together: those without a
-    Robin edge that share the trace sign of each local edge, or all the
-    elements with a Robin edge, as one stack.
+    Robin edge, or all the elements with a Robin edge, as one stack.
 
     Every element has the same local trial layout: field, flux, then p
-    trace columns on each of the four local edges. An edge without traces
-    keeps its columns, with absent dofs (-1) and the sign an interior
-    element has there (-1 left and bottom, +1 right and top).
+    trace columns on each of the four local edges, each edge's columns
+    with the sign `mesh.OUTWARD` gives it on every element. An edge
+    without traces keeps its columns, with absent dofs (-1).
 
     elems: ascending element ids, shape (n,).
-    signs: (n, 4) sign (int8) of each local edge's trace columns.
     dofs: (n, n_field + n_flux + 4 p) global dofs, -1 where absent.
 
     A DofMap hands the same groups to every caller, so the arrays are
@@ -180,7 +178,6 @@ class ElementGroup:
     """
 
     elems: np.ndarray
-    signs: np.ndarray
     dofs: np.ndarray
 
 
@@ -232,12 +229,13 @@ class DofMap:
         return self.trace_offset + s * p + np.arange(p)
 
     def element_active_edges(self, e: int):
-        """(local edge, facet id, sign) for each active facet of element e."""
+        """(local edge, facet id, sign) for each active facet of element e;
+        the sign of local edge k is the same on every element (`mesh`)."""
         out = []
         for k in range(4):
             f = int(self.mesh.elem_facets[e, k])
             if self.facet_slot[f] >= 0:
-                out.append((k, f, float(self.mesh.elem_facet_signs[e, k])))
+                out.append((k, f, float(OUTWARD[k].sum())))
         return out
 
     def element_dofs(self, e: int) -> np.ndarray:
@@ -248,14 +246,10 @@ class DofMap:
         return np.concatenate(parts)
 
     def element_groups(self) -> list:
-        """Partition of the elements into ElementGroups, ordered by key.
-
-        The key of an element without a Robin edge is the sign of each
-        local edge; the elements with a Robin edge come last, in one group.
-        That gives at most the interior, Dirichlet left and bottom sides
-        and their corner (right and top sides have the interior's signs),
-        and the Robin stack. The partition is built on the first call;
-        later calls return the same groups.
+        """Partition of the elements into ElementGroups: those without a
+        Robin edge, then those with one, omitting an empty group. The
+        partition is built on the first call; later calls return the same
+        groups.
         """
         if self._groups is None:
             self._groups = self._partition()
@@ -264,23 +258,20 @@ class DofMap:
     def _partition(self) -> list:
         mesh, p = self.mesh, self.layout.p
         slots = self.facet_slot[mesh.elem_facets]
-        signs = np.where(slots >= 0, mesh.elem_facet_signs, (-1, 1, -1, 1)).astype(np.int8)
-        # first edge most significant, so the codes sort as the sign rows do
-        code = (signs > 0) @ (8, 4, 2, 1)
-        code[np.any(mesh.facet_tags[mesh.elem_facets] == FacetTag.ROBIN, axis=1)] = 16
+        robin = np.any(mesh.facet_tags[mesh.elem_facets] == FacetTag.ROBIN, axis=1)
         n_flux = self.layout.n_flux_local
         trace = np.where(slots[:, :, None] >= 0, self.trace_offset + slots[:, :, None] * p
                          + np.arange(p), -1).reshape(mesh.n_elems, -1)
         groups = []
-        for c in np.unique(code).tolist():
-            elems = np.flatnonzero(code == c)
-            parts = (elems, signs[elems],
-                     np.hstack([self.elem_field[elems],
-                                self.n_field + elems[:, None] * n_flux + np.arange(n_flux),
-                                trace[elems]]))
-            for a in parts:
+        for elems in (np.flatnonzero(~robin), np.flatnonzero(robin)):
+            if not elems.size:
+                continue
+            dofs = np.hstack([self.elem_field[elems],
+                              self.n_field + elems[:, None] * n_flux + np.arange(n_flux),
+                              trace[elems]])
+            for a in (elems, dofs):
                 a.setflags(write=False)
-            groups.append(ElementGroup(*parts))
+            groups.append(ElementGroup(elems, dofs))
         return groups
 
 

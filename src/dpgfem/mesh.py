@@ -1,10 +1,14 @@
 """Structured meshes of axis-aligned rectangles with tagged boundary facets.
 
 Element (i, j) has index j*nx + i. Facets are stored explicitly with a
-single global unit normal each: on interior facets the normal points from
-the incident element of lower index to the one of higher index, on
-boundary facets it points out of the domain. A mesh is immutable after
-construction and safe to share between threads.
+single global unit normal each: +x on vertical facets and +y on
+horizontal ones, boundary facets included, so on an interior facet it
+points from the incident element of lower index to the other. OUTWARD
+holds each local edge's outward unit normal, in SIDES order. Edge k of
+every element therefore sees its facet's normal with the same sign,
+OUTWARD[k] . |OUTWARD[k]| = OUTWARD[k].sum(): -1 left and bottom, +1
+right and top. A mesh is immutable after construction and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ class FacetTag(IntEnum):
 
 
 SIDES = ("left", "right", "bottom", "top")
+OUTWARD = np.array([(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)])
+OUTWARD.setflags(write=False)
 
 _TAG_FROM_NAME = {
     "dirichlet": FacetTag.DIRICHLET,
@@ -101,11 +107,10 @@ class Mesh:
     vertices: np.ndarray          # (n_vertices, 2)
     elem_verts: np.ndarray        # (n_elems, 4) counterclockwise from lower-left
     facet_verts: np.ndarray       # (n_facets, 2) vertex ids
-    facet_normals: np.ndarray     # (n_facets, 2) global unit normal
+    facet_normals: np.ndarray     # (n_facets, 2) global unit normal, +x or +y
     facet_elems: np.ndarray       # (n_facets, 2) incident elements, -1 if absent
     facet_tags: np.ndarray        # (n_facets,) FacetTag values
     elem_facets: np.ndarray       # (n_elems, 4) facet id per local edge L,R,B,T
-    elem_facet_signs: np.ndarray  # (n_elems, 4) +1 if global normal is outward
 
     @property
     def n_elems(self) -> int:
@@ -170,34 +175,28 @@ def build_rect_mesh(domain: Rectangle, nx: int, ny: int) -> Mesh:
     jh, ih = np.divmod(np.arange(n_horz), nx)
     facet_verts = np.concatenate([np.arange(n_vert)[:, None] + np.array([0, nx + 1]),
                                   (jh * (nx + 1) + ih)[:, None] + np.array([0, 1])])
-    # lower element index first; the second is -1 on the domain boundary,
-    # whose normals point out of the domain
+    # lower element index first; the second is -1 on the domain boundary
     lower = np.concatenate([jv * nx + np.maximum(iv - 1, 0),
                             np.maximum(jh - 1, 0) * nx + ih])
     upper = np.concatenate([np.where((iv > 0) & (iv < nx), jv * nx + iv, -1),
                             np.where((jh > 0) & (jh < ny), jh * nx + ih, -1)])
     facet_elems = np.column_stack([lower, upper])
     facet_normals = np.zeros((n_facets, 2))
-    facet_normals[:n_vert, 0] = np.where(iv == 0, -1.0, 1.0)
-    facet_normals[n_vert:, 1] = np.where(jh == 0, -1.0, 1.0)
+    facet_normals[:n_vert, 0] = 1.0
+    facet_normals[n_vert:, 1] = 1.0
     facet_tags = np.where(upper < 0, int(FacetTag.NEUMANN), int(FacetTag.INTERIOR))
 
     elem_facets = np.column_stack([v0, v0 + 1, n_vert + e, n_vert + e + nx])
-    outward = np.array([(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)])
-    elem_facet_signs = np.where((facet_normals[elem_facets] * outward).sum(axis=2) > 0,
-                                1.0, -1.0)
-
     return Mesh(domain, nx, ny, vertices, elem_verts, facet_verts, facet_normals,
-                facet_elems, facet_tags, elem_facets, elem_facet_signs)
+                facet_elems, facet_tags, elem_facets)
 
 
 def classify_boundary(mesh: Mesh, partition: BoundaryPartition) -> Mesh:
-    """New mesh with boundary facets tagged per side of the partition."""
+    """New mesh with boundary facets tagged per side of the partition: side
+    k's are the boundary facets on local edge k of their element."""
     tags = mesh.facet_tags.copy()
-    bnd = mesh.boundary_facets()
-    n = mesh.facet_normals[bnd]
-    tags[bnd] = np.select([n[:, 0] < -0.5, n[:, 0] > 0.5, n[:, 1] < -0.5],
-                          [partition.left, partition.right, partition.bottom],
-                          partition.top)
+    for k, side in enumerate(SIDES):
+        f = mesh.elem_facets[:, k]
+        tags[f[mesh.facet_elems[f, 1] < 0]] = getattr(partition, side)
     return replace(mesh, facet_tags=tags)
 

@@ -182,11 +182,12 @@ def sample(fn, points: np.ndarray, name: str, normals=None) -> np.ndarray:
     fn on the coordinate arrays.
 
     Boundary data also receive the unit normal: `normals` holds one per
-    row of points, shape points.shape[:-2] + (2,). Scalar results are
-    broadcast to points.shape[:-1]; a tuple (vector-valued function) is
-    stacked on a trailing axis. A non-finite value raises
-    ProblemValidationError naming the first such point; numpy's
-    floating-point warnings are silenced so that the error alone reports it.
+    row of points, shape points.shape[:-2] + (2,), or one (2,) for all of
+    them. Scalar results are broadcast to points.shape[:-1]; a tuple
+    (vector-valued function) is stacked on a trailing axis. A non-finite
+    value raises ProblemValidationError naming the first such point;
+    numpy's floating-point warnings are silenced so that the error alone
+    reports it.
     """
     shape = points.shape[:-1]
     args = [points[..., 0], points[..., 1]]

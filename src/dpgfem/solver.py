@@ -419,9 +419,11 @@ def _condense_group(S: np.ndarray, r: np.ndarray, L: np.ndarray, G: np.ndarray):
     S_GL = np.swapaxes(S_LG, -1, -2)
     S_c = S_GG - S_GL @ X
     S_c = 0.5 * (S_c + np.swapaxes(S_c, -1, -2))
-    # a shared S gives one GEMM each for the whole group
-    y = r[:, L] @ inv if S.ndim == 2 else (inv @ r[:, L, None])[:, :, 0]
-    r_c = r[:, G] - (y @ S_LG if S.ndim == 2 else (y[:, None, :] @ S_LG)[:, 0])
+    # a shared S gives one GEMM each for the whole group; huge loads can
+    # overflow here, which `solve_spd` reports, and numpy stays quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = r[:, L] @ inv if S.ndim == 2 else (inv @ r[:, L, None])[:, :, 0]
+        r_c = r[:, G] - (y @ S_LG if S.ndim == 2 else (y[:, None, :] @ S_LG)[:, 0])
     return S_c, r_c, X, y
 
 
@@ -452,7 +454,8 @@ def condensed_system(dofmap: DofMap, kind: str, systems) -> GlobalSystem:
         mats.append(S_c)
         Xs.append(X)
         local[elems], ys[elems] = trial[:, L], y
-        np.add.at(rhs, grid.elem_rows[elems], r_c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(rhs, grid.elem_rows[elems], r_c)
     _raise_non_finite(bad, "matrix or load")
     grid.mats = np.concatenate(mats)
     return GlobalSystem(rhs[:-1], kind, grid, local, ys, np.concatenate(Xs))

@@ -106,8 +106,7 @@ def skeleton_dual_norm(mesh: Mesh, layout: SpaceLayout, active: np.ndarray,
     for k in range(4):
         s = slot[mesh.elem_facets[:, k]]
         on = s >= 0
-        b[on] += (mesh.elem_facet_signs[on, k, None] * modes[s[on]]) \
-            @ geom.trace_tmpl[k].T
+        b[on] += modes[s[on]] @ geom.trace_tmpl[k].T
     total = float(np.sum(b * (b @ geom.gram_inv)))
     return float(np.sqrt(max(total, 0.0)))
 
@@ -309,12 +308,10 @@ def _dense_trial_forms(mesh: Mesh, dofmap, problem):
     trace_gram = C.T @ geom.gram_inv @ C
     nf, ns = layout.n_field_local, layout.n_flux_scalar
     for group in dofmap.element_groups():
-        s = np.repeat(group.signs, layout.p, axis=1)
         for dofs, block in ((group.dofs[:, :nf], field_gram),
                             (group.dofs[:, nf:nf + ns], flux_gram),
                             (group.dofs[:, nf + ns:nf + 2 * ns], flux_gram),
-                            (group.dofs[:, nf + 2 * ns:],
-                             trace_gram * s[:, :, None] * s[:, None, :])):
+                            (group.dofs[:, nf + 2 * ns:], trace_gram)):
             np.add.at(M, (dofs[:, :, None], dofs[:, None, :]), block)
         S, _ = condense_local(kernels.local_system(group))
         np.add.at(A, (group.dofs[:, :, None], group.dofs[:, None, :]), S)

@@ -25,6 +25,7 @@ from dpgfem.fespace import (
     tabulate_l2_basis,
 )
 from dpgfem.mesh import (
+    OUTWARD,
     BoundaryPartition,
     FacetTag,
     Rectangle,
@@ -56,8 +57,7 @@ def element_system(mesh, e, problem, layout, active_facets=()):
     dofmap = build_dofmap(mesh, layout, np.asarray(active_facets, dtype=np.int64))
     group = next(g for g in dofmap.element_groups() if e in g.elems)
     i = int(np.flatnonzero(group.elems == e)[0])
-    one = dataclasses.replace(group, elems=group.elems[i:i + 1],
-                              signs=group.signs[i:i + 1], dofs=group.dofs[i:i + 1])
+    one = dataclasses.replace(group, elems=group.elems[i:i + 1], dofs=group.dofs[i:i + 1])
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
     return ProblemKernels(geom, problem, mesh).local_system(one)
 
@@ -280,9 +280,11 @@ class _ReferenceGeometry:
             self.enr_edge.append(tabulate_h1_basis(q, coords)[0])
             self.field_edge.append(tabulate_h1_basis(layout.p, coords)[0])
         self.trace_val = tabulate_facet_basis(layout.p - 1, line.points)
+        # every facet normal points along +x or +y: -1 on the left and
+        # bottom edges, +1 on the right and top ones
         self.trace_tmpl = [
-            (self.enr_edge[k] * self.edge_w[k][:, None]).T @ self.trace_val
-            for k in range(4)]
+            sign * ((self.enr_edge[k] * self.edge_w[k][:, None]).T @ self.trace_val)
+            for k, sign in enumerate((-1.0, 1.0, -1.0, 1.0))]
 
 
 class TestReferenceTables:
@@ -474,6 +476,35 @@ class TestCoefficientLoads:
             if rows[e] >= 0:
                 assert np.allclose(robin[rows[e]], want_robin,
                                    rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("name, tag", [("J", FacetTag.NEUMANN), ("I", FacetTag.NEUMANN),
+                                           ("R", FacetTag.ROBIN)])
+    def test_boundary_data_see_each_local_edge_outward_normal(self, name, tag):
+        mesh = classify_boundary(build_rect_mesh(Rectangle(-0.5, 1.0, 0.0, 2.0), 3, 2),
+                                 BoundaryPartition(tag, tag, tag, tag))
+        calls = []
+
+        def record(x, y, nx, ny):
+            calls.append([np.array(a, dtype=float).ravel()
+                          for a in np.broadcast_arrays(x, y, nx, ny)])
+            return np.zeros_like(x)
+
+        if name == "J":
+            problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=record)
+        else:
+            problem = _pot_problem(**{name: record})
+        geom = geometry_kernels(self.LAYOUT, mesh.dx, mesh.dy)
+        coefficient_loads(mesh, problem, geom, geom.enr_val, geom.enr_edge)
+        x, y, nx, ny = (np.concatenate([c[i] for c in calls]) for i in range(4))
+        # each point's local edge is the domain side it lies on
+        on = np.column_stack([np.isclose(x, -0.5), np.isclose(x, 1.0),
+                              np.isclose(y, 0.0), np.isclose(y, 2.0)])
+        assert np.all(on.sum(axis=1) == 1)
+        k = np.argmax(on, axis=1)
+        assert np.array_equal(np.column_stack([nx, ny]), OUTWARD[k])
+        # every boundary facet's points, each side's once
+        nq = geom.edge_w[0].size
+        assert np.bincount(k).tolist() == [2 * nq, 2 * nq, 3 * nq, 3 * nq]
 
     def test_non_finite_value_named_at_first_point_in_element_order(self):
         mesh = build_rect_mesh(UNIT, 4, 4)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,7 +21,9 @@ from dpgfem.mesh import (
     build_rect_mesh,
     classify_boundary,
 )
+from dpgfem.problems import ConcentrationProblem, PotentialProblem
 from dpgfem.quadrature import gauss_1d, tensor_quad
+from dpgfem.solver import assemble
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 
@@ -38,29 +42,65 @@ def _padded_dofs(dofmap, e):
     return np.concatenate(parts)
 
 
+# every facet normal points along +x or +y, so every element's trace signs
+# are -1 on its left and bottom edges and +1 on its right and top ones
+EDGE_SIGNS = (-1.0, 1.0, -1.0, 1.0)
+
+
+def _edge_signs(dofmap, e):
+    """Trace sign of each local edge of element e, EDGE_SIGNS where the
+    edge has no traces."""
+    signs = list(EDGE_SIGNS)
+    for k, _f, sign in dofmap.element_active_edges(e):
+        signs[k] = sign
+    return signs
+
+
 def _reference_groups(dofmap):
-    """The padded partition, element by element: the key of an element is
-    its trace sign on each local edge (an interior element's sign where
-    the edge has no traces), or "robin" for every element with a Robin
-    edge, which sorts last. (elems, signs, dofs) per group, in key order."""
+    """The padded partition, element by element: the elements without a
+    Robin edge, then those with one, an empty group omitted. (elems,
+    signs, dofs) per group."""
     mesh = dofmap.mesh
-    keys = []
-    for e in range(mesh.n_elems):
-        signs = [-1.0, 1.0, -1.0, 1.0]
-        for k, _f, sign in dofmap.element_active_edges(e):
-            signs[k] = sign
-        robin = FacetTag.ROBIN in mesh.facet_tags[mesh.elem_facets[e]]
-        keys.append((1, ()) if robin else (0, tuple(signs)))
+    robin = [FacetTag.ROBIN in mesh.facet_tags[mesh.elem_facets[e]]
+             for e in range(mesh.n_elems)]
     groups = []
-    for key in sorted(set(keys)):
-        elems = np.array([e for e in range(mesh.n_elems) if keys[e] == key])
-        signs = np.array([[-1.0, 1.0, -1.0, 1.0]] * elems.size)
-        for i, e in enumerate(elems):
-            for k, _f, sign in dofmap.element_active_edges(e):
-                signs[i, k] = sign
-        groups.append((elems, signs,
-                       np.array([_padded_dofs(dofmap, e) for e in elems])))
+    for key in (False, True):
+        elems = np.array([e for e in range(mesh.n_elems) if robin[e] == key],
+                         dtype=np.int64)
+        if elems.size:
+            groups.append((elems, np.array([_edge_signs(dofmap, e) for e in elems]),
+                           np.array([_padded_dofs(dofmap, e) for e in elems])))
     return groups
+
+
+# (nx, ny, partition) of the meshes the partition checks run over; None is
+# the concentration problem's partition
+PARTITIONS = [
+    (4, 3, (FacetTag.DIRICHLET, FacetTag.NEUMANN, FacetTag.ROBIN, FacetTag.ROBIN)),
+    (3, 5, (FacetTag.ROBIN, FacetTag.DIRICHLET, FacetTag.NEUMANN, FacetTag.DIRICHLET)),
+    (1, 1, (FacetTag.DIRICHLET, FacetTag.ROBIN, FacetTag.NEUMANN, FacetTag.ROBIN)),
+    (5, 1, (FacetTag.NEUMANN, FacetTag.NEUMANN, FacetTag.ROBIN, FacetTag.NEUMANN)),
+    (4, 4, (FacetTag.DIRICHLET, FacetTag.DIRICHLET, FacetTag.NEUMANN, FacetTag.NEUMANN)),
+    (1, 1, None),
+    (1, 4, None),
+    (6, 2, None),
+    (4, 4, None),
+]
+
+
+def _partitioned_dofmap(nx, ny, partition, p):
+    """DofMap of an nx-by-ny mesh tagged by partition, with the traces of
+    the potential problem, or of the concentration problem (Neumann sides,
+    interior traces) for partition None."""
+    mesh = build_rect_mesh(Rectangle(-0.5, 1.0, 0.0, 2.0), nx, ny)
+    if partition is None:
+        mesh = classify_boundary(mesh, BoundaryPartition())
+        active = mesh.interior_facets()
+    else:
+        mesh = classify_boundary(mesh, BoundaryPartition(*partition))
+        active = np.concatenate([mesh.interior_facets(),
+                                 mesh.facets_with_tag(FacetTag.DIRICHLET)])
+    return build_dofmap(mesh, SpaceLayout(p=p), active)
 
 
 def _reference_nodes(degree):
@@ -373,18 +413,20 @@ class TestElementGroups:
                                  mesh.facets_with_tag(FacetTag.DIRICHLET)])
         dofmap = build_dofmap(mesh, SpaceLayout(p=p), active)
         groups = dofmap.element_groups()
-        # the interior with the Neumann side, the Dirichlet side, and the
-        # bottom and top rows stacked as the Robin group
-        assert [g.elems.tolist() for g in groups] == [[5, 6, 7], [4],
+        # the interior with the Dirichlet and Neumann sides, and the bottom
+        # and top rows stacked as the Robin group
+        assert [g.elems.tolist() for g in groups] == [[4, 5, 6, 7],
                                                       [0, 1, 2, 3, 8, 9, 10, 11]]
         for g in groups:
             assert g.dofs.shape == (g.elems.size, (p + 1) ** 2 + 2 * p * p + 4 * p)
             for row, e in zip(g.dofs, g.elems):
                 assert np.array_equal(row, _padded_dofs(dofmap, e))
-        assert np.array_equal(groups[0].signs, np.tile([-1.0, 1.0, -1.0, 1.0], (3, 1)))
-        assert np.array_equal(groups[1].signs, [[1.0, 1.0, -1.0, 1.0]])
-        # the Robin stack holds both corner signs on the Dirichlet side
-        assert np.array_equal(np.unique(groups[2].signs[:, 0]), [-1.0, 1.0])
+        # a Dirichlet edge, like an interior left edge, has the sign -1
+        assert [(k, sign) for k, _f, sign in dofmap.element_active_edges(4)] == [
+            (0, -1.0), (1, 1.0), (2, -1.0), (3, 1.0)]
+        # so do the Robin stack's corners on the Dirichlet side
+        for e in (0, 8):
+            assert _edge_signs(dofmap, e) == list(EDGE_SIGNS)
 
     def test_concentration_mesh_is_one_group(self):
         for nx, ny in ((3, 3), (5, 4), (1, 6)):
@@ -392,44 +434,44 @@ class TestElementGroups:
             dofmap = build_dofmap(mesh, SpaceLayout(p=2), mesh.interior_facets())
             [group] = dofmap.element_groups()
             assert np.array_equal(group.elems, np.arange(nx * ny))
-            assert np.all(group.signs == [-1.0, 1.0, -1.0, 1.0])
+            assert all(_edge_signs(dofmap, e) == list(EDGE_SIGNS) for e in group.elems)
             # boundary edges keep their columns, with absent dofs
             assert np.count_nonzero(group.dofs == -1) == 2 * 2 * (nx + ny)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
-    @pytest.mark.parametrize("nx, ny, partition", [
-        (4, 3, (FacetTag.DIRICHLET, FacetTag.NEUMANN, FacetTag.ROBIN, FacetTag.ROBIN)),
-        (3, 5, (FacetTag.ROBIN, FacetTag.DIRICHLET, FacetTag.NEUMANN, FacetTag.DIRICHLET)),
-        (1, 1, (FacetTag.DIRICHLET, FacetTag.ROBIN, FacetTag.NEUMANN, FacetTag.ROBIN)),
-        (5, 1, (FacetTag.NEUMANN, FacetTag.NEUMANN, FacetTag.ROBIN, FacetTag.NEUMANN)),
-        (4, 4, (FacetTag.DIRICHLET, FacetTag.DIRICHLET, FacetTag.NEUMANN, FacetTag.NEUMANN)),
-        (1, 1, None),
-        (1, 4, None),
-        (6, 2, None),
-        (4, 4, None),
-    ])
+    @pytest.mark.parametrize("nx, ny, partition", PARTITIONS)
     def test_matches_the_element_by_element_partition(self, p, nx, ny, partition):
-        mesh = build_rect_mesh(Rectangle(-0.5, 1.0, 0.0, 2.0), nx, ny)
-        if partition is None:
-            # the concentration problem: Neumann sides, interior traces
-            mesh = classify_boundary(mesh, BoundaryPartition())
-            active = mesh.interior_facets()
-        else:
-            mesh = classify_boundary(mesh, BoundaryPartition(*partition))
-            active = np.concatenate([mesh.interior_facets(),
-                                     mesh.facets_with_tag(FacetTag.DIRICHLET)])
-        dofmap = build_dofmap(mesh, SpaceLayout(p=p), active)
+        dofmap = _partitioned_dofmap(nx, ny, partition, p)
         groups = dofmap.element_groups()
         reference = _reference_groups(dofmap)
-        # at most the interior, Dirichlet left and bottom sides, their
-        # corner, and the Robin stack: a right or top boundary facet has
-        # the interior element's sign
-        assert len(groups) == len(reference) <= 5
+        # at most the elements without a Robin edge and the Robin stack:
+        # every element has the same trace signs, Dirichlet edges included
+        assert len(groups) == len(reference) <= 2
         for g, (elems, signs, dofs) in zip(groups, reference):
             assert np.array_equal(g.elems, elems)
-            assert g.signs.dtype == np.int8 and np.array_equal(g.signs, signs)
+            assert np.array_equal(signs, np.tile(EDGE_SIGNS, (elems.size, 1)))
             assert g.dofs.dtype == np.int64
             assert np.array_equal(g.dofs, dofs)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("nx, ny, partition", PARTITIONS + [
+        (4, 3, (FacetTag.DIRICHLET, FacetTag.NEUMANN, FacetTag.DIRICHLET, FacetTag.ROBIN))])
+    def test_only_robin_edges_set_elements_apart(self, p, nx, ny, partition):
+        # Dirichlet sides included: the elements without a Robin edge share
+        # one element system, and each of the others has its own
+        dofmap = _partitioned_dofmap(nx, ny, partition, p)
+        mesh = dofmap.mesh
+        robin = np.array([FacetTag.ROBIN in mesh.facet_tags[mesh.elem_facets[e]]
+                          for e in range(mesh.n_elems)])
+        want = [np.flatnonzero(~robin).tolist(), np.flatnonzero(robin).tolist()]
+        assert [g.elems.tolist() for g in dofmap.element_groups()] == [w for w in want if w]
+        problem = (ConcentrationProblem(D=0.5, dt=0.1, c_prev=1.0, J=0.0) if partition is None
+                   else PotentialProblem(kappa=1.0, beta=1.0, S=(0.0, 0.0), I=0.0, R=0.0))
+        grid = assemble(mesh, dofmap, problem).grid
+        assert len(grid.mats) == int(np.any(~robin)) + np.count_nonzero(robin)
+        assert np.unique(grid.elem_class[~robin]).size == int(np.any(~robin))
+        assert np.unique(grid.elem_class[robin]).size == np.count_nonzero(robin)
+        assert not set(grid.elem_class[~robin]) & set(grid.elem_class[robin])
 
     def test_groups_are_built_once_and_read_only(self):
         mesh = build_rect_mesh(UNIT, 3, 3)
@@ -441,8 +483,7 @@ class TestElementGroups:
             group.dofs[0, 0] = -1
         with pytest.raises(ValueError):
             group.elems[0] = -1
-        with pytest.raises(ValueError):
-            group.signs[0, 0] = 0
+        assert [f.name for f in dataclasses.fields(group)] == ["elems", "dofs"]
         # a caller may reorder or drop groups in its own list
         first.pop()
         assert len(dofmap.element_groups()) == len(second)

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dpgfem.mesh import (
+    OUTWARD,
     BoundaryPartition,
     FacetTag,
     InvalidPartitionError,
@@ -39,13 +40,17 @@ def element_area(mesh) -> float:
 
 
 def facet_geometry(mesh, f: int):
-    """Length, global normal, incident elements and per-element signs of a facet."""
+    """Length, global normal, incident elements and per-element signs of a
+    facet: +1 where the normal points away from the element's centre."""
     elems = tuple(int(e) for e in mesh.facet_elems[f] if e >= 0)
+    normal = mesh.facet_normals[f].copy()
+    mid = facet_endpoints(mesh, f).mean(axis=0)
     signs = []
     for e in elems:
-        k = int(np.flatnonzero(mesh.elem_facets[e] == f)[0])
-        signs.append(float(mesh.elem_facet_signs[e, k]))
-    return facet_length(mesh, f), mesh.facet_normals[f].copy(), elems, tuple(signs)
+        ox, oy = mesh.element_origin(e)
+        center = np.array([ox + mesh.dx / 2, oy + mesh.dy / 2])
+        signs.append(float(np.sign(np.dot(normal, mid - center))))
+    return facet_length(mesh, f), normal, elems, tuple(signs)
 
 
 def refine_uniform(mesh, partition):
@@ -122,17 +127,30 @@ class TestBuildRectMesh:
 
 
 class TestFacetGeometry:
-    def test_boundary_facet_single_incident_outward(self):
+    def test_boundary_facet_single_incident_along_x_or_y(self):
         for mesh in meshes():
             for f in mesh.boundary_facets():
                 length, normal, elems, signs = facet_geometry(mesh, f)
                 assert len(elems) == 1
-                assert signs == (1.0,)
-                ox, oy = mesh.element_origin(elems[0])
+                # boundary normals point along +x or +y like interior ones:
+                # into the element on the left and bottom sides, out of it
+                # on the right and top sides
+                k = int(np.flatnonzero(mesh.elem_facets[elems[0]] == f)[0])
+                assert normal.tolist() == ([1.0, 0.0] if k < 2 else [0.0, 1.0])
+                assert signs == ((-1.0, 1.0, -1.0, 1.0)[k],)
+                assert np.array_equal(signs[0] * normal, OUTWARD[k])
+
+    def test_outward_is_each_local_edge_outward_normal(self):
+        for mesh in meshes():
+            for e in range(mesh.n_elems):
+                ox, oy = mesh.element_origin(e)
                 center = np.array([ox + mesh.dx / 2, oy + mesh.dy / 2])
-                mid = facet_endpoints(mesh, f).mean(axis=0)
-                # global normal points away from the incident element
-                assert np.dot(normal, mid - center) > 0
+                for k, f in enumerate(mesh.elem_facets[e]):
+                    out = facet_endpoints(mesh, f).mean(axis=0) - center
+                    assert np.allclose(OUTWARD[k], out / np.linalg.norm(out),
+                                       rtol=0.0, atol=1e-14)
+        with pytest.raises(ValueError):
+            OUTWARD[0, 0] = 1.0
 
     def test_interior_facet_signs_opposite(self):
         for mesh in meshes():
@@ -140,6 +158,7 @@ class TestFacetGeometry:
                 length, normal, elems, signs = facet_geometry(mesh, f)
                 assert len(elems) == 2
                 assert signs == (1.0, -1.0)
+                assert normal.tolist() in ([1.0, 0.0], [0.0, 1.0])
                 # global normal points from the first element into the second
                 c0 = np.array(mesh.element_origin(elems[0]))
                 c1 = np.array(mesh.element_origin(elems[1]))

@@ -86,8 +86,8 @@ def _indefinite(system):
 
 
 class TestGroupedAssembly:
-    # pot-trig: the interior, the Dirichlet side and the Robin stack
-    @pytest.mark.parametrize("name, p, n_groups", [("pot-trig", 2, 3),
+    # pot-trig: the elements without a Robin edge and the Robin stack
+    @pytest.mark.parametrize("name, p, n_groups", [("pot-trig", 2, 2),
                                                    ("conc-trig", 1, 1)])
     def test_matches_one_element_groups(self, monkeypatch, name, p, n_groups):
         case = manufactured_case(name)
@@ -97,8 +97,7 @@ class TestGroupedAssembly:
         groups = dofmap.element_groups()
         assert len(groups) == n_groups
         single_groups = [
-            dataclasses.replace(g, elems=g.elems[i:i + 1], signs=g.signs[i:i + 1],
-                                dofs=g.dofs[i:i + 1])
+            dataclasses.replace(g, elems=g.elems[i:i + 1], dofs=g.dofs[i:i + 1])
             for g in groups for i in range(len(g.elems))]
         monkeypatch.setattr(DofMap, "element_groups", lambda self: single_groups)
         single = assemble(mesh, dofmap, case.problem)
@@ -123,17 +122,14 @@ class TestGroupedAssembly:
         grouped = DofMap.element_groups
 
         def single_groups(dofmap):
-            return [dataclasses.replace(g, elems=g.elems[i:i + 1],
-                                        signs=g.signs[i:i + 1], dofs=g.dofs[i:i + 1])
+            return [dataclasses.replace(g, elems=g.elems[i:i + 1], dofs=g.dofs[i:i + 1])
                     for g in grouped(dofmap) for i in range(len(g.elems))]
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(SolverError) as on_groups:
-                solve_dpg(mesh, problem, SpaceLayout(p=2))
-            monkeypatch.setattr(DofMap, "element_groups", single_groups)
-            with pytest.raises(SolverError) as on_elements:
-                solve_dpg(mesh, problem, SpaceLayout(p=2))
+        with pytest.raises(SolverError) as on_groups:
+            solve_dpg(mesh, problem, SpaceLayout(p=2))
+        monkeypatch.setattr(DofMap, "element_groups", single_groups)
+        with pytest.raises(SolverError) as on_elements:
+            solve_dpg(mesh, problem, SpaceLayout(p=2))
         assert str(on_groups.value) == str(on_elements.value) == (
             "non-finite system: " + message)
 
@@ -155,8 +151,7 @@ class TestGroupedAssembly:
         absent = 0
         for g in dofmap.element_groups():
             for i, e in enumerate(g.elems):
-                one = dataclasses.replace(g, elems=g.elems[i:i + 1],
-                                          signs=g.signs[i:i + 1], dofs=g.dofs[i:i + 1])
+                one = dataclasses.replace(g, elems=g.elems[i:i + 1], dofs=g.dofs[i:i + 1])
                 u = np.where(one.dofs >= 0, coeffs[one.dofs], 0.0)
                 want[e] = error_indicator(kernels.local_system(one), u)[0]
                 absent += int(np.count_nonzero(one.dofs < 0))

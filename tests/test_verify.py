@@ -15,7 +15,13 @@ from dpgfem.fespace import (
     tabulate_h1_basis,
 )
 from dpgfem.manufactured import manufactured_case
-from dpgfem.mesh import Rectangle, build_rect_mesh, classify_boundary
+from dpgfem.mesh import (
+    BoundaryPartition,
+    FacetTag,
+    Rectangle,
+    build_rect_mesh,
+    classify_boundary,
+)
 from dpgfem.problems import ConcentrationProblem, PotentialProblem, ProblemValidationError
 from dpgfem.quadrature import gauss_1d, tensor_quad
 from dpgfem.solver import active_facets, dirichlet_field_dofs, solve_dpg
@@ -120,6 +126,31 @@ class TestProjectTrace:
             expected = mesh.facet_normals[f][0]
             assert proj[slot] == pytest.approx(expected, abs=1e-14)
 
+    def test_left_dirichlet_trace_is_the_flux_along_plus_x(self):
+        # a boundary facet's normal points along +x or +y like an interior
+        # one's, out of the domain only on the right and top sides
+        partition = BoundaryPartition(FacetTag.DIRICHLET, FacetTag.NEUMANN,
+                                      FacetTag.ROBIN, FacetTag.ROBIN)
+        mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2), partition)
+        layout = SpaceLayout(p=2)
+        active = active_facets(mesh)
+
+        def normal_flux(x, y, nx, ny):
+            return (1.0 + y) * nx + (2.0 - x) * ny  # sigma = (1 + y, 2 - x)
+
+        proj = project_trace(mesh, layout, active, normal_flux).reshape(-1, 2)
+        slot = {int(f): s for s, f in enumerate(np.sort(active))}
+        line = gauss_1d(4)
+        basis = tabulate_facet_basis(layout.p - 1, line.points)
+        left = mesh.facets_with_tag(FacetTag.DIRICHLET)
+        assert left.size == 2
+        for f in left:
+            ends = mesh.vertices[mesh.facet_verts[f]]
+            assert np.all(ends[:, 0] == 0.0)
+            y = ends[0, 1] + 0.5 * (line.points + 1.0) * (ends[1, 1] - ends[0, 1])
+            # sigma . (+x), affine along the facet, so projected exactly
+            assert np.allclose(basis @ proj[slot[int(f)]], 1.0 + y, rtol=0.0, atol=1e-13)
+
     def test_projection_is_exact_for_trace_space_members(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         layout = SpaceLayout(p=2)
@@ -177,8 +208,10 @@ def _brute_force_dual_norm(mesh, layout, active, trace_coeffs):
             s = slot.get(f)
             if s is None:
                 continue
-            sign = float(mesh.elem_facet_signs[e, k])
             ends = mesh.vertices[mesh.facet_verts[f]]
+            # +1 where the facet's global normal points out of the element
+            center = np.array([ox + 0.5 * dx, oy + 0.5 * dy])
+            sign = float(np.sign(mesh.facet_normals[f] @ (ends.mean(axis=0) - center)))
             L = float(np.linalg.norm(ends[1] - ends[0]))
             t01 = 0.5 * (line.points + 1.0)
             pts = ends[0][None, :] + t01[:, None] * (ends[1] - ends[0])
