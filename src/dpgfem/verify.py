@@ -1,6 +1,6 @@
-"""Verification tools: error norms, trace dual norms, a classical Galerkin
-oracle, convergence studies, and discrete inf-sup constants. The error
-measures use p + delta_p + 2 Gauss points, one more than the DPG kernels."""
+"""Verification: error norms (on p + delta_p + 2 Gauss points, one more
+than the DPG kernels), trace dual norms, a classical Galerkin oracle,
+convergence studies, and inf-sup constants by Lanczos over DPG solves."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import numpy as np
 from dpgfem.dpg import (
     ProblemKernels,
     SolverError,
-    cholesky,
     coefficient_loads,
     condense_local,
     geometry_kernels,
@@ -21,6 +20,7 @@ from dpgfem.manufactured import ManufacturedCase, manufactured_case
 from dpgfem.mesh import Mesh, build_rect_mesh, classify_boundary
 from dpgfem.problems import sample, validate_problem
 from dpgfem.solver import (
+    _row_lookup,
     active_facets,
     condensed_system,
     dirichlet_field_dofs,
@@ -29,7 +29,7 @@ from dpgfem.solver import (
     solve_spd,
 )
 
-INFSUP_DOF_CAP = 600
+INFSUP_STEPS = 1000
 
 
 def _error_kernels(mesh: Mesh, layout: SpaceLayout):
@@ -38,18 +38,13 @@ def _error_kernels(mesh: Mesh, layout: SpaceLayout):
                             layout.default_quad_points + 1)
 
 
-def _field_values(geom, dofmap, coeffs: np.ndarray) -> np.ndarray:
-    """Field values at the volume quadrature points, (n_elems, nq)."""
-    return coeffs[dofmap.elem_field] @ geom.field_val.T
-
-
 def field_l2_error(mesh: Mesh, dofmap, coeffs: np.ndarray,
                    exact) -> tuple[float, float]:
     """(L2 error, L2 norm of exact) for the scalar field."""
     geom = _error_kernels(mesh, dofmap.layout)
     pts = geom.vol_points(mesh.element_origin(np.arange(mesh.n_elems)))
     ex = sample(exact, pts, "exact field")
-    diff = _field_values(geom, dofmap, coeffs) - ex
+    diff = coeffs[dofmap.elem_field] @ geom.field_val.T - ex
     return (float(np.sqrt(np.sum((diff * diff) @ geom.wvol))),
             float(np.sqrt(np.sum((ex * ex) @ geom.wvol))))
 
@@ -172,8 +167,7 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
                                 (np.flatnonzero(rows >= 0), S_shared + robin))
                if elems.size]
     system = condensed_system(dofmap, problem.kind, systems)
-    x, _info = solve_spd(system, tol)
-    return recover_local(system, x)[:dofmap.n_field]
+    return recover_local(system, solve_spd(system, tol)[0])[:dofmap.n_field]
 
 
 @dataclass
@@ -211,11 +205,9 @@ class EocReport:
     rows: list
 
     def _rates(self, getter) -> list:
-        out = [None]
-        for a, b in zip(self.rows, self.rows[1:]):
-            va, vb = getter(a), getter(b)
-            out.append(float(np.log2(va / vb)) if va > 0 and vb > 0 else None)
-        return out[:len(self.rows)]
+        v = [getter(r) for r in self.rows]
+        return [None, *(float(np.log2(a / b)) if a > 0 and b > 0 else None
+                        for a, b in zip(v, v[1:]))][:len(v)]
 
     def eoc_field(self):
         return self._rates(lambda r: r.e_field)
@@ -232,11 +224,9 @@ class EocReport:
     def to_csv_text(self) -> str:
         lines = ["level,n,h,dofs,e_field,e_flux,e_trace,eta,"
                  "eoc_field,eoc_flux,eoc_combined,eoc_eta"]
-        ef, ex, ec, ee = (self.eoc_field(), self.eoc_flux(),
-                          self.eoc_combined(), self.eoc_eta())
-        for i, r in enumerate(self.rows):
-            rates = ",".join("" if v is None else repr(v)
-                             for v in (ef[i], ex[i], ec[i], ee[i]))
+        for r, eocs in zip(self.rows, zip(self.eoc_field(), self.eoc_flux(),
+                                          self.eoc_combined(), self.eoc_eta())):
+            rates = ",".join("" if v is None else repr(v) for v in eocs)
             lines.append(f"{r.level},{r.n},{r.h!r},{r.dofs},{r.e_field!r},"
                          f"{r.e_flux!r},{r.e_trace!r},{r.eta!r},{rates}")
         return "\n".join(lines) + "\n"
@@ -288,56 +278,67 @@ def eoc_study(case, p: int, levels: int, delta_p: int = 1, base_n: int = 8,
     return EocReport(case.name, p, delta_p, rows)
 
 
-def _dense_trial_forms(mesh: Mesh, dofmap, problem):
-    """(trial Gram, DPG matrix) over the full trial space, dense. The DPG
-    matrix sums the `condense_local` blocks of each group before any local
-    elimination or boundary condition; absent trace columns are dropped."""
-    layout = dofmap.layout
-    geom = geometry_kernels(layout, mesh.dx, mesh.dy)
-    n = dofmap.n_total
-    # an absent dof (-1) lands in the last row and column, cut off below
-    M = np.zeros((n + 1, n + 1))
-    A = np.zeros((n + 1, n + 1))
-    kernels = ProblemKernels(geom, problem, mesh)
-    w = geom.wvol[:, None]
-    field_gram = ((geom.field_val * w).T @ geom.field_val
-                  + (geom.field_gx * w).T @ geom.field_gx
-                  + (geom.field_gy * w).T @ geom.field_gy)
-    flux_gram = (geom.flux_val * w).T @ geom.flux_val
-    C = np.hstack(geom.trace_tmpl)
-    trace_gram = C.T @ geom.gram_inv @ C
-    nf, ns = layout.n_field_local, layout.n_flux_scalar
-    for group in dofmap.element_groups():
-        for dofs, block in ((group.dofs[:, :nf], field_gram),
-                            (group.dofs[:, nf:nf + ns], flux_gram),
-                            (group.dofs[:, nf + ns:nf + 2 * ns], flux_gram),
-                            (group.dofs[:, nf + 2 * ns:], trace_gram)):
-            np.add.at(M, (dofs[:, :, None], dofs[:, None, :]), block)
-        S, _ = condense_local(kernels.local_system(group))
-        np.add.at(A, (group.dofs[:, :, None], group.dofs[:, None, :]), S)
-    return M[:n, :n], A[:n, :n]
-
-
 def infsup_constant(mesh: Mesh, problem, layout: SpaceLayout) -> float:
-    """Discrete inf-sup constant: sqrt of the smallest eigenvalue of the
-    DPG matrix against the trial-space Gram, both over the full trial
-    space (no local elimination) restricted to the free dofs."""
+    """`dofmap_infsup_constant` on the DPG trial space of the mesh."""
+    return dofmap_infsup_constant(build_dofmap(mesh, layout, active_facets(mesh)), problem)
+
+
+def dofmap_infsup_constant(dofmap, problem) -> float:
+    """Discrete inf-sup constant sqrt(lambda), lambda the smallest eigenvalue
+    of the pencil of the DPG matrix A and the trial Gram M (H1 field, L2
+    flux, trace dual norm C^T G^-1 C) over the free trial dofs. Lanczos on
+    A^-1 M in the M inner product (Saad 2011), from a fixed start and
+    without reorthogonalization, finds 1/lambda; A^-1 is a DPG run's solve
+    with the element rows of M v as loads. It stops at a Ritz residual of
+    1e-8 times the value; SolverError after INFSUP_STEPS steps."""
+    mesh, geom = dofmap.mesh, geometry_kernels(dofmap.layout, dofmap.mesh.dx, dofmap.mesh.dy)
     validate_problem(problem, mesh)
-    dofmap = build_dofmap(mesh, layout, active_facets(mesh))
-    if dofmap.n_total > INFSUP_DOF_CAP:
-        raise ValueError(f"size cap exceeded: {dofmap.n_total} trial dofs "
-                         f"(limit {INFSUP_DOF_CAP}) for the dense eigensolve")
-    M, A = _dense_trial_forms(mesh, dofmap, problem)
-    free = np.setdiff1d(np.arange(dofmap.n_total),
-                        dirichlet_field_dofs(mesh, dofmap))
-    A = A[np.ix_(free, free)]
-    if not np.isfinite(A).all():
+    kernels, groups = ProblemKernels(geom, problem, mesh), dofmap.element_groups()
+    S = [condense_local(kernels.local_system(group))[0] for group in groups]
+    if not all(np.isfinite(s).all() for s in S):
         raise SolverError("non-finite DPG matrix in the inf-sup eigensolve")
-    # the pencil (A, M) reduced by M = L L^T to L^-1 A L^-T
-    L = cholesky(M[np.ix_(free, free)], "trial Gram of the inf-sup eigensolve")
-    C = np.linalg.solve(L, np.linalg.solve(L, A).T)
-    try:
-        vals = np.linalg.eigvalsh(0.5 * (C + C.T))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"inf-sup eigensolve: {exc}") from None
-    return float(np.sqrt(max(vals[0], 0.0)))
+    free = np.setdiff1d(np.arange(dofmap.n_total), dirichlet_field_dofs(mesh, dofmap))
+    # each element's rows, group by group; an absent or Dirichlet dof has none
+    rows = _row_lookup(free, dofmap.n_total)[np.vstack([g.dofs for g in groups])]
+    ends = np.cumsum([0] + [g.elems.size for g in groups])
+    wq, C = geom.wvol[:, None], np.hstack(geom.trace_tmpl)
+    blocks = [sum((f * wq).T @ f for f in (geom.field_val, geom.field_gx, geom.field_gy)),
+              *[(geom.flux_val * wq).T @ geom.flux_val] * 2, C.T @ geom.gram_inv @ C]
+    at = np.cumsum([0] + [len(block) for block in blocks])
+    gram = sum(np.pad(block, (lo, at[-1] - hi)) for block, lo, hi in zip(blocks, at, at[1:]))
+
+    def loads(v):                       # the element rows of M v
+        return np.append(v, 0.0)[rows] @ gram
+
+    def dot(u, loads_v):                # u^T M v; an overflow is a SolverError
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(np.sum(np.append(u, 0.0)[rows] * loads_v))
+        if not np.isfinite(value):
+            raise SolverError("non-finite M inner product in the inf-sup eigensolve")
+        return value
+
+    def solve(loads_v):                 # A^-1 M v
+        system = condensed_system(dofmap, problem.kind, [
+            (g.elems, g.dofs, s, loads_v[lo:hi])
+            for g, s, lo, hi in zip(groups, S, ends, ends[1:])])
+        return recover_local(system, solve_spd(system)[0])[free]
+
+    q = np.random.default_rng(0).standard_normal(free.size)
+    q /= dot(q, loads(q)) ** 0.5
+    q_prev, Mq, b, diag, off = 0.0 * q, loads(q), 0.0, [], []
+    for k in range(1, INFSUP_STEPS + 1):
+        w = solve(Mq)
+        diag.append(dot(w, Mq))
+        w -= diag[-1] * q + b * q_prev
+        Mw = loads(w)
+        b = max(dot(w, Mw), 0.0) ** 0.5
+        off.append(b)
+        # the k x k eigenproblem costs k^3: solved every k/16 steps, at most 16 apart
+        if k % max(1, k // 16) == 0 or b == 0.0:
+            T = np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
+            mu, vecs = np.linalg.eigh(T)
+            if b * abs(vecs[-1, -1]) <= 1e-8 * mu[-1]:
+                return float(np.sqrt(1.0 / mu[-1]))
+        q_prev, q, Mq = q, w / b, Mw / b
+    raise SolverError("not SPD / no convergence: the inf-sup eigen-iteration did not "
+                      f"converge in {INFSUP_STEPS} Lanczos steps")

@@ -320,13 +320,12 @@ class TestInfsupCommand:
         assert csv_lines[0] == "level,n,dofs,alpha,ratio"
         assert len(csv_lines) == 3
 
-    @pytest.mark.parametrize("coefficients", [{"D": 1e150, "dt": 1e150},
-                                              {"D": 1e-300, "dt": 1e-10}])
-    def test_zero_constant_has_no_ratio(self, tmp_path, capsys, coefficients):
-        # alpha is 0.0 on both levels: the ratio is null, as an EOC over a
-        # zero error is
+    def test_zero_constant_has_no_ratio(self, tmp_path, capsys, monkeypatch):
+        # a ratio over alpha = 0 is null, as an EOC over a zero error is
+        monkeypatch.setattr("dpgfem.cli.dofmap_infsup_constant",
+                            lambda dofmap, problem: 0.0)
         cfg = write_config(tmp_path, {"problem": "concentration",
-                                      "coefficients": coefficients,
+                                      "coefficients": {"D": 0.5, "dt": 0.5},
                                       "levels": 2, "base_n": 1})
         outdir = tmp_path / "out"
         code, out = run_cli(capsys, ["infsup", "--config", cfg,
@@ -336,6 +335,45 @@ class TestInfsupCommand:
         assert [lvl["alpha"] for lvl in report["levels"]] == [0.0, 0.0]
         assert report["ratios"] == [None]
         assert (outdir / "infsup.csv").read_text().split("\n")[2].endswith(",0.0,")
+
+    def test_extreme_concentration_data(self, tmp_path, capsys):
+        # dt * D = 1e300 and 1e-310: the constants are rounding, not analysis
+        # (the dense pencil of the first reads lambda_min = -2.8e281)
+        outcomes = []
+        for coefficients in ({"D": 1e150, "dt": 1e150}, {"D": 1e-300, "dt": 1e-10}):
+            cfg = write_config(tmp_path, {"problem": "concentration",
+                                          "coefficients": coefficients,
+                                          "levels": 2, "base_n": 1})
+            code, out = run_cli(capsys, ["infsup", "--config", cfg,
+                                         "--outdir", str(tmp_path / "out")])
+            outcomes.append((code, json.loads(out, parse_constant=_reject_constant)))
+        (code, report), (code_tiny, error) = outcomes
+        assert code == 0
+        assert [lvl["alpha"] for lvl in report["levels"]] == pytest.approx(
+            [0.8244136, 0.8244136], rel=1e-6)
+        assert code_tiny == 1
+        assert error["error"]["code"] == "solver"
+        assert error["error"]["message"].startswith("not SPD / no convergence")
+
+    def test_criterion_4_potential_at_p2(self, tmp_path, capsys):
+        # 8^2, 16^2, 32^2, far beyond the dense eigensolve's reach; a rerun
+        # writes the same bytes
+        cfg = write_config(tmp_path, {"problem": "potential",
+                                      "discretization": {"p": 2},
+                                      "levels": 3, "base_n": 8})
+        written = []
+        for run in ("first", "second"):
+            outdir = tmp_path / run
+            code, out = run_cli(capsys, ["infsup", "--config", cfg,
+                                         "--outdir", str(outdir)])
+            assert code == 0
+            written.append([(outdir / name).read_bytes()
+                            for name in ("report.json", "infsup.csv")])
+        assert written[0] == written[1]
+        report = json.loads(out)
+        assert [lvl["n"] for lvl in report["levels"]] == [8, 16, 32]
+        assert [lvl["alpha"] for lvl in report["levels"]] == pytest.approx(
+            [0.41139, 0.30678, 0.22355], abs=5e-5)
 
     @pytest.mark.parametrize("coefficients", [{"kappa": 1e-300}, {"beta": 1e300}])
     def test_numerical_breakdown_is_solver_error(self, tmp_path, capsys,
@@ -349,22 +387,6 @@ class TestInfsupCommand:
         assert code == 1
         assert json.loads(out)["error"] == {
             "code": "solver", "message": "non-finite DPG matrix in the inf-sup eigensolve"}
-
-    def test_size_cap_reported_as_config_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {
-            "problem": "concentration",
-            "coefficients": {"D": 0.5, "dt": 0.5},
-            "discretization": {"p": 2},
-            "levels": 4,
-            "base_n": 4,
-        })
-        code, out = run_cli(capsys, ["infsup", "--config", cfg,
-                                     "--outdir", str(tmp_path / "out")])
-        assert code == 1
-        err = json.loads(out)["error"]
-        assert err["code"] == "config"
-        assert "size cap" in err["message"]
-
 
     @pytest.mark.parametrize("problem, coefficients, text", [
         ("potential", {"kappa": 0.0}, "kappa must be positive"),
@@ -406,6 +428,25 @@ class TestInfsupCommand:
 
 
 class TestErrorHandling:
+    @pytest.mark.parametrize("command, cfg", [
+        ("solve", {"manufactured": "pot-trig", "mesh": {"nx": 1000, "ny": 1000}}),
+        ("convergence", {"manufactured": "pot-trig", "levels": 9, "base_n": 8}),
+        ("infsup", {"problem": "potential", "discretization": {"p": 2},
+                    "levels": 8, "base_n": 8}),
+    ], ids=["solve", "convergence", "infsup"])
+    def test_size_limit_is_config_error_before_any_allocation(
+            self, tmp_path, capsys, monkeypatch, command, cfg):
+        for name in ("build_rect_mesh", "solve_dpg", "eoc_study",
+                     "dofmap_infsup_constant"):
+            monkeypatch.setattr(f"dpgfem.cli.{name}", None)     # a call would fail
+        code, out = run_cli(capsys, [command, "--config", write_config(tmp_path, cfg),
+                                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "config"
+        assert err["message"].startswith("problem too large: about ")
+        assert err["message"].endswith("(limit 2,000,000)")
+
     def test_no_arguments_is_usage_error(self, capsys):
         code, out = run_cli(capsys, [])
         assert code == 2

@@ -6,12 +6,13 @@ byte-identical `report.json`. `solve` meshes run from 1 x 1 to 20 x 20 at
 p = 1..3, odd and even, so potential systems cross DENSE_LIMIT into the
 multigrid path, including hierarchies whose coarsest level is smoothed
 only. `infsup` runs 1 or 2 levels from a 1 x 1 or 2 x 2 mesh at p = 1, 2,
-within INFSUP_DOF_CAP. Coefficients are numbers or strings of the README
-grammar, some of which divide by zero or overflow. An optional `boundary`
-map tags any of the four sides Dirichlet, Neumann or Robin, so partitions
-invalid for the problem kind are drawn too. Some of the configs then
-give one key, at the top level or in a block, a value of a wrong JSON type:
-a list, an object, null, a boolean, NaN, +-Infinity or a numeric string.
+where its Lanczos iteration ends in a few steps. Coefficients are numbers
+or strings of the README grammar, some of which divide by zero or
+overflow. An optional `boundary` map tags any of the four sides Dirichlet,
+Neumann or Robin, so partitions invalid for the problem kind are drawn
+too. Some of the configs then give one key, at the top level or in a
+block, a value of a wrong JSON type: a list, an object, null, a boolean,
+NaN, +-Infinity or a numeric string.
 """
 
 import contextlib
@@ -125,7 +126,7 @@ def _potential(nx, ny, p, **coefficients):
 @example(("infsup", {"problem": "potential", "coefficients": {"kappa": -1.0},
                      "boundary": {"bottom": "neumann", "top": "neumann"},
                      "levels": 1, "base_n": 2}))
-# alpha = 0 on both levels, so the ratio is null; an integer no float holds
+# dt * D = 1e300, where alpha is rounding; an integer no float holds
 @example(("infsup", {"problem": "concentration", "coefficients": {"D": 1e150, "dt": 1e150},
                      "levels": 2, "base_n": 1}))
 @example(("solve", {"problem": "potential", "mesh": {"nx": 10 ** 400, "ny": 2}}))

@@ -43,7 +43,11 @@ CONFIGS = {
                     {"manufactured": "pot-trig", "discretization": {"p": 3},
                      "levels": 2, "base_n": 8, "with_oracle": True}],
     "infsup": [{"problem": "concentration", "coefficients": {"D": 0.5, "dt": 0.5},
-                "discretization": {"p": 1}, "levels": 2, "base_n": 1}],
+                "discretization": {"p": 1}, "levels": 2, "base_n": 1},
+               # Lanczos on 16^2, p = 2: each solve a V-cycle down to a factored 8^2
+               # level (1792 rows)
+               {"problem": "potential", "discretization": {"p": 2},
+                "levels": 1, "base_n": 16}],
     "bv": [{"bv": {"k_bv": 2.0, "F": 3.0, "R_gas": 2.0, "T": 6.0, "c_smax": 5.0,
                    "c_e": 4.0, "c_s": 1.0, "phi_e": 0.5, "phi_open": 0.25}}],
 }

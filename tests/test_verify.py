@@ -6,7 +6,13 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from dpgfem.dpg import coefficient_loads, geometry_kernels
+from dpgfem.dpg import (
+    ProblemKernels,
+    SolverError,
+    coefficient_loads,
+    condense_local,
+    geometry_kernels,
+)
 from dpgfem.fespace import (
     DofMap,
     SpaceLayout,
@@ -27,7 +33,6 @@ from dpgfem.quadrature import gauss_1d, tensor_quad
 from dpgfem.solver import active_facets, dirichlet_field_dofs, solve_dpg
 import dpgfem.verify as verify_mod
 from dpgfem.verify import (
-    INFSUP_DOF_CAP,
     EocReport,
     case_mesh,
     classical_galerkin_solve,
@@ -44,12 +49,43 @@ UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 RNG = np.random.default_rng(31415)
 
 
+def dense_trial_forms(mesh, dofmap, problem):
+    """(trial Gram, DPG matrix) over the full trial space, dense: the
+    reference of the inf-sup constants. The DPG matrix sums the
+    `condense_local` blocks of each group before any local elimination or
+    boundary condition; absent trace columns are dropped."""
+    layout = dofmap.layout
+    geom = geometry_kernels(layout, mesh.dx, mesh.dy)
+    n = dofmap.n_total
+    # an absent dof (-1) lands in the last row and column, cut off below
+    M = np.zeros((n + 1, n + 1))
+    A = np.zeros((n + 1, n + 1))
+    kernels = ProblemKernels(geom, problem, mesh)
+    w = geom.wvol[:, None]
+    field_gram = ((geom.field_val * w).T @ geom.field_val
+                  + (geom.field_gx * w).T @ geom.field_gx
+                  + (geom.field_gy * w).T @ geom.field_gy)
+    flux_gram = (geom.flux_val * w).T @ geom.flux_val
+    C = np.hstack(geom.trace_tmpl)
+    trace_gram = C.T @ geom.gram_inv @ C
+    nf, ns = layout.n_field_local, layout.n_flux_scalar
+    for group in dofmap.element_groups():
+        for dofs, block in ((group.dofs[:, :nf], field_gram),
+                            (group.dofs[:, nf:nf + ns], flux_gram),
+                            (group.dofs[:, nf + ns:nf + 2 * ns], flux_gram),
+                            (group.dofs[:, nf + 2 * ns:], trace_gram)):
+            np.add.at(M, (dofs[:, :, None], dofs[:, None, :]), block)
+        S, _ = condense_local(kernels.local_system(group))
+        np.add.at(A, (group.dofs[:, :, None], group.dofs[:, None, :]), S)
+    return M[:n, :n], A[:n, :n]
+
+
 def trial_gram_dense(mesh, dofmap) -> np.ndarray:
     """Dense trial-space Gram: H1 for the field, L2 for the flux, and the
     skeleton dual norm for the traces, as the inf-sup constants use it;
     it does not depend on the problem passed along."""
     problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
-    return verify_mod._dense_trial_forms(mesh, dofmap, problem)[0]
+    return dense_trial_forms(mesh, dofmap, problem)[0]
 
 
 def _interior_dofmap(mesh, layout):
@@ -509,29 +545,32 @@ class TestInfsup:
             assert fine >= 0.8 * coarse
 
     @pytest.mark.parametrize("name, n, p", [("conc-trig", 1, 1), ("conc-trig", 4, 1),
-                                            ("pot-trig", 2, 2), ("pot-poly2", 3, 1)])
+                                            ("pot-trig", 2, 2), ("pot-poly2", 3, 1),
+                                            ("pot-trig", 8, 1), ("pot-trig", 8, 2),
+                                            ("conc-trig", 8, 1), ("conc-trig", 8, 2)])
     def test_matches_the_generalized_eigensolver(self, name, n, p):
-        # scipy is the test oracle: eigh on the pencil, no Cholesky reduction
+        # scipy is the test oracle: eigh on the dense pencil
         import scipy.linalg
 
         case = manufactured_case(name)
         mesh = case_mesh(case, n)
         layout = SpaceLayout(p=p)
         dofmap = build_dofmap(mesh, layout, active_facets(mesh))
-        M, A = verify_mod._dense_trial_forms(mesh, dofmap, case.problem)
+        M, A = dense_trial_forms(mesh, dofmap, case.problem)
         free = np.setdiff1d(np.arange(dofmap.n_total),
-                            verify_mod.dirichlet_field_dofs(mesh, dofmap))
+                            dirichlet_field_dofs(mesh, dofmap))
         A = A[np.ix_(free, free)]
         want = np.sqrt(scipy.linalg.eigh(0.5 * (A + A.T), M[np.ix_(free, free)],
                                          eigvals_only=True)[0])
         got = infsup_constant(mesh, case.problem, layout)
         assert abs(got - want) <= 1e-10 * want
 
-    def test_size_cap(self):
-        mesh = build_rect_mesh(UNIT, 8, 8)
-        problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
-        with pytest.raises(ValueError, match="size cap exceeded"):
-            infsup_constant(mesh, problem, SpaceLayout(p=2))
+    def test_unconverged_iteration_is_solver_error(self, monkeypatch):
+        # the clustered concentration pencil needs 157 steps at 16^2, p = 1
+        case = manufactured_case("conc-trig")
+        monkeypatch.setattr(verify_mod, "INFSUP_STEPS", 40)
+        with pytest.raises(SolverError, match="did not converge in 40 Lanczos steps"):
+            infsup_constant(case_mesh(case, 16), case.problem, SpaceLayout(p=1))
 
     def test_trial_gram_is_spd(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
@@ -540,6 +579,3 @@ class TestInfsup:
         assert M.shape == (dofmap.n_total, dofmap.n_total)
         assert np.allclose(M, M.T, atol=1e-12)
         assert np.linalg.eigvalsh(M)[0] > 0.0
-
-    def test_dof_cap_constant(self):
-        assert INFSUP_DOF_CAP == 600
