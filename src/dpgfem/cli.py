@@ -199,6 +199,10 @@ def problem_from_config(cfg: dict, mesh: dict):
     read mesh block, whose domain a manufactured case overrides."""
     name = cfg.get("manufactured")
     if name is not None:
+        given = sorted({"problem", "coefficients", "boundary"} & set(cfg))
+        if given:
+            raise CliError("config", "'manufactured' sets the problem, its coefficients and "
+                           "its boundary; remove key(s): " + ", ".join(map(repr, given)))
         case = manufactured_case(name)
         return case, case.problem, case.domain, case.partition
     kind = cfg.get("problem")

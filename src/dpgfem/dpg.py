@@ -30,13 +30,14 @@ which read 0.
 
 Groups. Elements of a uniform mesh are congruent and see the same trace
 signs, so the element system depends only on Robin beta and on the
-loads. An ElementGroup holds the elements without a Robin edge, or every
-element with a Robin edge, with B stacked per element; the kernels
-build, condense and evaluate one group at a time, with the Gram, A_fosls
-and (outside the Robin stack) B shared by its elements. The coefficients
-are sampled and integrated once per mesh, and each group slices the
-loads and Robin terms of its elements. A concentration mesh is one
-group; pot-trig (Dirichlet left, Robin bottom and top) 2.
+loads. `element_groups` splits the elements into those without a Robin
+edge and every element with a Robin edge, whose B is stacked per
+element; the kernels build, condense and evaluate one group at a time,
+with the Gram, A_fosls and (outside the Robin stack) B shared by its
+elements, and `DofMap.elem_dofs` gives each element's global dofs. The
+coefficients are sampled and integrated once per mesh, and each group
+slices the loads and Robin terms of its elements. A concentration mesh
+is one group; pot-trig (Dirichlet left, Robin bottom and top) 2.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from functools import lru_cache
 import numpy as np
 
 from dpgfem.fespace import (
-    ElementGroup,
     SpaceLayout,
     tabulate_facet_basis,
     tabulate_h1_basis,
@@ -68,8 +68,8 @@ _EDGE_REF = (
 
 @dataclass
 class LocalSystem:
-    """Element matrices of the condensed DPG scheme for one ElementGroup,
-    over n_trial = n_field + n_flux + 4 p columns.
+    """Element matrices of the condensed DPG scheme for one group of
+    `element_groups`, over n_trial = n_field + n_flux + 4 p columns.
 
     The n elements of a group share every matrix except where the
     coefficients enter: loads always, and B in the Robin stack, where beta
@@ -183,7 +183,7 @@ class ProblemKernels:
     """Adds the coefficient-dependent templates for one problem on one
     mesh, with its loads and Robin term integrated once per mesh
     (`coefficient_loads` against the enriched basis); `local_system`
-    slices them by the group's elements.
+    slices them by one of its `groups`, the `element_groups` of its rows.
 
     eps weights the test-norm seminorm and the least-squares block (see
     the module docstring); gram/gram_inv are the problem's test norm.
@@ -239,11 +239,12 @@ class ProblemKernels:
         self.coupling = B
         self.load, (self.robin_rows, self.robin), self.source = \
             coefficient_loads(mesh, problem, geom, geom.enr_val, geom.enr_edge)
+        self.groups = element_groups(self.robin_rows)
 
-    def local_system(self, group: ElementGroup) -> LocalSystem:
-        """Build B, l, A_fosls, f_fosls for the elements of one group."""
-        n = group.elems.shape[0]
-        rows = self.robin_rows[group.elems]
+    def local_system(self, elems: np.ndarray) -> LocalSystem:
+        """Build B, l, A_fosls, f_fosls for the elements elems of one group."""
+        n = elems.shape[0]
+        rows = self.robin_rows[elems]
         B = self.coupling
         if rows[0] >= 0:                # the Robin stack: one B per element
             B = np.repeat(B[None], n, axis=0)
@@ -251,7 +252,7 @@ class ProblemKernels:
         f = np.zeros((n, self.lsq_tmpl.shape[0]))
         shift = None
         if self.source is not None:
-            sx, sy = (s[group.elems] for s in self.source)
+            sx, sy = (s[elems] for s in self.source)
             if np.any(sx) or np.any(sy):
                 rw = self.res_weights
                 # a huge source over a tiny coefficient leaves inf and NaN
@@ -261,7 +262,7 @@ class ProblemKernels:
                                                          + (rw * sy) @ self.res_y)
                     shift = self.coef_inv * np.stack([sx, sy], axis=-1)
 
-        return LocalSystem(self.gram_inv, B, self.load[group.elems],
+        return LocalSystem(self.gram_inv, B, self.load[elems],
                            self.lsq_tmpl, f, self.res_x, self.res_y, self.res_weights, shift)
 
 
@@ -324,6 +325,13 @@ def coefficient_loads(mesh: Mesh, problem, geom: GeometryKernels,
             "beta not positive on Gamma_R at the assembly's quadrature "
             f"points (min sampled value {min(b.min() for b in betas):g})"])
     return load, (rows, term), source
+
+
+def element_groups(robin_rows: np.ndarray) -> list:
+    """The elements without a Robin edge (robin_rows -1, `coefficient_loads`),
+    then those with one, each ascending and only when there are any."""
+    return [elems for elems in (np.flatnonzero(robin_rows < 0), np.flatnonzero(robin_rows >= 0))
+            if elems.size]
 
 
 @lru_cache(maxsize=32)

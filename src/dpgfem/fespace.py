@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from dpgfem.mesh import OUTWARD, FacetTag
+from dpgfem.mesh import OUTWARD
 
 MAX_DEGREE = 10
 
@@ -160,33 +160,17 @@ class SpaceLayout:
         return self.p + self.delta_p + 1
 
 
-@dataclass(frozen=True, eq=False)
-class ElementGroup:
-    """Elements whose element systems are built together: those without a
-    Robin edge, or all the elements with a Robin edge, as one stack.
-
-    Every element has the same local trial layout: field, flux, then p
-    trace columns on each of the four local edges, each edge's columns
-    with the sign `mesh.OUTWARD` gives it on every element. An edge
-    without traces keeps its columns, with absent dofs (-1).
-
-    elems: ascending element ids, shape (n,).
-    dofs: (n, n_field + n_flux + 4 p) global dofs, -1 where absent.
-
-    A DofMap hands the same groups to every caller, so the arrays are
-    read-only.
-    """
-
-    elems: np.ndarray
-    dofs: np.ndarray
-
-
 class DofMap:
     """Global numbering: field block, then flux block, then trace block.
 
     Field dofs live on the (nx*p+1) x (ny*p+1) lattice; flux dofs are
     element-local (2 p^2 per element); trace dofs take p slots per active
     facet, ordered by ascending facet id.
+
+    elem_dofs (n_elems x n_field + n_flux + 4 p, read-only) is every
+    element's global dofs in the local trial order: field, flux, then p
+    trace dofs per local edge, -1 on an edge without traces; elem_field is
+    its field block.
     """
 
     def __init__(self, mesh, layout: SpaceLayout, active_facets: np.ndarray):
@@ -210,23 +194,18 @@ class DofMap:
         e = np.arange(mesh.n_elems)
         corner = (e // mesh.nx) * p * nxp + (e % mesh.nx) * p
         block = np.arange(p + 1)[:, None] * nxp + np.arange(p + 1)
-        self.elem_field = corner[:, None] + block.ravel()
-        self._groups = None
+        n_flux = layout.n_flux_local
+        slots = self.facet_slot[mesh.elem_facets][:, :, None]
+        trace = np.where(slots >= 0, self.trace_offset + slots * p + np.arange(p), -1)
+        self.elem_dofs = np.hstack([corner[:, None] + block.ravel(),
+                                    self.n_field + e[:, None] * n_flux + np.arange(n_flux),
+                                    trace.reshape(mesh.n_elems, -1)])
+        self.elem_dofs.setflags(write=False)
+        self.elem_field = self.elem_dofs[:, :layout.n_field_local]
 
     def field_lattice_shape(self) -> tuple[int, int]:
         p = self.layout.p
         return (self.mesh.nx * p + 1, self.mesh.ny * p + 1)
-
-    def elem_flux_dofs(self, e: int) -> np.ndarray:
-        n = self.layout.n_flux_local
-        return self.n_field + e * n + np.arange(n)
-
-    def facet_trace_dofs(self, f: int) -> np.ndarray:
-        s = self.facet_slot[f]
-        if s < 0:
-            raise ValueError(f"facet {f} carries no trace dofs")
-        p = self.layout.p
-        return self.trace_offset + s * p + np.arange(p)
 
     def element_active_edges(self, e: int):
         """(local edge, facet id, sign) for each active facet of element e;
@@ -239,40 +218,8 @@ class DofMap:
         return out
 
     def element_dofs(self, e: int) -> np.ndarray:
-        """Global dofs: field, flux, traces of the active edges by local edge."""
-        parts = [self.elem_field[e], self.elem_flux_dofs(e)]
-        for _, f, _ in self.element_active_edges(e):
-            parts.append(self.facet_trace_dofs(f))
-        return np.concatenate(parts)
-
-    def element_groups(self) -> list:
-        """Partition of the elements into ElementGroups: those without a
-        Robin edge, then those with one, omitting an empty group. The
-        partition is built on the first call; later calls return the same
-        groups.
-        """
-        if self._groups is None:
-            self._groups = self._partition()
-        return list(self._groups)
-
-    def _partition(self) -> list:
-        mesh, p = self.mesh, self.layout.p
-        slots = self.facet_slot[mesh.elem_facets]
-        robin = np.any(mesh.facet_tags[mesh.elem_facets] == FacetTag.ROBIN, axis=1)
-        n_flux = self.layout.n_flux_local
-        trace = np.where(slots[:, :, None] >= 0, self.trace_offset + slots[:, :, None] * p
-                         + np.arange(p), -1).reshape(mesh.n_elems, -1)
-        groups = []
-        for elems in (np.flatnonzero(~robin), np.flatnonzero(robin)):
-            if not elems.size:
-                continue
-            dofs = np.hstack([self.elem_field[elems],
-                              self.n_field + elems[:, None] * n_flux + np.arange(n_flux),
-                              trace[elems]])
-            for a in (elems, dofs):
-                a.setflags(write=False)
-            groups.append(ElementGroup(elems, dofs))
-        return groups
+        """Row e of elem_dofs."""
+        return self.elem_dofs[e]
 
 
 def build_dofmap(mesh, layout: SpaceLayout, active_facets: np.ndarray) -> DofMap:

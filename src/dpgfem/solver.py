@@ -429,12 +429,12 @@ def _condense_group(S: np.ndarray, r: np.ndarray, L: np.ndarray, G: np.ndarray):
 
 def condensed_system(dofmap: DofMap, kind: str, systems) -> GlobalSystem:
     """The skeleton system of a problem of `kind` from element systems
-    (elems, trial dofs, S, r) like an ElementGroup's, S shared by the
-    elements or stacked: each one's local columns eliminated by
-    `_condense_group`. The field dofs on the mesh's Dirichlet facets (none
-    on a concentration mesh) and absent trial dofs (-1) have no row, and
-    their loads are dropped. The fine grid's slots are the columns G, its
-    classes each shared S and each element of a stacked one."""
+    (elems, their rows of `DofMap.elem_dofs` or its field block, S, r), S
+    shared by the elements or stacked: each one's local columns eliminated
+    by `_condense_group`. The field dofs on the mesh's Dirichlet facets
+    (none on a concentration mesh) and absent trial dofs (-1) have no row,
+    and their loads are dropped. The fine grid's slots are the columns G,
+    its classes each shared S and each element of a stacked one."""
     n, p = dofmap.mesh.n_elems, dofmap.layout.p
     bad, mats, Xs, grid = [], [], [], None
     for elems, trial, S, r in systems:
@@ -465,8 +465,8 @@ def assemble(mesh: Mesh, dofmap: DofMap, problem) -> GlobalSystem:
     kernels = ProblemKernels(geometry_kernels(dofmap.layout, mesh.dx, mesh.dy),
                              problem, mesh)
     return condensed_system(dofmap, problem.kind, (
-        (group.elems, group.dofs, *condense_local(kernels.local_system(group)))
-        for group in dofmap.element_groups()))
+        (elems, dofmap.elem_dofs[elems], *condense_local(kernels.local_system(elems)))
+        for elems in kernels.groups))
 
 
 def recover_local(system: GlobalSystem, x: np.ndarray) -> np.ndarray:
@@ -535,15 +535,13 @@ def _slot_sites(p: int, traces: bool) -> np.ndarray:
 
 
 def _grid(dofmap: DofMap, rows: np.ndarray, sites: np.ndarray) -> _Grid:
-    p, mesh = dofmap.layout.p, dofmap.mesh
-    u, v, mode = sites.T
-    t = mode >= 0
-    full = np.empty((mesh.n_elems, len(sites)), dtype=np.int64)
-    full[:, ~t] = dofmap.elem_field[:, v[~t] // 2 * (p + 1) + u[~t] // 2]
+    layout, (u, v, mode) = dofmap.layout, sites.T
+    p = layout.p
     edge = (u == 2 * p) + 2 * (v == 0) + 3 * (v == 2 * p)    # left, right, ...
-    slot = dofmap.facet_slot[mesh.elem_facets[:, edge[t]]]
-    full[:, t] = np.where(slot >= 0, dofmap.trace_offset + slot * p + mode[t], -1)
-    return _Grid(dofmap, rows, sites, _row_lookup(rows, dofmap.n_total)[full],
+    # each site's column of elem_dofs: a lattice node, or a trace mode of an edge
+    cols = np.where(mode < 0, v // 2 * (p + 1) + u // 2,
+                    layout.n_field_local + layout.n_flux_local + edge * p + mode)
+    return _Grid(dofmap, rows, sites, _row_lookup(rows, dofmap.n_total)[dofmap.elem_dofs[:, cols]],
                  _block_layout(p, tuple(map(tuple, sites.tolist()))))
 
 
@@ -807,10 +805,9 @@ def compute_indicators(mesh: Mesh, dofmap: DofMap, problem,
     # squared residuals of data beyond about 1e154 overflow; the error
     # below reports them, and numpy stays quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        for group in dofmap.element_groups():
-            u = coeffs[group.dofs]
-            u[group.dofs < 0] = 0.0             # an absent dof reads 0
-            out[group.elems] = error_indicator(kernels.local_system(group), u)
+        u = np.append(coeffs, 0.0)[dofmap.elem_dofs]    # an absent dof reads 0
+        for elems in kernels.groups:
+            out[elems] = error_indicator(kernels.local_system(elems), u[elems])
         total = out.sum()
     if not np.isfinite(total):
         raise SolverError("non-finite error indicators: the squared residuals "

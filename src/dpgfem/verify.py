@@ -13,6 +13,7 @@ from dpgfem.dpg import (
     SolverError,
     coefficient_loads,
     condense_local,
+    element_groups,
     geometry_kernels,
 )
 from dpgfem.fespace import SpaceLayout, build_dofmap
@@ -143,9 +144,10 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
     -(S, grad zeta) - <I, zeta>_N - <R, zeta>_R with phi = 0 on the
     Dirichlet part. An independent discretization used as an oracle; it
     shares with DPG only `coefficient_loads`, called once here against the
-    field basis, and `condensed_system`, which eliminates the interior
-    lattice nodes of each element: at once for all elements without a
-    Robin edge, which share one matrix, and for the stack of the others.
+    field basis, its `element_groups`, and `condensed_system`, which
+    eliminates the interior lattice nodes of each element: at once for all
+    elements without a Robin edge, which share one matrix, and for the
+    stack of the others.
     Returns the field coefficients.
     """
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
@@ -162,10 +164,9 @@ def classical_galerkin_solve(mesh: Mesh, problem, layout: SpaceLayout,
     load, (rows, robin), _ = coefficient_loads(
         mesh, problem, geom, geom.field_val, geom.field_edge,
         (geom.field_gx, geom.field_gy))
-    systems = [(elems, dofmap.elem_field[elems], S, load[elems])
-               for elems, S in ((np.flatnonzero(rows < 0), S_shared),
-                                (np.flatnonzero(rows >= 0), S_shared + robin))
-               if elems.size]
+    systems = [(elems, dofmap.elem_field[elems],
+                S_shared if rows[elems[0]] < 0 else S_shared + robin[rows[elems]], load[elems])
+               for elems in element_groups(rows)]
     system = condensed_system(dofmap, problem.kind, systems)
     return recover_local(system, solve_spd(system, tol)[0])[:dofmap.n_field]
 
@@ -293,14 +294,14 @@ def dofmap_infsup_constant(dofmap, problem) -> float:
     1e-8 times the value; SolverError after INFSUP_STEPS steps."""
     mesh, geom = dofmap.mesh, geometry_kernels(dofmap.layout, dofmap.mesh.dx, dofmap.mesh.dy)
     validate_problem(problem, mesh)
-    kernels, groups = ProblemKernels(geom, problem, mesh), dofmap.element_groups()
-    S = [condense_local(kernels.local_system(group))[0] for group in groups]
+    kernels = ProblemKernels(geom, problem, mesh)
+    S = [condense_local(kernels.local_system(elems))[0] for elems in kernels.groups]
     if not all(np.isfinite(s).all() for s in S):
         raise SolverError("non-finite DPG matrix in the inf-sup eigensolve")
     free = np.setdiff1d(np.arange(dofmap.n_total), dirichlet_field_dofs(mesh, dofmap))
     # each element's rows, group by group; an absent or Dirichlet dof has none
-    rows = _row_lookup(free, dofmap.n_total)[np.vstack([g.dofs for g in groups])]
-    ends = np.cumsum([0] + [g.elems.size for g in groups])
+    rows = _row_lookup(free, dofmap.n_total)[dofmap.elem_dofs[np.concatenate(kernels.groups)]]
+    ends = np.cumsum([0] + [elems.size for elems in kernels.groups])
     wq, C = geom.wvol[:, None], np.hstack(geom.trace_tmpl)
     blocks = [sum((f * wq).T @ f for f in (geom.field_val, geom.field_gx, geom.field_gy)),
               *[(geom.flux_val * wq).T @ geom.flux_val] * 2, C.T @ geom.gram_inv @ C]
@@ -319,8 +320,8 @@ def dofmap_infsup_constant(dofmap, problem) -> float:
 
     def solve(loads_v):                 # A^-1 M v
         system = condensed_system(dofmap, problem.kind, [
-            (g.elems, g.dofs, s, loads_v[lo:hi])
-            for g, s, lo, hi in zip(groups, S, ends, ends[1:])])
+            (elems, dofmap.elem_dofs[elems], s, loads_v[lo:hi])
+            for elems, s, lo, hi in zip(kernels.groups, S, ends, ends[1:])])
         return recover_local(system, solve_spd(system)[0])[free]
 
     q = np.random.default_rng(0).standard_normal(free.size)

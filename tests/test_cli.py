@@ -929,6 +929,26 @@ class TestErrorHandling:
         assert err["code"] == "config"
         assert "unknown manufactured case" in err["message"]
 
+    @pytest.mark.parametrize("command", ["solve", "infsup"])
+    @pytest.mark.parametrize("extra, named", [
+        ({"coefficients": {"kappa": 5, "bogus": 1}, "boundary": {"left": "nonsense"}},
+         "'boundary', 'coefficients'"),
+        ({"problem": "potential"}, "'problem'"),
+        ({"coefficients": {}}, "'coefficients'"),
+    ], ids=["coefficients-boundary", "problem", "empty-coefficients"])
+    def test_problem_keys_beside_a_manufactured_case(self, tmp_path, capsys, command,
+                                                     extra, named):
+        # the case sets the problem, so these keys would be dropped silently
+        cfg = write_config(tmp_path, {"manufactured": "pot-trig", "mesh": {"nx": 2, "ny": 2},
+                                      **extra})
+        outdir = tmp_path / "out"
+        code, out = run_cli(capsys, [command, "--config", cfg, "--outdir", str(outdir)])
+        assert code == 1
+        assert json.loads(out) == {"error": {"code": "config", "message": (
+            "'manufactured' sets the problem, its coefficients and its boundary; "
+            "remove key(s): " + named)}}
+        assert not (outdir / "report.json").exists()
+
     def test_invalid_degree(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "manufactured": "conc-poly2",

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -19,7 +18,6 @@ from dpgfem.dpg import (
 )
 from dpgfem.fespace import (
     SpaceLayout,
-    build_dofmap,
     tabulate_facet_basis,
     tabulate_h1_basis,
     tabulate_l2_basis,
@@ -52,14 +50,10 @@ def _pot_problem(**overrides):
     return PotentialProblem(**base)
 
 
-def element_system(mesh, e, problem, layout, active_facets=()):
-    """LocalSystem of element e alone: its group cut down to one element."""
-    dofmap = build_dofmap(mesh, layout, np.asarray(active_facets, dtype=np.int64))
-    group = next(g for g in dofmap.element_groups() if e in g.elems)
-    i = int(np.flatnonzero(group.elems == e)[0])
-    one = dataclasses.replace(group, elems=group.elems[i:i + 1], dofs=group.dofs[i:i + 1])
+def element_system(mesh, e, problem, layout):
+    """LocalSystem of element e alone: a group of one element."""
     geom = geometry_kernels(layout, mesh.dx, mesh.dy)
-    return ProblemKernels(geom, problem, mesh).local_system(one)
+    return ProblemKernels(geom, problem, mesh).local_system(np.array([e]))
 
 
 def problem_gram(mesh, problem, layout):
@@ -69,9 +63,9 @@ def problem_gram(mesh, problem, layout):
                           mesh).gram
 
 
-def local_trial_test(mesh, e, problem, layout, active_facets):
+def local_trial_test(mesh, e, problem, layout):
     """Coupling matrix B and enriched load l of element e."""
-    ls = element_system(mesh, e, problem, layout, active_facets)
+    ls = element_system(mesh, e, problem, layout)
     B = ls.coupling if ls.coupling.ndim == 2 else ls.coupling[0]
     return B, ls.load[0]
 
@@ -111,10 +105,8 @@ class TestLocalGram:
         mesh = classify_boundary(build_rect_mesh(UNIT, 3, 3), POT_PARTITION)
         layout = SpaceLayout(p=2)
         problem = _pot_problem()
-        active = np.concatenate([mesh.interior_facets(),
-                                 mesh.facets_with_tag(FacetTag.DIRICHLET)])
-        G0 = element_system(mesh, 0, problem, layout, active).gram_inv
-        G4 = element_system(mesh, 4, problem, layout, active).gram_inv
+        G0 = element_system(mesh, 0, problem, layout).gram_inv
+        G4 = element_system(mesh, 4, problem, layout).gram_inv
         assert np.array_equal(G0, G4)
 
     def test_geometry_kernels_cached(self):
@@ -128,15 +120,13 @@ class TestTrialTestCoupling:
     def test_interior_concentration_element_has_zero_load(self):
         mesh = build_rect_mesh(UNIT, 3, 3)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=1.0)
-        B, load = local_trial_test(mesh, 4, problem, SpaceLayout(p=1),
-                                   mesh.interior_facets())
+        B, load = local_trial_test(mesh, 4, problem, SpaceLayout(p=1))
         assert np.all(load == 0.0)
         assert B.shape == (9, 4 + 2 + 4)  # field, flux, one trace per edge
 
     def test_interior_potential_element_decouples_field(self):
         mesh = classify_boundary(build_rect_mesh(UNIT, 3, 3), POT_PARTITION)
-        B, load = local_trial_test(mesh, 4, _pot_problem(), SpaceLayout(p=1),
-                                   mesh.interior_facets())
+        B, load = local_trial_test(mesh, 4, _pot_problem(), SpaceLayout(p=1))
         # the field enters the broken form only through the Robin boundary
         assert np.all(load == 0.0)
         assert np.all(B[:, :4] == 0.0)
@@ -147,9 +137,8 @@ class TestTrialTestCoupling:
         mesh = build_rect_mesh(UNIT, 2, 1)
         problem = ConcentrationProblem(D=1.0, dt=1.0, c_prev=0.0, J=0.0)
         layout = SpaceLayout(p=1)
-        active = mesh.interior_facets()
-        B0, _ = local_trial_test(mesh, 0, problem, layout, active)
-        B1, _ = local_trial_test(mesh, 1, problem, layout, active)
+        B0, _ = local_trial_test(mesh, 0, problem, layout)
+        B1, _ = local_trial_test(mesh, 1, problem, layout)
         ones = np.ones(B0.shape[0])
         # pairing of the trace mode with the constant test function equals
         # +/- its facet integral depending on the element side: the facet
@@ -162,10 +151,8 @@ class TestTrialTestCoupling:
         layout = SpaceLayout(p=1)
         quiet = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
         loud = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=1.0)
-        _, l_quiet = local_trial_test(mesh, 0, quiet, layout,
-                                      mesh.interior_facets())
-        _, l_loud = local_trial_test(mesh, 0, loud, layout,
-                                     mesh.interior_facets())
+        _, l_quiet = local_trial_test(mesh, 0, quiet, layout)
+        _, l_loud = local_trial_test(mesh, 0, loud, layout)
         assert np.all(l_quiet == 0.0)
         assert np.any(l_loud != 0.0)
 
@@ -212,8 +199,7 @@ class TestFosls:
     def test_trace_rows_are_zero(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
-        ls = element_system(mesh, 0, problem, SpaceLayout(p=1),
-                            mesh.interior_facets())
+        ls = element_system(mesh, 0, problem, SpaceLayout(p=1))
         n_ff = 4 + 2  # field + flux
         assert np.all(ls.lsq_matrix[n_ff:, :] == 0.0)
         assert np.all(ls.lsq_matrix[:, n_ff:] == 0.0)
@@ -340,8 +326,7 @@ class TestCondense:
     def test_zero_loads_give_zero_rhs(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=0.0, J=0.0)
-        ls = element_system(mesh, 0, problem, SpaceLayout(p=1),
-                            mesh.interior_facets())
+        ls = element_system(mesh, 0, problem, SpaceLayout(p=1))
         S, rhs = condense_local(ls)
         assert rhs.shape == (1, ls.coupling.shape[1])
         assert np.all(rhs == 0.0)
@@ -349,8 +334,7 @@ class TestCondense:
     def test_condensed_matrix_symmetric_positive_semidefinite(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="x*y", J=0.0)
-        ls = element_system(mesh, 0, problem, SpaceLayout(p=2),
-                            mesh.interior_facets())
+        ls = element_system(mesh, 0, problem, SpaceLayout(p=2))
         S, _ = condense_local(ls)
         assert np.allclose(S, S.T, atol=1e-12)
         assert scipy.linalg.eigvalsh(S)[0] > -1e-12
@@ -358,8 +342,7 @@ class TestCondense:
     def test_matches_explicit_schur_complement(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="x+y", J=1.0)
-        ls = element_system(mesh, 0, problem, SpaceLayout(p=1),
-                            mesh.interior_facets())
+        ls = element_system(mesh, 0, problem, SpaceLayout(p=1))
         S, rhs = condense_local(ls)
         Ginv = np.linalg.inv(problem_gram(mesh, problem, SpaceLayout(p=1)))
         S_ref = ls.lsq_matrix + ls.coupling.T @ Ginv @ ls.coupling
@@ -372,8 +355,7 @@ class TestErrorIndicator:
     def test_zero_coefficients_leave_pure_riesz_residual(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev=1.0, J=0.0)
-        ls = element_system(mesh, 0, problem, SpaceLayout(p=1),
-                            mesh.interior_facets())
+        ls = element_system(mesh, 0, problem, SpaceLayout(p=1))
         n_trial = ls.coupling.shape[1]
         eta_riesz, eta_fosls = error_indicator(ls, np.zeros((1, n_trial)))[0]
         G = problem_gram(mesh, problem, SpaceLayout(p=1))
@@ -385,8 +367,7 @@ class TestErrorIndicator:
     def test_source_shift_enters_first_order_residual(self):
         mesh = classify_boundary(build_rect_mesh(UNIT, 2, 2), POT_PARTITION)
         problem = _pot_problem(S=(1.0, 0.0))
-        ls = element_system(mesh, 0, problem, SpaceLayout(p=1),
-                            mesh.interior_facets())
+        ls = element_system(mesh, 0, problem, SpaceLayout(p=1))
         n_trial = ls.coupling.shape[-1]
         eta_fosls = fosls_indicator(ls, np.zeros(n_trial))
         # residual of the constitutive equation is kappa^-1 * S, squared
@@ -396,8 +377,7 @@ class TestErrorIndicator:
     def test_pointwise_and_quadratic_form_agree_away_from_cancellation(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="x*y", J=0.0)
-        ls = element_system(mesh, 0, problem, SpaceLayout(p=2),
-                            mesh.interior_facets())
+        ls = element_system(mesh, 0, problem, SpaceLayout(p=2))
         rng = np.random.default_rng(7)
         u = rng.normal(size=ls.coupling.shape[1])
         # without a source the first-order residual has no u-independent part
@@ -408,8 +388,7 @@ class TestErrorIndicator:
     def test_nonnegative(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         problem = ConcentrationProblem(D=0.5, dt=0.1, c_prev="x*y", J="x")
-        ls = element_system(mesh, 3, problem, SpaceLayout(p=1),
-                            mesh.interior_facets())
+        ls = element_system(mesh, 3, problem, SpaceLayout(p=1))
         rng = np.random.default_rng(11)
         for _ in range(10):
             u = rng.normal(size=(1, ls.coupling.shape[1]))

@@ -1,10 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dpgfem.solver as solver_mod
+from dpgfem.dpg import coefficient_loads, element_groups, geometry_kernels
 from dpgfem.fespace import (
     MAX_DEGREE,
     SpaceLayout,
@@ -14,6 +14,7 @@ from dpgfem.fespace import (
     tabulate_h1_basis,
     tabulate_l2_basis,
 )
+from dpgfem.manufactured import manufactured_case
 from dpgfem.mesh import (
     BoundaryPartition,
     FacetTag,
@@ -23,21 +24,38 @@ from dpgfem.mesh import (
 )
 from dpgfem.problems import ConcentrationProblem, PotentialProblem
 from dpgfem.quadrature import gauss_1d, tensor_quad
-from dpgfem.solver import assemble
+from dpgfem.solver import active_facets, assemble
+from dpgfem.verify import case_mesh
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 
 RNG = np.random.default_rng(20240817)
 
 
+def _flux_dofs(dofmap, e):
+    """The flux dofs of element e: 2 p^2 per element after the field block."""
+    n = dofmap.layout.n_flux_local
+    return dofmap.n_field + e * n + np.arange(n)
+
+
+def _facet_trace_dofs(dofmap, f):
+    """The p trace dofs of facet f, from its slot among the active facets."""
+    s = dofmap.facet_slot[f]
+    if s < 0:
+        raise ValueError(f"facet {f} carries no trace dofs")
+    p = dofmap.layout.p
+    return dofmap.trace_offset + s * p + np.arange(p)
+
+
 def _padded_dofs(dofmap, e):
-    """element_dofs of element e with p absent dofs (-1) on each local edge
-    without traces: field, flux, then p trace dofs per local edge."""
+    """The dofs of element e, from the facet numbering: field, flux, then p
+    trace dofs per local edge, p absent dofs (-1) on an edge without
+    traces."""
     p = dofmap.layout.p
     active = {k: f for k, f, _sign in dofmap.element_active_edges(e)}
-    parts = [dofmap.elem_field[e], dofmap.elem_flux_dofs(e)]
+    parts = [dofmap.elem_field[e], _flux_dofs(dofmap, e)]
     for k in range(4):
-        parts.append(dofmap.facet_trace_dofs(active[k]) if k in active
+        parts.append(_facet_trace_dofs(dofmap, active[k]) if k in active
                      else np.full(p, -1))
     return np.concatenate(parts)
 
@@ -86,6 +104,22 @@ PARTITIONS = [
     (6, 2, None),
     (4, 4, None),
 ]
+
+
+def _problem(partition):
+    """The concentration problem for partition None, else a potential one."""
+    return (ConcentrationProblem(D=0.5, dt=0.1, c_prev=1.0, J=0.0) if partition is None
+            else PotentialProblem(kappa=1.0, beta=1.0, S=(0.0, 0.0), I=0.0, R=0.0))
+
+
+def _groups(dofmap, partition):
+    """`element_groups` of the Robin rows that `coefficient_loads` gives the
+    dof map's mesh for the `_problem` of partition."""
+    mesh = dofmap.mesh
+    geom = geometry_kernels(dofmap.layout, mesh.dx, mesh.dy)
+    _, (rows, _), _ = coefficient_loads(mesh, _problem(partition), geom, geom.enr_val,
+                                        geom.enr_edge)
+    return element_groups(rows)
 
 
 def _partitioned_dofmap(nx, ny, partition, p):
@@ -376,29 +410,54 @@ class TestDofMap:
         mesh = build_rect_mesh(UNIT, 2, 2)
         dofmap = build_dofmap(mesh, SpaceLayout(p=2), mesh.interior_facets())
         facet = mesh.elem_facets[0, 1]  # right edge of element 0
-        dofs = dofmap.facet_trace_dofs(facet)
-        assert set(dofs) <= set(dofmap.element_dofs(0))
-        assert set(dofs) <= set(dofmap.element_dofs(1))
+        dofs = _facet_trace_dofs(dofmap, facet)
+        # element 0's right edge, element 1's left edge
+        assert np.array_equal(dofmap.element_dofs(0)[19:21], dofs)
+        assert np.array_equal(dofmap.element_dofs(1)[17:19], dofs)
 
     def test_inactive_facet_has_no_trace_dofs(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         dofmap = build_dofmap(mesh, SpaceLayout(p=1), mesh.interior_facets())
         boundary = mesh.boundary_facets()[0]
         with pytest.raises(ValueError):
-            dofmap.facet_trace_dofs(boundary)
+            _facet_trace_dofs(dofmap, boundary)
+        # its element keeps the edge's trace column, with an absent dof
+        e, k = (int(i[0]) for i in np.nonzero(mesh.elem_facets == boundary))
+        assert dofmap.elem_dofs[e, 4 + 2 + k] == -1
 
     def test_element_dofs_layout(self):
         mesh = build_rect_mesh(UNIT, 2, 2)
         layout = SpaceLayout(p=2)
         dofmap = build_dofmap(mesh, layout, mesh.interior_facets())
         dofs = dofmap.element_dofs(0)
-        n_active = len(dofmap.element_active_edges(0))
         assert dofs.shape[0] == (layout.n_field_local + layout.n_flux_local
-                                 + layout.p * n_active)
-        # block order: field lattice, element flux, traces by local edge
+                                 + 4 * layout.p)
+        # block order: field lattice, element flux, traces by local edge,
+        # absent on element 0's left and bottom (boundary) edges
         assert np.array_equal(dofs[:9], dofmap.elem_field[0])
-        assert np.array_equal(dofs[9:17], dofmap.elem_flux_dofs(0))
-        assert np.all(dofs[17:] >= dofmap.trace_offset)
+        assert np.array_equal(dofs[9:17], _flux_dofs(dofmap, 0))
+        assert np.all(dofs[[17, 18, 21, 22]] == -1)
+        assert np.all(dofs[[19, 20, 23, 24]] >= dofmap.trace_offset)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_element_dofs_is_the_row_assembly_condenses(self, monkeypatch, p):
+        case = manufactured_case("pot-trig")
+        mesh = case_mesh(case, 4)
+        dofmap = build_dofmap(mesh, SpaceLayout(p=p), active_facets(mesh))
+        rows = {}
+        condensed_system = solver_mod.condensed_system
+
+        def recorded(dofmap, kind, systems):
+            systems = list(systems)
+            for elems, trial, _S, _r in systems:
+                rows.update(zip(elems.tolist(), trial))
+            return condensed_system(dofmap, kind, systems)
+
+        monkeypatch.setattr(solver_mod, "condensed_system", recorded)
+        assemble(mesh, dofmap, case.problem)
+        assert sorted(rows) == list(range(mesh.n_elems))
+        for e, row in rows.items():
+            assert np.array_equal(dofmap.element_dofs(e), row)
 
 
 class TestElementGroups:
@@ -412,15 +471,14 @@ class TestElementGroups:
         active = np.concatenate([mesh.interior_facets(),
                                  mesh.facets_with_tag(FacetTag.DIRICHLET)])
         dofmap = build_dofmap(mesh, SpaceLayout(p=p), active)
-        groups = dofmap.element_groups()
+        groups = _groups(dofmap, partition)
         # the interior with the Dirichlet and Neumann sides, and the bottom
         # and top rows stacked as the Robin group
-        assert [g.elems.tolist() for g in groups] == [[4, 5, 6, 7],
-                                                      [0, 1, 2, 3, 8, 9, 10, 11]]
-        for g in groups:
-            assert g.dofs.shape == (g.elems.size, (p + 1) ** 2 + 2 * p * p + 4 * p)
-            for row, e in zip(g.dofs, g.elems):
-                assert np.array_equal(row, _padded_dofs(dofmap, e))
+        assert [g.tolist() for g in groups] == [[4, 5, 6, 7],
+                                                [0, 1, 2, 3, 8, 9, 10, 11]]
+        assert dofmap.elem_dofs.shape == (12, (p + 1) ** 2 + 2 * p * p + 4 * p)
+        for e, row in enumerate(dofmap.elem_dofs):
+            assert np.array_equal(row, _padded_dofs(dofmap, e))
         # a Dirichlet edge, like an interior left edge, has the sign -1
         assert [(k, sign) for k, _f, sign in dofmap.element_active_edges(4)] == [
             (0, -1.0), (1, 1.0), (2, -1.0), (3, 1.0)]
@@ -432,26 +490,26 @@ class TestElementGroups:
         for nx, ny in ((3, 3), (5, 4), (1, 6)):
             mesh = classify_boundary(build_rect_mesh(UNIT, nx, ny), BoundaryPartition())
             dofmap = build_dofmap(mesh, SpaceLayout(p=2), mesh.interior_facets())
-            [group] = dofmap.element_groups()
-            assert np.array_equal(group.elems, np.arange(nx * ny))
-            assert all(_edge_signs(dofmap, e) == list(EDGE_SIGNS) for e in group.elems)
+            [group] = _groups(dofmap, None)
+            assert np.array_equal(group, np.arange(nx * ny))
+            assert all(_edge_signs(dofmap, e) == list(EDGE_SIGNS) for e in group)
             # boundary edges keep their columns, with absent dofs
-            assert np.count_nonzero(group.dofs == -1) == 2 * 2 * (nx + ny)
+            assert np.count_nonzero(dofmap.elem_dofs[group] == -1) == 2 * 2 * (nx + ny)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("nx, ny, partition", PARTITIONS)
     def test_matches_the_element_by_element_partition(self, p, nx, ny, partition):
         dofmap = _partitioned_dofmap(nx, ny, partition, p)
-        groups = dofmap.element_groups()
+        groups = _groups(dofmap, partition)
         reference = _reference_groups(dofmap)
         # at most the elements without a Robin edge and the Robin stack:
         # every element has the same trace signs, Dirichlet edges included
         assert len(groups) == len(reference) <= 2
+        assert dofmap.elem_dofs.dtype == np.int64
         for g, (elems, signs, dofs) in zip(groups, reference):
-            assert np.array_equal(g.elems, elems)
+            assert np.array_equal(g, elems)
             assert np.array_equal(signs, np.tile(EDGE_SIGNS, (elems.size, 1)))
-            assert g.dofs.dtype == np.int64
-            assert np.array_equal(g.dofs, dofs)
+            assert np.array_equal(dofmap.elem_dofs[g], dofs)
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("nx, ny, partition", PARTITIONS + [
@@ -464,26 +522,22 @@ class TestElementGroups:
         robin = np.array([FacetTag.ROBIN in mesh.facet_tags[mesh.elem_facets[e]]
                           for e in range(mesh.n_elems)])
         want = [np.flatnonzero(~robin).tolist(), np.flatnonzero(robin).tolist()]
-        assert [g.elems.tolist() for g in dofmap.element_groups()] == [w for w in want if w]
-        problem = (ConcentrationProblem(D=0.5, dt=0.1, c_prev=1.0, J=0.0) if partition is None
-                   else PotentialProblem(kappa=1.0, beta=1.0, S=(0.0, 0.0), I=0.0, R=0.0))
-        grid = assemble(mesh, dofmap, problem).grid
+        assert [g.tolist() for g in _groups(dofmap, partition)] == [w for w in want if w]
+        grid = assemble(mesh, dofmap, _problem(partition)).grid
         assert len(grid.mats) == int(np.any(~robin)) + np.count_nonzero(robin)
         assert np.unique(grid.elem_class[~robin]).size == int(np.any(~robin))
         assert np.unique(grid.elem_class[robin]).size == np.count_nonzero(robin)
         assert not set(grid.elem_class[~robin]) & set(grid.elem_class[robin])
 
-    def test_groups_are_built_once_and_read_only(self):
+    def test_dof_rows_are_read_only(self):
         mesh = build_rect_mesh(UNIT, 3, 3)
         dofmap = build_dofmap(mesh, SpaceLayout(p=2), mesh.interior_facets())
-        first, second = dofmap.element_groups(), dofmap.element_groups()
-        assert all(a is b for a, b in zip(first, second))
-        group = first[0]
-        with pytest.raises(ValueError):
-            group.dofs[0, 0] = -1
-        with pytest.raises(ValueError):
-            group.elems[0] = -1
-        assert [f.name for f in dataclasses.fields(group)] == ["elems", "dofs"]
-        # a caller may reorder or drop groups in its own list
-        first.pop()
-        assert len(dofmap.element_groups()) == len(second)
+        # every pass reads the one array; none may write to it
+        for rows in (dofmap.elem_dofs, dofmap.elem_field, dofmap.element_dofs(4)):
+            with pytest.raises(ValueError):
+                rows[..., 0] = -1
+        assert np.shares_memory(dofmap.elem_field, dofmap.elem_dofs)
+        # a fresh list of fresh arrays on each call
+        first, second = _groups(dofmap, None), _groups(dofmap, None)
+        first[0][0] = -1
+        assert second[0][0] == 0

@@ -11,11 +11,12 @@ import importlib
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dpgfem.fespace import SpaceLayout
+from dpgfem.fespace import SpaceLayout, build_dofmap
 from dpgfem.manufactured import manufactured_case
-from dpgfem.solver import solve_dpg, solve_spd
+from dpgfem.solver import active_facets, solve_dpg, solve_spd
 from dpgfem.verify import case_mesh
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -54,3 +55,27 @@ def test_solve_records_read_the_global_system(name):
     (record,) = traced.solves
     assert record["nnz"] == system.matrix.nnz > 0
     assert record["system"][1] is system.rhs
+
+
+def test_traced_dofmap_methods_agree_with_elem_dofs():
+    # the tracer wraps these by name; each must still work on a dof map
+    # and read the one per-element numbering, not just resolve
+    traced = sorted(key.rsplit(".", 1)[1] for key in tracer.TRACED
+                    if key.startswith("dpgfem.fespace:DofMap."))
+    assert traced == ["element_active_edges", "element_dofs"]
+    case = manufactured_case("pot-trig")
+    mesh = case_mesh(case, 2)
+    dofmap = build_dofmap(mesh, SpaceLayout(p=2), active_facets(mesh))
+    nf, nflux, p = dofmap.layout.n_field_local, dofmap.layout.n_flux_local, 2
+    for e in range(mesh.n_elems):
+        assert np.array_equal(dofmap.element_dofs(e), dofmap.elem_dofs[e])
+        edges = dofmap.element_active_edges(e)
+        assert edges
+        for k, f, sign in edges:
+            assert sign == (1.0 if k % 2 else -1.0)
+            assert f == mesh.elem_facets[e, k]
+            assert np.all(dofmap.elem_dofs[e, nf + nflux + k * p:][:p] >= dofmap.trace_offset)
+        # the edges it does not list have absent trace dofs
+        absent = sorted(set(range(4)) - {k for k, _f, _sign in edges})
+        trace = dofmap.elem_dofs[e, nf + nflux:].reshape(4, p)
+        assert np.all(trace[absent] == -1)

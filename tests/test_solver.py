@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import dpgfem.dpg as dpg_mod
 import dpgfem.expr as expr_mod
 import dpgfem.solver as solver_mod
 import dpgfem.verify as verify_mod
@@ -85,6 +86,14 @@ def _indefinite(system):
     return _tampered(system, change)
 
 
+def _split_by_element(monkeypatch):
+    """Make `dpg.element_groups` give one group per element, in the order
+    of the groups it gave before."""
+    split = dpg_mod.element_groups
+    monkeypatch.setattr(dpg_mod, "element_groups", lambda rows: [
+        g[i:i + 1] for g in split(rows) for i in range(g.size)])
+
+
 class TestGroupedAssembly:
     # pot-trig: the elements without a Robin edge and the Robin stack
     @pytest.mark.parametrize("name, p, n_groups", [("pot-trig", 2, 2),
@@ -92,16 +101,14 @@ class TestGroupedAssembly:
     def test_matches_one_element_groups(self, monkeypatch, name, p, n_groups):
         case = manufactured_case(name)
         mesh = case_mesh(case, 4)
-        dofmap = build_dofmap(mesh, SpaceLayout(p=p), active_facets(mesh))
+        layout = SpaceLayout(p=p)
+        dofmap = build_dofmap(mesh, layout, active_facets(mesh))
+        geom = geometry_kernels(layout, mesh.dx, mesh.dy)
         grouped = assemble(mesh, dofmap, case.problem)
-        groups = dofmap.element_groups()
-        assert len(groups) == n_groups
-        single_groups = [
-            dataclasses.replace(g, elems=g.elems[i:i + 1], dofs=g.dofs[i:i + 1])
-            for g in groups for i in range(len(g.elems))]
-        monkeypatch.setattr(DofMap, "element_groups", lambda self: single_groups)
+        assert len(ProblemKernels(geom, case.problem, mesh).groups) == n_groups
+        _split_by_element(monkeypatch)
         single = assemble(mesh, dofmap, case.problem)
-        assert len(dofmap.element_groups()) == mesh.n_elems
+        assert len(ProblemKernels(geom, case.problem, mesh).groups) == mesh.n_elems
         diff = sp.linalg.norm(grouped.matrix - single.matrix)
         assert diff <= 1e-13 * sp.linalg.norm(single.matrix)
         assert (np.linalg.norm(grouped.rhs - single.rhs)
@@ -119,22 +126,16 @@ class TestGroupedAssembly:
                                                       message):
         mesh = classify_boundary(build_rect_mesh(UNIT, 3, 2), POT_PARTITION)
         problem = _pot_problem(**data)
-        grouped = DofMap.element_groups
-
-        def single_groups(dofmap):
-            return [dataclasses.replace(g, elems=g.elems[i:i + 1], dofs=g.dofs[i:i + 1])
-                    for g in grouped(dofmap) for i in range(len(g.elems))]
-
         with pytest.raises(SolverError) as on_groups:
             solve_dpg(mesh, problem, SpaceLayout(p=2))
-        monkeypatch.setattr(DofMap, "element_groups", single_groups)
+        _split_by_element(monkeypatch)
         with pytest.raises(SolverError) as on_elements:
             solve_dpg(mesh, problem, SpaceLayout(p=2))
         assert str(on_groups.value) == str(on_elements.value) == (
             "non-finite system: " + message)
 
     @pytest.mark.parametrize("p", [1, 2])
-    def test_indicators_read_absent_traces_as_zero(self, p):
+    def test_indicators_read_absent_traces_as_zero(self, monkeypatch, p):
         # Dirichlet left, Neumann right, Robin bottom and top: the Neumann
         # and Robin edges keep trace columns without dofs
         case = manufactured_case("pot-trig")
@@ -145,16 +146,18 @@ class TestGroupedAssembly:
         coeffs = np.concatenate([solution.field, solution.flux, solution.trace])
         # reading coeffs[-1] for an absent dof would pick up this value
         assert coeffs[-1] != 0.0
-        kernels = ProblemKernels(geometry_kernels(layout, mesh.dx, mesh.dy),
-                                 case.problem, mesh)
+        with monkeypatch.context() as m:
+            _split_by_element(m)
+            kernels = ProblemKernels(geometry_kernels(layout, mesh.dx, mesh.dy),
+                                     case.problem, mesh)
         want = np.empty((mesh.n_elems, 2))
         absent = 0
-        for g in dofmap.element_groups():
-            for i, e in enumerate(g.elems):
-                one = dataclasses.replace(g, elems=g.elems[i:i + 1], dofs=g.dofs[i:i + 1])
-                u = np.where(one.dofs >= 0, coeffs[one.dofs], 0.0)
-                want[e] = error_indicator(kernels.local_system(one), u)[0]
-                absent += int(np.count_nonzero(one.dofs < 0))
+        for one in kernels.groups:
+            dofs = dofmap.elem_dofs[one]
+            u = np.where(dofs >= 0, coeffs[dofs], 0.0)
+            want[one] = error_indicator(kernels.local_system(one), u)
+            absent += int(np.count_nonzero(dofs < 0))
+        assert len(kernels.groups) == mesh.n_elems
         assert absent == 12 * p                 # 4 Neumann and 8 Robin edges
         got = solver_mod.compute_indicators(mesh, dofmap, case.problem, coeffs)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
@@ -811,17 +814,14 @@ class TestAssemble:
         on = (np.arange(n * p + 1)[:, None] % p == 0) | (np.arange(n * p + 1) % p == 0)
         full = np.concatenate([np.flatnonzero(on),
                                np.arange(dofmap.trace_offset, dofmap.n_total)])
-        rows, mats, grid = [], [], system.grid
-        for group in dofmap.element_groups():
-            _, G = solver_mod._local_columns(dofmap.layout, group.dofs.shape[1])
-            # an absent trace dof (-1) stands for none, like the row count
-            d = group.dofs[:, G]
-            rows.append(np.where(d < 0, full.size, np.searchsorted(full, d)))
-            mats.append(grid.mats[grid.elem_class[group.elems]])
-        rows = np.concatenate(rows).ravel()
+        grid = system.grid
+        _, G = solver_mod._local_columns(dofmap.layout, dofmap.elem_dofs.shape[1])
+        # an absent trace dof (-1) stands for none, like the row count
+        d = dofmap.elem_dofs[:, G]
+        rows = np.where(d < 0, full.size, np.searchsorted(full, d)).ravel()
         free = np.flatnonzero(~np.isin(full, dirichlet))
         want = solver_mod.scatter(solver_mod.ElementOperator(
-            (full.size,) * 2, rows, rows, [(mesh.n_elems, np.concatenate(mats))]))
+            (full.size,) * 2, rows, rows, [(mesh.n_elems, grid.mats[grid.elem_class])]))
         want = want[free][:, free]
         assert abs(system.matrix - want).max() <= 1e-12 * abs(want).max()
 
@@ -977,19 +977,19 @@ class TestLayerCholesky:
 
     @pytest.mark.parametrize("nx, ny", [(6, 6), (7, 3), (3, 7), (12, 3), (3, 12)])
     def test_elements_hold_rows_of_two_consecutive_layers(self, nx, ny):
-        # the layers come from the fine level's slots; the groups' rows agree
+        # the layers come from the fine level's slots; the elements' rows agree
         system = _case_system("pot-trig", 3, nx, ny)
         n, dofmap = system.rhs.size, system.dofmap
         layer = solver_mod.mesh_layers(dofmap.mesh, system.grid.elem_rows, n)
         assert np.unique(layer).size == max(nx, ny)
         row = solver_mod._row_lookup(system.skeleton, dofmap.n_total)
-        for g in dofmap.element_groups():
-            _, G = solver_mod._local_columns(dofmap.layout, g.dofs.shape[1])
-            dofs = row[g.dofs[:, G]]
-            own = (g.elems % nx if nx > ny else g.elems // nx)[:, None]
-            layers = np.append(layer, -1)[dofs]         # -1: a Dirichlet dof
-            assert np.all((layers >= own) | (dofs == n))
-            assert np.all(layers <= own + 1)
+        _, G = solver_mod._local_columns(dofmap.layout, dofmap.elem_dofs.shape[1])
+        dofs = row[dofmap.elem_dofs[:, G]]
+        elems = np.arange(dofmap.mesh.n_elems)
+        own = (elems % nx if nx > ny else elems // nx)[:, None]
+        layers = np.append(layer, -1)[dofs]             # -1: a Dirichlet dof
+        assert np.all((layers >= own) | (dofs == n))
+        assert np.all(layers <= own + 1)
 
     def test_coarse_level_is_solved_exactly(self):
         # 20^2 -> 10^2: the factored level holds Robin rows, and its
@@ -1024,9 +1024,9 @@ def _uncondensed_solve(mesh, problem, layout):
     n = dofmap.n_total
     rows, cols, vals = [], [], []
     rhs = np.zeros(n + 1)
-    for group in dofmap.element_groups():
-        S, r = condense_local(kernels.local_system(group))
-        dofs = np.where(group.dofs < 0, n, group.dofs)
+    for elems in kernels.groups:
+        S, r = condense_local(kernels.local_system(elems))
+        dofs = np.where(dofmap.elem_dofs[elems] < 0, n, dofmap.elem_dofs[elems])
         n_g, m = dofs.shape
         rows.append(np.repeat(dofs, m, axis=1).ravel())
         cols.append(np.tile(dofs, m).ravel())
@@ -1161,25 +1161,26 @@ class TestSolveDpg:
         assert info.method == "trivial"
 
     @pytest.mark.parametrize("name", ["conc-trig", "pot-trig"])
-    def test_partitions_the_elements_once(self, monkeypatch, name):
-        partitions, lookups = [], []
-        partition, element_groups = DofMap._partition, DofMap.element_groups
+    def test_splits_the_elements_once_per_kernels(self, monkeypatch, name):
+        splits, kernels = [], []
+        split, init = dpg_mod.element_groups, ProblemKernels.__init__
 
-        def counted_partition(self):
-            partitions.append(self)
-            return partition(self)
+        def counted_split(rows):
+            splits.append(rows)
+            return split(rows)
 
-        def counted_groups(self):
-            lookups.append(self)
-            return element_groups(self)
+        def counted_init(self, *args):
+            kernels.append(self)
+            init(self, *args)
 
-        monkeypatch.setattr(DofMap, "_partition", counted_partition)
-        monkeypatch.setattr(DofMap, "element_groups", counted_groups)
+        monkeypatch.setattr(dpg_mod, "element_groups", counted_split)
+        monkeypatch.setattr(ProblemKernels, "__init__", counted_init)
         case = manufactured_case(name)
         solve_dpg(case_mesh(case, 4), case.problem, SpaceLayout(p=2))
-        # assembly and the indicator pass both ask for the groups
-        assert len(lookups) == 2 and lookups[0] is lookups[1]
-        assert partitions == [lookups[0]]
+        # assembly and the indicator pass each build kernels, which split
+        # their own Robin rows once
+        assert len(kernels) == len(splits) == 2
+        assert all(rows is k.robin_rows for rows, k in zip(splits, kernels))
 
     @pytest.mark.parametrize("name", ["conc-poly2", "pot-poly2"])
     def test_exact_reproduction_of_quadratic_cases(self, name):

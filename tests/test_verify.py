@@ -14,7 +14,6 @@ from dpgfem.dpg import (
     geometry_kernels,
 )
 from dpgfem.fespace import (
-    DofMap,
     SpaceLayout,
     build_dofmap,
     tabulate_facet_basis,
@@ -69,14 +68,15 @@ def dense_trial_forms(mesh, dofmap, problem):
     C = np.hstack(geom.trace_tmpl)
     trace_gram = C.T @ geom.gram_inv @ C
     nf, ns = layout.n_field_local, layout.n_flux_scalar
-    for group in dofmap.element_groups():
-        for dofs, block in ((group.dofs[:, :nf], field_gram),
-                            (group.dofs[:, nf:nf + ns], flux_gram),
-                            (group.dofs[:, nf + ns:nf + 2 * ns], flux_gram),
-                            (group.dofs[:, nf + 2 * ns:], trace_gram)):
+    for elems in kernels.groups:
+        rows = dofmap.elem_dofs[elems]
+        for dofs, block in ((rows[:, :nf], field_gram),
+                            (rows[:, nf:nf + ns], flux_gram),
+                            (rows[:, nf + ns:nf + 2 * ns], flux_gram),
+                            (rows[:, nf + 2 * ns:], trace_gram)):
             np.add.at(M, (dofs[:, :, None], dofs[:, None, :]), block)
-        S, _ = condense_local(kernels.local_system(group))
-        np.add.at(A, (group.dofs[:, :, None], group.dofs[:, None, :]), S)
+        S, _ = condense_local(kernels.local_system(elems))
+        np.add.at(A, (rows[:, :, None], rows[:, None, :]), S)
     return M[:n, :n], A[:n, :n]
 
 
@@ -482,20 +482,20 @@ class TestEocStudy:
         assert data["eoc_combined"][0] is None
         assert isinstance(data["eoc_combined"][1], float)
 
-    def test_oracle_partitions_no_mesh(self, monkeypatch):
-        # each level partitions the DPG dof map alone; the oracle's
-        # trace-free map needs no element groups
-        partitions = []
-        partition = DofMap._partition
+    def test_oracle_splits_once_per_level(self, monkeypatch):
+        # the oracle splits the Robin rows of its own loads with the DPG
+        # kernels' element_groups, once per level; the kernels' splits go
+        # through `dpg` and are not counted here
+        splits = []
+        split = verify_mod.element_groups
 
-        def counted_partition(self):
-            partitions.append(self)
-            return partition(self)
+        def counted_split(rows):
+            splits.append(rows)
+            return split(rows)
 
-        monkeypatch.setattr(DofMap, "_partition", counted_partition)
+        monkeypatch.setattr(verify_mod, "element_groups", counted_split)
         eoc_study("pot-trig", p=2, levels=3, base_n=2, with_oracle=True)
-        assert len(partitions) == 3
-        assert all(dofmap.n_trace > 0 for dofmap in partitions)
+        assert [rows.size for rows in splits] == [4, 16, 64]
 
     def test_accepts_case_object_and_oracle(self):
         case = manufactured_case("pot-trig")
